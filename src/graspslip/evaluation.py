@@ -143,11 +143,13 @@ def evaluate_model(
     firsts, drops = [], []
     by_direction: dict[str, list] = {}
 
-    for grasp in sets:
-        windows = gdata.window_batches(grasp, window_len, channel, labels=labels)
+    per_set = [gdata.window_batches(g, window_len, channel, labels=labels) for g in sets]
+    preds = iter(model.predict_batch(
+        model.featurize(w.samples) for windows in per_set for w in windows
+    ))
+    for grasp, windows in zip(sets, per_set):
         set_pred = []
-        for w in windows:
-            pred = model.predict(model.featurize(w.samples))
+        for w, pred in zip(windows, preds):
             all_pred.append(pred.unstable)
             all_ref.append(w.unstable)
             window_rates.append(float(np.mean(pred.unstable == w.unstable)))
@@ -439,8 +441,9 @@ def write_prediction_dump(model, grasp, path, window_len: int = 160, channel: in
                           labels: str = "detect") -> None:
     """Per-step plot data: step, force_mn, label, p_unstable, predicted."""
     rows = ["step,force_mn,label_unstable,p_unstable,predicted_unstable"]
-    for w in gdata.window_batches(grasp, window_len, channel, labels=labels):
-        pred = model.predict(model.featurize(w.samples))
+    windows = gdata.window_batches(grasp, window_len, channel, labels=labels)
+    preds = model.predict_batch([model.featurize(w.samples) for w in windows])
+    for w, pred in zip(windows, preds):
         start = int(w.provenance.get("start", 0))
         for i in range(len(w)):
             rows.append(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -112,6 +113,9 @@ class Prediction:
 # Class indices for the softmax head.
 CLASS_STABLE = 0
 CLASS_UNSTABLE = 1
+
+# Windows per batched forward pass in GraspModel.predict_batch.
+PREDICT_CHUNK = 64
 
 
 class GraspModel:
@@ -219,19 +223,36 @@ class GraspModel:
     def _forward(self, streams: list[np.ndarray]):
         caches = [nn.lstm_forward_cache(s, p) for s, p in zip(streams, self.lstms)]
         hcat = np.concatenate([c.h_all[1:] for c in caches], axis=1)
-        logits = hcat @ self.head.w.T + self.head.b
-        probs = nn.softmax(logits)
-        return caches, hcat, probs
+        return caches, hcat, self.head.probs(hcat)
 
     def predict(self, features) -> Prediction:
         """Per-step probability of instability plus 0.5-threshold flags.
 
         Ties at the threshold resolve to unstable (the fail-safe side).
         """
-        streams = self._coerce_streams(features)
-        _, _, probs = self._forward(streams)
-        p_unstable = probs[:, CLASS_UNSTABLE]
-        return Prediction(p_unstable=p_unstable, unstable=p_unstable >= self.threshold)
+        return self.predict_batch([features])[0]
+
+    def predict_batch(self, windows) -> list[Prediction]:
+        """predict() for each of many equal-length windows, a chunk at a time.
+
+        ``windows`` is an iterable of features arguments as predict() takes
+        them. It is consumed PREDICT_CHUNK windows at a time; each chunk
+        advances together through one (B, H) cell update per step, so the
+        working memory stays bounded however many windows there are.
+        """
+        out: list[Prediction] = []
+        it = iter(windows)
+        while chunk := [self._coerce_streams(f) for f in islice(it, PREDICT_CHUNK)]:
+            if len({w[0].shape[0] for w in chunk} | {len(p) for p in out[:1]}) > 1:
+                raise ValueError("predict_batch needs windows of equal length")
+            hcat = np.concatenate(
+                [nn.lstm_hidden(np.stack([w[k] for w in chunk]), p)
+                 for k, p in enumerate(self.lstms)],
+                axis=2,
+            )
+            p_unstable = self.head.probs(hcat)[..., CLASS_UNSTABLE]
+            out.extend(Prediction(p_unstable=p, unstable=p >= self.threshold) for p in p_unstable)
+        return out
 
     def predict_samples(self, samples: np.ndarray) -> Prediction:
         return self.predict(self.featurize(samples))
@@ -314,12 +335,6 @@ class EpochRecord:
     val_success: float | None = None
 
 
-def _window_success(model: GraspModel, feats, y: np.ndarray) -> tuple[int, int]:
-    pred = model.predict(feats)
-    ref_unstable = y.astype(bool)
-    return int(np.sum(pred.unstable == ref_unstable)), int(y.size)
-
-
 def train(
     model: GraspModel,
     windows,
@@ -373,12 +388,9 @@ def train(
 
         record = EpochRecord(epoch=epoch, mean_loss=float(losses.mean()))
         if val_feats is not None:
-            hit = tot = 0
-            for f, y in zip(val_feats, val_ys):
-                h, t = _window_success(model, f, y)
-                hit += h
-                tot += t
-            record.val_success = hit / tot
+            preds = model.predict_batch(val_feats)
+            hit = sum(int(np.sum(p.unstable == y.astype(bool))) for p, y in zip(preds, val_ys))
+            record.val_success = hit / sum(y.size for y in val_ys)
             if record.val_success > best_success:
                 best_success = record.val_success
                 best_params = model.copy_params()

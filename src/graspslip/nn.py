@@ -22,12 +22,9 @@ class TrainingDiverged(RuntimeError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -113,24 +110,34 @@ class LstmState:
         return cls(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
 
 
-def lstm_step(x: np.ndarray, state: LstmState, params: LstmParams) -> LstmState:
-    """One gated update; |h'| < 1 by construction."""
-    x = np.asarray(x, dtype=np.float64)
-    hd = params.hidden_dim
-    if x.shape != (params.input_dim,):
-        raise ValueError(
-            f"input dimension mismatch: expected {params.input_dim}, got {x.shape}"
-        )
-    if state.h.shape != (hd,) or state.c.shape != (hd,):
-        raise ValueError("state dimension mismatch")
+def lstm_cell(ax: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray):
+    """One gated update of a (B, H) state; |h'| < 1 by construction.
+
+    ``ax`` is the (B, 4H) input projection plus bias and ``wh`` the
+    (4H, H) recurrent block of ``LstmParams.stacked()``, taken as a view.
+    Returns (h', c', sigmoid gates i|f|o as (B, 3H), g, tanh(c')).
+    """
+    hd = h.shape[-1]
+    a = ax + h @ wh.T
+    ifo = sigmoid(a[:, : 3 * hd])
+    g = np.tanh(a[:, 3 * hd :])
+    c = ifo[:, hd : 2 * hd] * c + ifo[:, :hd] * g
+    tc = np.tanh(c)
+    return ifo[:, 2 * hd :] * tc, c, ifo, g, tc
+
+
+def _projection(x: np.ndarray, params: LstmParams):
+    """Input projection of every step at once plus the recurrent block.
+
+    Returns (x @ W_x.T + b, W_h) for an (..., D) input.
+    """
+    d = params.input_dim
+    if 0 in x.shape[:-1]:
+        raise ValueError("empty sequence")
+    if x.shape[-1] != d:
+        raise ValueError(f"input dimension mismatch: expected {d}, got {x.shape[-1]}")
     w, b = params.stacked()
-    a = w @ np.concatenate([x, state.h]) + b
-    i = sigmoid(a[:hd])
-    f = sigmoid(a[hd : 2 * hd])
-    o = sigmoid(a[2 * hd : 3 * hd])
-    g = np.tanh(a[3 * hd :])
-    c = f * state.c + i * g
-    return LstmState(h=o * np.tanh(c), c=c)
+    return x @ w[:, :d].T + b, w[:, d:]
 
 
 @dataclass
@@ -161,39 +168,44 @@ def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
     only the recurrent term runs step by step.
     """
     x = np.asarray(seq, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim != 2:
         raise ValueError("empty sequence")
-    d, hd = params.input_dim, params.hidden_dim
-    if x.shape[1] != d:
-        raise ValueError(f"input dimension mismatch: expected {d}, got {x.shape[1]}")
-    w, b = params.stacked()
-    wx, wh = w[:, :d], w[:, d:]
-    ax = x @ wx.T + b
-
-    n = x.shape[0]
+    ax, wh = _projection(x, params)
+    n, hd = x.shape[0], params.hidden_dim
     h_all = np.zeros((n + 1, hd))
     c_all = np.zeros((n + 1, hd))
     gates = np.empty((n, 4 * hd))
     tanh_c = np.empty((n, hd))
-    h = h_all[0]
-    c = c_all[0]
+    h = h_all[:1]
+    c = c_all[:1]
     for t in range(n):
-        a = ax[t] + wh @ h
-        i = sigmoid(a[:hd])
-        f = sigmoid(a[hd : 2 * hd])
-        o = sigmoid(a[2 * hd : 3 * hd])
-        g = np.tanh(a[3 * hd :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t, :hd] = i
-        gates[t, hd : 2 * hd] = f
-        gates[t, 2 * hd : 3 * hd] = o
-        gates[t, 3 * hd :] = g
-        tanh_c[t] = tc
-        h_all[t + 1] = h
-        c_all[t + 1] = c
+        h, c, ifo, g, tc = lstm_cell(ax[t : t + 1], h, c, wh)
+        gates[t, : 3 * hd] = ifo[0]
+        gates[t, 3 * hd :] = g[0]
+        tanh_c[t] = tc[0]
+        h_all[t + 1] = h[0]
+        c_all[t + 1] = c[0]
     return LstmCache(x=x, h_all=h_all, c_all=c_all, gates=gates, tanh_c=tanh_c)
+
+
+def lstm_hidden(seqs: np.ndarray, params: LstmParams) -> np.ndarray:
+    """(B, n, D) sequences -> (B, n, H) hidden states, all from the zero state.
+
+    The forward pass without a cache: the B sequences advance together,
+    one (B, H) cell update per time step.
+    """
+    x = np.asarray(seqs, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected (batch, steps, dim) sequences, got shape {x.shape}")
+    ax, wh = _projection(x.transpose(1, 0, 2), params)  # (n, B, 4H): one block per step
+    bsz, n, hd = x.shape[0], x.shape[1], params.hidden_dim
+    out = np.empty((n, bsz, hd))
+    h = np.zeros((bsz, hd))
+    c = np.zeros((bsz, hd))
+    for t in range(n):
+        h, c, _, _, _ = lstm_cell(ax[t], h, c, wh)
+        out[t] = h
+    return out.transpose(1, 0, 2)
 
 
 def lstm_forward(seq: np.ndarray, params: LstmParams) -> tuple[list[LstmState], np.ndarray]:
@@ -278,13 +290,9 @@ class FcHead:
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
 
-
-def fc_softmax(h: np.ndarray, head: FcHead) -> np.ndarray:
-    """Class probabilities for one hidden vector."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (head.in_dim,):
-        raise ValueError(f"dimension mismatch: expected {head.in_dim}, got {h.shape}")
-    return softmax(head.w @ h + head.b)
+    def probs(self, h: np.ndarray) -> np.ndarray:
+        """(..., in_dim) hidden rows -> (..., 2) class probabilities."""
+        return softmax(h @ self.w.T + self.b)
 
 
 @dataclass

@@ -3,8 +3,12 @@
 The replay loop maintains the causal STFT window and LSTM state
 incrementally, so each step costs O(window) and produces the same
 probabilities as the offline pipeline on the same samples (to 1e-12).
-Timing is measured around the per-step inference call only; the replay
-models no physics, it validates decisions and latency.
+All channels of a frame advance together in one batched inference call,
+and timing is measured around that call only: every sensor's event is
+charged the whole frame's wall time. That is stricter than timing each
+sensor alone, and it makes latency_report's per-frame sum (n_sensors
+times the frame time) a conservative upper bound on the real frame
+cost. The replay models no physics, it validates decisions and latency.
 
 Event log format (CSV): step,channel,probability,label,latency_us with
 label 1 = unstable. Controller trajectory: step,pj_ma,mj_ma.
@@ -19,7 +23,7 @@ import numpy as np
 
 from graspslip import nn
 from graspslip.ioutil import atomic_write_text
-from graspslip.models import GraspModel
+from graspslip.models import CLASS_UNSTABLE, GraspModel
 from graspslip.signal import SensorTrace, normalize_array
 
 PJ_INIT_MA = 50.0
@@ -72,52 +76,82 @@ class StepEvent:
 
 
 class StreamingPredictor:
-    """Sample-at-a-time inference with the model's own feature pipeline.
+    """Frame-at-a-time inference with the model's own feature pipeline.
 
-    Keeps a window_len ring of normalized samples for the band magnitudes
-    and one LstmState per stream; push() advances exactly one time step.
+    Keeps, for each of ``n_channels`` sensors, a window_len ring of
+    normalized samples for the band magnitudes and one (h, c) LSTM state
+    per stream; push_frame() advances every channel by one time step in
+    one batched cell update, push() is the one-channel case.
+
+    A non-finite sample (NaN or +-inf) is flagged unstable, the fail-safe
+    answer, with a NaN probability, and leaves nothing behind in the ring
+    or the LSTM state: that channel restarts, so its next finite sample
+    is scored as by a fresh predictor. Other channels are unaffected.
     """
 
-    def __init__(self, model: GraspModel):
+    def __init__(self, model: GraspModel, n_channels: int = 1):
         if model.stats is None:
             raise ValueError("missing normalization stats; train or load a checkpoint first")
+        if n_channels < 1:
+            raise ValueError("n_channels must be >= 1")
         self.model = model
+        self.n_channels = n_channels
+        self._cells = []  # per LSTM: input weights, recurrent weights, bias
+        for p in model.lstms:
+            w, b = p.stacked()
+            self._cells.append((w[:, : p.input_dim], w[:, p.input_dim :], b))
         self.reset()
 
     def reset(self) -> None:
-        self._buf = np.empty(self.model.stft_window)
-        self._started = False
-        self._states = [nn.LstmState.zeros(p.hidden_dim) for p in self.model.lstms]
+        n = self.n_channels
+        self._ring = np.empty((n, self.model.stft_window))
+        self._started = np.zeros(n, dtype=bool)
+        self._h = [np.zeros((n, p.hidden_dim)) for p in self.model.lstms]
+        self._c = [np.zeros((n, p.hidden_dim)) for p in self.model.lstms]
 
-    def push(self, sample: float) -> tuple[float, bool]:
-        """Consume one raw sample, return (p_unstable, unstable flag)."""
+    def push_frame(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Consume one raw sample per channel; return (p_unstable[C], flags[C])."""
         m = self.model
-        x = float(normalize_array(np.array([sample]), m.stats)[0])
-        if not self._started:
-            self._buf[:] = x  # causal left-pad with the first sample
-            self._started = True
-        else:
-            self._buf[:-1] = self._buf[1:]
-            self._buf[-1] = x
+        raw = np.asarray(values, dtype=np.float64)
+        if raw.shape != (self.n_channels,):
+            raise ValueError(f"expected {self.n_channels} sample(s), got shape {raw.shape}")
+        bad = ~np.isfinite(raw)
+        x = normalize_array(np.where(bad, 0.0, raw), m.stats)
+        fresh = ~self._started
+        self._ring[:, :-1] = self._ring[:, 1:]
+        self._ring[:, -1] = x
+        if fresh.any():
+            self._ring[fresh] = x[fresh, None]  # causal left-pad with the first sample
+            self._started[:] = True
         tag = m.variant.tag
+        col = x[:, None]
         if tag == "A":
-            streams = [np.array([x])]
+            streams = [col]
         else:
-            bands = np.abs(np.fft.rfft(self._buf)[1 : m.band_count + 1])
+            bands = np.abs(np.fft.rfft(self._ring, axis=1)[:, 1 : m.band_count + 1])
             if tag == "B":
                 streams = [bands]
             elif tag == "C":
-                streams = [np.concatenate([bands, [x]])]
+                streams = [np.concatenate([bands, col], axis=1)]
             else:
-                streams = [np.array([x]), bands]
-        self._states = [
-            nn.lstm_step(vec, st, p)
-            for vec, st, p in zip(streams, self._states, m.lstms)
-        ]
-        h = np.concatenate([st.h for st in self._states])
-        probs = nn.fc_softmax(h, m.head)
-        p_unstable = float(probs[1])
-        return p_unstable, p_unstable >= m.threshold
+                streams = [col, bands]
+        for k, (vec, (wx, wh, b)) in enumerate(zip(streams, self._cells)):
+            self._h[k], self._c[k], _, _, _ = nn.lstm_cell(
+                vec @ wx.T + b, self._h[k], self._c[k], wh
+            )
+        p_unstable = m.head.probs(np.concatenate(self._h, axis=1))[:, CLASS_UNSTABLE]
+        if bad.any():
+            p_unstable[bad] = np.nan
+            self._started[bad] = False
+            for h_k, c_k in zip(self._h, self._c):
+                h_k[bad] = 0.0
+                c_k[bad] = 0.0
+        return p_unstable, bad | (p_unstable >= m.threshold)
+
+    def push(self, sample: float) -> tuple[float, bool]:
+        """Consume one raw sample of a one-channel predictor."""
+        p, flag = self.push_frame([sample])
+        return float(p[0]), bool(flag[0])
 
 
 def replay(
@@ -126,11 +160,12 @@ def replay(
     clock: FrameClock | None = None,
     timing: bool = True,
 ) -> list[StepEvent]:
-    """Run every trace through its own predictor, one frame at a time.
+    """Run every trace through one predictor, one frame at a time.
 
-    Returns the merged log ordered by (step, channel). Budget overruns
-    are flagged on the event, never fatal. timing=False zeroes latencies
-    for byte-reproducible logs.
+    Returns the merged log ordered by (step, channel). Each frame is one
+    batched push_frame call, and every sensor's event is charged that
+    call's whole wall time. Budget overruns are flagged on the event,
+    never fatal. timing=False zeroes latencies for byte-reproducible logs.
     """
     if isinstance(traces, SensorTrace):
         traces = [traces]
@@ -145,31 +180,31 @@ def replay(
     if len(traces) > clock.n_sensors:
         raise ValueError(f"{len(traces)} traces exceed the {clock.n_sensors}-sensor frame")
 
-    predictors = [StreamingPredictor(model) for _ in traces]
+    predictor = StreamingPredictor(model, n_channels=len(traces))
     n_steps = min(len(t) for t in traces)
+    frames = np.stack([t.samples[:n_steps] for t in traces], axis=1)
     # Use the traces' own channel ids only when they are distinct.
-    ids_unique = len({t.channel_id for t in traces}) == len(traces)
+    if len({t.channel_id for t in traces}) == len(traces):
+        channels = [t.channel_id for t in traces]
+    else:
+        channels = list(range(len(traces)))
+    budget_us = clock.sensor_budget_ms * 1e3
     events: list[StepEvent] = []
     for step in range(n_steps):
-        for ch, (trace, pred) in enumerate(zip(traces, predictors)):
-            channel = trace.channel_id if ids_unique else ch
-            if timing:
-                t0 = time.perf_counter_ns()
-                p, flag = pred.push(trace.samples[step])
-                lat_us = (time.perf_counter_ns() - t0) / 1e3
-            else:
-                p, flag = pred.push(trace.samples[step])
-                lat_us = 0.0
-            events.append(
-                StepEvent(
-                    step=step,
-                    channel=channel,
-                    probability=p,
-                    unstable=flag,
-                    latency_us=lat_us,
-                    over_budget=lat_us > clock.sensor_budget_ms * 1e3,
-                )
+        t0 = time.perf_counter_ns()
+        probs, flags = predictor.push_frame(frames[step])
+        lat_us = (time.perf_counter_ns() - t0) / 1e3 if timing else 0.0
+        events.extend(
+            StepEvent(
+                step=step,
+                channel=channel,
+                probability=p,
+                unstable=flag,
+                latency_us=lat_us,
+                over_budget=lat_us > budget_us,
             )
+            for channel, p, flag in zip(channels, probs.tolist(), flags.tolist())
+        )
     return events
 
 

@@ -1,0 +1,63 @@
+"""Golden inference fixture: frozen checkpoints, traces and probabilities.
+
+The files under tests/golden/ were recorded (see tests/golden/record.py)
+with the per-sample LSTM implementation that preceded the batched cell.
+Every inference path must still reproduce them to 1e-12.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from graspslip import models
+from graspslip.stream import StreamingPredictor
+
+GOLDEN = Path(__file__).parent / "golden"
+TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def expected():
+    with open(GOLDEN / "expected.json", encoding="utf-8") as fh:
+        blob = json.load(fh)
+    traces = [np.array(t) for t in blob["traces"]]
+    return traces, {tag: np.array(p) for tag, p in blob["p_unstable"].items()}
+
+
+def load(tag):
+    return models.load_checkpoint(GOLDEN / f"{tag}.gslp")
+
+
+def assert_close(got, ref):
+    gap = float(np.max(np.abs(np.asarray(got) - ref)))
+    assert gap <= TOL, f"max divergence {gap:.3e}"
+
+
+@pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
+def test_golden_offline_predict(tag, expected):
+    traces, ref = expected
+    model = load(tag)
+    for tr, p in zip(traces, ref[tag]):
+        assert_close(model.predict_samples(tr).p_unstable, p)
+
+
+@pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
+def test_golden_batched_predict(tag, expected):
+    traces, ref = expected
+    model = load(tag)
+    preds = model.predict_batch(model.featurize(tr) for tr in traces)
+    assert_close(np.stack([p.p_unstable for p in preds]), ref[tag])
+
+
+@pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
+def test_golden_streaming(tag, expected):
+    traces, ref = expected
+    model = load(tag)
+    for tr, p in zip(traces, ref[tag]):
+        pred = StreamingPredictor(model)
+        assert_close([pred.push(v)[0] for v in tr], p)
+    frame_pred = StreamingPredictor(model, n_channels=len(traces))
+    online = np.stack([frame_pred.push_frame(frame)[0] for frame in np.stack(traces, axis=1)])
+    assert_close(online.T, ref[tag])

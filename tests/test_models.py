@@ -188,6 +188,32 @@ def test_predict_feature_dim_mismatch(rng):
         d.predict([rng.normal(size=(30, 1))])  # one stream where two are wired
 
 
+def cached_p_unstable(m, streams):
+    """p_unstable through lstm_forward_cache, the training forward pass."""
+    h = np.concatenate([nn.lstm_forward_cache(s, p).h_all[1:] for s, p in zip(streams, m.lstms)], axis=1)
+    return m.head.probs(h)[:, models.CLASS_UNSTABLE]
+
+
+@pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("n_windows", [1, models.PREDICT_CHUNK + 5])
+def test_predict_batch_matches_per_window(tag, n_windows, rng):
+    m = small_model(tag, stats=NormStats(0.0, 3000.0))
+    feats = [m.featurize(rng.uniform(0, 3000, size=30)) for _ in range(n_windows)]
+    batched = m.predict_batch(feats)
+    assert len(batched) == n_windows
+    for f, got in zip(feats, batched):
+        np.testing.assert_allclose(got.p_unstable, m.predict(f).p_unstable, atol=1e-12)
+        np.testing.assert_allclose(got.p_unstable, cached_p_unstable(m, f), atol=1e-12)
+        np.testing.assert_array_equal(got.unstable, got.p_unstable >= m.threshold)
+
+
+def test_predict_batch_rejects_unequal_lengths(rng):
+    m = small_model("C")
+    with pytest.raises(ValueError, match="equal length"):
+        m.predict_batch([rng.normal(size=(30, 11)), rng.normal(size=(31, 11))])
+    assert m.predict_batch([]) == []
+
+
 def test_c_with_zero_force_column_embeds_b(rng):
     # dropping C's force input column must reproduce a pure band model;
     # pins the wiring order (bands occupy columns 0..9, force column 10).

@@ -21,6 +21,27 @@ def test_sigmoid_extremes_are_stable():
     assert np.all(np.isfinite(out))
 
 
+def masked_sigmoid(x):
+    """The two-branch form: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_form(rng):
+    x = np.concatenate([
+        rng.normal(0.0, 10.0, size=20000),
+        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300],
+    ])
+    got, ref = nn.sigmoid(x), masked_sigmoid(x)
+    finite = ~np.isnan(ref)
+    np.testing.assert_array_equal(got[finite].view(np.int64), ref[finite].view(np.int64))
+    assert np.isnan(got[~finite]).all()
+
+
 @given(st.floats(min_value=-50, max_value=50))
 def test_sigmoid_symmetry(x):
     arr = np.array([x, -x])
@@ -70,30 +91,49 @@ def test_lstm_params_zero_biases():
         np.testing.assert_array_equal(getattr(p, name), 0.0)
 
 
-def test_lstm_step_dim_mismatch():
+def step_cell(x, h, c, p):
+    """One lstm_cell update of a (B, H) state from raw (B, D) inputs."""
+    w, b = p.stacked()
+    h, c, _, _, _ = nn.lstm_cell(x @ w[:, : p.input_dim].T + b, h, c, w[:, p.input_dim :])
+    return h, c
+
+
+def test_lstm_cell_dim_mismatch():
     p = make_params(3, 4)
-    state = nn.LstmState.zeros(4)
     with pytest.raises(ValueError, match="input dimension mismatch"):
-        nn.lstm_step(np.zeros(2), state, p)
+        nn.lstm_hidden(np.zeros((2, 5, 2)), p)
+    with pytest.raises(ValueError, match="input dimension mismatch"):
+        nn.lstm_forward_cache(np.zeros((5, 2)), p)
+    with pytest.raises(ValueError):  # a (B, 5) state against H = 4
+        step_cell(np.zeros((2, 3)), np.zeros((2, 5)), np.zeros((2, 5)), p)
 
 
-def test_lstm_step_hidden_bounded(rng):
+def test_lstm_cell_hidden_bounded(rng):
     p = make_params(2, 5, scale=2.0)
-    state = nn.LstmState.zeros(5)
+    h = c = np.zeros((3, 5))
     for _ in range(50):
-        state = nn.lstm_step(rng.normal(size=2) * 10, state, p)
-        assert np.all(np.abs(state.h) < 1.0)
+        h, c = step_cell(rng.normal(size=(3, 2)) * 10, h, c, p)
+        assert np.all(np.abs(h) < 1.0)
 
 
 def test_forward_cache_matches_stepwise(rng):
     p = make_params(3, 4, seed=2)
     x = rng.normal(size=(25, 3))
     cache = nn.lstm_forward_cache(x, p)
-    state = nn.LstmState.zeros(4)
+    h = c = np.zeros((1, 4))
     for t in range(25):
-        state = nn.lstm_step(x[t], state, p)
-        np.testing.assert_allclose(cache.h_all[t + 1], state.h, atol=1e-12)
-        np.testing.assert_allclose(cache.c_all[t + 1], state.c, atol=1e-12)
+        h, c = step_cell(x[t : t + 1], h, c, p)
+        np.testing.assert_allclose(cache.h_all[t + 1], h[0], atol=1e-12)
+        np.testing.assert_allclose(cache.c_all[t + 1], c[0], atol=1e-12)
+
+
+def test_lstm_hidden_matches_forward_cache_per_sequence(rng):
+    p = make_params(3, 4, seed=3)
+    x = rng.normal(size=(5, 25, 3))
+    hidden = nn.lstm_hidden(x, p)
+    assert hidden.shape == (5, 25, 4)
+    for k in range(5):
+        np.testing.assert_allclose(hidden[k], nn.lstm_forward_cache(x[k], p).h_all[1:], atol=1e-12)
 
 
 def test_forward_cache_rejects_empty():
@@ -219,14 +259,14 @@ def test_clip_gradients_never_exceeds_cap(cap):
 # -- fc head ---------------------------------------------------------------------
 
 
-def test_fc_softmax_probabilities(rng):
+def test_head_probs_rows_sum_to_one(rng):
     head = nn.FcHead.init(4, rng)
-    p = nn.fc_softmax(rng.normal(size=4), head)
-    assert p.shape == (2,)
-    assert p.sum() == pytest.approx(1.0)
+    p = head.probs(rng.normal(size=(3, 7, 4)))
+    assert p.shape == (3, 7, 2)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
-def test_fc_softmax_dim_mismatch(rng):
+def test_head_probs_dim_mismatch(rng):
     head = nn.FcHead.init(4, rng)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        nn.fc_softmax(np.zeros(3), head)
+    with pytest.raises(ValueError):
+        head.probs(np.zeros((2, 3)))

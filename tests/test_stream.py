@@ -94,6 +94,83 @@ def test_streaming_matches_offline(tag, rng):
     np.testing.assert_allclose(online, offline, atol=1e-12)
 
 
+def test_push_frame_16_channels_matches_offline(rng):
+    m = models.build_model("D", models.TrainConfig(lstm_units=6, seed=3))
+    m.stats = NormStats(0.0, 3000.0)
+    x = rng.uniform(0, 3000, size=(16, 60))
+    pred = StreamingPredictor(m, n_channels=16)
+    online = np.stack([pred.push_frame(x[:, t])[0] for t in range(60)], axis=1)
+    for ch in range(16):
+        np.testing.assert_allclose(online[ch], m.predict_samples(x[ch]).p_unstable, atol=1e-12)
+
+
+def test_push_frame_rejects_wrong_width(trained_c):
+    pred = StreamingPredictor(trained_c, n_channels=3)
+    with pytest.raises(ValueError, match="expected 3 sample"):
+        pred.push_frame([1.0, 2.0])
+    with pytest.raises(ValueError, match="n_channels"):
+        StreamingPredictor(trained_c, n_channels=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_push_nonfinite_is_unstable_and_restarts(bad, rng, trained_c):
+    x = rng.uniform(500, 3000, size=40)
+    pred = StreamingPredictor(trained_c)
+    for v in x[:20]:
+        pred.push(v)
+    p, flag = pred.push(bad)
+    assert np.isnan(p) and flag is True
+    after = [pred.push(v) for v in x[20:]]
+    fresh = StreamingPredictor(trained_c)
+    assert after == [fresh.push(v) for v in x[20:]]
+    assert not any(np.isnan(q) for q, _ in after)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_push_frame_nonfinite_channel_leaves_others_alone(bad, rng, trained_c):
+    x = rng.uniform(500, 3000, size=(4, 50))
+    spoiled = x.copy()
+    spoiled[2, 25] = bad
+    clean_pred = StreamingPredictor(trained_c, n_channels=4)
+    pred = StreamingPredictor(trained_c, n_channels=4)
+    clean = [clean_pred.push_frame(x[:, t]) for t in range(50)]
+    out = [pred.push_frame(spoiled[:, t]) for t in range(50)]
+    others = [0, 1, 3]
+    for (p_ref, f_ref), (p, f) in zip(clean, out):
+        np.testing.assert_array_equal(p[others], p_ref[others])
+        np.testing.assert_array_equal(f[others], f_ref[others])
+    p_bad, f_bad = out[25]
+    assert np.isnan(p_bad[2]) and f_bad[2]
+    restarted = StreamingPredictor(trained_c)
+    np.testing.assert_array_equal(
+        [p[2] for p, _ in out[26:]], [restarted.push(v)[0] for v in x[2, 26:]]
+    )
+
+
+def test_replay_16_channels_matches_offline(trained_c, synth_split):
+    _, test_sets = synth_split
+    grasp = test_sets[1]
+    traces = [grasp.channel(c) for c in range(16)]
+    events = replay(traces, trained_c, timing=False)
+    assert [(e.step, e.channel) for e in events] == [
+        (t, c) for t in range(grasp.n_steps) for c in range(16)
+    ]
+    for c in (0, 7, 15):
+        offline = trained_c.predict_samples(traces[c].samples)
+        np.testing.assert_allclose(
+            [e.probability for e in events[c::16]], offline.p_unstable, atol=1e-12
+        )
+        assert [e.unstable for e in events[c::16]] == offline.unstable.tolist()
+
+
+def test_replay_charges_each_sensor_the_frame_time(trained_c):
+    traces = [force_trace(np.full(20, 1000.0 + 50 * c), channel_id=c) for c in range(4)]
+    events = replay(traces, trained_c, timing=True)
+    for step in range(20):
+        lat = {e.latency_us for e in events if e.step == step}
+        assert len(lat) == 1 and lat.pop() > 0
+
+
 def test_replay_matches_offline_on_trained_model(trained_c, synth_split):
     _, test_sets = synth_split
     grasp = next(s for s in test_sets if s.outcome == "failure")
