@@ -538,8 +538,8 @@ def synth_pressure_run(
 
 
 def _trace_lines(values: np.ndarray) -> list[str]:
-    rows = np.rint(values).astype(np.int64)
-    return [" ".join(str(v) for v in row) for row in rows]
+    rows = np.rint(values).astype(np.int64).tolist()
+    return [" ".join(map(str, row)) for row in rows]
 
 
 def write_grasp_set(grasp: GraspSet, path) -> None:

@@ -11,6 +11,7 @@ Variants (by input wiring, all sharing one 2-class softmax head):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from itertools import islice
@@ -97,6 +98,21 @@ class TrainConfig:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.lstm_units < 1:
+            raise ValueError("lstm_units must be >= 1")
+        _check_threshold(self.threshold)
+
+
+def _check_threshold(threshold) -> float:
+    """The decision threshold as a float; it must be finite and in (0, 1).
+
+    A NaN threshold would compare false against every probability, so
+    the model could never report unstable.
+    """
+    t = float(threshold)
+    if not (0.0 < t < 1.0):
+        raise ValueError(f"threshold must be a finite number in (0, 1), got {threshold!r}")
+    return t
 
 
 @dataclass
@@ -438,6 +454,11 @@ def write_blob(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None
 
 
 def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a checkpoint file, checked against its digest.
+
+    A matching digest only proves the file is intact, not that a trusted
+    writer made it, so the header and array manifest are validated too.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(CKPT_MAGIC) + 8 + 64 or raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
@@ -450,18 +471,40 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
     off += 8
-    header = json.loads(payload[off : off + meta_len].decode("utf-8"))
+    if off + meta_len > len(payload):
+        raise CheckpointError("header length exceeds the file")
+    try:
+        header = json.loads(payload[off : off + meta_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise CheckpointError(f"unreadable header: {exc}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("kind"), str):
+        raise CheckpointError("header must be an object with a string 'kind'")
+    manifest = header.get("arrays")
+    if not isinstance(manifest, list):
+        raise CheckpointError("header lacks an 'arrays' list")
     off += meta_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in manifest:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_int(d) and d >= 0 for d in entry["shape"])):
+            raise CheckpointError(f"malformed array entry {entry!r}")
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name in arrays:
+            raise CheckpointError(f"duplicate array {name!r}")
+        count = math.prod(shape)
+        if count * 8 > len(payload) - off:
+            raise CheckpointError(f"array {name!r} of shape {shape} exceeds the file")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        arrays[name] = arr.reshape(shape).astype(np.float64)
         off += count * 8
     if off != len(payload):
         raise CheckpointError("trailing bytes after parameter data")
     return header, arrays
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_checkpoint(model, path) -> None:
@@ -489,37 +532,68 @@ def save_checkpoint(model, path) -> None:
     write_blob(path, header, arrays)
 
 
+def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspModel:
+    """Rebuild a GraspModel, rejecting any header field or array out of range."""
+
+    def checked(key, ok, want):
+        value = header.get(key)
+        if not ok(value):
+            raise CheckpointError(f"checkpoint '{key}' must be {want}, got {value!r}")
+        return value
+
+    variant = checked("variant", lambda v: isinstance(v, str), "a variant tag or name")
+    hd = checked("hidden_dim", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+    window = checked("stft_window", lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+    bands = checked("band_count", lambda v: _is_int(v) and 1 <= v <= window // 2,
+                    f"an integer in 1..{window // 2}")
+    loss_mode = checked("loss_mode", lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")
+    threshold = checked("threshold", lambda v: _is_int(v) or isinstance(v, float), "a number")
+    try:
+        variant = get_variant(variant)
+        threshold = _check_threshold(threshold)
+        stats = header.get("norm_stats")
+        if stats is not None:
+            stats = NormStats(float(stats["min"]), float(stats["max"]))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from None
+
+    expected = {"fc.w": (2, hd * variant.n_streams), "fc.b": (2,)}
+    for idx, dim in enumerate(variant.stream_dims):
+        for g in LstmParams.GATE_NAMES:
+            expected[f"lstm{idx}.w_{g}"] = (hd, dim + hd)
+            expected[f"lstm{idx}.b_{g}"] = (hd,)
+    got = {name: a.shape for name, a in arrays.items()}
+    if got != expected:
+        raise CheckpointError(f"arrays {got} do not match variant {variant.tag} at "
+                              f"hidden_dim {hd}: expected {expected}")
+    lstms = [
+        LstmParams(**{f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
+                      for w in "wb" for g in LstmParams.GATE_NAMES})
+        for idx in range(variant.n_streams)
+    ]
+    return GraspModel(
+        variant=variant,
+        lstms=lstms,
+        head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
+        stats=stats,
+        stft_window=window,
+        band_count=bands,
+        loss_mode=loss_mode,
+        threshold=threshold,
+    )
+
+
 def load_checkpoint(path):
     header, arrays = read_blob(path)
-    kind = header.get("kind")
+    kind = header["kind"]
     if kind == "variant":
-        variant = get_variant(header["variant"])
-        hd = int(header["hidden_dim"])
-        lstms = []
-        for idx in range(variant.n_streams):
-            fields = {g: arrays[f"lstm{idx}.{g}"] for g in
-                      ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")}
-            lstms.append(LstmParams(**fields))
-        head = FcHead(w=arrays["fc.w"], b=arrays["fc.b"])
-        stats = header.get("norm_stats")
-        model = GraspModel(
-            variant=variant,
-            lstms=lstms,
-            head=head,
-            stats=None if stats is None else NormStats(stats["min"], stats["max"]),
-            stft_window=int(header["stft_window"]),
-            band_count=int(header["band_count"]),
-            loss_mode=header["loss_mode"],
-            threshold=float(header["threshold"]),
-        )
-        if model.hidden_dim != hd:
-            raise CheckpointError("hidden dim mismatch in checkpoint")
-        return model
-    if kind in _KIND_LOADERS:
+        return _variant_from_header(header, arrays)
+    if kind not in _KIND_LOADERS:
+        # Baseline kinds register themselves on import.
+        import graspslip.baselines  # noqa: F401
+    if kind not in _KIND_LOADERS:
+        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    try:
         return _KIND_LOADERS[kind](header, arrays)
-    # Baseline kinds register themselves on import.
-    import graspslip.baselines  # noqa: F401
-
-    if kind in _KIND_LOADERS:
-        return _KIND_LOADERS[kind](header, arrays)
-    raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    except (KeyError, TypeError, IndexError) as exc:
+        raise CheckpointError(f"bad {kind} checkpoint: {type(exc).__name__}: {exc}") from None

@@ -1,8 +1,26 @@
 """Sequence-model numerics in plain numpy, double precision throughout.
 
-LSTM cell:
-    i, f, o = sigmoid(W_{i,f,o} [x; h] + b),  g = tanh(W_g [x; h] + b_g)
+LSTM cell, gate order i, f, o, g, over the row z_t = [x_t; h_{t-1}; 1]:
+    a = [W | b] z_t
+    i, f, o = sigmoid(a_{i,f,o}),  g = tanh(a_g)
     c' = f * c + i * g,  h' = o * tanh(c')
+
+Every forward pass runs one folded kernel, ``lstm_cell``. Its matrix
+K = [W | b] (``LstmParams.kernel``) has the i/f/o rows scaled by -1, an
+exact power of two, so one product u = z_t K^T gives all four gates'
+pre-activations, one exp/add/reciprocal pass over 3H,
+
+    i|f|o = 1 / (1 + exp(u_{i,f,o})),
+
+gives the sigmoids, and g = tanh(u_g). An exp that overflows to inf
+gives the saturated gate exactly (0); callers silence that overflow
+warning once around each loop.
+
+g keeps its own tanh, not tanh(a) = 2 sigmoid(2a) - 1 from the same exp
+pass: that identity's error is absolute (up to ~4e-16), so for tiny a it
+is all error. A state decaying toward zero then rounds differently in
+batched and one-at-a-time passes, and a probability within an ulp of the
+threshold flips its flag between the two.
 
 Training gradients come from exact backpropagation through time, so a
 central finite-difference check must agree to ~1e-4 relative error; the
@@ -21,23 +39,12 @@ class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient goes non-finite."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(p: np.ndarray, y: int) -> float:
-    """-ln p_y with p clamped to >= 1e-12 before the log."""
-    return float(-math.log(max(float(p[y]), 1e-12)))
 
 
 @dataclass
@@ -87,11 +94,14 @@ class LstmParams:
             b_o=np.zeros(hidden_dim), b_g=np.zeros(hidden_dim),
         )
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(4H x (D+H) weights, 4H bias) in gate order i, f, o, g."""
+    def kernel(self) -> np.ndarray:
+        """The folded (4H, D+H+1) matrix [W | b], gate rows i, f, o, g,
+        with the i, f, o rows negated for ``lstm_cell``."""
         w = np.concatenate([self.w_i, self.w_f, self.w_o, self.w_g], axis=0)
         b = np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g])
-        return w, b
+        k = np.concatenate([w, b[:, None]], axis=1)
+        k[: 3 * self.hidden_dim] *= -1.0
+        return k
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -100,92 +110,85 @@ class LstmParams:
         }
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
+def lstm_cell(z, k, c, gates, c_out, tanh_c, h_out) -> None:
+    """One gated update of a (B, H) state, written into caller buffers.
 
-    @classmethod
-    def zeros(cls, hidden_dim: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
-
-
-def lstm_cell(ax: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray):
-    """One gated update of a (B, H) state; |h'| < 1 by construction.
-
-    ``ax`` is the (B, 4H) input projection plus bias and ``wh`` the
-    (4H, H) recurrent block of ``LstmParams.stacked()``, taken as a view.
-    Returns (h', c', sigmoid gates i|f|o as (B, 3H), g, tanh(c')).
+    ``z`` holds the (B, D+H+1) rows [x_t, h_{t-1}, 1] and ``k`` is
+    ``LstmParams.kernel()``. Writes the gates i|f|o|g into ``gates``
+    (B, 4H), c' into ``c_out``, tanh(c') into ``tanh_c`` and h' into
+    ``h_out`` (all (B, H)); ``h_out`` may be the h slot of the next z row
+    and ``c_out`` may be ``c``. B = 1 may drop its axis: a (D+H+1,) row
+    and (4H,) / (H,) buffers. |h'| < 1 by construction.
     """
-    hd = h.shape[-1]
-    a = ax + h @ wh.T
-    ifo = sigmoid(a[:, : 3 * hd])
-    g = np.tanh(a[:, 3 * hd :])
-    c = ifo[:, hd : 2 * hd] * c + ifo[:, :hd] * g
-    tc = np.tanh(c)
-    return ifo[:, 2 * hd :] * tc, c, ifo, g, tc
+    hd = c.shape[-1]
+    np.matmul(z, k.T, out=gates)
+    ifo, g = gates[..., : 3 * hd], gates[..., 3 * hd :]
+    np.exp(ifo, out=ifo)
+    ifo += 1.0
+    np.reciprocal(ifo, out=ifo)
+    np.tanh(g, out=g)
+    np.multiply(gates[..., :hd], g, out=tanh_c)
+    np.multiply(gates[..., hd : 2 * hd], c, out=c_out)
+    c_out += tanh_c
+    np.tanh(c_out, out=tanh_c)
+    np.multiply(gates[..., 2 * hd : 3 * hd], tanh_c, out=h_out)
 
 
-def _projection(x: np.ndarray, params: LstmParams):
-    """Input projection of every step at once plus the recurrent block.
-
-    Returns (x @ W_x.T + b, W_h) for an (..., D) input.
-    """
+def _check_input(x: np.ndarray, params: LstmParams) -> None:
     d = params.input_dim
     if 0 in x.shape[:-1]:
         raise ValueError("empty sequence")
     if x.shape[-1] != d:
         raise ValueError(f"input dimension mismatch: expected {d}, got {x.shape[-1]}")
-    w, b = params.stacked()
-    return x @ w[:, :d].T + b, w[:, d:]
+
+
+def _z_rows(x: np.ndarray, hidden_dim: int) -> np.ndarray:
+    """(n, ..., D) inputs -> (n+1, ..., D+H+1) rows [x_t, 0, 1]; row n has no x.
+
+    Step t reads row t and writes h_t into the h slot of row t+1.
+    """
+    d = x.shape[-1]
+    z = np.zeros((x.shape[0] + 1,) + x.shape[1:-1] + (d + hidden_dim + 1,))
+    z[:-1, ..., :d] = x
+    z[..., -1] = 1.0
+    return z
 
 
 @dataclass
 class LstmCache:
     """Forward-pass tensors kept for backpropagation through time."""
 
-    x: np.ndarray        # (n, D)
-    h_all: np.ndarray    # (n+1, H), row 0 is the zero initial state
-    c_all: np.ndarray    # (n+1, H)
+    z: np.ndarray        # (n+1, D+H+1) rows [x_t, h_{t-1}, 1]; row n holds h_{n-1}
+    c_all: np.ndarray    # (n+1, H), row 0 is the zero initial state
     gates: np.ndarray    # (n, 4H) post-activation, order i, f, o, g
     tanh_c: np.ndarray   # (n, H)
 
     @property
     def n_steps(self) -> int:
-        return self.x.shape[0]
+        return self.gates.shape[0]
 
-    def states(self) -> list[LstmState]:
-        return [
-            LstmState(h=self.h_all[t + 1].copy(), c=self.c_all[t + 1].copy())
-            for t in range(self.n_steps)
-        ]
+    @property
+    def h_all(self) -> np.ndarray:
+        """(n+1, H) hidden states, row 0 the zero initial state (a view)."""
+        return self.z[:, -1 - self.c_all.shape[1] : -1]
 
 
 def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
-    """Fold the cell over a sequence from the zero state, caching gates.
-
-    The input projection for all steps is computed as one matrix product;
-    only the recurrent term runs step by step.
-    """
+    """Fold the cell over a sequence from the zero state, caching gates."""
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("empty sequence")
-    ax, wh = _projection(x, params)
-    n, hd = x.shape[0], params.hidden_dim
-    h_all = np.zeros((n + 1, hd))
+    _check_input(x, params)
+    n, d, hd = x.shape[0], x.shape[1], params.hidden_dim
+    k = params.kernel()
+    z = _z_rows(x, hd)
     c_all = np.zeros((n + 1, hd))
     gates = np.empty((n, 4 * hd))
     tanh_c = np.empty((n, hd))
-    h = h_all[:1]
-    c = c_all[:1]
-    for t in range(n):
-        h, c, ifo, g, tc = lstm_cell(ax[t : t + 1], h, c, wh)
-        gates[t, : 3 * hd] = ifo[0]
-        gates[t, 3 * hd :] = g[0]
-        tanh_c[t] = tc[0]
-        h_all[t + 1] = h[0]
-        c_all[t + 1] = c[0]
-    return LstmCache(x=x, h_all=h_all, c_all=c_all, gates=gates, tanh_c=tanh_c)
+    with np.errstate(over="ignore"):
+        for t in range(n):
+            lstm_cell(z[t], k, c_all[t], gates[t], c_all[t + 1], tanh_c[t], z[t + 1, d : d + hd])
+    return LstmCache(z=z, c_all=c_all, gates=gates, tanh_c=tanh_c)
 
 
 def lstm_hidden(seqs: np.ndarray, params: LstmParams) -> np.ndarray:
@@ -197,63 +200,54 @@ def lstm_hidden(seqs: np.ndarray, params: LstmParams) -> np.ndarray:
     x = np.asarray(seqs, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected (batch, steps, dim) sequences, got shape {x.shape}")
-    ax, wh = _projection(x.transpose(1, 0, 2), params)  # (n, B, 4H): one block per step
-    bsz, n, hd = x.shape[0], x.shape[1], params.hidden_dim
-    out = np.empty((n, bsz, hd))
-    h = np.zeros((bsz, hd))
+    _check_input(x, params)
+    bsz, n, d = x.shape
+    hd = params.hidden_dim
+    k = params.kernel()
+    z = _z_rows(x.transpose(1, 0, 2), hd)  # (n+1, B, D+H+1): one block per step
     c = np.zeros((bsz, hd))
-    for t in range(n):
-        h, c, _, _, _ = lstm_cell(ax[t], h, c, wh)
-        out[t] = h
-    return out.transpose(1, 0, 2)
-
-
-def lstm_forward(seq: np.ndarray, params: LstmParams) -> tuple[list[LstmState], np.ndarray]:
-    """All per-step states plus the final hidden vector."""
-    cache = lstm_forward_cache(seq, params)
-    states = cache.states()
-    return states, states[-1].h
+    gates = np.empty((bsz, 4 * hd))
+    tanh_c = np.empty((bsz, hd))
+    with np.errstate(over="ignore"):
+        for t in range(n):
+            lstm_cell(z[t], k, c, gates, c, tanh_c, z[t + 1, :, d : d + hd])
+    return z[1:, :, d : d + hd].transpose(1, 0, 2)
 
 
 def lstm_backward(
     params: LstmParams, cache: LstmCache, d_h_ext: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Exact BPTT given the upstream per-step gradient on h."""
+    """Exact BPTT given the upstream per-step gradient on h.
+
+    The gate-derivative factors that do not depend on the carried
+    gradient are computed for all steps at once; the loop keeps only the
+    carries, the d_gate_pre row and the recurrent product.
+    """
     n = cache.n_steps
     d, hd = params.input_dim, params.hidden_dim
-    w, _ = params.stacked()
-    wh = w[:, d:]
+    i, f, o, g = (cache.gates[:, j * hd : (j + 1) * hd] for j in range(4))
+    tc = cache.tanh_c
+    # d a_{i,f,g} = dc * fac[:, {0,1,3}],  d a_o = dh * fac[:, 2]
+    fac = np.stack([g * i * (1.0 - i), cache.c_all[:-1] * f * (1.0 - f),
+                    tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+    dc_dh = o * (1.0 - tc * tc)
+    wh = np.concatenate([params.w_i, params.w_f, params.w_o, params.w_g])[:, d:]
 
-    d_gate_pre = np.empty((n, 4 * hd))
+    d_gate_pre = np.empty((n, 4, hd))
     dh_carry = np.zeros(hd)
     dc_carry = np.zeros(hd)
     for t in range(n - 1, -1, -1):
-        i = cache.gates[t, :hd]
-        f = cache.gates[t, hd : 2 * hd]
-        o = cache.gates[t, 2 * hd : 3 * hd]
-        g = cache.gates[t, 3 * hd :]
-        tc = cache.tanh_c[t]
-        c_prev = cache.c_all[t]
-
         dh = d_h_ext[t] + dh_carry
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        da_i = (dc * g) * i * (1.0 - i)
-        da_f = (dc * c_prev) * f * (1.0 - f)
-        da_o = (dh * tc) * o * (1.0 - o)
-        da_g = (dc * i) * (1.0 - g * g)
-
+        dc = dc_carry + dh * dc_dh[t]
         row = d_gate_pre[t]
-        row[:hd] = da_i
-        row[hd : 2 * hd] = da_f
-        row[2 * hd : 3 * hd] = da_o
-        row[3 * hd :] = da_g
+        np.multiply(fac[t, :2], dc, out=row[:2])
+        np.multiply(fac[t, 2], dh, out=row[2])
+        np.multiply(fac[t, 3], dc, out=row[3])
+        dh_carry = row.reshape(-1) @ wh
+        dc_carry = dc * f[t]
 
-        dh_carry = wh.T @ row
-        dc_carry = dc * f
-
-    z = np.concatenate([cache.x, cache.h_all[:-1]], axis=1)  # rows [x_t; h_{t-1}]
-    dw = d_gate_pre.T @ z
-    db = d_gate_pre.sum(axis=0)
+    dk = d_gate_pre.reshape(n, 4 * hd).T @ cache.z[:-1]  # [dW | db]
+    dw, db = dk[:, :-1], dk[:, -1]
     return {
         "w_i": dw[:hd], "w_f": dw[hd : 2 * hd],
         "w_o": dw[2 * hd : 3 * hd], "w_g": dw[3 * hd :],

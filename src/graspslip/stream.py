@@ -96,18 +96,20 @@ class StreamingPredictor:
             raise ValueError("n_channels must be >= 1")
         self.model = model
         self.n_channels = n_channels
-        self._cells = []  # per LSTM: input weights, recurrent weights, bias
-        for p in model.lstms:
-            w, b = p.stacked()
-            self._cells.append((w[:, : p.input_dim], w[:, p.input_dim :], b))
+        self._kernels = [p.kernel() for p in model.lstms]
         self.reset()
 
     def reset(self) -> None:
         n = self.n_channels
         self._ring = np.empty((n, self.model.stft_window))
         self._started = np.zeros(n, dtype=bool)
-        self._h = [np.zeros((n, p.hidden_dim)) for p in self.model.lstms]
-        self._c = [np.zeros((n, p.hidden_dim)) for p in self.model.lstms]
+        # Per LSTM: the (C, D+H+1) rows [x_t, h, 1] whose h slot holds the
+        # state, the cell state, and the gate and tanh(c') buffers.
+        self._cells = [
+            (np.hstack([np.zeros((n, p.input_dim + p.hidden_dim)), np.ones((n, 1))]),
+             np.zeros((n, p.hidden_dim)), np.empty((n, 4 * p.hidden_dim)), np.empty((n, p.hidden_dim)))
+            for p in self.model.lstms
+        ]
 
     def push_frame(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Consume one raw sample per channel; return (p_unstable[C], flags[C])."""
@@ -135,17 +137,21 @@ class StreamingPredictor:
                 streams = [np.concatenate([bands, col], axis=1)]
             else:
                 streams = [col, bands]
-        for k, (vec, (wx, wh, b)) in enumerate(zip(streams, self._cells)):
-            self._h[k], self._c[k], _, _, _ = nn.lstm_cell(
-                vec @ wx.T + b, self._h[k], self._c[k], wh
-            )
-        p_unstable = m.head.probs(np.concatenate(self._h, axis=1))[:, CLASS_UNSTABLE]
+        hs = []
+        with np.errstate(over="ignore"):
+            for vec, k, (z, c, gates, tanh_c) in zip(streams, self._kernels, self._cells):
+                d = vec.shape[1]
+                h = z[:, d:-1]
+                z[:, :d] = vec
+                nn.lstm_cell(z, k, c, gates, c, tanh_c, h)
+                hs.append(h)
+        p_unstable = m.head.probs(np.concatenate(hs, axis=1))[:, CLASS_UNSTABLE]
         if bad.any():
             p_unstable[bad] = np.nan
             self._started[bad] = False
-            for h_k, c_k in zip(self._h, self._c):
-                h_k[bad] = 0.0
-                c_k[bad] = 0.0
+            for h, (_, c, _, _) in zip(hs, self._cells):
+                h[bad] = 0.0
+                c[bad] = 0.0
         return p_unstable, bad | (p_unstable >= m.threshold)
 
     def push(self, sample: float) -> tuple[float, bool]:

@@ -185,6 +185,14 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert "no such dataset" in capsys.readouterr().err
 
 
+def test_train_rejects_nan_threshold(tmp_path, dataset_dir, capsys):
+    assert run(
+        "train", "--data", str(dataset_dir), "--variant", "A",
+        "--out", str(tmp_path / "o"), "--threshold", "nan",
+    ) == 1
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_train_does_not_mutate_dataset(tmp_path, dataset_dir):
     before = digest_tree(dataset_dir)
     out = tmp_path / "t"
@@ -262,6 +270,18 @@ def test_eval_missing_checkpoint(tmp_path, dataset_dir, capsys):
         "eval", "--checkpoint", str(tmp_path / "none.gslp"),
         "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
     ) == 1
+
+
+def test_eval_checkpoint_without_variant_exits_1(tmp_path, dataset_dir, trained_dir, capsys):
+    header, arrays = models.read_blob(trained_dir / "checkpoint.gslp")
+    del header["variant"], header["arrays"]
+    ckpt = tmp_path / "novariant.gslp"
+    models.write_blob(ckpt, header, sorted(arrays.items()))
+    assert run(
+        "eval", "--checkpoint", str(ckpt),
+        "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+    ) == 1
+    assert "variant" in capsys.readouterr().err
 
 
 # -- cross-eval -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -438,6 +439,17 @@ def test_pressure_file_round_trip(tmp_path):
     assert again.freq_hz == run.freq_hz
     for a, b in zip(run.traces, again.traces):
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_trace_writers_bytes_unchanged(tmp_path):
+    """Digests of files written by the earlier per-element str() writer."""
+    write_grasp_set(synth_force_dataset(2, seed=11)[1], tmp_path / "g.txt")
+    write_pressure_run(synth_pressure_run(seed=5), tmp_path / "p.txt")
+    digest = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in ("g.txt", "p.txt")}
+    assert digest == {
+        "g.txt": "b0e8f2185f6f41ab35907afe8943666df883e3e1113692abf3998dc41d15a8fb",
+        "p.txt": "5051f590c4f4ff397ba20a319953bcbbcbfecdabf8b4d2e7ccc3b5ae903cd77b",
+    }
 
 
 def test_read_pressure_rejects_force_file(tmp_path):

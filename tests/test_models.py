@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,6 +70,18 @@ def test_config_rejects_bad_modes():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=-1)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, 1.0, -0.2, 1.5])
+def test_config_rejects_unsafe_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        TrainConfig(threshold=threshold)
+
+
+@pytest.mark.parametrize("units", [0, -3])
+def test_config_rejects_empty_lstm(units):
+    with pytest.raises(ValueError, match="lstm_units"):
+        TrainConfig(lstm_units=units)
 
 
 # -- construction -----------------------------------------------------------
@@ -438,4 +454,100 @@ def test_checkpoint_rejects_foreign_magic(tmp_path):
     path = tmp_path / "model.gslp"
     path.write_bytes(b"\x89PNG" + b"\x00" * 200)
     with pytest.raises(models.CheckpointError, match="not a checkpoint file"):
+        load_checkpoint(path)
+
+
+# -- hostile checkpoints with a valid digest -------------------------------------
+
+
+def write_raw_blob(path, header, body: bytes) -> None:
+    """A checkpoint exactly as given, with a digest that checks out."""
+    meta = json.dumps(header).encode("utf-8")
+    payload = models.CKPT_MAGIC + struct.pack("<II", models.CKPT_VERSION, len(meta)) + meta + body
+    path.write_bytes(payload + hashlib.sha256(payload).hexdigest().encode("ascii"))
+
+
+def saved_blob(tmp_path, tag="D"):
+    path = tmp_path / "model.gslp"
+    save_checkpoint(small_model(tag), path)
+    return path, *models.read_blob(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("variant", None), ("variant", "Z"), ("variant", 3),
+    ("hidden_dim", 0), ("hidden_dim", "6"), ("hidden_dim", True), ("hidden_dim", 7),
+    ("stft_window", 1), ("stft_window", 20.0),
+    ("band_count", 0), ("band_count", 11),
+    ("loss_mode", "every-step"), ("loss_mode", None),
+    ("threshold", float("nan")), ("threshold", 1.0), ("threshold", "0.5"), ("threshold", None),
+    ("norm_stats", {"min": 5.0, "max": 1.0}), ("norm_stats", {"min": 0.0}), ("norm_stats", [0, 1]),
+    ("kind", None), ("kind", 7),
+])
+def test_checkpoint_rejects_bad_header_field(tmp_path, key, value):
+    path, header, arrays = saved_blob(tmp_path)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    del header["arrays"]
+    models.write_blob(path, header, sorted(arrays.items()))
+    with pytest.raises(models.CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", ["drop", "extra", "reshape"])
+def test_checkpoint_rejects_wrong_array_set(tmp_path, change):
+    path, header, arrays = saved_blob(tmp_path)
+    del header["arrays"]
+    if change == "drop":
+        del arrays["lstm1.b_o"]
+    elif change == "extra":
+        arrays["lstm2.w_i"] = np.zeros((6, 7))
+    else:
+        arrays["lstm0.w_f"] = arrays["lstm0.w_f"].reshape(7, 6)
+    models.write_blob(path, header, sorted(arrays.items()))
+    with pytest.raises(models.CheckpointError, match="do not match"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("manifest, body, match", [
+    ([{"name": "w", "shape": [4, 1 << 40]}], b"\0" * 64, "exceeds the file"),
+    ([{"name": "w", "shape": [9]}], b"\0" * 64, "exceeds the file"),
+    ([{"name": "w", "shape": [-1, 4]}], b"", "malformed array entry"),
+    ([{"name": "w", "shape": [2.0]}], b"\0" * 16, "malformed array entry"),
+    ([{"name": "w"}], b"", "malformed array entry"),
+    ([{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}], b"\0" * 16, "duplicate"),
+    ({"name": "w", "shape": [1]}, b"\0" * 8, "'arrays' list"),
+    (None, b"", "'arrays' list"),
+])
+def test_read_blob_rejects_bad_manifest(tmp_path, manifest, body, match):
+    path = tmp_path / "model.gslp"
+    header = {"kind": "svm"}
+    if manifest is not None:
+        header["arrays"] = manifest
+    write_raw_blob(path, header, body)
+    with pytest.raises(models.CheckpointError, match=match):
+        models.read_blob(path)
+
+
+def test_read_blob_rejects_non_object_header(tmp_path):
+    path = tmp_path / "model.gslp"
+    write_raw_blob(path, ["kind", "svm"], b"")
+    with pytest.raises(models.CheckpointError, match="string 'kind'"):
+        models.read_blob(path)
+    meta = b"{not json"
+    payload = models.CKPT_MAGIC + struct.pack("<II", models.CKPT_VERSION, len(meta)) + meta
+    path.write_bytes(payload + hashlib.sha256(payload).hexdigest().encode("ascii"))
+    with pytest.raises(models.CheckpointError, match="unreadable header"):
+        models.read_blob(path)
+    payload = models.CKPT_MAGIC + struct.pack("<II", models.CKPT_VERSION, 500) + b"{}"
+    path.write_bytes(payload + hashlib.sha256(payload).hexdigest().encode("ascii"))
+    with pytest.raises(models.CheckpointError, match="header length"):
+        models.read_blob(path)
+
+
+def test_baseline_checkpoint_missing_field_is_checkpoint_error(tmp_path):
+    path = tmp_path / "model.gslp"
+    models.write_blob(path, {"kind": "knn"}, [("points", np.zeros((2, 3))), ("labels", np.zeros(2))])
+    with pytest.raises(models.CheckpointError, match="KeyError"):
         load_checkpoint(path)

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspslip import nn
+from graspslip import models, nn
+from graspslip.signal import NormStats
+from graspslip.stream import StreamingPredictor
 from tests import oracles
 
 
@@ -15,38 +19,45 @@ def make_params(input_dim=3, hidden_dim=4, seed=0, scale=0.4):
 # -- activations ---------------------------------------------------------
 
 
+def kernel_gates(a):
+    """The gates i|f|o|g that lstm_cell computes for pre-activations ``a``.
+
+    One input unit, one hidden unit, and every gate wired to a = x.
+    """
+    one = np.ones((1, 2))
+    p = nn.LstmParams(w_i=one, w_f=one, w_o=one, w_g=one,
+                      b_i=np.zeros(1), b_f=np.zeros(1), b_o=np.zeros(1), b_g=np.zeros(1))
+    a = np.asarray(a, dtype=np.float64)
+    z = np.stack([a, np.zeros_like(a), np.ones_like(a)], axis=1)
+    gates = np.empty((a.size, 4))
+    c, tc, h = (np.zeros((a.size, 1)) for _ in range(3))
+    with np.errstate(over="ignore"):
+        nn.lstm_cell(z, p.kernel(), c, gates, c, tc, h)
+    return gates
+
+
 def test_sigmoid_extremes_are_stable():
-    out = nn.sigmoid(np.array([-1000.0, 0.0, 1000.0]))
-    np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
-    assert np.all(np.isfinite(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gates = kernel_gates([-1000.0, 0.0, 1000.0])
+    np.testing.assert_array_equal(gates[:, :3], [[0.0] * 3, [0.5] * 3, [1.0] * 3])
+    np.testing.assert_array_equal(gates[:, 3], [-1.0, 0.0, 1.0])
 
 
-def masked_sigmoid(x):
-    """The two-branch form: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def test_sigmoid_bit_identical_to_masked_form(rng):
-    x = np.concatenate([
-        rng.normal(0.0, 10.0, size=20000),
-        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300],
-    ])
-    got, ref = nn.sigmoid(x), masked_sigmoid(x)
-    finite = ~np.isnan(ref)
-    np.testing.assert_array_equal(got[finite].view(np.int64), ref[finite].view(np.int64))
-    assert np.isnan(got[~finite]).all()
+def test_tanh_gate_keeps_relative_precision():
+    """g near 0 keeps full relative precision: 2 sigmoid(2a) - 1 would round
+    these to 0 or to a multiple of ~1e-16, and batched and one-at-a-time
+    passes over a state decaying toward 0 would then disagree at the
+    threshold."""
+    a = np.array([1e-8, -3e-17, 1e-200, 5e-324])
+    np.testing.assert_array_equal(kernel_gates(a)[:, 3], np.tanh(a))
 
 
 @given(st.floats(min_value=-50, max_value=50))
 def test_sigmoid_symmetry(x):
-    arr = np.array([x, -x])
-    s = nn.sigmoid(arr)
-    assert s[0] + s[1] == pytest.approx(1.0, abs=1e-12)
+    up, down = kernel_gates([x, -x])
+    assert up[0] + down[0] == pytest.approx(1.0, abs=1e-12)
+    assert up[3] == np.tanh(x) and down[3] == np.tanh(-x)
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -66,11 +77,6 @@ def test_softmax_extreme_logits_finite():
     np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-12)
 
 
-def test_cross_entropy_clamps_zero_probability():
-    val = nn.cross_entropy(np.array([0.0, 1.0]), 0)
-    assert val == pytest.approx(-np.log(1e-12))
-
-
 # -- LSTM cell ---------------------------------------------------------------
 
 
@@ -79,10 +85,12 @@ def test_lstm_params_shapes():
     assert p.w_i.shape == (4, 7)
     assert p.b_g.shape == (4,)
     assert p.input_dim == 3 and p.hidden_dim == 4
-    w, b = p.stacked()
-    assert w.shape == (16, 7) and b.shape == (16,)
-    np.testing.assert_array_equal(w[:4], p.w_i)
-    np.testing.assert_array_equal(w[12:], p.w_g)
+    p.b_o = np.arange(4.0)
+    k = p.kernel()
+    assert k.shape == (16, 8)
+    np.testing.assert_array_equal(k[:4, :7], -p.w_i)
+    np.testing.assert_array_equal(k[8:12, 7], -p.b_o)
+    np.testing.assert_array_equal(k[12:, :7], p.w_g)
 
 
 def test_lstm_params_zero_biases():
@@ -93,9 +101,11 @@ def test_lstm_params_zero_biases():
 
 def step_cell(x, h, c, p):
     """One lstm_cell update of a (B, H) state from raw (B, D) inputs."""
-    w, b = p.stacked()
-    h, c, _, _, _ = nn.lstm_cell(x @ w[:, : p.input_dim].T + b, h, c, w[:, p.input_dim :])
-    return h, c
+    z = np.concatenate([x, h, np.ones((x.shape[0], 1))], axis=1)
+    gates = np.empty((x.shape[0], 4 * p.hidden_dim))
+    h_new, c_new, tc = np.empty_like(h), np.empty_like(c), np.empty_like(c)
+    nn.lstm_cell(z, p.kernel(), c, gates, c_new, tc, h_new)
+    return h_new, c_new
 
 
 def test_lstm_cell_dim_mismatch():
@@ -142,12 +152,52 @@ def test_forward_cache_rejects_empty():
         nn.lstm_forward_cache(np.zeros((0, 3)), p)
 
 
-def test_lstm_forward_returns_final_hidden(rng):
-    p = make_params(2, 3)
-    x = rng.normal(size=(7, 2))
-    states, final_h = nn.lstm_forward(x, p)
-    assert len(states) == 7
-    np.testing.assert_array_equal(final_h, states[-1].h)
+# -- saturation: pre-activations of +-1e3 --------------------------------------
+
+
+def saturated_params():
+    """Zero weights; unit 0 gets biases (+,-,+,-)e3 on i,f,o,g, unit 1 the opposite.
+
+    Unit 0: i = o = 1, f = 0, g = -1, so c = -1 and h = tanh(-1) every step.
+    Unit 1: i = o = 0, f = 1, g = +1, so c = h = 0.
+    """
+    p = nn.LstmParams.init(1, 2, None, zeros=True)
+    for name, sign in zip(("b_i", "b_f", "b_o", "b_g"), (1.0, -1.0, 1.0, -1.0)):
+        setattr(p, name, np.array([sign, -sign]) * 1e3)
+    return p
+
+
+SATURATED_GATES = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, -1.0, 1.0]
+SATURATED_H = [np.tanh(-1.0), 0.0]
+
+
+def test_forward_cache_saturates_exactly(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = nn.lstm_forward_cache(rng.normal(size=(9, 1)), saturated_params())
+    np.testing.assert_array_equal(cache.gates, np.tile(SATURATED_GATES, (9, 1)))
+    np.testing.assert_array_equal(cache.c_all[1:], np.tile([-1.0, 0.0], (9, 1)))
+    np.testing.assert_array_equal(cache.h_all[1:], np.tile(SATURATED_H, (9, 1)))
+
+
+def test_lstm_hidden_saturates_exactly(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hidden = nn.lstm_hidden(rng.normal(size=(3, 9, 1)), saturated_params())
+    np.testing.assert_array_equal(hidden, np.tile(SATURATED_H, (3, 9, 1)))
+
+
+def test_push_frame_saturates_exactly(rng):
+    head = nn.FcHead(w=np.array([[1.0, 2.0], [-1.0, 0.5]]), b=np.zeros(2))
+    m = models.GraspModel(models.VARIANTS["A"], [saturated_params()], head,
+                          stats=NormStats(0.0, 3000.0))
+    x = rng.uniform(0, 3000, size=(4, 9))
+    pred = StreamingPredictor(m, n_channels=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        online = np.stack([pred.push_frame(x[:, t])[0] for t in range(9)], axis=1)
+    expected = head.probs(np.array(SATURATED_H))[models.CLASS_UNSTABLE]
+    np.testing.assert_array_equal(online, np.full((4, 9), expected))
 
 
 # -- BPTT against finite differences ------------------------------------------
