@@ -7,12 +7,9 @@ generator, evaluation metrics, and a streaming inference simulator.
 
 from graspslip.signal import (
     SensorTrace,
-    Spectrogram,
     NormStats,
-    frame_difference,
     stft_window,
-    sliding_stft,
-    normalize,
+    band_magnitudes,
     downsample,
 )
 from graspslip.models import (
@@ -30,12 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SensorTrace",
-    "Spectrogram",
     "NormStats",
-    "frame_difference",
     "stft_window",
-    "sliding_stft",
-    "normalize",
+    "band_magnitudes",
     "downsample",
     "ModelVariant",
     "TrainConfig",

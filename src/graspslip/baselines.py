@@ -208,14 +208,6 @@ def fit(kind: str, features, labels, **kwargs):
     raise ValueError(f"unknown baseline kind {kind!r}; expected one of {KINDS}")
 
 
-def predict_many(model, features) -> np.ndarray:
-    """Class per row of a feature matrix."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be 2-D")
-    return np.array([model.predict(row)[0] for row in x], dtype=np.int64)
-
-
 # -- checkpoint adapters ------------------------------------------------
 
 

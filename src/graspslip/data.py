@@ -624,6 +624,14 @@ def _require(header: dict, key: str, path) -> str:
     return header[key]
 
 
+def _traces(matrix: np.ndarray, freq_hz: float, source: str) -> tuple:
+    """One SensorTrace per column of an (n_steps, channels) sample matrix."""
+    return tuple(
+        SensorTrace(matrix[:, ch], freq_hz, ch, {"source": source})
+        for ch in range(matrix.shape[1])
+    )
+
+
 def read_grasp_set(path) -> GraspSet:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -639,17 +647,8 @@ def read_grasp_set(path) -> GraspSet:
     for key in ("slip_onset", "drop_step"):
         if key in header:
             meta[key] = int(header[key])
-    traces = tuple(
-        SensorTrace(
-            samples=matrix[:, ch],
-            freq_hz=freq_hz,
-            channel_id=ch,
-            meta={"source": "force"},
-        )
-        for ch in range(n_channels)
-    )
     return GraspSet(
-        traces=traces,
+        traces=_traces(matrix, freq_hz, "force"),
         outcome=_require(header, "outcome", path),
         object_id=int(_require(header, "object", path)),
         direction=_require(header, "direction", path),
@@ -672,16 +671,7 @@ def read_pressure_run(path) -> PressureRun:
     matrix = _parse_rows(path, lines, body_start, n_channels)
     freq_hz = float(_require(header, "freq_hz", path))
     initial = tuple(float(v) for v in _require(header, "initial", path).split())
-    traces = tuple(
-        SensorTrace(
-            samples=matrix[:, ch],
-            freq_hz=freq_hz,
-            channel_id=ch,
-            meta={"source": "pressure"},
-        )
-        for ch in range(n_channels)
-    )
-    return PressureRun(traces=traces, initial=initial)
+    return PressureRun(traces=_traces(matrix, freq_hz, "pressure"), initial=initial)
 
 
 # -- dataset directory layout -----------------------------------------------
@@ -734,7 +724,17 @@ def load_force_dataset(path) -> list[GraspSet]:
     manifest_path = os.path.join(path, "manifest.json")
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            names = json.load(fh)["files"]
+            try:
+                manifest = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{manifest_path}: JSON nested too deep") from None
+        names = manifest.get("files") if isinstance(manifest, dict) else None
+        if not (isinstance(names, list) and all(
+            isinstance(n, str) and n not in ("", ".", "..") and os.path.basename(n) == n
+            for n in names
+        )):
+            raise ValueError(f"{manifest_path}: 'files' must be a list of file names "
+                             "in the dataset directory")
     else:
         names = sorted(
             f for f in os.listdir(path)
@@ -781,18 +781,8 @@ def convert_csv(
                 raise ValueError(f"{src}:{ln}: non-numeric value") from None
     if not rows:
         raise ValueError(f"{src}: empty input")
-    matrix = np.asarray(rows, dtype=np.float64)
-    traces = tuple(
-        SensorTrace(
-            samples=matrix[:, ch],
-            freq_hz=freq_hz,
-            channel_id=ch,
-            meta={"source": "force"},
-        )
-        for ch in range(FORCE_CHANNELS)
-    )
     grasp = GraspSet(
-        traces=traces,
+        traces=_traces(np.asarray(rows, dtype=np.float64), freq_hz, "force"),
         outcome=outcome,
         object_id=object_id,
         direction=direction,

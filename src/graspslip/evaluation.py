@@ -353,8 +353,7 @@ def run_experiment(
         k: getattr(config, k)
         for k in (
             "window_len", "lstm_units", "lr", "epochs", "clip_norm",
-            "loss_mode", "init_mode", "stft_window", "band_count",
-            "threshold", "early_stop_patience",
+            "loss_mode", "init_mode", "threshold", "early_stop_patience",
         )
     }
 
@@ -419,10 +418,9 @@ def write_experiment_files(result: dict, out_dir) -> None:
         lines.append(",".join(_fmt(row.get(c)) for c in _CSV_COLUMNS))
     atomic_write_text(os.path.join(out_dir, "experiment.csv"), "\n".join(lines) + "\n")
 
-    names = {"A": "lstm", "B": "stft-lstm", "C": "data-stft-lstm", "D": "lstm-stft-lstm"}
     txt = ["variant              success    ahead-drop   cells"]
     for agg in result["aggregate"]:
-        name = names.get(agg["variant"], agg["variant"])
+        name = gmodels.VARIANTS[agg["variant"]].name
         sr = f"{agg['success_rate']:.4f}" if "success_rate" in agg else "n/a"
         adr = agg.get("ahead_drop_rate")
         adr = f"{adr:.4f}" if adr is not None else "n/a"

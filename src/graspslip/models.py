@@ -1,11 +1,14 @@
 """Model zoo: the four slip-classifier variants, training, checkpoints.
 
-Variants (by input wiring, all sharing one 2-class softmax head):
-    A "lstm"            normalized force column only
-    B "stft-lstm"       the 10 causal band magnitudes
-    C "data-stft-lstm"  bands plus the force column (11 inputs)
-    D "lstm-stft-lstm"  two LSTMs, force and bands, hidden states
-                        concatenated before the head
+Every time step has one feature row, [|X_1| .. |X_10| | force]: the band
+magnitudes of the causal 20-sample window ending at that step, then the
+normalized force sample itself. A variant is a choice of column ranges of
+that row, one per LSTM; all variants share one 2-class softmax head:
+    A "lstm"            [10:11]          the force column
+    B "stft-lstm"       [0:10]           the band magnitudes
+    C "data-stft-lstm"  [0:11]           bands and force in one LSTM
+    D "lstm-stft-lstm"  [10:11], [0:10]  two LSTMs, hidden states
+                                         concatenated before the head
 """
 
 from __future__ import annotations
@@ -25,27 +28,47 @@ from graspslip.signal import (
     DEFAULT_BAND_COUNT,
     DEFAULT_WINDOW_LEN,
     NormStats,
-    _sliding_band_magnitudes,
+    band_magnitudes,
     normalize_array,
 )
+
+# Column ranges of the feature row.
+BANDS = range(0, DEFAULT_BAND_COUNT)
+FORCE = range(DEFAULT_BAND_COUNT, DEFAULT_BAND_COUNT + 1)
 
 
 @dataclass(frozen=True)
 class ModelVariant:
+    """A variant's input wiring: one column range of the feature row per LSTM."""
+
     tag: str
     name: str
-    stream_dims: tuple[int, ...]
+    streams: tuple[range, ...]
+
+    @property
+    def stream_dims(self) -> tuple[int, ...]:
+        return tuple(map(len, self.streams))
 
     @property
     def n_streams(self) -> int:
-        return len(self.stream_dims)
+        return len(self.streams)
+
+    def features(self, windows: np.ndarray) -> list[np.ndarray]:
+        """(m, stft_window) normalized windows -> one (m, dim) view per stream.
+
+        Row t of the feature matrix is [bands of window t | its last sample].
+        """
+        row = np.concatenate(
+            [band_magnitudes(windows, DEFAULT_BAND_COUNT), windows[:, -1:]], axis=1
+        )
+        return [row[:, s.start : s.stop] for s in self.streams]
 
 
 VARIANTS = {
-    "A": ModelVariant("A", "lstm", (1,)),
-    "B": ModelVariant("B", "stft-lstm", (10,)),
-    "C": ModelVariant("C", "data-stft-lstm", (11,)),
-    "D": ModelVariant("D", "lstm-stft-lstm", (1, 10)),
+    "A": ModelVariant("A", "lstm", (FORCE,)),
+    "B": ModelVariant("B", "stft-lstm", (BANDS,)),
+    "C": ModelVariant("C", "data-stft-lstm", (range(BANDS.start, FORCE.stop),)),
+    "D": ModelVariant("D", "lstm-stft-lstm", (FORCE, BANDS)),
 }
 
 _BY_NAME = {v.name: v for v in VARIANTS.values()}
@@ -79,8 +102,6 @@ class TrainConfig:
     clip_norm: float | None = 5.0
     loss_mode: str = "per-step"
     init_mode: str = "seeded-uniform"
-    stft_window: int = DEFAULT_WINDOW_LEN
-    band_count: int = DEFAULT_BAND_COUNT
     threshold: float = 0.5
     early_stop_patience: int = 10
     beta1: float = 0.9
@@ -88,7 +109,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.window_len <= self.stft_window:
+        if self.window_len <= DEFAULT_WINDOW_LEN:
             raise ValueError("window_len must exceed the STFT window")
         if not (self.lr > 0):
             raise ValueError("lr must be > 0")
@@ -137,14 +158,15 @@ PREDICT_CHUNK = 64
 class GraspModel:
     """A variant's parameters plus its frozen feature pipeline."""
 
+    stft_window = DEFAULT_WINDOW_LEN
+    band_count = DEFAULT_BAND_COUNT
+
     def __init__(
         self,
         variant: ModelVariant,
         lstms: list[LstmParams],
         head: FcHead,
         stats: NormStats | None = None,
-        stft_window: int = DEFAULT_WINDOW_LEN,
-        band_count: int = DEFAULT_BAND_COUNT,
         loss_mode: str = "per-step",
         threshold: float = 0.5,
     ):
@@ -159,8 +181,6 @@ class GraspModel:
         self.lstms = lstms
         self.head = head
         self.stats = stats
-        self.stft_window = stft_window
-        self.band_count = band_count
         self.loss_mode = loss_mode
         self.threshold = threshold
 
@@ -180,8 +200,6 @@ class GraspModel:
             variant=variant,
             lstms=lstms,
             head=head,
-            stft_window=config.stft_window,
-            band_count=config.band_count,
             loss_mode=config.loss_mode,
             threshold=config.threshold,
         )
@@ -195,27 +213,23 @@ class GraspModel:
     def featurize(self, samples: np.ndarray) -> list[np.ndarray]:
         """Raw window -> one (n, dim) feature matrix per input stream.
 
-        Normalizes with the stored training stats, then derives band
-        magnitudes from the normalized signal where the variant needs
-        them. Accepts any length >= 1; training enforces the window size.
+        Normalizes with the stored training stats and hands the variant
+        one causal window per step: samples t-stft_window+1 .. t, left-padded
+        with the first sample, so no step looks ahead. Accepts any length
+        >= 1; training enforces the window size.
         """
         if self.stats is None:
             raise ValueError("missing normalization stats; train or load a checkpoint first")
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite sample value")
         norm = normalize_array(x, self.stats)
-        force_col = norm[:, None]
-        bands = None
-        if self.variant.tag != "A":
-            bands = _sliding_band_magnitudes(norm, self.stft_window, 1, self.band_count)
-        if self.variant.tag == "A":
-            return [force_col]
-        if self.variant.tag == "B":
-            return [bands]
-        if self.variant.tag == "C":
-            return [np.concatenate([bands, force_col], axis=1)]
-        return [force_col, bands]
+        padded = np.concatenate([np.full(self.stft_window - 1, norm[0]), norm])
+        return self.variant.features(
+            np.lib.stride_tricks.sliding_window_view(padded, self.stft_window)
+        )
 
     def _coerce_streams(self, features) -> list[np.ndarray]:
         if isinstance(features, np.ndarray):
@@ -242,9 +256,10 @@ class GraspModel:
         return caches, hcat, self.head.probs(hcat)
 
     def predict(self, features) -> Prediction:
-        """Per-step probability of instability plus 0.5-threshold flags.
+        """Per-step probability of instability plus thresholded flags.
 
-        Ties at the threshold resolve to unstable (the fail-safe side).
+        Ties at the threshold and NaN probabilities resolve to unstable
+        (the fail-safe side).
         """
         return self.predict_batch([features])[0]
 
@@ -267,7 +282,7 @@ class GraspModel:
                 axis=2,
             )
             p_unstable = self.head.probs(hcat)[..., CLASS_UNSTABLE]
-            out.extend(Prediction(p_unstable=p, unstable=p >= self.threshold) for p in p_unstable)
+            out.extend(Prediction(p_unstable=p, unstable=~(p < self.threshold)) for p in p_unstable)
         return out
 
     def predict_samples(self, samples: np.ndarray) -> Prediction:
@@ -475,7 +490,7 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError("header length exceeds the file")
     try:
         header = json.loads(payload[off : off + meta_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CheckpointError(f"unreadable header: {exc}") from None
     if not isinstance(header, dict) or not isinstance(header.get("kind"), str):
         raise CheckpointError("header must be an object with a string 'kind'")
@@ -543,9 +558,9 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
 
     variant = checked("variant", lambda v: isinstance(v, str), "a variant tag or name")
     hd = checked("hidden_dim", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-    window = checked("stft_window", lambda v: _is_int(v) and v >= 2, "an integer >= 2")
-    bands = checked("band_count", lambda v: _is_int(v) and 1 <= v <= window // 2,
-                    f"an integer in 1..{window // 2}")
+    for key in ("stft_window", "band_count"):
+        fixed = getattr(GraspModel, key)
+        checked(key, lambda v: _is_int(v) and v == fixed, str(fixed))
     loss_mode = checked("loss_mode", lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")
     threshold = checked("threshold", lambda v: _is_int(v) or isinstance(v, float), "a number")
     try:
@@ -576,8 +591,6 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
         lstms=lstms,
         head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
         stats=stats,
-        stft_window=window,
-        band_count=bands,
         loss_mode=loss_mode,
         threshold=threshold,
     )
@@ -595,5 +608,5 @@ def load_checkpoint(path):
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     try:
         return _KIND_LOADERS[kind](header, arrays)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise CheckpointError(f"bad {kind} checkpoint: {type(exc).__name__}: {exc}") from None

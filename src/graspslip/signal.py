@@ -1,8 +1,8 @@
 """Deterministic signal-processing front end.
 
-Frame differencing, min/max normalization, a causal sliding short-time
-Fourier transform, and strided decimation. Everything here is a pure
-function over immutable inputs; all arithmetic is float64.
+Min/max normalization, short-time Fourier band magnitudes, and strided
+decimation. Everything here is a pure function over immutable inputs;
+all arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -78,35 +78,6 @@ class SensorTrace:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrogram:
-    """Per-step band magnitudes from the causal sliding STFT.
-
-    Row t holds the magnitudes of bands 1..band_count for the window
-    ending at sample t. Band k is centered at k*freq_hz/window_len.
-    """
-
-    frames: np.ndarray
-    window_len: int
-    band_freqs_hz: np.ndarray
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        freqs = np.asarray(self.band_freqs_hz, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != freqs.size:
-            raise ValueError("frames/band count mismatch")
-        if not np.all(np.isfinite(frames)) or frames.min() < 0:
-            raise ValueError("magnitudes must be finite and >= 0")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("band frequencies must be strictly increasing")
-        object.__setattr__(self, "frames", _readonly(frames))
-        object.__setattr__(self, "band_freqs_hz", _readonly(freqs))
-
-    @property
-    def n_frames(self) -> int:
-        return int(self.frames.shape[0])
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Min/max of the training data; normalization maps them to [0, 1]."""
@@ -119,17 +90,6 @@ class NormStats:
             raise ValueError("degenerate channel: non-finite stats")
         if not (self.max_value > self.min_value):
             raise ValueError("degenerate channel")
-
-
-def frame_difference(trace: SensorTrace) -> SensorTrace:
-    """Per-step difference series; index 0 is 0 so lengths stay aligned."""
-    x = trace.samples
-    if x.size == 0:
-        raise ValueError("empty input")
-    out = np.empty_like(x)
-    out[0] = 0.0
-    out[1:] = x[1:] - x[:-1]
-    return trace.with_samples(out)
 
 
 def stft_window(
@@ -151,38 +111,12 @@ def stft_window(
         band_count = window_len // 2
     if not (1 <= band_count <= window_len // 2):
         raise ValueError(f"band_count must be in [1, {window_len // 2}]")
-    return np.abs(np.fft.rfft(x)[1 : band_count + 1])
+    return band_magnitudes(x, band_count)
 
 
-def sliding_stft(
-    trace: SensorTrace,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    hop: int = 1,
-    band_count: int | None = None,
-) -> Spectrogram:
-    """Causal sliding STFT: frame t covers samples t-window_len+1 .. t.
-
-    Samples before index 0 are left-padded with the first sample, so the
-    frame count equals the sample count (hop 1) and no frame looks ahead.
-    """
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
-    if band_count is None:
-        band_count = window_len // 2
-    x = trace.samples
-    frames = _sliding_band_magnitudes(x, window_len, hop, band_count)
-    band_freqs = np.arange(1, band_count + 1) * (trace.freq_hz / window_len)
-    return Spectrogram(frames=frames, window_len=window_len, band_freqs_hz=band_freqs)
-
-
-def _sliding_band_magnitudes(
-    x: np.ndarray, window_len: int, hop: int, band_count: int
-) -> np.ndarray:
-    padded = np.concatenate([np.full(window_len - 1, x[0]), x])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window_len)
-    if hop != 1:
-        windows = windows[::hop]
-    return np.abs(np.fft.rfft(windows, axis=1)[:, 1 : band_count + 1])
+def band_magnitudes(windows: np.ndarray, band_count: int) -> np.ndarray:
+    """|X_k|, k = 1..band_count, of every window along the last axis."""
+    return np.abs(np.fft.rfft(windows, axis=-1)[..., 1 : band_count + 1])
 
 
 def compute_norm_stats(arrays) -> NormStats:
@@ -203,11 +137,6 @@ def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
         stats.max_value - stats.min_value
     )
     return np.clip(y, 0.0, 1.0)
-
-
-def normalize(trace: SensorTrace, stats: NormStats) -> SensorTrace:
-    """Min/max-normalize a trace with training-split stats."""
-    return trace.with_samples(normalize_array(trace.samples, stats))
 
 
 def downsample(trace: SensorTrace, factor: int) -> SensorTrace:

@@ -125,21 +125,11 @@ class StreamingPredictor:
         if fresh.any():
             self._ring[fresh] = x[fresh, None]  # causal left-pad with the first sample
             self._started[:] = True
-        tag = m.variant.tag
-        col = x[:, None]
-        if tag == "A":
-            streams = [col]
-        else:
-            bands = np.abs(np.fft.rfft(self._ring, axis=1)[:, 1 : m.band_count + 1])
-            if tag == "B":
-                streams = [bands]
-            elif tag == "C":
-                streams = [np.concatenate([bands, col], axis=1)]
-            else:
-                streams = [col, bands]
         hs = []
         with np.errstate(over="ignore"):
-            for vec, k, (z, c, gates, tanh_c) in zip(streams, self._kernels, self._cells):
+            for vec, k, (z, c, gates, tanh_c) in zip(
+                m.variant.features(self._ring), self._kernels, self._cells
+            ):
                 d = vec.shape[1]
                 h = z[:, d:-1]
                 z[:, :d] = vec
@@ -152,7 +142,7 @@ class StreamingPredictor:
             for h, (_, c, _, _) in zip(hs, self._cells):
                 h[bad] = 0.0
                 c[bad] = 0.0
-        return p_unstable, bad | (p_unstable >= m.threshold)
+        return p_unstable, ~(p_unstable < m.threshold)
 
     def push(self, sample: float) -> tuple[float, bool]:
         """Consume one raw sample of a one-channel predictor."""

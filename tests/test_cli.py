@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -282,6 +283,37 @@ def test_eval_checkpoint_without_variant_exits_1(tmp_path, dataset_dir, trained_
         "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
     ) == 1
     assert "variant" in capsys.readouterr().err
+
+
+def test_eval_deeply_nested_checkpoint_header_exits_1(tmp_path, dataset_dir, capsys):
+    # The digest checks out, but decoding the header overflows the stack.
+    meta = b"[" * 200_000
+    payload = models.CKPT_MAGIC + struct.pack("<II", models.CKPT_VERSION, len(meta)) + meta
+    ckpt = tmp_path / "nested.gslp"
+    ckpt.write_bytes(payload + hashlib.sha256(payload).hexdigest().encode("ascii"))
+    assert run(
+        "eval", "--checkpoint", str(ckpt),
+        "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+    ) == 1
+    assert "unreadable header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [
+    "{}", '{"files": 5}', '{"files": [3]}', '{"files": ["../set_0000.txt"]}',
+    '{"files": ["sub/set_0000.txt"]}', '{"files": [""]}', "[]", "[" * 200_000,
+], ids=["no-files", "files-int", "name-int", "parent-dir", "subdir", "empty-name",
+        "not-object", "nested"])
+def test_eval_hostile_dataset_manifest_exits_1(tmp_path, dataset_dir, trained_dir,
+                                                manifest, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "set_0000.txt").write_bytes((dataset_dir / "set_0000.txt").read_bytes())
+    (ds / "manifest.json").write_text(manifest)
+    assert run(
+        "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+        "--data", str(ds), "--out", str(tmp_path / "o"),
+    ) == 1
+    assert "manifest.json" in capsys.readouterr().err
 
 
 # -- cross-eval -------------------------------------------------------------------

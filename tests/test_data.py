@@ -28,7 +28,7 @@ from graspslip.data import (
     write_grasp_set,
     write_pressure_run,
 )
-from graspslip.signal import SensorTrace, _sliding_band_magnitudes, normalize_array, compute_norm_stats
+from graspslip.signal import SensorTrace, band_magnitudes, normalize_array, compute_norm_stats
 from tests import oracles
 
 
@@ -367,7 +367,7 @@ def test_synth_vibration_lands_in_band():
     g = synth_grasp(3, SynthParams(slip_onset=200, drop_step=280, slip_amplitude=0.2))
     x = g.channel(0).samples
     stats = compute_norm_stats([x])
-    bands = _sliding_band_magnitudes(normalize_array(x, stats), 20, 1, 10)
+    bands = band_magnitudes(np.array(oracles.causal_frames(normalize_array(x, stats), 20)), 10)
     quiet = bands[100:190].sum(axis=1).mean()
     vibrating = bands[230:270].sum(axis=1).mean()
     assert vibrating > 5 * quiet

@@ -17,6 +17,7 @@ from graspslip.models import (
     train,
 )
 from graspslip.signal import NormStats, compute_norm_stats
+from tests import oracles
 
 
 SMALL = TrainConfig(window_len=60, lstm_units=6, epochs=4, seed=3)
@@ -168,6 +169,49 @@ def test_featurize_c_concatenates_bands_then_force(rng):
     np.testing.assert_array_equal(fc[:, 10:], fa)
 
 
+def test_featurize_one_row_per_sample(rng):
+    x = rng.uniform(0, 1, size=37)
+    for tag in "ABCD":
+        streams = small_model(tag).featurize(x)
+        assert [f.shape for f in streams] == [(37, d) for d in get_variant(tag).stream_dims]
+
+
+def test_featurize_bands_match_padded_slices(rng):
+    x = rng.uniform(0, 100, size=30)
+    (bands,) = small_model("B", stats=NormStats(0.0, 100.0)).featurize(x)
+    for t_idx, frame in enumerate(oracles.causal_frames(x / 100.0, 20)):
+        np.testing.assert_allclose(
+            bands[t_idx], oracles.dft_band_magnitudes(frame, 10), atol=1e-9
+        )
+
+
+def test_featurize_is_causal(rng):
+    # A prefix of the input yields a prefix of every stream.
+    x = rng.uniform(0, 1, size=50)
+    for tag in "ABCD":
+        m = small_model(tag)
+        full = m.featurize(x)
+        for k in (1, 5, 20, 49):
+            for got, want in zip(m.featurize(x[:k]), full):
+                np.testing.assert_allclose(got, want[:k], rtol=0, atol=1e-12)
+
+
+def test_featurize_first_row_sees_only_padding(rng):
+    x = rng.uniform(0, 1, size=10)
+    (bands,) = small_model("B").featurize(x)
+    # row 0 covers 19 pad copies of x[0] plus x[0] itself: constant
+    np.testing.assert_allclose(bands[0], 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("tag", "ABCD")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_featurize_rejects_nonfinite(tag, bad):
+    x = np.full(40, 0.5)
+    x[10] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        small_model(tag).featurize(x)
+
+
 def test_featurize_d_streams(rng):
     x = rng.uniform(0, 1, size=80)
     fd = small_model("D").featurize(x)
@@ -177,6 +221,18 @@ def test_featurize_d_streams(rng):
 
 
 # -- predict ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag", "ABCD")
+def test_nan_probability_is_flagged_unstable(tag, rng):
+    # A NaN from anywhere in the model (here the head bias) must read
+    # unstable, never stable.
+    m = small_model(tag)
+    m.head.b = np.array([0.0, np.nan])
+    x = rng.uniform(0, 1, size=(3, 30))
+    for pred in [m.predict_samples(x[0]), *m.predict_batch(m.featurize(w) for w in x)]:
+        assert np.isnan(pred.p_unstable).all()
+        assert pred.unstable.all()
 
 
 def test_zero_params_predict_half_and_tie_unstable():
@@ -482,6 +538,7 @@ def saved_blob(tmp_path, tag="D"):
     ("threshold", float("nan")), ("threshold", 1.0), ("threshold", "0.5"), ("threshold", None),
     ("norm_stats", {"min": 5.0, "max": 1.0}), ("norm_stats", {"min": 0.0}), ("norm_stats", [0, 1]),
     ("kind", None), ("kind", 7),
+    ("stft_window", 32), ("band_count", 8),
 ])
 def test_checkpoint_rejects_bad_header_field(tmp_path, key, value):
     path, header, arrays = saved_blob(tmp_path)
@@ -550,4 +607,13 @@ def test_baseline_checkpoint_missing_field_is_checkpoint_error(tmp_path):
     path = tmp_path / "model.gslp"
     models.write_blob(path, {"kind": "knn"}, [("points", np.zeros((2, 3))), ("labels", np.zeros(2))])
     with pytest.raises(models.CheckpointError, match="KeyError"):
+        load_checkpoint(path)
+
+
+def test_baseline_checkpoint_infinite_field_is_checkpoint_error(tmp_path):
+    # json writes float("inf") as Infinity and reads it back; int() of it overflows.
+    path = tmp_path / "model.gslp"
+    models.write_blob(path, {"kind": "knn", "k": float("inf")},
+                      [("points", np.zeros((2, 3))), ("labels", np.zeros(2))])
+    with pytest.raises(models.CheckpointError, match="OverflowError"):
         load_checkpoint(path)

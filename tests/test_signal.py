@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from graspslip.signal import (
     NormStats,
     SensorTrace,
-    Spectrogram,
+    band_magnitudes,
     compute_norm_stats,
     downsample,
-    frame_difference,
-    normalize,
     normalize_array,
-    sliding_stft,
     stft_window,
 )
 from tests import oracles
@@ -67,23 +64,6 @@ def test_validate_range_pressure_bounds():
         trace([65536.0], meta={"source": "pressure"}).validate_range()
 
 
-# -- frame_difference ------------------------------------------------------
-
-
-def test_frame_difference_first_is_zero():
-    d = frame_difference(trace([5.0, 7.0, 4.0]))
-    assert d.samples[0] == 0.0
-    np.testing.assert_array_equal(d.samples, [0.0, 2.0, -3.0])
-
-
-@given(st.lists(st.integers(min_value=0, max_value=10000), min_size=1, max_size=200))
-def test_frame_difference_cumsum_reconstructs(values):
-    t = trace(values)
-    d = frame_difference(t)
-    rebuilt = values[0] + np.cumsum(d.samples)
-    np.testing.assert_array_equal(rebuilt, t.samples)
-
-
 # -- stft_window -----------------------------------------------------------
 
 
@@ -130,73 +110,21 @@ def test_oracle_dft_satisfies_parseval(rng):
         assert oracles.parseval_gap(rng.uniform(-1, 1, size=20)) < 1e-6
 
 
-# -- sliding_stft ------------------------------------------------------------
+# -- band_magnitudes -----------------------------------------------------------
 
 
-def test_sliding_stft_one_frame_per_sample(rng):
-    t = trace(rng.uniform(0, 100, size=37))
-    spec = sliding_stft(t)
-    assert spec.frames.shape == (37, 10)
-    assert spec.window_len == 20
+def test_band_magnitudes_equals_stft_window_per_window(rng):
+    windows = rng.uniform(0, 100, size=(2, 7, 20))
+    bands = band_magnitudes(windows, 10)
+    assert bands.shape == (2, 7, 10)
+    for idx in np.ndindex(2, 7):
+        np.testing.assert_array_equal(bands[idx], stft_window(windows[idx]))
 
 
-def test_sliding_stft_band_frequencies():
-    spec = sliding_stft(trace(np.arange(25.0), freq=16.7))
-    np.testing.assert_allclose(
-        spec.band_freqs_hz, np.arange(1, 11) * 16.7 / 20
-    )
-
-
-def test_sliding_stft_frames_match_padded_slices(rng):
-    x = rng.uniform(0, 100, size=30)
-    spec = sliding_stft(trace(x))
-    for t_idx, frame in enumerate(oracles.causal_frames(x, 20)):
-        np.testing.assert_allclose(
-            spec.frames[t_idx], oracles.dft_band_magnitudes(frame, 10), atol=1e-9
-        )
-
-
-def test_sliding_stft_is_causal(rng):
-    # A prefix of the input yields a prefix of the spectrogram.
-    x = rng.uniform(0, 100, size=50)
-    full = sliding_stft(trace(x)).frames
-    for k in (1, 5, 20, 49):
-        prefix = sliding_stft(trace(x[:k])).frames
-        np.testing.assert_allclose(prefix, full[:k], atol=1e-12)
-
-
-def test_sliding_stft_first_frame_sees_only_padding(rng):
-    x = rng.uniform(0, 100, size=10)
-    spec = sliding_stft(trace(x))
-    # frame 0 covers 19 pad copies of x[0] plus x[0] itself: constant
-    np.testing.assert_allclose(spec.frames[0], 0.0, atol=1e-9)
-
-
-def test_sliding_stft_hop_decimates(rng):
-    x = rng.uniform(0, 100, size=40)
-    full = sliding_stft(trace(x), hop=1).frames
-    hopped = sliding_stft(trace(x), hop=4).frames
-    np.testing.assert_array_equal(hopped, full[::4])
-
-
-def test_sliding_stft_rejects_bad_hop():
-    with pytest.raises(ValueError, match="hop"):
-        sliding_stft(trace([1.0, 2.0]), hop=0)
-
-
-def test_spectrogram_validates_bands():
-    with pytest.raises(ValueError, match="frames/band count mismatch"):
-        Spectrogram(frames=np.zeros((3, 4)), window_len=20, band_freqs_hz=np.arange(3))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Spectrogram(
-            frames=np.zeros((3, 2)), window_len=20, band_freqs_hz=np.array([2.0, 1.0])
-        )
-    with pytest.raises(ValueError, match=">= 0"):
-        Spectrogram(
-            frames=np.full((3, 2), -1.0),
-            window_len=20,
-            band_freqs_hz=np.array([1.0, 2.0]),
-        )
+def test_band_magnitudes_matches_direct_dft_sum(rng):
+    windows = rng.uniform(0, 1, size=(5, 20))
+    for row, x in zip(band_magnitudes(windows, 4), windows):
+        np.testing.assert_allclose(row, oracles.dft_band_magnitudes(x, 4), atol=1e-9)
 
 
 # -- normalization ------------------------------------------------------------
@@ -211,8 +139,8 @@ def test_norm_stats_degenerate():
 
 def test_normalize_maps_extremes_to_unit_interval():
     stats = NormStats(100.0, 300.0)
-    out = normalize(trace([100.0, 200.0, 300.0]), stats)
-    np.testing.assert_allclose(out.samples, [0.0, 0.5, 1.0])
+    out = normalize_array(np.array([100.0, 200.0, 300.0]), stats)
+    np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
 
 
 def test_normalize_clamps_outside_training_range():

@@ -147,6 +147,17 @@ def test_push_frame_nonfinite_channel_leaves_others_alone(bad, rng, trained_c):
     )
 
 
+@pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
+def test_push_frame_nan_probability_is_unstable(tag, rng):
+    m = models.build_model(tag, models.TrainConfig(lstm_units=6, seed=4))
+    m.stats = NormStats(0.0, 3000.0)
+    m.head.b = np.array([0.0, np.nan])
+    pred = StreamingPredictor(m, n_channels=3)
+    for values in rng.uniform(0, 3000, size=(10, 3)):
+        p, flags = pred.push_frame(values)
+        assert np.isnan(p).all() and flags.all()
+
+
 def test_replay_16_channels_matches_offline(trained_c, synth_split):
     _, test_sets = synth_split
     grasp = test_sets[1]
