@@ -19,8 +19,9 @@ Trace file grammar (one grasp set per file, whitespace-separated):
 
 Pressure runs use ``kind pressure`` with ``channels 4`` and an
 ``initial`` header of the four zero-position counts instead of the
-grasp provenance keys. All values are integers; parsing is strict and
-errors carry file and line.
+grasp provenance keys. Values are written as integers and read as
+Python float() reads them; parsing is strict and errors carry file and
+line.
 """
 
 from __future__ import annotations
@@ -394,22 +395,26 @@ class SynthParams:
             raise ValueError("noise_sd must be >= 0")
 
 
-def _synth_channel(params: SynthParams, gain: float, rng) -> np.ndarray:
+def _synth_channels(params: SynthParams, gains: np.ndarray, rng) -> np.ndarray:
+    """(channels, n_steps) samples: one gain-scaled copy of the profile per gain."""
     p = params
     t = np.arange(p.n_steps)
-    force = np.full(p.n_steps, p.grasp_force * gain)
+    scale = (p.grasp_force * gains)[:, None]
+    force = np.repeat(scale, p.n_steps, axis=1)
     ramp = t < p.ramp_steps
-    force[ramp] = p.grasp_force * gain * (t[ramp] + 1) / p.ramp_steps
+    force[:, ramp] = scale * (t[ramp] + 1) / p.ramp_steps
     if p.slip_onset is not None:
         seg = (t >= p.slip_onset) & (t < p.drop_step)
         phase = 2.0 * np.pi * p.slip_band_hz * (t[seg] - p.slip_onset) / p.freq_hz
-        force[seg] += p.slip_amplitude * p.grasp_force * gain * np.sin(phase)
+        force[:, seg] += p.slip_amplitude * p.grasp_force * gains[:, None] * np.sin(phase)
     if p.drop_step is not None:
         d = p.drop_step
         tail = np.arange(d, min(d + p.decay_steps, p.n_steps))
-        force[tail] = force[d - 1] * (1.0 - (tail - d + 1) / p.decay_steps)
-        force[d + p.decay_steps:] = 0.0
+        force[:, tail] = force[:, d - 1 : d] * (1.0 - (tail - d + 1) / p.decay_steps)
+        force[:, d + p.decay_steps:] = 0.0
     if p.noise_sd > 0:
+        # Generator.normal draws sample by sample, so one draw over the
+        # row-major live mask equals one draw per channel in channel order.
         live = force > 0
         force[live] += rng.normal(0.0, p.noise_sd, size=int(live.sum()))
     return np.clip(np.rint(force), 0.0, 10000.0)
@@ -434,17 +439,8 @@ def synth_grasp(seed: int, params: SynthParams | None = None, **overrides) -> Gr
     if failure:
         meta["slip_onset"] = int(p.slip_onset)
         meta["drop_step"] = int(p.drop_step)
-    traces = tuple(
-        SensorTrace(
-            samples=_synth_channel(p, gains[ch], rng),
-            freq_hz=p.freq_hz,
-            channel_id=ch,
-            meta={"source": "force"},
-        )
-        for ch in range(FORCE_CHANNELS)
-    )
     return GraspSet(
-        traces=traces,
+        traces=_traces(_synth_channels(p, gains, rng).T, p.freq_hz, "force"),
         outcome="failure" if failure else "success",
         object_id=int(rng.integers(0, 10)),
         direction=DIRECTIONS[int(rng.integers(0, len(DIRECTIONS)))],
@@ -537,12 +533,19 @@ def synth_pressure_run(
 # -- trace file serialization ----------------------------------------------
 
 
-def _trace_lines(values: np.ndarray) -> list[str]:
-    rows = np.rint(values).astype(np.int64).tolist()
-    return [" ".join(map(str, row)) for row in rows]
+def _trace_lines(values: np.ndarray) -> str:
+    """The rows of an (n_steps, channels) sample matrix as newline-joined
+    lines of space-separated integers."""
+    ints = np.rint(values).astype(np.int64)
+    row = " ".join(["%d"] * ints.shape[1])
+    return "\n".join([row] * ints.shape[0]) % tuple(ints.ravel().tolist())
 
 
 def write_grasp_set(grasp: GraspSet, path) -> None:
+    atomic_write_text(path, _grasp_text(grasp, grasp.as_matrix()))
+
+
+def _grasp_text(grasp: GraspSet, matrix: np.ndarray) -> str:
     lines = [
         TRACE_FORMAT,
         "kind force",
@@ -558,9 +561,8 @@ def write_grasp_set(grasp: GraspSet, path) -> None:
         lines.append(f"slip_onset {int(grasp.meta['slip_onset'])}")
     if "drop_step" in grasp.meta:
         lines.append(f"drop_step {int(grasp.meta['drop_step'])}")
-    lines.append("data")
-    lines.extend(_trace_lines(grasp.as_matrix()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines += ["data", _trace_lines(matrix)]
+    return "\n".join(lines) + "\n"
 
 
 def write_pressure_run(run: PressureRun, path) -> None:
@@ -571,9 +573,8 @@ def write_pressure_run(run: PressureRun, path) -> None:
         f"channels {PRESSURE_CHANNELS}",
         "initial " + " ".join(f"{v:g}" for v in run.initial),
         "data",
+        _trace_lines(np.stack([t.samples for t in run.traces], axis=1)),
     ]
-    matrix = np.stack([t.samples for t in run.traces], axis=1)
-    lines.extend(_trace_lines(matrix))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -599,6 +600,14 @@ def _parse_header(path, lines):
 
 
 def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
+    # numpy's str -> float64 cast parses each token as float() does.
+    rows = [cells for cells in map(str.split, lines[body_start:]) if cells]
+    if set(map(len, rows)) == {n_channels}:
+        try:
+            return np.array(rows, dtype=np.float64)
+        except ValueError:
+            pass
+    # A bad or empty body: the per-line pass names its first bad line.
     rows = []
     for ln, raw in enumerate(lines[body_start:], start=body_start + 1):
         stripped = raw.strip()
@@ -684,10 +693,11 @@ def save_force_dataset(sets, out_dir, prefix: str = "set") -> str:
     """
     sets = list(sets)
     os.makedirs(out_dir, exist_ok=True)
-    files = []
+    files, matrices = [], []
     for i, grasp in enumerate(sets):
         name = f"{prefix}_{i:04d}.txt"
-        write_grasp_set(grasp, os.path.join(out_dir, name))
+        matrices.append(grasp.as_matrix())
+        atomic_write_text(os.path.join(out_dir, name), _grasp_text(grasp, matrices[-1]))
         files.append(name)
     outcomes: dict[str, int] = {}
     directions: dict[str, int] = {}
@@ -695,7 +705,7 @@ def save_force_dataset(sets, out_dir, prefix: str = "set") -> str:
         outcomes[g.outcome] = outcomes.get(g.outcome, 0) + 1
         directions[g.direction] = directions.get(g.direction, 0) + 1
     if sets:
-        pooled = np.concatenate([g.as_matrix().ravel() for g in sets])
+        pooled = np.concatenate([m.ravel() for m in matrices])
         force_range = [float(pooled.min()), float(pooled.max())]
     else:
         force_range = None

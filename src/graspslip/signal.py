@@ -46,8 +46,8 @@ class SensorTrace:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("non-finite sample value")
-        if not (self.freq_hz > 0):
-            raise ValueError("freq_hz must be > 0")
+        if not (0 < self.freq_hz < np.inf):
+            raise ValueError("freq_hz must be finite and > 0")
         object.__setattr__(self, "samples", _readonly(samples))
         object.__setattr__(self, "meta", dict(self.meta))
 

@@ -47,8 +47,8 @@ class FrameClock:
     n_sensors: int = MAX_SENSORS
 
     def __post_init__(self):
-        if not (self.freq_hz > 0):
-            raise ValueError("freq_hz must be > 0")
+        if not (0 < self.freq_hz < np.inf):
+            raise ValueError("freq_hz must be finite and > 0")
         if not (0 < self.n_sensors <= MAX_SENSORS):
             raise ValueError(f"n_sensors must be in 1..{MAX_SENSORS}")
         if not (self.sensor_budget_ms > 0):

@@ -316,6 +316,19 @@ def test_eval_hostile_dataset_manifest_exits_1(tmp_path, dataset_dir, trained_di
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_eval_nonfinite_freq_dataset_exits_1(tmp_path, dataset_dir, trained_dir, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    text = (dataset_dir / "set_0000.txt").read_text()
+    assert "\nfreq_hz 16.7\n" in text
+    (ds / "set_0000.txt").write_text(text.replace("\nfreq_hz 16.7\n", "\nfreq_hz inf\n", 1))
+    assert run(
+        "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+        "--data", str(ds), "--out", str(tmp_path / "o"),
+    ) == 1
+    assert "freq_hz must be finite" in capsys.readouterr().err
+
+
 # -- cross-eval -------------------------------------------------------------------
 
 

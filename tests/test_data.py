@@ -415,6 +415,59 @@ def test_synth_samples_are_integers_in_range():
     assert m.min() >= 0 and m.max() <= 10000
 
 
+def synth_digest(sets) -> str:
+    """sha256 over each set's sample bytes and every field the generator sets."""
+    h = hashlib.sha256()
+    for g in sets:
+        h.update(g.as_matrix().tobytes())
+        h.update(json.dumps(
+            [g.outcome, g.object_id, g.direction, g.weight, g.force_level, g.set_id,
+             g.freq_hz, [t.channel_id for t in g.traces], [t.meta for t in g.traces], g.meta],
+            sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# Recorded with the per-channel generator that the whole-matrix
+# ``_synth_channels`` replaced (one ``_synth_channel`` call and one noise
+# draw per channel). The digests cover the samples' bytes, so a -0.0 or a
+# changed random draw shows, and the provenance fields drawn after the
+# noise, so a changed draw count shows too.
+SYNTH_DATASET_DIGESTS = {
+    0: "bcfb289264af3197670ecddfb0d2fcd9f49fef739b2b6d83fb7c1d3aab3e261f",
+    11: "1bc4de27a90da966f50719b950d6f4cc3417ab896de217f2e41f3734dc375687",
+    40: "f7d486c1f428172dc63805ff3029e34a95bc6fa9dea3d5ccbe5b31b266aa5598",
+}
+SYNTH_GRASP_DIGESTS = {
+    "noiseless": (
+        SynthParams(noise_sd=0.0),
+        "6667d4315aa0c7b0ac8817cb257a0dce30bba51e71aaae20137a47881d65da52",
+    ),
+    "success": (
+        SynthParams(slip_onset=None, drop_step=None),
+        "de1eb543093efe1f107d34c774a58fbd8ffd97ae83335578cdbc356f9f7ae091",
+    ),
+    "decay-past-end": (
+        SynthParams(n_steps=100, ramp_steps=10, slip_onset=60, drop_step=95, decay_steps=10),
+        "137d708794958b73733ba30008f81814fd8b031381decbdb67975500e7c8b94e",
+    ),
+    "ramp-past-end": (
+        SynthParams(n_steps=20, slip_onset=None, drop_step=None),
+        "394e2eb3d2fa16db53470df9972a010d1cf1f41fa1ee234bf33266816f7ebf2a",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_DATASET_DIGESTS))
+def test_synth_dataset_matches_recorded_digest(seed):
+    assert synth_digest(synth_force_dataset(6, seed=seed)) == SYNTH_DATASET_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_GRASP_DIGESTS))
+def test_synth_grasp_edge_params_match_recorded_digest(case):
+    params, digest = SYNTH_GRASP_DIGESTS[case]
+    assert synth_digest([synth_grasp(seed, params) for seed in (3, 4)]) == digest
+
+
 # -- pressure -------------------------------------------------------------------------
 
 
@@ -458,6 +511,18 @@ def test_read_pressure_rejects_force_file(tmp_path):
     write_grasp_set(g, path)
     with pytest.raises(ValueError, match="not a pressure trace file"):
         read_pressure_run(path)
+
+
+@pytest.mark.parametrize("freq", ["inf", "nan", "-inf", "1e400"])
+def test_read_rejects_nonfinite_freq(tmp_path, freq):
+    g = synth_grasp(0, SynthParams(n_steps=60, slip_onset=None, drop_step=None))
+    write_grasp_set(g, tmp_path / "g.txt")
+    write_pressure_run(synth_pressure_run(0, n_steps=100), tmp_path / "p.txt")
+    for name, reader, rate in (("g.txt", read_grasp_set, "16.7"), ("p.txt", read_pressure_run, "71")):
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(f"\nfreq_hz {rate}\n", f"\nfreq_hz {freq}\n", 1))
+        with pytest.raises(ValueError, match="freq_hz must be finite"):
+            reader(path)
 
 
 # -- trace files ------------------------------------------------------------------------

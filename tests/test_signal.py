@@ -37,6 +37,12 @@ def test_trace_rejects_bad_freq():
         trace([1.0], freq=0.0)
 
 
+@pytest.mark.parametrize("freq", [np.inf, -np.inf, np.nan])
+def test_trace_rejects_nonfinite_freq(freq):
+    with pytest.raises(ValueError, match="freq_hz must be finite"):
+        trace([1.0], freq=freq)
+
+
 def test_trace_samples_read_only():
     t = trace([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -64,6 +64,13 @@ def test_frame_clock_validation():
         FrameClock(freq_hz=10.0, sensor_budget_ms=0.0)
 
 
+@pytest.mark.parametrize("freq", [np.inf, np.nan])
+def test_frame_clock_rejects_nonfinite_freq(freq):
+    # an infinite rate would give a 0 s frame period
+    with pytest.raises(ValueError, match="freq_hz must be finite"):
+        FrameClock(freq_hz=freq)
+
+
 # -- streaming predictor -------------------------------------------------------
 
 

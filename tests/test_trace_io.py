@@ -1,0 +1,134 @@
+"""Differential tests of the trace-file body reader and writer.
+
+``data._parse_rows`` converts a whole body with one numpy str -> float64
+cast and runs a per-line pass only to name the first bad line;
+``data._trace_lines`` formats a whole matrix with one ``%``. The oracles
+below are the per-token ``float()`` loop and the per-row ``str.join``
+that they replaced. On every drawn body the reader must return the same
+array, bit for bit, or raise ValueError with the same message; on every
+drawn matrix the writer must produce the same text. Runs are
+derandomized so every run sees the same examples.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from graspslip import data
+
+DIFF = settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def parse_rows_oracle(path, lines, body_start, n_channels):
+    rows = []
+    for ln, raw in enumerate(lines[body_start:], start=body_start + 1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        cells = stripped.split()
+        if len(cells) != n_channels:
+            raise ValueError(
+                f"{path}:{ln}: expected {n_channels} channels, got {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: non-numeric value in {stripped!r}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty input")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def trace_lines_oracle(values):
+    rows = np.rint(values).astype(np.int64).tolist()
+    return "\n".join(" ".join(map(str, row)) for row in rows)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+DIGITS = "0123456789"
+SIGN = st.sampled_from(["", "", "+", "-"])
+INTS = st.integers(-(10**12), 10**12).map(str)
+DECIMALS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+EXPONENTS = st.builds(
+    lambda sign, m, e, f: f"{sign}{m}{e}{f}",
+    SIGN, st.text(DIGITS, min_size=1, max_size=4) | st.just("1.5"),
+    st.sampled_from(["e", "E"]), st.integers(-400, 400).map(str),
+)
+UNDERSCORED = st.from_regex(r"[+-]?[0-9](_?[0-9]){0,4}(\.[0-9](_?[0-9]){0,2})?", fullmatch=True)
+NON_ASCII = st.builds(lambda sign, s: sign + s, SIGN, st.text("٠١٢٣٤٥٦٧٨٩０１２３۴५𝟏", min_size=1, max_size=4))
+SPECIAL = st.sampled_from([
+    "nan", "NaN", "-nan", "+nan", "inf", "-inf", "+Infinity", "iNfInItY",
+    "1.", ".5", "-0", "4.9e-324", "1e400", "1_0.5_0",
+])
+NUMBERS = st.one_of(INTS, DECIMALS, EXPONENTS, UNDERSCORED, NON_ASCII, SPECIAL)
+BAD = st.one_of(
+    st.from_regex(r"_[0-9]|[0-9]__[0-9]|[0-9]_|[0-9]_\.[0-9]", fullmatch=True),
+    st.sampled_from(["infinit", "0x10", "1e", "e1", ".", "-", "1\x00", "1,5", "٫5", "1_e5"]),
+    st.text(max_size=4),
+)
+TOKENS = st.one_of(NUMBERS, NUMBERS, NUMBERS, BAD)
+# Python whitespace; the last three are also line breaks to str.splitlines().
+SPACE = st.sampled_from([" "] * 12 + ["  ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1f"])
+
+
+@st.composite
+def bodies(draw):
+    """A trace body as the reader sees it: lines from str.splitlines().
+
+    Half the bodies draw only tokens that float() accepts, so the
+    whole-array path returns a matrix on many of them.
+    """
+    n_channels = draw(st.integers(1, 4))
+    tokens = draw(st.sampled_from([NUMBERS, TOKENS]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.text(" \t\xa0", max_size=3)))
+            continue
+        width = n_channels if kind == "row" else draw(st.integers(0, 6))
+        cells = [draw(tokens) for _ in range(width)]
+        seps = [draw(SPACE) for _ in range(width + 1)]
+        lines.append(seps[0] + "".join(c + s for c, s in zip(cells, seps[1:])))
+    header = ["graspslip-trace v1", "data"][: draw(st.integers(0, 2))]
+    return "\n".join(header + lines).splitlines(), len(header), n_channels
+
+
+@DIFF
+@given(body=bodies())
+def test_parse_rows_matches_per_token_float(body):
+    lines, body_start, n_channels = body
+    got, got_err = outcome(data._parse_rows, "f.txt", lines, body_start, n_channels)
+    want, want_err = outcome(parse_rows_oracle, "f.txt", lines, body_start, n_channels)
+    assert got_err == want_err
+    if want is not None:
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+MATRIX_SHAPES = st.tuples(st.integers(1, 12), st.integers(1, 16))
+INT_ELEMENTS = st.integers(-(10**10), 10**10) | st.integers(-(10**15), 10**15)
+
+
+@DIFF
+@given(matrix=MATRIX_SHAPES.flatmap(lambda shape: arrays(np.int64, shape, elements=INT_ELEMENTS)))
+def test_trace_lines_match_str_join_on_ints(matrix):
+    assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
+
+
+@DIFF
+@given(matrix=MATRIX_SHAPES.flatmap(lambda shape: arrays(
+    np.float64, shape, elements=st.floats(-(10**12), 10**12, allow_nan=False))))
+def test_trace_lines_match_str_join_on_floats(matrix):
+    # Writers pass float64 samples: non-integral values and -0.0 round first.
+    assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
