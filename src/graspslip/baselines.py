@@ -220,10 +220,13 @@ def _load_nb(header, arrays):
 
 
 def _load_knn(header, arrays):
+    k = header["k"]
+    if not _models._is_int(k):  # int() would silently truncate 3.7 to 3
+        raise _models.CheckpointError(f"knn checkpoint 'k' must be an integer, got {k!r}")
     return NearestNeighbors(
         points=arrays["points"],
         labels=arrays["labels"].astype(np.int64),
-        k=int(header["k"]),
+        k=k,
     )
 
 

@@ -37,6 +37,7 @@ from graspslip.ioutil import atomic_write_text, rng_for
 from graspslip.signal import SensorTrace
 
 TRACE_FORMAT = "graspslip-trace v1"
+OUTCOMES = ("success", "failure")
 DIRECTIONS = ("back", "right", "top")
 
 FORCE_CHANNELS = 16
@@ -76,7 +77,7 @@ class GraspSet:
         n = len(traces[0])
         if any(len(t) != n for t in traces):
             raise ValueError("length mismatch across channels")
-        if self.outcome not in ("success", "failure"):
+        if self.outcome not in OUTCOMES:
             raise ValueError(f"outcome must be success|failure, got {self.outcome!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
@@ -579,9 +580,10 @@ def write_pressure_run(run: PressureRun, path) -> None:
 
 
 def _parse_header(path, lines):
+    """(header key -> (line number, value text), line number of 'data')."""
     if not lines or lines[0].strip() != TRACE_FORMAT:
         raise ValueError(f"{path}:1: not a {TRACE_FORMAT} file")
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}
     body_start = None
     for ln, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
@@ -593,7 +595,7 @@ def _parse_header(path, lines):
         parts = stripped.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"{path}:{ln}: malformed header line {stripped!r}")
-        header[parts[0]] = parts[1]
+        header[parts[0]] = (ln, parts[1])
     if body_start is None:
         raise ValueError(f"{path}: missing 'data' section")
     return header, body_start
@@ -627,10 +629,33 @@ def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _require(header: dict, key: str, path) -> str:
+_REQUIRED = object()
+
+
+def _field(path, header: dict, key: str, parse, want: str, ok=lambda v: True, default=_REQUIRED):
+    """Header ``key`` through ``parse``; ``ok`` must accept the result.
+
+    A missing key raises ValueError naming the file unless a default is
+    given; a bad value raises ValueError naming the file and line.
+    """
     if key not in header:
-        raise ValueError(f"{path}: missing header key {key!r}")
-    return header[key]
+        if default is _REQUIRED:
+            raise ValueError(f"{path}: missing header key {key!r}")
+        return default
+    ln, text = header[key]
+    try:
+        value = parse(text)
+    except ValueError:
+        pass
+    else:
+        if ok(value):
+            return value
+    raise ValueError(f"{path}:{ln}: {key} must be {want}, got {text!r}")
+
+
+def _channels_and_freq(path, header: dict, n_channels: int) -> float:
+    _field(path, header, "channels", int, str(n_channels), lambda n: n == n_channels)
+    return _field(path, header, "freq_hz", float, "finite and > 0", lambda f: 0 < f < np.inf)
 
 
 def _traces(matrix: np.ndarray, freq_hz: float, source: str) -> tuple:
@@ -645,24 +670,25 @@ def read_grasp_set(path) -> GraspSet:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, body_start = _parse_header(path, lines)
-    if header.get("kind", "force") != "force":
-        raise ValueError(f"{path}: not a force trace file (kind {header.get('kind')!r})")
-    n_channels = int(_require(header, "channels", path))
-    if n_channels != FORCE_CHANNELS:
-        raise ValueError(f"{path}: expected {FORCE_CHANNELS} channels, got {n_channels}")
-    matrix = _parse_rows(path, lines, body_start, n_channels)
-    freq_hz = float(_require(header, "freq_hz", path))
-    meta = {}
-    for key in ("slip_onset", "drop_step"):
-        if key in header:
-            meta[key] = int(header[key])
+    kind = header.get("kind", (0, "force"))[1]
+    if kind != "force":
+        raise ValueError(f"{path}: not a force trace file (kind {kind!r})")
+    freq_hz = _channels_and_freq(path, header, FORCE_CHANNELS)
+
+    def integer(key, default=_REQUIRED):
+        return _field(path, header, key, int, "an integer", default=default)
+
+    def choice(key, options):
+        return _field(path, header, key, str, f"one of {options}", lambda v: v in options)
+
+    meta = {key: integer(key) for key in ("slip_onset", "drop_step") if key in header}
     return GraspSet(
-        traces=_traces(matrix, freq_hz, "force"),
-        outcome=_require(header, "outcome", path),
-        object_id=int(_require(header, "object", path)),
-        direction=_require(header, "direction", path),
-        weight=int(header.get("weight", 0)),
-        force_level=int(header.get("force_level", 0)),
+        traces=_traces(_parse_rows(path, lines, body_start, FORCE_CHANNELS), freq_hz, "force"),
+        outcome=choice("outcome", OUTCOMES),
+        object_id=integer("object"),
+        direction=choice("direction", DIRECTIONS),
+        weight=integer("weight", 0),
+        force_level=integer("force_level", 0),
         set_id=os.path.splitext(os.path.basename(str(path)))[0],
         meta=meta,
     )
@@ -672,14 +698,13 @@ def read_pressure_run(path) -> PressureRun:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, body_start = _parse_header(path, lines)
-    if header.get("kind") != "pressure":
-        raise ValueError(f"{path}: not a pressure trace file (kind {header.get('kind')!r})")
-    n_channels = int(_require(header, "channels", path))
-    if n_channels != PRESSURE_CHANNELS:
-        raise ValueError(f"{path}: expected {PRESSURE_CHANNELS} channels, got {n_channels}")
-    matrix = _parse_rows(path, lines, body_start, n_channels)
-    freq_hz = float(_require(header, "freq_hz", path))
-    initial = tuple(float(v) for v in _require(header, "initial", path).split())
+    kind = header.get("kind", (0, None))[1]
+    if kind != "pressure":
+        raise ValueError(f"{path}: not a pressure trace file (kind {kind!r})")
+    freq_hz = _channels_and_freq(path, header, PRESSURE_CHANNELS)
+    initial = _field(path, header, "initial", lambda t: tuple(map(float, t.split())),
+                     f"{PRESSURE_CHANNELS} numbers", lambda v: len(v) == PRESSURE_CHANNELS)
+    matrix = _parse_rows(path, lines, body_start, PRESSURE_CHANNELS)
     return PressureRun(traces=_traces(matrix, freq_hz, "pressure"), initial=initial)
 
 
@@ -769,30 +794,16 @@ def convert_csv(
     force_level: int = 0,
 ) -> GraspSet:
     """CSV (one row per step, 16 numeric columns, optional header row) ->
-    trace file. Returns the parsed set for inspection."""
-    rows = []
+    trace file. Returns the set as written: samples rounded to integers."""
     with open(src, "r", encoding="utf-8", newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
-            if not cells:
-                continue
-            if ln == 1:
-                try:
-                    [float(c) for c in cells]
-                except ValueError:
-                    continue  # header row
-            if len(cells) != FORCE_CHANNELS:
-                raise ValueError(
-                    f"{src}:{ln}: expected {FORCE_CHANNELS} channels, got {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise ValueError(f"{src}:{ln}: non-numeric value") from None
-    if not rows:
-        raise ValueError(f"{src}: empty input")
+        lines = [" ".join(row) for row in csv.reader(fh)]
+    try:
+        np.array(lines[0].split() if lines else [], dtype=np.float64)
+    except ValueError:
+        lines[0] = ""  # a header row; the row parser skips blank lines
+    samples = np.rint(_parse_rows(src, lines, 0, FORCE_CHANNELS))
     grasp = GraspSet(
-        traces=_traces(np.asarray(rows, dtype=np.float64), freq_hz, "force"),
+        traces=_traces(samples, freq_hz, "force"),
         outcome=outcome,
         object_id=object_id,
         direction=direction,

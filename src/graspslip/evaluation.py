@@ -154,9 +154,7 @@ def evaluate_model(
             all_ref.append(w.unstable)
             window_rates.append(float(np.mean(pred.unstable == w.unstable)))
             set_pred.append(pred.unstable)
-            by_direction.setdefault(grasp.direction, []).append(
-                float(np.mean(pred.unstable == w.unstable))
-            )
+            by_direction.setdefault(grasp.direction, []).append(window_rates[-1])
         if grasp.outcome == "failure":
             drop = _set_drop_step(grasp, channel)
             if drop is not None:
@@ -226,17 +224,11 @@ def cross_condition_matrix(
     Cells hold step-level success rates; conditions with no train or test
     data yield "n/a" and the run continues.
     """
-    sets = list(sets)
-    if condition == "direction":
-        key = lambda s: s.direction
-    elif condition == "outcome":
-        key = lambda s: s.outcome
-    else:
+    if condition not in ("direction", "outcome"):
         raise ValueError(f"condition must be direction|outcome, got {condition!r}")
-
     groups: dict[str, list] = {}
     for s in sets:
-        groups.setdefault(key(s), []).append(s)
+        groups.setdefault(getattr(s, condition), []).append(s)
     names = sorted(groups)
 
     # Per-condition split so the diagonal is never train-on-train.
@@ -284,22 +276,17 @@ def fit_variant(
 ):
     """Stats from the train split, windows from one channel, then train."""
     variant = variant if isinstance(variant, gmodels.ModelVariant) else gmodels.get_variant(variant)
-    train_sets = list(train_sets)
-    if not train_sets:
+
+    def windows_of(sets):
+        return [w for g in sets for w in gdata.window_batches(g, config.window_len, channel,
+                                                              labels=labels)]
+
+    windows = windows_of(train_sets)
+    if not windows:
         raise ValueError("empty input: no training sets")
-    windows = []
-    for grasp in train_sets:
-        windows.extend(gdata.window_batches(grasp, config.window_len, channel, labels=labels))
-    stats = compute_norm_stats([w.samples for w in windows])
     model = gmodels.GraspModel.build(variant, config)
-    model.stats = stats
-    val_windows = None
-    if val_sets:
-        val_windows = []
-        for grasp in val_sets:
-            val_windows.extend(
-                gdata.window_batches(grasp, config.window_len, channel, labels=labels)
-            )
+    model.stats = compute_norm_stats([w.samples for w in windows])
+    val_windows = windows_of(val_sets) if val_sets else None
     history = gmodels.train(model, windows, config, val_windows=val_windows)
     return model, history
 

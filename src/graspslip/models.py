@@ -250,10 +250,16 @@ class GraspModel:
 
     # -- forward/backward ---------------------------------------------
 
-    def _forward(self, streams: list[np.ndarray]):
-        caches = [nn.lstm_forward_cache(s, p) for s, p in zip(streams, self.lstms)]
+    def _forward_loss(self, features, labels_unstable):
+        """Cached forward pass and the mean cross-entropy over supervised steps."""
+        caches = [nn.lstm_forward_cache(s, p)
+                  for s, p in zip(self._coerce_streams(features), self.lstms)]
         hcat = np.concatenate([c.h_all[1:] for c in caches], axis=1)
-        return caches, hcat, self.head.probs(hcat)
+        probs = self.head.probs(hcat)
+        y = np.asarray(labels_unstable, dtype=np.int64)
+        sup = self._supervised_steps(probs.shape[0])
+        loss = float(np.mean(-np.log(np.maximum(probs[sup, y[sup]], 1e-12))))
+        return caches, hcat, probs, y, sup, loss
 
     def predict(self, features) -> Prediction:
         """Per-step probability of instability plus thresholded flags.
@@ -294,23 +300,20 @@ class GraspModel:
         return np.arange(n)
 
     def loss(self, features, labels_unstable: np.ndarray) -> float:
-        streams = self._coerce_streams(features)
-        y = np.asarray(labels_unstable, dtype=np.int64)
-        _, _, probs = self._forward(streams)
-        sup = self._supervised_steps(probs.shape[0])
-        p_true = probs[sup, y[sup]]
-        return float(np.mean(-np.log(np.maximum(p_true, 1e-12))))
+        return self._forward_loss(features, labels_unstable)[-1]
 
     def loss_and_grads(self, features, labels_unstable: np.ndarray):
-        """Mean cross-entropy over supervised steps and its exact gradient."""
-        streams = self._coerce_streams(features)
-        y = np.asarray(labels_unstable, dtype=np.int64)
-        caches, hcat, probs = self._forward(streams)
-        n = probs.shape[0]
-        sup = self._supervised_steps(n)
-        p_true = probs[sup, y[sup]]
-        loss = float(np.mean(-np.log(np.maximum(p_true, 1e-12))))
+        """Mean cross-entropy over supervised steps and its exact gradient,
+        named as in param_dict(); each LSTM's are views into one dK array."""
+        loss, grads = self._stored_loss_and_grads(features, labels_unstable)
+        for idx in range(len(self.lstms)):
+            dk = grads.pop(f"lstm{idx}")
+            grads.update({f"lstm{idx}.{n}": g for n, g in nn.gate_views(dk).items()})
+        return loss, grads
 
+    def _stored_loss_and_grads(self, features, labels_unstable: np.ndarray):
+        """loss_and_grads() with one gradient per stored array (see _stored)."""
+        caches, hcat, probs, y, sup, loss = self._forward_loss(features, labels_unstable)
         d_logits = np.zeros_like(probs)
         d_logits[sup] = probs[sup]
         d_logits[sup, y[sup]] -= 1.0
@@ -324,29 +327,28 @@ class GraspModel:
         offset = 0
         for idx, (cache, params) in enumerate(zip(caches, self.lstms)):
             hd = params.hidden_dim
-            lstm_grads = nn.lstm_backward(params, cache, d_hcat[:, offset : offset + hd])
-            for gname, g in lstm_grads.items():
-                grads[f"lstm{idx}.{gname}"] = g
+            grads[f"lstm{idx}"] = nn.lstm_backward(params, cache, d_hcat[:, offset : offset + hd])
             offset += hd
         return loss, grads
 
     # -- parameter plumbing -------------------------------------------
 
     def param_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for idx, p in enumerate(self.lstms):
-            for gname, arr in p.arrays().items():
-                out[f"lstm{idx}.{gname}"] = arr
-        out["fc.w"] = self.head.w
-        out["fc.b"] = self.head.b
-        return out
+        """Every parameter by checkpoint name; LSTM gates are live views of K."""
+        gates = {f"lstm{idx}.{g}": a for idx, p in enumerate(self.lstms)
+                 for g, a in nn.gate_views(p.k).items()}
+        return {**gates, "fc.w": self.head.w, "fc.b": self.head.b}
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
+    def _stored(self) -> dict[str, np.ndarray]:
+        """The stored arrays: one kernel ``lstm{i}`` per LSTM, then the head."""
+        kernels = {f"lstm{idx}": p.k for idx, p in enumerate(self.lstms)}
+        return {**kernels, "fc.w": self.head.w, "fc.b": self.head.b}
+
+    def _restore(self, stored: dict[str, np.ndarray]) -> None:
         for idx, p in enumerate(self.lstms):
-            for gname in p.arrays():
-                setattr(p, gname, params[f"lstm{idx}.{gname}"])
-        self.head.w = params["fc.w"]
-        self.head.b = params["fc.b"]
+            p.k = stored[f"lstm{idx}"]
+        self.head.w = stored["fc.w"]
+        self.head.b = stored["fc.b"]
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.param_dict().items()}
@@ -406,15 +408,15 @@ def train(
         order = rng.permutation(len(windows))
         losses = np.empty(len(windows))
         for step, wi in enumerate(order):
-            loss, grads = model.loss_and_grads(feats[wi], ys[wi])
+            loss, grads = model._stored_loss_and_grads(feats[wi], ys[wi])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"diverged: non-finite loss at epoch {epoch}, step {step}"
                 )
             if config.clip_norm:
                 grads = nn.clip_gradients(grads, config.clip_norm)
-            new_params, opt = nn.adam_step(model.param_dict(), grads, opt)
-            model.set_params(new_params)
+            new_params, opt = nn.adam_step(model._stored(), grads, opt)
+            model._restore(new_params)
             losses[step] = loss
 
         record = EpochRecord(epoch=epoch, mean_loss=float(losses.mean()))
@@ -424,7 +426,7 @@ def train(
             record.val_success = hit / sum(y.size for y in val_ys)
             if record.val_success > best_success:
                 best_success = record.val_success
-                best_params = model.copy_params()
+                best_params = {k: v.copy() for k, v in model._stored().items()}
                 stale = 0
             else:
                 stale += 1
@@ -433,7 +435,7 @@ def train(
             break
 
     if best_params is not None:
-        model.set_params(best_params)
+        model._restore(best_params)
     return history
 
 
@@ -574,7 +576,7 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
 
     expected = {"fc.w": (2, hd * variant.n_streams), "fc.b": (2,)}
     for idx, dim in enumerate(variant.stream_dims):
-        for g in LstmParams.GATE_NAMES:
+        for g in nn.GATE_NAMES:
             expected[f"lstm{idx}.w_{g}"] = (hd, dim + hd)
             expected[f"lstm{idx}.b_{g}"] = (hd,)
     got = {name: a.shape for name, a in arrays.items()}
@@ -582,8 +584,8 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
         raise CheckpointError(f"arrays {got} do not match variant {variant.tag} at "
                               f"hidden_dim {hd}: expected {expected}")
     lstms = [
-        LstmParams(**{f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
-                      for w in "wb" for g in LstmParams.GATE_NAMES})
+        LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
+                               for w in "wb" for g in nn.GATE_NAMES})
         for idx in range(variant.n_streams)
     ]
     return GraspModel(

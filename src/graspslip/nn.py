@@ -1,14 +1,16 @@
 """Sequence-model numerics in plain numpy, double precision throughout.
 
-LSTM cell, gate order i, f, o, g, over the row z_t = [x_t; h_{t-1}; 1]:
-    a = [W | b] z_t
+LSTM cell, gate order i, f, o, g, over z_t = [x_t, h_{t-1}, 1]:
+    a = z_t K,  K = [W_x; W_h; b]  (D+H+1, 4H), the stored ``LstmParams.k``
     i, f, o = sigmoid(a_{i,f,o}),  g = tanh(a_g)
     c' = f * c + i * g,  h' = o * tanh(c')
 
-Every forward pass runs one folded kernel, ``lstm_cell``. Its matrix
-K = [W | b] (``LstmParams.kernel``) has the i/f/o rows scaled by -1, an
-exact power of two, so one product u = z_t K^T gives all four gates'
-pre-activations, one exp/add/reciprocal pass over 3H,
+Every forward pass runs one folded kernel, ``lstm_cell``, on a working
+copy of K^T (``LstmParams.cell_kernel``, taken once per pass) whose i/f/o
+rows are scaled by -1, an exact power of two. A batch is laid out by
+columns, z (D+H+1, B) and state (H, B), so one product u = K^T z gives
+all four gates' pre-activations as four contiguous (H, B) blocks, and one
+exp/add/reciprocal pass over the first 3H rows,
 
     i|f|o = 1 / (1 + exp(u_{i,f,o})),
 
@@ -47,28 +49,36 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+GATE_NAMES = ("i", "f", "o", "g")
+
+
+def gate_views(k: np.ndarray) -> dict[str, np.ndarray]:
+    """Live per-gate views of a (D+H+1, 4H) kernel or of its gradient.
+
+    ``w_{g}`` is the (H, D+H) weight over [x; h] and ``b_{g}`` the (H,)
+    bias of gate g; writing to a view writes to ``k``.
+    """
+    hd = k.shape[1] // 4
+    cols = [k[:, j * hd : (j + 1) * hd] for j in range(4)]
+    return {**{f"w_{g}": c[:-1].T for g, c in zip(GATE_NAMES, cols)},
+            **{f"b_{g}": c[-1] for g, c in zip(GATE_NAMES, cols)}}
+
+
 @dataclass
 class LstmParams:
-    """Gate weights over the concatenated [input; hidden] vector."""
+    """One LSTM's kernel K = [W_x; W_h; b], (D+H+1, 4H), gate columns
+    i, f, o, g; stored un-negated and C-contiguous, so z_t K and the
+    recurrent rows K[D:D+H] read whole rows."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
-
-    GATE_NAMES = ("i", "f", "o", "g")
+    k: np.ndarray
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_i.shape[0]
+        return self.k.shape[1] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.w_i.shape[1] - self.w_i.shape[0]
+        return self.k.shape[0] - self.hidden_dim - 1
 
     @classmethod
     def init(
@@ -79,59 +89,54 @@ class LstmParams:
         scale: float = 0.08,
         zeros: bool = False,
     ) -> "LstmParams":
-        """Biases start at zero; weights uniform in [-scale, scale] unless
-        ``zeros`` asks for the literal all-zero initialization."""
+        """Biases start at zero; weights uniform in [-scale, scale], drawn
+        gate by gate as (H, D+H) arrays, unless ``zeros`` asks for the
+        literal all-zero initialization."""
         shape = (hidden_dim, input_dim + hidden_dim)
+        return cls.from_gates({
+            **{f"w_{g}": np.zeros(shape) if zeros else rng.uniform(-scale, scale, size=shape)
+               for g in GATE_NAMES},
+            **{f"b_{g}": np.zeros(hidden_dim) for g in GATE_NAMES},
+        })
 
-        def w():
-            if zeros:
-                return np.zeros(shape)
-            return rng.uniform(-scale, scale, size=shape)
+    @classmethod
+    def from_gates(cls, arrays: dict[str, np.ndarray]) -> "LstmParams":
+        """Build K from the gate arrays ``w_i .. w_g`` (H, D+H) and ``b_i .. b_g`` (H,)."""
+        hd, width = arrays["w_i"].shape
+        k = np.empty((width + 1, 4 * hd))
+        for name, view in gate_views(k).items():
+            view[...] = arrays[name]
+        return cls(k)
 
-        return cls(
-            w_i=w(), w_f=w(), w_o=w(), w_g=w(),
-            b_i=np.zeros(hidden_dim), b_f=np.zeros(hidden_dim),
-            b_o=np.zeros(hidden_dim), b_g=np.zeros(hidden_dim),
-        )
-
-    def kernel(self) -> np.ndarray:
-        """The folded (4H, D+H+1) matrix [W | b], gate rows i, f, o, g,
-        with the i, f, o rows negated for ``lstm_cell``."""
-        w = np.concatenate([self.w_i, self.w_f, self.w_o, self.w_g], axis=0)
-        b = np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g])
-        k = np.concatenate([w, b[:, None]], axis=1)
+    def cell_kernel(self) -> np.ndarray:
+        """The (4H, D+H+1) matrix ``lstm_cell`` takes: K^T, i, f, o rows negated."""
+        k = self.k.T.copy()
         k[: 3 * self.hidden_dim] *= -1.0
         return k
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "w_i": self.w_i, "w_f": self.w_f, "w_o": self.w_o, "w_g": self.w_g,
-            "b_i": self.b_i, "b_f": self.b_f, "b_o": self.b_o, "b_g": self.b_g,
-        }
-
 
 def lstm_cell(z, k, c, gates, c_out, tanh_c, h_out) -> None:
-    """One gated update of a (B, H) state, written into caller buffers.
+    """One gated update of an (H, B) state, written into caller buffers.
 
-    ``z`` holds the (B, D+H+1) rows [x_t, h_{t-1}, 1] and ``k`` is
-    ``LstmParams.kernel()``. Writes the gates i|f|o|g into ``gates``
-    (B, 4H), c' into ``c_out``, tanh(c') into ``tanh_c`` and h' into
-    ``h_out`` (all (B, H)); ``h_out`` may be the h slot of the next z row
-    and ``c_out`` may be ``c``. B = 1 may drop its axis: a (D+H+1,) row
+    ``z`` holds the (D+H+1, B) columns [x_t; h_{t-1}; 1] and ``k`` is
+    ``LstmParams.cell_kernel()``. Writes the gates i|f|o|g into ``gates``
+    (4H, B), c' into ``c_out``, tanh(c') into ``tanh_c`` and h' into
+    ``h_out`` (all (H, B)); ``h_out`` may be the h slot of the next z
+    and ``c_out`` may be ``c``. B = 1 may drop its axis: a (D+H+1,) z
     and (4H,) / (H,) buffers. |h'| < 1 by construction.
     """
-    hd = c.shape[-1]
-    np.matmul(z, k.T, out=gates)
-    ifo, g = gates[..., : 3 * hd], gates[..., 3 * hd :]
+    hd = c.shape[0]
+    np.matmul(k, z, out=gates)
+    ifo, g = gates[: 3 * hd], gates[3 * hd :]
     np.exp(ifo, out=ifo)
     ifo += 1.0
     np.reciprocal(ifo, out=ifo)
     np.tanh(g, out=g)
-    np.multiply(gates[..., :hd], g, out=tanh_c)
-    np.multiply(gates[..., hd : 2 * hd], c, out=c_out)
+    np.multiply(gates[:hd], g, out=tanh_c)
+    np.multiply(gates[hd : 2 * hd], c, out=c_out)
     c_out += tanh_c
     np.tanh(c_out, out=tanh_c)
-    np.multiply(gates[..., 2 * hd : 3 * hd], tanh_c, out=h_out)
+    np.multiply(gates[2 * hd : 3 * hd], tanh_c, out=h_out)
 
 
 def _check_input(x: np.ndarray, params: LstmParams) -> None:
@@ -142,15 +147,15 @@ def _check_input(x: np.ndarray, params: LstmParams) -> None:
         raise ValueError(f"input dimension mismatch: expected {d}, got {x.shape[-1]}")
 
 
-def _z_rows(x: np.ndarray, hidden_dim: int) -> np.ndarray:
-    """(n, ..., D) inputs -> (n+1, ..., D+H+1) rows [x_t, 0, 1]; row n has no x.
+def _z_steps(x: np.ndarray, hidden_dim: int) -> np.ndarray:
+    """(n, D, ...) inputs -> (n+1, D+H+1, ...) z_t = [x_t; 0; 1]; z_n has no x.
 
-    Step t reads row t and writes h_t into the h slot of row t+1.
+    Step t reads z_t and writes h_t into the h slot of z_{t+1}.
     """
-    d = x.shape[-1]
-    z = np.zeros((x.shape[0] + 1,) + x.shape[1:-1] + (d + hidden_dim + 1,))
-    z[:-1, ..., :d] = x
-    z[..., -1] = 1.0
+    d = x.shape[1]
+    z = np.zeros((x.shape[0] + 1, d + hidden_dim + 1) + x.shape[2:])
+    z[:-1, :d] = x
+    z[:, -1] = 1.0
     return z
 
 
@@ -180,8 +185,8 @@ def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
         raise ValueError("empty sequence")
     _check_input(x, params)
     n, d, hd = x.shape[0], x.shape[1], params.hidden_dim
-    k = params.kernel()
-    z = _z_rows(x, hd)
+    k = params.cell_kernel()
+    z = _z_steps(x, hd)
     c_all = np.zeros((n + 1, hd))
     gates = np.empty((n, 4 * hd))
     tanh_c = np.empty((n, hd))
@@ -195,7 +200,7 @@ def lstm_hidden(seqs: np.ndarray, params: LstmParams) -> np.ndarray:
     """(B, n, D) sequences -> (B, n, H) hidden states, all from the zero state.
 
     The forward pass without a cache: the B sequences advance together,
-    one (B, H) cell update per time step.
+    one (H, B) cell update per time step.
     """
     x = np.asarray(seqs, dtype=np.float64)
     if x.ndim != 3:
@@ -203,25 +208,24 @@ def lstm_hidden(seqs: np.ndarray, params: LstmParams) -> np.ndarray:
     _check_input(x, params)
     bsz, n, d = x.shape
     hd = params.hidden_dim
-    k = params.kernel()
-    z = _z_rows(x.transpose(1, 0, 2), hd)  # (n+1, B, D+H+1): one block per step
-    c = np.zeros((bsz, hd))
-    gates = np.empty((bsz, 4 * hd))
-    tanh_c = np.empty((bsz, hd))
+    k = params.cell_kernel()
+    z = _z_steps(x.transpose(1, 2, 0), hd)  # (n+1, D+H+1, B): one block per step
+    c = np.zeros((hd, bsz))
+    gates = np.empty((4 * hd, bsz))
+    tanh_c = np.empty((hd, bsz))
     with np.errstate(over="ignore"):
         for t in range(n):
-            lstm_cell(z[t], k, c, gates, c, tanh_c, z[t + 1, :, d : d + hd])
-    return z[1:, :, d : d + hd].transpose(1, 0, 2)
+            lstm_cell(z[t], k, c, gates, c, tanh_c, z[t + 1, d : d + hd])
+    return z[1:, d : d + hd].transpose(2, 0, 1)
 
 
-def lstm_backward(
-    params: LstmParams, cache: LstmCache, d_h_ext: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact BPTT given the upstream per-step gradient on h.
+def lstm_backward(params: LstmParams, cache: LstmCache, d_h_ext: np.ndarray) -> np.ndarray:
+    """Exact BPTT given the upstream per-step gradient on h; returns dK.
 
-    The gate-derivative factors that do not depend on the carried
-    gradient are computed for all steps at once; the loop keeps only the
-    carries, the d_gate_pre row and the recurrent product.
+    dK has K's (D+H+1, 4H) layout (``gate_views`` names its parts). The
+    gate-derivative factors that do not depend on the carried gradient are
+    computed for all steps at once; the loop keeps only the carries, the
+    d_gate_pre row and the recurrent product with the rows K[D:D+H].
     """
     n = cache.n_steps
     d, hd = params.input_dim, params.hidden_dim
@@ -231,7 +235,7 @@ def lstm_backward(
     fac = np.stack([g * i * (1.0 - i), cache.c_all[:-1] * f * (1.0 - f),
                     tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
     dc_dh = o * (1.0 - tc * tc)
-    wh = np.concatenate([params.w_i, params.w_f, params.w_o, params.w_g])[:, d:]
+    wh = params.k[d : d + hd]
 
     d_gate_pre = np.empty((n, 4, hd))
     dh_carry = np.zeros(hd)
@@ -243,17 +247,10 @@ def lstm_backward(
         np.multiply(fac[t, :2], dc, out=row[:2])
         np.multiply(fac[t, 2], dh, out=row[2])
         np.multiply(fac[t, 3], dc, out=row[3])
-        dh_carry = row.reshape(-1) @ wh
+        dh_carry = wh @ row.reshape(-1)
         dc_carry = dc * f[t]
 
-    dk = d_gate_pre.reshape(n, 4 * hd).T @ cache.z[:-1]  # [dW | db]
-    dw, db = dk[:, :-1], dk[:, -1]
-    return {
-        "w_i": dw[:hd], "w_f": dw[hd : 2 * hd],
-        "w_o": dw[2 * hd : 3 * hd], "w_g": dw[3 * hd :],
-        "b_i": db[:hd], "b_f": db[hd : 2 * hd],
-        "b_o": db[2 * hd : 3 * hd], "b_g": db[3 * hd :],
-    }
+    return cache.z[:-1].T @ d_gate_pre.reshape(n, 4 * hd)
 
 
 @dataclass
@@ -280,9 +277,6 @@ class FcHead:
         else:
             w = rng.uniform(-scale, scale, size=(2, in_dim))
         return cls(w=w, b=np.zeros(2))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
 
     def probs(self, h: np.ndarray) -> np.ndarray:
         """(..., in_dim) hidden rows -> (..., 2) class probabilities."""
@@ -343,11 +337,12 @@ def grad_check(model, features, labels, eps: float = 1e-5) -> float:
 
     ``model`` must expose param_dict(), loss(features, labels) and
     loss_and_grads(features, labels). Parameters are perturbed in place
-    and restored. The denominator is floored at 1e-6: below that the
-    difference quotient itself carries ~1e-11 float64 roundoff, so tinier
-    components are effectively compared absolutely (a wrong derivative
-    still shows up as an O(1) ratio). A model with no parameters checks
-    out at 0 by convention.
+    through the arrays param_dict() returns, which must be the model's
+    storage or live views of it, and restored. The denominator is floored
+    at 1e-6: below that the difference quotient itself carries ~1e-11
+    float64 roundoff, so tinier components are effectively compared
+    absolutely (a wrong derivative still shows up as an O(1) ratio). A
+    model with no parameters checks out at 0 by convention.
     """
     params = model.param_dict()
     if not params:
@@ -355,16 +350,17 @@ def grad_check(model, features, labels, eps: float = 1e-5) -> float:
     _, analytic = model.loss_and_grads(features, labels)
     worst = 0.0
     for name, arr in params.items():
-        flat = arr.ravel()
-        g_flat = np.asarray(analytic[name]).ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
+        grad = np.asarray(analytic[name])
+        # Index through the array itself: ravel() of a strided view copies,
+        # and writes to the copy would never reach the model.
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
             lo_hi = model.loss(features, labels)
-            flat[idx] = orig - eps
+            arr[idx] = orig - eps
             lo_lo = model.loss(features, labels)
-            flat[idx] = orig
+            arr[idx] = orig
             numeric = (lo_hi - lo_lo) / (2.0 * eps)
-            rel = abs(g_flat[idx] - numeric) / max(abs(g_flat[idx]), abs(numeric), 1e-6)
+            rel = abs(grad[idx] - numeric) / max(abs(grad[idx]), abs(numeric), 1e-6)
             worst = max(worst, rel)
     return worst

@@ -96,18 +96,18 @@ class StreamingPredictor:
             raise ValueError("n_channels must be >= 1")
         self.model = model
         self.n_channels = n_channels
-        self._kernels = [p.kernel() for p in model.lstms]
+        self._kernels = [p.cell_kernel() for p in model.lstms]
         self.reset()
 
     def reset(self) -> None:
         n = self.n_channels
         self._ring = np.empty((n, self.model.stft_window))
         self._started = np.zeros(n, dtype=bool)
-        # Per LSTM: the (C, D+H+1) rows [x_t, h, 1] whose h slot holds the
+        # Per LSTM: the (D+H+1, C) columns [x_t; h; 1] whose h slot holds the
         # state, the cell state, and the gate and tanh(c') buffers.
         self._cells = [
-            (np.hstack([np.zeros((n, p.input_dim + p.hidden_dim)), np.ones((n, 1))]),
-             np.zeros((n, p.hidden_dim)), np.empty((n, 4 * p.hidden_dim)), np.empty((n, p.hidden_dim)))
+            (np.vstack([np.zeros((p.input_dim + p.hidden_dim, n)), np.ones((1, n))]),
+             np.zeros((p.hidden_dim, n)), np.empty((4 * p.hidden_dim, n)), np.empty((p.hidden_dim, n)))
             for p in self.model.lstms
         ]
 
@@ -131,17 +131,17 @@ class StreamingPredictor:
                 m.variant.features(self._ring), self._kernels, self._cells
             ):
                 d = vec.shape[1]
-                h = z[:, d:-1]
-                z[:, :d] = vec
+                h = z[d:-1]
+                z[:d] = vec.T
                 nn.lstm_cell(z, k, c, gates, c, tanh_c, h)
                 hs.append(h)
-        p_unstable = m.head.probs(np.concatenate(hs, axis=1))[:, CLASS_UNSTABLE]
+        p_unstable = m.head.probs(np.concatenate(hs).T)[:, CLASS_UNSTABLE]
         if bad.any():
             p_unstable[bad] = np.nan
             self._started[bad] = False
             for h, (_, c, _, _) in zip(hs, self._cells):
-                h[bad] = 0.0
-                c[bad] = 0.0
+                h[:, bad] = 0.0
+                c[:, bad] = 0.0
         return p_unstable, ~(p_unstable < m.threshold)
 
     def push(self, sample: float) -> tuple[float, bool]:

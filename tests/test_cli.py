@@ -329,6 +329,23 @@ def test_eval_nonfinite_freq_dataset_exits_1(tmp_path, dataset_dir, trained_dir,
     assert "freq_hz must be finite" in capsys.readouterr().err
 
 
+def test_eval_bad_header_value_exits_1_naming_the_file(tmp_path, dataset_dir, trained_dir,
+                                                        capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    text = (dataset_dir / "set_0000.txt").read_text()
+    assert "\nobject " in text
+    lines = text.splitlines()
+    ln = next(i for i, line in enumerate(lines, start=1) if line.startswith("object "))
+    lines[ln - 1] = "object x"
+    (ds / "set_0000.txt").write_text("\n".join(lines) + "\n")
+    assert run(
+        "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+        "--data", str(ds), "--out", str(tmp_path / "o"),
+    ) == 1
+    assert f"set_0000.txt:{ln}: object must be an integer, got 'x'" in capsys.readouterr().err
+
+
 # -- cross-eval -------------------------------------------------------------------
 
 

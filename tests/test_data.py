@@ -525,6 +525,40 @@ def test_read_rejects_nonfinite_freq(tmp_path, freq):
             reader(path)
 
 
+def _with_header_value(path, key, value):
+    """Rewrite header ``key`` of a trace file to ``value``; return its line number."""
+    lines = path.read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines[: lines.index("data")], start=1)
+              if line.split()[0] == key)
+    lines[ln - 1] = f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    return ln
+
+
+@pytest.mark.parametrize("key, value", [
+    ("freq_hz", "abc"), ("object", "x"), ("freq_hz", "inf"), ("channels", "15"),
+    ("channels", "x"), ("outcome", "maybe"), ("direction", "up"), ("slip_onset", "1.5"),
+])
+def test_read_grasp_set_names_line_of_bad_header_value(tmp_path, key, value):
+    path = tmp_path / "g.txt"
+    write_grasp_set(synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)), path)
+    ln = _with_header_value(path, key, value)
+    with pytest.raises(ValueError, match=rf"g\.txt:{ln}: {key} must be .*, got '{value}'"):
+        read_grasp_set(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("freq_hz", "abc"), ("freq_hz", "inf"), ("channels", "16"), ("initial", "1 2 x 4"),
+    ("initial", "1 2 3"),
+])
+def test_read_pressure_run_names_line_of_bad_header_value(tmp_path, key, value):
+    path = tmp_path / "p.txt"
+    write_pressure_run(synth_pressure_run(0, n_steps=100), path)
+    ln = _with_header_value(path, key, value)
+    with pytest.raises(ValueError, match=rf"p\.txt:{ln}: {key} must be .*, got '{value}'"):
+        read_pressure_run(path)
+
+
 # -- trace files ------------------------------------------------------------------------
 
 
@@ -675,6 +709,21 @@ def test_convert_csv_without_header(tmp_path):
     src.write_text("\n".join(",".join(str(v) for v in row) for row in matrix) + "\n")
     g = convert_csv(src, tmp_path / "out.txt")
     np.testing.assert_array_equal(g.as_matrix(), matrix)
+
+
+def test_convert_csv_returns_the_rounded_samples_it_writes(tmp_path):
+    src = tmp_path / "raw.csv"
+    src.write_text("\n".join([",".join(["1000.5"] * 16)] * 3) + "\n")
+    g = convert_csv(src, tmp_path / "out.txt")
+    np.testing.assert_array_equal(g.as_matrix(), np.full((3, 16), 1000.0))
+    np.testing.assert_array_equal(read_grasp_set(tmp_path / "out.txt").as_matrix(), g.as_matrix())
+
+
+def test_convert_csv_names_bad_line(tmp_path):
+    src = tmp_path / "raw.csv"
+    src.write_text(",".join(f"ch{i}" for i in range(16)) + "\n" + ",".join(["1"] * 15 + ["x"]) + "\n")
+    with pytest.raises(ValueError, match=r"raw\.csv:2: non-numeric value"):
+        convert_csv(src, tmp_path / "out.txt")
 
 
 def test_convert_csv_bad_width(tmp_path):

@@ -290,10 +290,10 @@ def test_c_with_zero_force_column_embeds_b(rng):
     # dropping C's force input column must reproduce a pure band model;
     # pins the wiring order (bands occupy columns 0..9, force column 10).
     c = small_model("C", seed=11)
-    b_lstm = nn.LstmParams(
-        **{
+    b_lstm = nn.LstmParams.from_gates(
+        {
             name: (np.delete(arr, 10, axis=1) if name.startswith("w") else arr.copy())
-            for name, arr in c.lstms[0].arrays().items()
+            for name, arr in nn.gate_views(c.lstms[0].k).items()
         }
     )
     b = GraspModel(get_variant("B"), [b_lstm], c.head, stats=UNIT_STATS)
@@ -346,6 +346,33 @@ def test_last_step_gradients_also_pass(rng):
     feats = m.featurize(rng.uniform(0.1, 0.9, size=30))
     y = rng.integers(0, 2, size=30)
     assert nn.grad_check(m, feats, y) < 1e-4
+
+
+def test_param_dict_writes_reach_the_model(rng):
+    # grad_check perturbs parameters in place through param_dict().
+    m = small_model("D", lstm_units=3, seed=5)
+    feats = m.featurize(rng.uniform(0.1, 0.9, size=30))
+    before = m.predict(feats).p_unstable
+    for name in ("lstm0.w_f", "lstm1.b_g"):
+        m.param_dict()[name][0] += 0.5
+        after = m.predict(feats).p_unstable
+        assert not np.array_equal(after, before), name
+        before = after
+
+
+def test_named_grads_are_views_of_stored_grads(rng):
+    m = small_model("D", lstm_units=3, seed=5)
+    feats = m.featurize(rng.uniform(0.1, 0.9, size=30))
+    y = rng.integers(0, 2, size=30)
+    loss, named = m.loss_and_grads(feats, y)
+    stored_loss, stored = m._stored_loss_and_grads(feats, y)
+    assert loss == stored_loss
+    assert list(stored) == ["fc.w", "fc.b", "lstm0", "lstm1"]
+    assert named.keys() == m.param_dict().keys()
+    for idx in range(2):
+        assert stored[f"lstm{idx}"].shape == m.lstms[idx].k.shape
+        for gname, g in nn.gate_views(stored[f"lstm{idx}"]).items():
+            np.testing.assert_array_equal(named[f"lstm{idx}.{gname}"], g)
 
 
 # -- training -------------------------------------------------------------------
@@ -464,6 +491,21 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     np.testing.assert_array_equal(
         m.predict_samples(x).p_unstable, again.predict_samples(x).p_unstable
     )
+
+
+def test_checkpoint_bytes_unchanged(tmp_path):
+    """Digests of seeded A-D checkpoints written when LstmParams held eight
+    gate arrays; storing one kernel per LSTM must not change a byte."""
+    digest = {}
+    for tag in "ABCD":
+        save_checkpoint(small_model(tag, stats=NormStats(0.0, 3000.0)), tmp_path / f"{tag}.gslp")
+        digest[tag] = hashlib.sha256((tmp_path / f"{tag}.gslp").read_bytes()).hexdigest()
+    assert digest == {
+        "A": "4003e24bbd6fe707553d518da307d9ccc8befae73604674b82e0dc333634ac2f",
+        "B": "403ef537d1fa74d8b71b1e9a41adce078421ddb3aff19bb51285fa192246481a",
+        "C": "118d164679a1510fdaf1c2c4eb2e11ffd664925a21dff75cfef3669469440319",
+        "D": "11c340e677ca25c9429ee701555370497e6c36d34ec32bb150d5c2aa74c3fe9f",
+    }
 
 
 def test_checkpoint_without_stats(tmp_path):
@@ -611,9 +653,18 @@ def test_baseline_checkpoint_missing_field_is_checkpoint_error(tmp_path):
 
 
 def test_baseline_checkpoint_infinite_field_is_checkpoint_error(tmp_path):
-    # json writes float("inf") as Infinity and reads it back; int() of it overflows.
+    # json writes float("inf") as Infinity and reads it back as a float.
     path = tmp_path / "model.gslp"
     models.write_blob(path, {"kind": "knn", "k": float("inf")},
                       [("points", np.zeros((2, 3))), ("labels", np.zeros(2))])
-    with pytest.raises(models.CheckpointError, match="OverflowError"):
+    with pytest.raises(models.CheckpointError, match="'k' must be an integer, got inf"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("k", [3.7, 3.0, True, "3", None])
+def test_baseline_checkpoint_non_integer_k_is_checkpoint_error(tmp_path, k):
+    path = tmp_path / "model.gslp"
+    models.write_blob(path, {"kind": "knn", "k": k},
+                      [("points", np.zeros((4, 3))), ("labels", np.zeros(4))])
+    with pytest.raises(models.CheckpointError, match="'k' must be an integer"):
         load_checkpoint(path)

@@ -24,16 +24,15 @@ def kernel_gates(a):
 
     One input unit, one hidden unit, and every gate wired to a = x.
     """
-    one = np.ones((1, 2))
-    p = nn.LstmParams(w_i=one, w_f=one, w_o=one, w_g=one,
-                      b_i=np.zeros(1), b_f=np.zeros(1), b_o=np.zeros(1), b_g=np.zeros(1))
+    p = nn.LstmParams.from_gates({**{f"w_{g}": np.ones((1, 2)) for g in nn.GATE_NAMES},
+                                  **{f"b_{g}": np.zeros(1) for g in nn.GATE_NAMES}})
     a = np.asarray(a, dtype=np.float64)
-    z = np.stack([a, np.zeros_like(a), np.ones_like(a)], axis=1)
-    gates = np.empty((a.size, 4))
-    c, tc, h = (np.zeros((a.size, 1)) for _ in range(3))
+    z = np.stack([a, np.zeros_like(a), np.ones_like(a)])
+    gates = np.empty((4, a.size))
+    c, tc, h = (np.zeros((1, a.size)) for _ in range(3))
     with np.errstate(over="ignore"):
-        nn.lstm_cell(z, p.kernel(), c, gates, c, tc, h)
-    return gates
+        nn.lstm_cell(z, p.cell_kernel(), c, gates, c, tc, h)
+    return gates.T
 
 
 def test_sigmoid_extremes_are_stable():
@@ -82,30 +81,52 @@ def test_softmax_extreme_logits_finite():
 
 def test_lstm_params_shapes():
     p = make_params(3, 4)
-    assert p.w_i.shape == (4, 7)
-    assert p.b_g.shape == (4,)
+    assert p.k.shape == (8, 16) and p.k.flags.c_contiguous
+    gates = nn.gate_views(p.k)
+    assert gates["w_i"].shape == (4, 7)
+    assert gates["b_g"].shape == (4,)
     assert p.input_dim == 3 and p.hidden_dim == 4
-    p.b_o = np.arange(4.0)
-    k = p.kernel()
-    assert k.shape == (16, 8)
-    np.testing.assert_array_equal(k[:4, :7], -p.w_i)
-    np.testing.assert_array_equal(k[8:12, 7], -p.b_o)
-    np.testing.assert_array_equal(k[12:, :7], p.w_g)
+    gates["b_o"][...] = np.arange(4.0)  # a live view: the write lands in K
+    np.testing.assert_array_equal(p.k[7, 8:12], np.arange(4.0))
+    k = p.cell_kernel()
+    assert k.shape == (16, 8) and k.flags.c_contiguous
+    np.testing.assert_array_equal(k[:4, :7], -gates["w_i"])
+    np.testing.assert_array_equal(k[8:12, 7], -gates["b_o"])
+    np.testing.assert_array_equal(k[12:, :7], gates["w_g"])
+    np.testing.assert_array_equal(p.k[:, 12:], k[12:].T)  # K itself stays un-negated
+    assert not np.shares_memory(k, p.k)
 
 
 def test_lstm_params_zero_biases():
     p = make_params()
     for name in ("b_i", "b_f", "b_o", "b_g"):
-        np.testing.assert_array_equal(getattr(p, name), 0.0)
+        np.testing.assert_array_equal(nn.gate_views(p.k)[name], 0.0)
+
+
+def test_lstm_params_from_gates_round_trips():
+    p = make_params(3, 4, seed=5)
+    again = nn.LstmParams.from_gates({n: a.copy() for n, a in nn.gate_views(p.k).items()})
+    np.testing.assert_array_equal(again.k, p.k)
+    assert again.k.flags.c_contiguous
+
+
+def test_lstm_params_init_draws_gates_in_order():
+    """Seeded init draws i, f, o, g as (H, D+H) arrays, as checkpoints expect."""
+    rng = np.random.default_rng(4)
+    want = [rng.uniform(-0.4, 0.4, size=(4, 7)) for _ in nn.GATE_NAMES]
+    gates = nn.gate_views(make_params(3, 4, seed=4).k)
+    for g, w in zip(nn.GATE_NAMES, want):
+        np.testing.assert_array_equal(gates[f"w_{g}"], w)
 
 
 def step_cell(x, h, c, p):
-    """One lstm_cell update of a (B, H) state from raw (B, D) inputs."""
-    z = np.concatenate([x, h, np.ones((x.shape[0], 1))], axis=1)
-    gates = np.empty((x.shape[0], 4 * p.hidden_dim))
-    h_new, c_new, tc = np.empty_like(h), np.empty_like(c), np.empty_like(c)
-    nn.lstm_cell(z, p.kernel(), c, gates, c_new, tc, h_new)
-    return h_new, c_new
+    """One lstm_cell update of a (B, H) state from raw (B, D) inputs; the
+    cell itself works on (H, B) columns."""
+    z = np.concatenate([x, h, np.ones((x.shape[0], 1))], axis=1).T
+    gates = np.empty((4 * p.hidden_dim, x.shape[0]))
+    h_new, c_new, tc = np.empty_like(h.T), np.empty_like(c.T), np.empty_like(c.T)
+    nn.lstm_cell(z, p.cell_kernel(), c.T, gates, c_new, tc, h_new)
+    return h_new.T, c_new.T
 
 
 def test_lstm_cell_dim_mismatch():
@@ -163,7 +184,7 @@ def saturated_params():
     """
     p = nn.LstmParams.init(1, 2, None, zeros=True)
     for name, sign in zip(("b_i", "b_f", "b_o", "b_g"), (1.0, -1.0, 1.0, -1.0)):
-        setattr(p, name, np.array([sign, -sign]) * 1e3)
+        nn.gate_views(p.k)[name][...] = np.array([sign, -sign]) * 1e3
     return p
 
 
@@ -211,7 +232,7 @@ class _BareLstm:
         self.weights = weights
 
     def param_dict(self):
-        return self.params.arrays()
+        return nn.gate_views(self.params.k)
 
     def loss(self, features, labels):
         cache = nn.lstm_forward_cache(features, self.params)
@@ -220,7 +241,7 @@ class _BareLstm:
     def loss_and_grads(self, features, labels):
         cache = nn.lstm_forward_cache(features, self.params)
         loss = float(np.sum(self.weights * cache.h_all[1:]))
-        return loss, nn.lstm_backward(self.params, cache, self.weights)
+        return loss, nn.gate_views(nn.lstm_backward(self.params, cache, self.weights))
 
 
 def test_lstm_backward_matches_finite_differences(rng):
