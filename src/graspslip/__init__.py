@@ -1,8 +1,8 @@
 """Grasp-slip prediction from force/pressure time series.
 
 Causal short-time Fourier features feed an LSTM classifier implemented in
-plain numpy; the package also ships classical baselines, a synthetic trace
-generator, evaluation metrics, and a streaming inference simulator.
+plain numpy; the package also ships a synthetic trace generator,
+evaluation metrics, and a streaming inference simulator.
 """
 
 from graspslip.signal import (
@@ -10,7 +10,6 @@ from graspslip.signal import (
     NormStats,
     stft_window,
     band_magnitudes,
-    downsample,
 )
 from graspslip.models import (
     ModelVariant,
@@ -30,7 +29,6 @@ __all__ = [
     "NormStats",
     "stft_window",
     "band_magnitudes",
-    "downsample",
     "ModelVariant",
     "TrainConfig",
     "GraspModel",

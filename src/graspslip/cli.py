@@ -131,29 +131,16 @@ def cmd_gen_data(args) -> int:
         gdata.save_force_dataset(sets, out)
     else:
         rng = rng_for(args.seed, "gen-pressure")
-        files = []
+        runs = []
         for i in range(args.sets):
             drop = None
             if i % 2 == 1:  # alternate stable / dropping runs
                 drop = int(rng.integers(args.steps // 2, args.steps - 10))
-            run = gdata.synth_pressure_run(
+            runs.append(gdata.synth_pressure_run(
                 seed=int(rng.integers(0, 2**31)),
                 n_steps=args.steps, drop_step=drop,
-            )
-            name = f"run_{i:04d}.txt"
-            gdata.write_pressure_run(run, os.path.join(out, name))
-            files.append(name)
-        manifest = {
-            "format": gdata.TRACE_FORMAT,
-            "kind": "pressure",
-            "files": files,
-            "n_sets": args.sets,
-            "n_steps": args.steps,
-        }
-        atomic_write_text(
-            os.path.join(out, "manifest.json"),
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
+            ))
+        gdata.save_force_dataset(runs, out, prefix="run")
     _write_run_manifest(out, "gen-data", args, inputs={})
     print(f"wrote {args.sets} {args.profile} set(s) to {out}")
     return 0
@@ -223,8 +210,6 @@ def cmd_eval(args) -> int:
     table_rows = []
     for ckpt_path in args.checkpoint:
         model = gmodels.load_checkpoint(ckpt_path)
-        if not isinstance(model, gmodels.GraspModel):
-            raise ValueError(f"{ckpt_path}: not a variant checkpoint")
         report = geval.evaluate_model(
             model, eval_sets, args.window_len, args.channel, labels=args.labels
         )
@@ -295,11 +280,11 @@ def cmd_cross_eval(args) -> int:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     model = gmodels.load_checkpoint(args.checkpoint)
-    if not isinstance(model, gmodels.GraspModel):
-        raise ValueError(f"{args.checkpoint}: not a variant checkpoint")
     inputs = {"checkpoint": sha256_file(args.checkpoint)}
     if args.trace:
-        grasp = gdata.read_grasp_set(args.trace)
+        if not os.path.isfile(args.trace):
+            raise ValueError(f"--trace {args.trace}: not a file")
+        (grasp,) = gdata.load_force_dataset(args.trace)
         inputs["trace"] = sha256_file(args.trace)
     else:
         if not args.data:

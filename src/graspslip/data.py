@@ -19,7 +19,8 @@ Trace file grammar (one grasp set per file, whitespace-separated):
 
 Pressure runs use ``kind pressure`` with ``channels 4`` and an
 ``initial`` header of the four zero-position counts instead of the
-grasp provenance keys. Values are written as integers and read as
+grasp provenance keys. Either kind reads into one ``Recording``. Values
+are written as integers, so each must fit a 64-bit integer, and read as
 Python float() reads them; parsing is strict and errors carry file and
 line.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from graspslip.ioutil import atomic_write_text, rng_for
-from graspslip.signal import SensorTrace
+from graspslip.signal import SensorTrace, readonly_float64
 
 TRACE_FORMAT = "graspslip-trace v1"
 OUTCOMES = ("success", "failure")
@@ -42,6 +43,8 @@ DIRECTIONS = ("back", "right", "top")
 
 FORCE_CHANNELS = 16
 PRESSURE_CHANNELS = 4
+CHANNELS = {"force": FORCE_CHANNELS, "pressure": PRESSURE_CHANNELS}
+PRESSURE_MAX = 65535.0
 
 # Drop detection: scan is armed at the first sample >= ARM_MN (the lift
 # proxy; the dataset has no explicit lift-onset marker), then the drop is
@@ -54,50 +57,76 @@ DROP_SUSTAIN = 3
 # that is labeled unstable.
 LABEL_LEAD_STEPS = 20
 
-PRESSURE_MARGIN = 200.0
-
 
 @dataclass(frozen=True, eq=False)
-class GraspSet:
-    """One grasp attempt: 16 equal-length force traces plus provenance."""
+class Recording:
+    """One trace file: a read-only (n_steps, channels) sample matrix plus
+    the header of its kind.
 
-    traces: tuple
-    outcome: str
-    object_id: int
-    direction: str
+    ``kind="force"``: 16 channels in mN and the grasp provenance (outcome,
+    direction, object_id, weight, force_level); ``meta`` carries the
+    generator's ground truth (slip_onset, drop_step) for synthetic sets.
+    ``kind="pressure"``: 4 channels of raw counts in [0, 65535] and
+    ``initial``, the four zero-position counts.
+    """
+
+    samples: np.ndarray
+    freq_hz: float
+    kind: str = "force"
+    outcome: str | None = None
+    direction: str | None = None
+    object_id: int = 0
     weight: int = 0
     force_level: int = 0
+    initial: tuple | None = None
     set_id: str = ""
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        traces = tuple(self.traces)
-        if len(traces) != FORCE_CHANNELS:
-            raise ValueError(f"expected {FORCE_CHANNELS} channels, got {len(traces)}")
-        n = len(traces[0])
-        if any(len(t) != n for t in traces):
-            raise ValueError("length mismatch across channels")
-        if self.outcome not in OUTCOMES:
-            raise ValueError(f"outcome must be success|failure, got {self.outcome!r}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        object.__setattr__(self, "traces", traces)
+        if self.kind not in CHANNELS:
+            raise ValueError(f"kind must be one of {tuple(CHANNELS)}, got {self.kind!r}")
+        samples = readonly_float64(self.samples)
+        n_channels = CHANNELS[self.kind]
+        if samples.ndim != 2 or samples.shape[1] != n_channels:
+            raise ValueError(f"expected {n_channels} channels, got shape {samples.shape}")
+        if samples.shape[0] == 0:
+            raise ValueError("empty input")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("non-finite sample value")
+        if not (0 < self.freq_hz < np.inf):
+            raise ValueError("freq_hz must be finite and > 0")
+        if self.kind == "force":
+            if self.outcome not in OUTCOMES:
+                raise ValueError(f"outcome must be success|failure, got {self.outcome!r}")
+            if self.direction not in DIRECTIONS:
+                raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        else:
+            initial = tuple(float(v) for v in self.initial or ())
+            if len(initial) != n_channels:
+                raise ValueError("one initial value required per channel")
+            if samples.min() < 0 or samples.max() > PRESSURE_MAX:
+                raise ValueError(f"pressure sample outside [0, {PRESSURE_MAX:g}]")
+            object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n_steps(self) -> int:
-        return len(self.traces[0])
+        return self.samples.shape[0]
 
     @property
-    def freq_hz(self) -> float:
-        return self.traces[0].freq_hz
+    def n_channels(self) -> int:
+        return self.samples.shape[1]
 
     def channel(self, idx: int) -> SensorTrace:
-        return self.traces[idx]
+        """Channel ``idx`` as a SensorTrace over a view of the sample matrix."""
+        if not 0 <= idx < self.n_channels:
+            raise ValueError(f"channel {idx} out of range (0..{self.n_channels - 1})")
+        return SensorTrace(self.samples[:, idx], self.freq_hz, idx, {"source": self.kind})
 
     def as_matrix(self) -> np.ndarray:
-        """(n_steps, 16) sample matrix."""
-        return np.stack([t.samples for t in self.traces], axis=1)
+        """The stored (n_steps, channels) sample matrix; read-only."""
+        return self.samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,38 +173,6 @@ class LabeledWindow:
         return ~self.labels
 
 
-@dataclass(frozen=True, eq=False)
-class PressureRun:
-    """Four pressure traces at 71 Hz plus their zero-position counts."""
-
-    traces: tuple
-    initial: tuple
-
-    def __post_init__(self):
-        traces = tuple(self.traces)
-        if len(traces) != PRESSURE_CHANNELS:
-            raise ValueError(f"expected {PRESSURE_CHANNELS} channels, got {len(traces)}")
-        n = len(traces[0])
-        if any(len(t) != n for t in traces):
-            raise ValueError("length mismatch across channels")
-        initial = tuple(float(v) for v in self.initial)
-        if len(initial) != PRESSURE_CHANNELS:
-            raise ValueError("one initial value required per channel")
-        for t in traces:
-            if t.samples.min() < 0 or t.samples.max() > 65535:
-                raise ValueError("pressure sample outside [0, 65535]")
-        object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "initial", initial)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.traces[0])
-
-    @property
-    def freq_hz(self) -> float:
-        return self.traces[0].freq_hz
-
-
 # -- drop detection and labeling ----------------------------------------
 
 
@@ -201,19 +198,6 @@ def detect_drop(
         if run == sustain:
             return t - sustain + 1
     return None
-
-
-def detect_pressure_drop(
-    trace: SensorTrace,
-    initial: float,
-    margin: float = PRESSURE_MARGIN,
-    sustain: int = DROP_SUSTAIN,
-) -> int | None:
-    """Pressure analogue: sustained fall back below initial + margin."""
-    threshold = initial + margin
-    return detect_drop(
-        trace, eps_drop=threshold, arm_level=threshold + margin, sustain=sustain
-    )
 
 
 def label_slip(trace, drop_step: int | None) -> np.ndarray:
@@ -279,7 +263,7 @@ def window_batches(
     channel: int = 0,
     labels: str = "detect",
 ) -> list[LabeledWindow]:
-    """LabeledWindows for one channel of a GraspSet (or a bare trace).
+    """LabeledWindows for one channel of a force Recording (or a bare trace).
 
     labels="detect" runs detect_drop + the 20-step pre-drop rule on the
     channel itself; labels="truth" takes the generator's slip_onset from
@@ -289,7 +273,7 @@ def window_batches(
         trace = source
         provenance = dict(trace.meta)
         if labels == "truth":
-            raise ValueError("truth labels need a synthetic GraspSet")
+            raise ValueError("truth labels need a synthetic Recording")
     else:
         trace = source.channel(channel)
         provenance = {
@@ -325,7 +309,7 @@ def window_batches(
 def split(dataset, ratio: float = 0.8, seed: int = 0, stratify_by: str = "outcome"):
     """Seeded stratified set-level split into (train, test).
 
-    Windows of one grasp never straddle the split because whole GraspSets
+    Windows of one grasp never straddle the split because whole recordings
     are assigned. Per stratum the train share is floor(ratio * n); if that
     leaves either side empty overall, one set moves across.
     """
@@ -421,8 +405,8 @@ def _synth_channels(params: SynthParams, gains: np.ndarray, rng) -> np.ndarray:
     return np.clip(np.rint(force), 0.0, 10000.0)
 
 
-def synth_grasp(seed: int, params: SynthParams | None = None, **overrides) -> GraspSet:
-    """One deterministic synthetic GraspSet with exact ground truth.
+def synth_grasp(seed: int, params: SynthParams | None = None, **overrides) -> Recording:
+    """One deterministic synthetic force Recording with exact ground truth.
 
     Channels are gain-scaled copies (0.8-1.2) of a shared profile with
     independent noise; channel 0 carries gain closest to 1. Ground truth
@@ -440,8 +424,9 @@ def synth_grasp(seed: int, params: SynthParams | None = None, **overrides) -> Gr
     if failure:
         meta["slip_onset"] = int(p.slip_onset)
         meta["drop_step"] = int(p.drop_step)
-    return GraspSet(
-        traces=_traces(_synth_channels(p, gains, rng).T, p.freq_hz, "force"),
+    return Recording(
+        samples=_frozen(_synth_channels(p, gains, rng)).T,
+        freq_hz=p.freq_hz,
         outcome="failure" if failure else "success",
         object_id=int(rng.integers(0, 10)),
         direction=DIRECTIONS[int(rng.integers(0, len(DIRECTIONS)))],
@@ -458,7 +443,7 @@ def synth_force_dataset(
     failure_fraction: float = 0.5,
     freq_hz: float = 16.7,
     n_steps: int = 400,
-) -> list[GraspSet]:
+) -> list[Recording]:
     """A balanced batch of synthetic sets with per-set randomized shape.
 
     Failure sets draw slip_onset in [180, 240], a 3-5 Hz slip band, a
@@ -509,74 +494,72 @@ def synth_pressure_run(
     hold_level: float = 20000.0,
     drop_step: int | None = None,
     noise_sd: float = 15.0,
-) -> PressureRun:
+) -> Recording:
     """Pressure-domain analogue of synth_grasp: rise, hold, optional drop."""
     rng = rng_for(seed, "synth-pressure")
     rise = min(80, n_steps // 4)
-    traces = []
-    for ch in range(PRESSURE_CHANNELS):
-        base = float(initial[ch])
-        t = np.arange(n_steps)
-        x = np.full(n_steps, hold_level)
-        x[t < rise] = base + (hold_level - base) * (t[t < rise] + 1) / rise
-        if drop_step is not None:
-            if not (rise < drop_step < n_steps):
-                raise ValueError("require rise < drop_step < n_steps")
-            x[drop_step:] = base
-        x += rng.normal(0.0, noise_sd, size=n_steps)
-        x = np.clip(np.rint(x), 0.0, 65535.0)
-        traces.append(
-            SensorTrace(samples=x, freq_hz=freq_hz, channel_id=ch, meta={"source": "pressure"})
-        )
-    return PressureRun(traces=tuple(traces), initial=tuple(float(v) for v in initial))
+    if drop_step is not None and not (rise < drop_step < n_steps):
+        raise ValueError("require rise < drop_step < n_steps")
+    base = np.array(initial, dtype=np.float64)[:, None]
+    x = np.full((PRESSURE_CHANNELS, n_steps), hold_level)
+    x[:, :rise] = base + (hold_level - base) * (np.arange(rise) + 1) / rise
+    if drop_step is not None:
+        x[:, drop_step:] = base
+    # One row-major draw equals one draw per channel in channel order.
+    x += rng.normal(0.0, noise_sd, size=x.shape)
+    x = np.clip(np.rint(x), 0.0, PRESSURE_MAX)
+    return Recording(_frozen(x).T, freq_hz, "pressure", initial=initial)
 
 
 # -- trace file serialization ----------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a new array read-only, so that a Recording keeps it uncopied."""
+    a.setflags(write=False)
+    return a
+
+
 def _trace_lines(values: np.ndarray) -> str:
     """The rows of an (n_steps, channels) sample matrix as newline-joined
     lines of space-separated integers."""
-    ints = np.rint(values).astype(np.int64)
+    rounded = np.rint(values)
+    fits = (rounded >= -(2.0**63)) & (rounded < 2.0**63)
+    if not fits.all():
+        step, ch = np.unravel_index(np.argmin(fits), fits.shape)
+        raise ValueError(f"sample {float(values[step, ch])!r} at step {step}, channel {ch} "
+                         "does not fit a 64-bit integer")
+    ints = rounded.astype(np.int64)
     row = " ".join(["%d"] * ints.shape[1])
     return "\n".join([row] * ints.shape[0]) % tuple(ints.ravel().tolist())
 
 
-def write_grasp_set(grasp: GraspSet, path) -> None:
-    atomic_write_text(path, _grasp_text(grasp, grasp.as_matrix()))
-
-
-def _grasp_text(grasp: GraspSet, matrix: np.ndarray) -> str:
+def _recording_text(rec: Recording) -> str:
     lines = [
         TRACE_FORMAT,
-        "kind force",
-        f"freq_hz {grasp.freq_hz:g}",
-        f"channels {FORCE_CHANNELS}",
-        f"outcome {grasp.outcome}",
-        f"direction {grasp.direction}",
-        f"object {grasp.object_id}",
-        f"weight {grasp.weight}",
-        f"force_level {grasp.force_level}",
+        f"kind {rec.kind}",
+        f"freq_hz {rec.freq_hz:g}",
+        f"channels {rec.n_channels}",
     ]
-    if "slip_onset" in grasp.meta:
-        lines.append(f"slip_onset {int(grasp.meta['slip_onset'])}")
-    if "drop_step" in grasp.meta:
-        lines.append(f"drop_step {int(grasp.meta['drop_step'])}")
-    lines += ["data", _trace_lines(matrix)]
+    if rec.kind == "force":
+        lines += [
+            f"outcome {rec.outcome}",
+            f"direction {rec.direction}",
+            f"object {rec.object_id}",
+            f"weight {rec.weight}",
+            f"force_level {rec.force_level}",
+        ]
+        lines += [f"{key} {int(rec.meta[key])}" for key in ("slip_onset", "drop_step")
+                  if key in rec.meta]
+    else:
+        lines.append("initial " + " ".join(f"{v:g}" for v in rec.initial))
+    lines += ["data", _trace_lines(rec.samples)]
     return "\n".join(lines) + "\n"
 
 
-def write_pressure_run(run: PressureRun, path) -> None:
-    lines = [
-        TRACE_FORMAT,
-        "kind pressure",
-        f"freq_hz {run.freq_hz:g}",
-        f"channels {PRESSURE_CHANNELS}",
-        "initial " + " ".join(f"{v:g}" for v in run.initial),
-        "data",
-        _trace_lines(np.stack([t.samples for t in run.traces], axis=1)),
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_recording(rec: Recording, path) -> None:
+    """Write one trace file; nothing is written if a sample cannot be."""
+    atomic_write_text(path, _recording_text(rec))
 
 
 def _parse_header(path, lines):
@@ -658,22 +641,14 @@ def _channels_and_freq(path, header: dict, n_channels: int) -> float:
     return _field(path, header, "freq_hz", float, "finite and > 0", lambda f: 0 < f < np.inf)
 
 
-def _traces(matrix: np.ndarray, freq_hz: float, source: str) -> tuple:
-    """One SensorTrace per column of an (n_steps, channels) sample matrix."""
-    return tuple(
-        SensorTrace(matrix[:, ch], freq_hz, ch, {"source": source})
-        for ch in range(matrix.shape[1])
-    )
-
-
-def read_grasp_set(path) -> GraspSet:
+def read_recording(path) -> Recording:
+    """Read one trace file of either kind; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, body_start = _parse_header(path, lines)
-    kind = header.get("kind", (0, "force"))[1]
-    if kind != "force":
-        raise ValueError(f"{path}: not a force trace file (kind {kind!r})")
-    freq_hz = _channels_and_freq(path, header, FORCE_CHANNELS)
+    kind = _field(path, header, "kind", str, f"one of {tuple(CHANNELS)}",
+                  lambda v: v in CHANNELS, default="force")
+    freq_hz = _channels_and_freq(path, header, CHANNELS[kind])
 
     def integer(key, default=_REQUIRED):
         return _field(path, header, key, int, "an integer", default=default)
@@ -681,79 +656,85 @@ def read_grasp_set(path) -> GraspSet:
     def choice(key, options):
         return _field(path, header, key, str, f"one of {options}", lambda v: v in options)
 
-    meta = {key: integer(key) for key in ("slip_onset", "drop_step") if key in header}
-    return GraspSet(
-        traces=_traces(_parse_rows(path, lines, body_start, FORCE_CHANNELS), freq_hz, "force"),
-        outcome=choice("outcome", OUTCOMES),
-        object_id=integer("object"),
-        direction=choice("direction", DIRECTIONS),
-        weight=integer("weight", 0),
-        force_level=integer("force_level", 0),
-        set_id=os.path.splitext(os.path.basename(str(path)))[0],
-        meta=meta,
-    )
+    if kind == "force":
+        fields = dict(
+            outcome=choice("outcome", OUTCOMES),
+            object_id=integer("object"),
+            direction=choice("direction", DIRECTIONS),
+            weight=integer("weight", 0),
+            force_level=integer("force_level", 0),
+            meta={key: integer(key) for key in ("slip_onset", "drop_step") if key in header},
+        )
+    else:
+        fields = dict(initial=_field(
+            path, header, "initial", lambda t: tuple(map(float, t.split())),
+            f"{PRESSURE_CHANNELS} numbers", lambda v: len(v) == PRESSURE_CHANNELS))
+    samples = _frozen(_parse_rows(path, lines, body_start, CHANNELS[kind]))
+    try:
+        return Recording(samples, freq_hz, kind,
+                         set_id=os.path.splitext(os.path.basename(str(path)))[0], **fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def read_pressure_run(path) -> PressureRun:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header, body_start = _parse_header(path, lines)
-    kind = header.get("kind", (0, None))[1]
-    if kind != "pressure":
-        raise ValueError(f"{path}: not a pressure trace file (kind {kind!r})")
-    freq_hz = _channels_and_freq(path, header, PRESSURE_CHANNELS)
-    initial = _field(path, header, "initial", lambda t: tuple(map(float, t.split())),
-                     f"{PRESSURE_CHANNELS} numbers", lambda v: len(v) == PRESSURE_CHANNELS)
-    matrix = _parse_rows(path, lines, body_start, PRESSURE_CHANNELS)
-    return PressureRun(traces=_traces(matrix, freq_hz, "pressure"), initial=initial)
+def _read_force(path) -> Recording:
+    rec = read_recording(path)
+    if rec.kind != "force":
+        raise ValueError(f"{path}: not a force trace file (kind {rec.kind!r})")
+    return rec
 
 
 # -- dataset directory layout -----------------------------------------------
 
 
 def save_force_dataset(sets, out_dir, prefix: str = "set") -> str:
-    """Write one file per set plus manifest.json; returns the manifest path.
+    """Write one file per recording plus manifest.json; returns the
+    manifest path. The recordings must share one kind; pressure runs are
+    written this way too. Every file's text is made before any is written,
+    so a sample no file can hold leaves the directory untouched.
 
     An empty collection writes a manifest only (zero-set dataset).
     """
     sets = list(sets)
+    kinds = {rec.kind for rec in sets} or {"force"}
+    if len(kinds) > 1:
+        raise ValueError(f"a dataset holds one kind of recording, got {sorted(kinds)}")
+    texts = [_recording_text(rec) for rec in sets]
     os.makedirs(out_dir, exist_ok=True)
-    files, matrices = [], []
-    for i, grasp in enumerate(sets):
-        name = f"{prefix}_{i:04d}.txt"
-        matrices.append(grasp.as_matrix())
-        atomic_write_text(os.path.join(out_dir, name), _grasp_text(grasp, matrices[-1]))
-        files.append(name)
-    outcomes: dict[str, int] = {}
-    directions: dict[str, int] = {}
-    for g in sets:
-        outcomes[g.outcome] = outcomes.get(g.outcome, 0) + 1
-        directions[g.direction] = directions.get(g.direction, 0) + 1
-    if sets:
-        pooled = np.concatenate([m.ravel() for m in matrices])
-        force_range = [float(pooled.min()), float(pooled.max())]
-    else:
-        force_range = None
+    files = [f"{prefix}_{i:04d}.txt" for i in range(len(sets))]
+    for name, text in zip(files, texts):
+        atomic_write_text(os.path.join(out_dir, name), text)
+    (kind,) = kinds
     manifest = {
         "format": TRACE_FORMAT,
-        "kind": "force",
+        "kind": kind,
         "files": files,
         "n_sets": len(sets),
         "freq_hz": sets[0].freq_hz if sets else None,
         "n_steps": sets[0].n_steps if sets else None,
-        "outcomes": outcomes,
-        "directions": directions,
-        "force_range_mn": force_range,
     }
+    if kind == "force":
+        outcomes: dict[str, int] = {}
+        directions: dict[str, int] = {}
+        for g in sets:
+            outcomes[g.outcome] = outcomes.get(g.outcome, 0) + 1
+            directions[g.direction] = directions.get(g.direction, 0) + 1
+        pooled = np.concatenate([g.samples.ravel() for g in sets]) if sets else None
+        manifest.update(
+            outcomes=outcomes,
+            directions=directions,
+            force_range_mn=None if pooled is None else [float(pooled.min()), float(pooled.max())],
+        )
     manifest_path = os.path.join(out_dir, "manifest.json")
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
-def load_force_dataset(path) -> list[GraspSet]:
-    """Read every set file in a dataset directory, manifest order."""
+def load_force_dataset(path) -> list[Recording]:
+    """Read every set file in a dataset directory, manifest order, or one
+    trace file. Every file must be of kind force."""
     if os.path.isfile(path):
-        return [read_grasp_set(path)]
+        return [_read_force(path)]
     if not os.path.isdir(path):
         raise ValueError(f"no such dataset: {path}")
     manifest_path = os.path.join(path, "manifest.json")
@@ -777,7 +758,7 @@ def load_force_dataset(path) -> list[GraspSet]:
         )
         if not names:
             raise ValueError(f"{path}: empty input")
-    return [read_grasp_set(os.path.join(path, name)) for name in names]
+    return [_read_force(os.path.join(path, name)) for name in names]
 
 
 # -- foreign format conversion -----------------------------------------------
@@ -792,7 +773,7 @@ def convert_csv(
     object_id: int = 0,
     weight: int = 0,
     force_level: int = 0,
-) -> GraspSet:
+) -> Recording:
     """CSV (one row per step, 16 numeric columns, optional header row) ->
     trace file. Returns the set as written: samples rounded to integers."""
     with open(src, "r", encoding="utf-8", newline="") as fh:
@@ -801,9 +782,9 @@ def convert_csv(
         np.array(lines[0].split() if lines else [], dtype=np.float64)
     except ValueError:
         lines[0] = ""  # a header row; the row parser skips blank lines
-    samples = np.rint(_parse_rows(src, lines, 0, FORCE_CHANNELS))
-    grasp = GraspSet(
-        traces=_traces(samples, freq_hz, "force"),
+    grasp = Recording(
+        samples=_frozen(np.rint(_parse_rows(src, lines, 0, FORCE_CHANNELS))),
+        freq_hz=freq_hz,
         outcome=outcome,
         object_id=object_id,
         direction=direction,
@@ -811,5 +792,5 @@ def convert_csv(
         force_level=force_level,
         set_id=os.path.splitext(os.path.basename(str(dst)))[0],
     )
-    write_grasp_set(grasp, dst)
+    write_recording(grasp, dst)
     return grasp

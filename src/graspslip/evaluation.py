@@ -2,7 +2,7 @@
 cross-condition matrices, and multi-seed comparison tables.
 
 Success rate is micro-averaged at step granularity (every evaluated step
-counts once); window-level macro averaging is available via ``average``.
+counts once); reports also carry the window-level macro average.
 The ahead-drop denominator is failure sets only, and "ahead" is strict:
 a first unstable prediction exactly at the drop step does not count.
 """
@@ -111,7 +111,7 @@ class EvalReport:
         return cls(**json.loads(text))
 
 
-def _set_drop_step(grasp: gdata.GraspSet, channel: int) -> int | None:
+def _set_drop_step(grasp: gdata.Recording, channel: int) -> int | None:
     """Ground-truth drop when the generator recorded one, else detected."""
     if "drop_step" in grasp.meta:
         return int(grasp.meta["drop_step"])
@@ -124,7 +124,6 @@ def evaluate_model(
     window_len: int = 160,
     channel: int = 0,
     labels: str = "detect",
-    average: str = "step",
 ) -> EvalReport:
     """Per-step evaluation of a zoo model over one channel of each set.
 
@@ -135,8 +134,6 @@ def evaluate_model(
     sets = list(sets)
     if not sets:
         raise ValueError("empty input: no sets")
-    if average not in ("step", "window"):
-        raise ValueError(f"average must be step|window, got {average!r}")
 
     all_pred, all_ref = [], []
     window_rates = []
@@ -176,35 +173,6 @@ def evaluate_model(
             d: float(np.mean(v)) for d, v in sorted(by_direction.items())
         },
     )
-
-
-def evaluate_baseline(
-    baseline,
-    feature_model,
-    sets,
-    window_len: int = 160,
-    channel: int = 0,
-    labels: str = "detect",
-) -> dict:
-    """Window-level evaluation for the classical models.
-
-    Baselines see one flattened feature vector per window and one label:
-    the window's final step (the state the grasp ends the window in).
-    """
-    from graspslip.baselines import flatten_window
-
-    sets = list(sets)
-    if not sets:
-        raise ValueError("empty input: no sets")
-    hits = total = 0
-    for grasp in sets:
-        for w in gdata.window_batches(grasp, window_len, channel, labels=labels):
-            vec = flatten_window(feature_model.featurize(w.samples))
-            pred, _ = baseline.predict(vec)
-            ref = int(w.unstable[-1])
-            hits += int(pred == ref)
-            total += 1
-    return {"success_rate": hits / total, "n_windows": total}
 
 
 # -- cross-condition matrix ----------------------------------------------

@@ -104,9 +104,6 @@ class TrainConfig:
     init_mode: str = "seeded-uniform"
     threshold: float = 0.5
     early_stop_patience: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.window_len <= DEFAULT_WINDOW_LEN:
@@ -397,7 +394,7 @@ def train(
         val_feats = [model.featurize(w.samples) for w in val_windows]
         val_ys = [(~np.asarray(w.labels, dtype=bool)).astype(np.int64) for w in val_windows]
 
-    opt = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
+    opt = AdamState(lr=config.lr)
     rng = np.random.default_rng(config.seed)
     history: list[EpochRecord] = []
     best_success = -1.0
@@ -447,13 +444,6 @@ def train(
 
 CKPT_MAGIC = b"GSLPCKPT"
 CKPT_VERSION = 1
-
-_KIND_LOADERS: dict[str, "object"] = {}
-
-
-def register_checkpoint_kind(kind: str, loader) -> None:
-    """loader(header, arrays) -> model; used by the baseline classifiers."""
-    _KIND_LOADERS[kind] = loader
 
 
 class CheckpointError(ValueError):
@@ -524,29 +514,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def save_checkpoint(model, path) -> None:
-    """Serialize a zoo model (or registered baseline) deterministically."""
-    if isinstance(model, GraspModel):
-        header = {
-            "kind": "variant",
-            "variant": model.variant.tag,
-            "hidden_dim": model.hidden_dim,
-            "stft_window": model.stft_window,
-            "band_count": model.band_count,
-            "loss_mode": model.loss_mode,
-            "threshold": model.threshold,
-            "norm_stats": None
-            if model.stats is None
-            else {"min": model.stats.min_value, "max": model.stats.max_value},
-        }
-        arrays = sorted(model.param_dict().items())
-        write_blob(path, header, arrays)
-        return
-    payload = getattr(model, "checkpoint_payload", None)
-    if payload is None:
-        raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
-    header, arrays = payload()
-    write_blob(path, header, arrays)
+def save_checkpoint(model: GraspModel, path) -> None:
+    """Serialize a zoo model deterministically."""
+    header = {
+        "kind": "variant",
+        "variant": model.variant.tag,
+        "hidden_dim": model.hidden_dim,
+        "stft_window": model.stft_window,
+        "band_count": model.band_count,
+        "loss_mode": model.loss_mode,
+        "threshold": model.threshold,
+        "norm_stats": None
+        if model.stats is None
+        else {"min": model.stats.min_value, "max": model.stats.max_value},
+    }
+    write_blob(path, header, sorted(model.param_dict().items()))
 
 
 def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspModel:
@@ -598,17 +580,8 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
     )
 
 
-def load_checkpoint(path):
+def load_checkpoint(path) -> GraspModel:
     header, arrays = read_blob(path)
-    kind = header["kind"]
-    if kind == "variant":
-        return _variant_from_header(header, arrays)
-    if kind not in _KIND_LOADERS:
-        # Baseline kinds register themselves on import.
-        import graspslip.baselines  # noqa: F401
-    if kind not in _KIND_LOADERS:
-        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    try:
-        return _KIND_LOADERS[kind](header, arrays)
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
-        raise CheckpointError(f"bad {kind} checkpoint: {type(exc).__name__}: {exc}") from None
+    if header["kind"] != "variant":
+        raise CheckpointError(f"unknown checkpoint kind {header['kind']!r}")
+    return _variant_from_header(header, arrays)

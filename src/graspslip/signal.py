@@ -1,8 +1,7 @@
 """Deterministic signal-processing front end.
 
-Min/max normalization, short-time Fourier band magnitudes, and strided
-decimation. Everything here is a pure function over immutable inputs;
-all arithmetic is float64.
+Min/max normalization and short-time Fourier band magnitudes. Everything
+here is a pure function over immutable inputs; all arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -14,11 +13,19 @@ import numpy as np
 DEFAULT_WINDOW_LEN = 20
 DEFAULT_BAND_COUNT = 10
 
-FORCE_RANGE_MN = (0.0, 10000.0)
-PRESSURE_RANGE = (0.0, 65535.0)
 
+def readonly_float64(a) -> np.ndarray:
+    """``a`` as a read-only float64 array.
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+    An array that already is one, over memory that only read-only arrays
+    reach, comes back as it is; anything else is copied.
+    """
+    a = np.asarray(a)
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if a.dtype == np.float64 and owner is None:
+        return a
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
     return a
@@ -39,7 +46,7 @@ class SensorTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = readonly_float64(self.samples)
         if samples.size == 0:
             raise ValueError("empty input")
         if samples.ndim != 1:
@@ -48,34 +55,11 @@ class SensorTrace:
             raise ValueError("non-finite sample value")
         if not (0 < self.freq_hz < np.inf):
             raise ValueError("freq_hz must be finite and > 0")
-        object.__setattr__(self, "samples", _readonly(samples))
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "meta", dict(self.meta))
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    def with_samples(self, samples: np.ndarray, freq_hz: float | None = None) -> "SensorTrace":
-        return SensorTrace(
-            samples=samples,
-            freq_hz=self.freq_hz if freq_hz is None else freq_hz,
-            channel_id=self.channel_id,
-            meta=dict(self.meta),
-        )
-
-    def validate_range(self) -> None:
-        """Check the documented sensor range for the trace's source."""
-        source = self.meta.get("source")
-        if source == "force":
-            lo, hi = FORCE_RANGE_MN
-        elif source == "pressure":
-            lo, hi = PRESSURE_RANGE
-        else:
-            return
-        if self.samples.min() < lo or self.samples.max() > hi:
-            raise ValueError(
-                f"{source} sample outside [{lo:g}, {hi:g}]: "
-                f"min={self.samples.min():g} max={self.samples.max():g}"
-            )
 
 
 @dataclass(frozen=True)
@@ -138,14 +122,3 @@ def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
     )
     return np.clip(y, 0.0, 1.0)
 
-
-def downsample(trace: SensorTrace, factor: int) -> SensorTrace:
-    """Keep every factor-th sample from index 0; divides the sample rate.
-
-    Plain decimation without an anti-alias filter; aliasing above the new
-    Nyquist rate is accepted, matching the documented 71 -> 17.75 Hz use.
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError("downsample factor must be an integer >= 1")
-    factor = int(factor)
-    return trace.with_samples(trace.samples[::factor], freq_hz=trace.freq_hz / factor)

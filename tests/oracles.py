@@ -53,16 +53,6 @@ def causal_frames(x, window_len: int) -> list[list[float]]:
     return [padded[t : t + window_len] for t in range(len(x))]
 
 
-def knn_predict(points, labels, k: int, query) -> int:
-    """Exhaustive distance sort (stable), majority vote, ties unstable."""
-    q = np.asarray(query, dtype=float)
-    d2 = [float(np.sum((np.asarray(p, dtype=float) - q) ** 2)) for p in points]
-    order = sorted(range(len(points)), key=lambda i: (d2[i], i))
-    votes = [int(labels[i]) for i in order[:k]]
-    unstable = sum(votes)
-    return 1 if unstable >= k - unstable else 0
-
-
 def scan_drop(values, eps: float, arm: float, sustain: int):
     """Linear-scan drop detector: arm at the first value >= arm, then
     return the start of the first run of `sustain` values < eps."""

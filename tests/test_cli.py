@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from graspslip import baselines, cli, data, models
+from graspslip import cli, data, models
 from graspslip.stream import read_event_log
 
 
@@ -89,20 +89,30 @@ def test_gen_data_zero_sets_manifest_only(tmp_path):
     assert data.load_force_dataset(out) == []
 
 
-def test_gen_data_pressure_profile(tmp_path):
-    out = tmp_path / "press"
+@pytest.fixture(scope="module")
+def pressure_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds") / "press"
     assert run(
         "gen-data", "--out", str(out), "--profile", "pressure",
         "--sets", "2", "--steps", "400",
     ) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["kind"] == "pressure"
-    run0 = data.read_pressure_run(out / "run_0000.txt")
-    assert run0.n_steps == 400
-    # odd-indexed runs drop; even ones hold
-    run1 = data.read_pressure_run(out / "run_0001.txt")
-    assert data.detect_pressure_drop(run0.traces[0], run0.initial[0]) is None
-    assert data.detect_pressure_drop(run1.traces[0], run1.initial[0]) is not None
+    return out
+
+
+def test_gen_data_pressure_profile(pressure_dir):
+    manifest = json.loads((pressure_dir / "manifest.json").read_text())
+    assert manifest == {
+        "format": "graspslip-trace v1", "kind": "pressure",
+        "files": ["run_0000.txt", "run_0001.txt"], "n_sets": 2, "n_steps": 400, "freq_hz": 71.0,
+    }
+    run0 = data.read_recording(pressure_dir / "run_0000.txt")
+    assert run0.kind == "pressure" and run0.n_steps == 400
+    # odd-indexed runs drop back to the zero-position count; even ones hold
+    run1 = data.read_recording(pressure_dir / "run_0001.txt")
+    level = run0.initial[0] + 200.0
+    assert data.detect_drop(run0.channel(0), eps_drop=level, arm_level=level + 200.0) is None
+    level = run1.initial[0] + 200.0
+    assert data.detect_drop(run1.channel(0), eps_drop=level, arm_level=level + 200.0) is not None
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -128,9 +138,18 @@ def test_convert_round_trip(tmp_path):
     src.write_text("\n".join(",".join(map(str, row)) for row in matrix) + "\n")
     dst = tmp_path / "trace.txt"
     assert run("convert", "--src", str(src), "--dst", str(dst), "--outcome", "success") == 0
-    grasp = data.read_grasp_set(dst)
+    grasp = data.read_recording(dst)
     np.testing.assert_array_equal(grasp.as_matrix(), matrix)
     assert grasp.outcome == "success"
+
+
+def test_convert_sample_too_large_exits_1_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    src.write_text(",".join(["1e20"] * 16) + "\n" + ",".join(["5"] * 16) + "\n")
+    dst = tmp_path / "trace.txt"
+    assert run("convert", "--src", str(src), "--dst", str(dst)) == 1
+    assert "sample 1e+20 at step 0, channel 0 does not fit a 64-bit integer" in capsys.readouterr().err
+    assert not dst.exists()
 
 
 def test_convert_missing_source(tmp_path, capsys):
@@ -253,17 +272,16 @@ def test_eval_dump_set_writes_plot_data(tmp_path, dataset_dir, trained_dir):
 
 
 def test_eval_rejects_baseline_checkpoint(tmp_path, dataset_dir, capsys):
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(10, 4))
-    y = np.array([0, 1] * 5)
-    nb = baselines.fit("nb", x, y)
+    # A naive-Bayes checkpoint as older versions wrote it; its digest checks out.
     path = tmp_path / "nb.gslp"
-    models.save_checkpoint(nb, path)
+    models.write_blob(path, {"kind": "nb", "n_features": 4}, [
+        ("means", np.zeros((2, 4))), ("variances", np.ones((2, 4))), ("log_priors", np.zeros(2)),
+    ])
     assert run(
         "eval", "--checkpoint", str(path), "--data", str(dataset_dir),
         "--out", str(tmp_path / "o"),
     ) == 1
-    assert "not a variant checkpoint" in capsys.readouterr().err
+    assert "unknown checkpoint kind 'nb'" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(tmp_path, dataset_dir, capsys):
@@ -405,7 +423,7 @@ def test_simulate_reruns_identical_without_timing(tmp_path, dataset_dir, trained
 def test_simulate_single_trace_file(tmp_path, trained_dir):
     grasp = data.synth_grasp(5, data.SynthParams(slip_onset=200, drop_step=260))
     trace_path = tmp_path / "one.txt"
-    data.write_grasp_set(grasp, trace_path)
+    data.write_recording(grasp, trace_path)
     out = tmp_path / "sim"
     assert run(
         "simulate", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
@@ -421,6 +439,28 @@ def test_simulate_needs_input(tmp_path, trained_dir, capsys):
         "--out", str(tmp_path / "o"),
     ) == 1
     assert "needs --trace or --data" in capsys.readouterr().err
+
+
+def test_simulate_trace_must_be_a_file(tmp_path, dataset_dir, trained_dir, capsys):
+    assert run(
+        "simulate", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+        "--trace", str(dataset_dir), "--out", str(tmp_path / "o"),
+    ) == 1
+    assert "not a file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "simulate"])
+def test_pressure_data_is_rejected_naming_the_file(tmp_path, pressure_dir, trained_dir,
+                                                    command, capsys):
+    ckpt = str(trained_dir / "checkpoint.gslp")
+    argv = {
+        "train": ["--data", str(pressure_dir), "--variant", "B"],
+        "eval": ["--checkpoint", ckpt, "--data", str(pressure_dir)],
+        "simulate": ["--checkpoint", ckpt, "--trace", str(pressure_dir / "run_0001.txt")],
+    }[command]
+    assert run(command, *argv, "--out", str(tmp_path / "o")) == 1
+    name = "run_0001.txt" if command == "simulate" else "run_0000.txt"
+    assert f"{name}: not a force trace file (kind 'pressure')" in capsys.readouterr().err
 
 
 def test_simulate_set_out_of_range(tmp_path, dataset_dir, trained_dir, capsys):

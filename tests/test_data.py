@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -8,16 +9,14 @@ from hypothesis import strategies as st
 
 from graspslip import data
 from graspslip.data import (
-    GraspSet,
     LabeledWindow,
+    Recording,
     SynthParams,
     convert_csv,
     detect_drop,
-    detect_pressure_drop,
     label_slip,
     load_force_dataset,
-    read_grasp_set,
-    read_pressure_run,
+    read_recording,
     save_force_dataset,
     split,
     synth_force_dataset,
@@ -25,8 +24,7 @@ from graspslip.data import (
     synth_pressure_run,
     window_batches,
     window_trace,
-    write_grasp_set,
-    write_pressure_run,
+    write_recording,
 )
 from graspslip.signal import SensorTrace, band_magnitudes, normalize_array, compute_norm_stats
 from tests import oracles
@@ -42,31 +40,49 @@ def force_trace(samples, channel_id=0):
 
 
 def make_set(n_steps=400, outcome="success", **kw):
-    traces = tuple(force_trace(np.full(n_steps, 1000.0), ch) for ch in range(16))
-    return GraspSet(traces=traces, outcome=outcome, object_id=0, direction="back", **kw)
+    return Recording(samples=np.full((n_steps, 16), 1000.0), freq_hz=16.7,
+                     outcome=outcome, object_id=0, direction="back", **kw)
 
 
-# -- GraspSet validation --------------------------------------------------
+def pressure_run(samples=None, initial=(6458.0, 6263.0, 6357.0, 6458.0)):
+    samples = np.full((10, 4), 20000.0) if samples is None else samples
+    return Recording(samples=samples, freq_hz=71.0, kind="pressure", initial=initial)
+
+
+# -- Recording validation --------------------------------------------------
 
 
 def test_grasp_set_requires_16_channels():
-    traces = tuple(force_trace(np.ones(10), ch) for ch in range(4))
-    with pytest.raises(ValueError, match="expected 16 channels, got 4"):
-        GraspSet(traces=traces, outcome="success", object_id=0, direction="back")
+    with pytest.raises(ValueError, match=r"expected 16 channels, got shape \(10, 4\)"):
+        Recording(np.ones((10, 4)), 16.7, outcome="success", direction="back")
+    with pytest.raises(ValueError, match=r"expected 16 channels, got shape \(160,\)"):
+        Recording(np.ones(160), 16.7, outcome="success", direction="back")
 
 
 def test_grasp_set_rejects_ragged_channels():
-    traces = tuple(force_trace(np.ones(10 + (ch == 3)), ch) for ch in range(16))
-    with pytest.raises(ValueError, match="length mismatch across channels"):
-        GraspSet(traces=traces, outcome="success", object_id=0, direction="back")
+    rows = [[1.0] * 16] * 9 + [[1.0] * 15]
+    with pytest.raises(ValueError):
+        Recording(rows, 16.7, outcome="success", direction="back")
 
 
 def test_grasp_set_validates_outcome_and_direction():
     with pytest.raises(ValueError, match="outcome must be"):
         make_set(outcome="meh")
-    traces = tuple(force_trace(np.ones(10), ch) for ch in range(16))
     with pytest.raises(ValueError, match="direction must be one of"):
-        GraspSet(traces=traces, outcome="success", object_id=0, direction="up")
+        Recording(np.ones((10, 16)), 16.7, outcome="success", object_id=0, direction="up")
+
+
+def test_recording_rejects_bad_kind_values_and_rate():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        Recording(np.ones((10, 16)), 16.7, kind="torque")
+    with pytest.raises(ValueError, match="empty input"):
+        make_set(n_steps=0)
+    bad = np.ones((10, 16))
+    bad[3, 5] = np.inf
+    with pytest.raises(ValueError, match="non-finite sample value"):
+        Recording(bad, 16.7, outcome="success", direction="back")
+    with pytest.raises(ValueError, match="freq_hz must be finite"):
+        Recording(np.ones((10, 16)), float("nan"), outcome="success", direction="back")
 
 
 def test_grasp_set_matrix_shape():
@@ -74,6 +90,57 @@ def test_grasp_set_matrix_shape():
     assert s.as_matrix().shape == (50, 16)
     assert s.n_steps == 50
     assert s.freq_hz == 16.7
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_set(n_steps=50),
+    lambda: synth_grasp(3),
+    lambda: synth_pressure_run(1, n_steps=100),
+], ids=["constructed", "synthetic", "pressure"])
+def test_recording_channels_are_read_only_views_of_one_matrix(make):
+    rec = make()
+    matrix = rec.as_matrix()
+    assert matrix is rec.as_matrix()
+    for i in range(rec.n_channels):
+        ch = rec.channel(i)
+        assert np.shares_memory(ch.samples, matrix)
+        np.testing.assert_array_equal(ch.samples, matrix[:, i])
+        assert ch.channel_id == i and ch.freq_hz == rec.freq_hz
+        assert ch.meta == {"source": rec.kind}
+        with pytest.raises(ValueError, match="read-only"):
+            ch.samples[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 1.0
+
+
+def test_recording_copies_a_matrix_the_caller_can_still_write():
+    samples = np.full((20, 16), 1000.0)
+    rec = Recording(samples, 16.7, outcome="success", direction="back")
+    samples[0, 0] = 0.0
+    assert rec.as_matrix()[0, 0] == 1000.0
+
+
+def test_recording_channel_index_out_of_range():
+    rec = make_set(n_steps=20)
+    for idx in (16, -1):
+        with pytest.raises(ValueError, match=r"channel .* out of range \(0\.\.15\)"):
+            rec.channel(idx)
+
+
+def test_pressure_recording_checks_channels_initial_and_range():
+    assert pressure_run().initial == (6458.0, 6263.0, 6357.0, 6458.0)
+    with pytest.raises(ValueError, match=r"expected 4 channels, got shape \(10, 16\)"):
+        pressure_run(np.full((10, 16), 20000.0))
+    with pytest.raises(ValueError, match="one initial value required per channel"):
+        pressure_run(initial=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="one initial value required per channel"):
+        pressure_run(initial=None)
+    for bad in (-1.0, 65536.0):
+        samples = np.full((10, 4), 20000.0)
+        samples[7, 2] = bad
+        with pytest.raises(ValueError, match=r"pressure sample outside \[0, 65535\]"):
+            pressure_run(samples)
+    pressure_run(np.array([[0.0, 65535.0, 1.0, 2.0]]))
 
 
 # -- drop detection ----------------------------------------------------------
@@ -120,14 +187,6 @@ def test_detect_drop_matches_scan_oracle(hold, tail):
         ]
     )
     assert detect_drop(x) == oracles.scan_drop(x, 50.0, 200.0, 3)
-
-
-def test_detect_pressure_drop():
-    x = np.concatenate([np.full(40, 20000.0), np.full(20, 6500.0)])
-    t = SensorTrace(samples=x, freq_hz=71.0, channel_id=0, meta={})
-    assert detect_pressure_drop(t, initial=6458.0) == 40
-    hold = SensorTrace(samples=np.full(60, 20000.0), freq_hz=71.0, channel_id=0, meta={})
-    assert detect_pressure_drop(hold, initial=6458.0) is None
 
 
 # -- labeling -------------------------------------------------------------------
@@ -262,7 +321,7 @@ def test_window_batches_truth_needs_onset():
     with pytest.raises(ValueError, match="truth labels need slip_onset"):
         window_batches(grasp, labels="truth")
     bare = force_trace(np.full(400, 1000.0))
-    with pytest.raises(ValueError, match="truth labels need a synthetic GraspSet"):
+    with pytest.raises(ValueError, match="truth labels need a synthetic Recording"):
         window_batches(bare, labels="truth")
 
 
@@ -422,7 +481,8 @@ def synth_digest(sets) -> str:
         h.update(g.as_matrix().tobytes())
         h.update(json.dumps(
             [g.outcome, g.object_id, g.direction, g.weight, g.force_level, g.set_id,
-             g.freq_hz, [t.channel_id for t in g.traces], [t.meta for t in g.traces], g.meta],
+             g.freq_hz, [g.channel(i).channel_id for i in range(16)],
+             [g.channel(i).meta for i in range(16)], g.meta],
             sort_keys=True).encode())
     return h.hexdigest()
 
@@ -471,33 +531,44 @@ def test_synth_grasp_edge_params_match_recorded_digest(case):
 # -- pressure -------------------------------------------------------------------------
 
 
+def pressure_drop(rec, ch):
+    """detect_drop with pressure thresholds: armed 400 counts above the
+    channel's zero-position count, dropped at 200 above it."""
+    level = rec.initial[ch] + 200.0
+    return detect_drop(rec.channel(ch), eps_drop=level, arm_level=level + 200.0)
+
+
 def test_synth_pressure_run_shape_and_detection():
     run = synth_pressure_run(0, n_steps=800, drop_step=500)
+    assert run.kind == "pressure"
     assert run.n_steps == 800
     assert run.freq_hz == 71.0
     for ch in range(4):
-        d = detect_pressure_drop(run.traces[ch], initial=run.initial[ch])
+        d = pressure_drop(run, ch)
         assert d is not None and abs(d - 500) <= 2
     steady = synth_pressure_run(0, n_steps=800, drop_step=None)
     for ch in range(4):
-        assert detect_pressure_drop(steady.traces[ch], initial=steady.initial[ch]) is None
+        assert pressure_drop(steady, ch) is None
+    with pytest.raises(ValueError, match="require rise < drop_step < n_steps"):
+        synth_pressure_run(0, n_steps=800, drop_step=800)
 
 
 def test_pressure_file_round_trip(tmp_path):
     run = synth_pressure_run(4, n_steps=300, drop_step=200)
     path = tmp_path / "run.txt"
-    write_pressure_run(run, path)
-    again = read_pressure_run(path)
+    write_recording(run, path)
+    again = read_recording(path)
+    assert again.kind == "pressure"
     assert again.initial == run.initial
     assert again.freq_hz == run.freq_hz
-    for a, b in zip(run.traces, again.traces):
-        np.testing.assert_array_equal(a.samples, b.samples)
+    assert again.set_id == "run"
+    np.testing.assert_array_equal(again.as_matrix(), run.as_matrix())
 
 
 def test_trace_writers_bytes_unchanged(tmp_path):
     """Digests of files written by the earlier per-element str() writer."""
-    write_grasp_set(synth_force_dataset(2, seed=11)[1], tmp_path / "g.txt")
-    write_pressure_run(synth_pressure_run(seed=5), tmp_path / "p.txt")
+    write_recording(synth_force_dataset(2, seed=11)[1], tmp_path / "g.txt")
+    write_recording(synth_pressure_run(seed=5), tmp_path / "p.txt")
     digest = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in ("g.txt", "p.txt")}
     assert digest == {
         "g.txt": "b0e8f2185f6f41ab35907afe8943666df883e3e1113692abf3998dc41d15a8fb",
@@ -508,21 +579,29 @@ def test_trace_writers_bytes_unchanged(tmp_path):
 def test_read_pressure_rejects_force_file(tmp_path):
     g = synth_grasp(0, SynthParams(n_steps=60, slip_onset=None, drop_step=None))
     path = tmp_path / "f.txt"
-    write_grasp_set(g, path)
-    with pytest.raises(ValueError, match="not a pressure trace file"):
-        read_pressure_run(path)
+    write_recording(g, path)
+    ln = _with_header_value(path, "kind", "pressure")
+    with pytest.raises(ValueError, match=rf"f\.txt:{ln + 2}: channels must be 4, got '16'"):
+        read_recording(path)
+
+
+def test_load_force_dataset_rejects_pressure_file(tmp_path):
+    path = tmp_path / "p.txt"
+    write_recording(synth_pressure_run(0, n_steps=100), path)
+    with pytest.raises(ValueError, match=r"p\.txt: not a force trace file \(kind 'pressure'\)"):
+        load_force_dataset(path)
 
 
 @pytest.mark.parametrize("freq", ["inf", "nan", "-inf", "1e400"])
 def test_read_rejects_nonfinite_freq(tmp_path, freq):
     g = synth_grasp(0, SynthParams(n_steps=60, slip_onset=None, drop_step=None))
-    write_grasp_set(g, tmp_path / "g.txt")
-    write_pressure_run(synth_pressure_run(0, n_steps=100), tmp_path / "p.txt")
-    for name, reader, rate in (("g.txt", read_grasp_set, "16.7"), ("p.txt", read_pressure_run, "71")):
+    write_recording(g, tmp_path / "g.txt")
+    write_recording(synth_pressure_run(0, n_steps=100), tmp_path / "p.txt")
+    for name, rate in (("g.txt", "16.7"), ("p.txt", "71")):
         path = tmp_path / name
         path.write_text(path.read_text().replace(f"\nfreq_hz {rate}\n", f"\nfreq_hz {freq}\n", 1))
         with pytest.raises(ValueError, match="freq_hz must be finite"):
-            reader(path)
+            read_recording(path)
 
 
 def _with_header_value(path, key, value):
@@ -538,13 +617,14 @@ def _with_header_value(path, key, value):
 @pytest.mark.parametrize("key, value", [
     ("freq_hz", "abc"), ("object", "x"), ("freq_hz", "inf"), ("channels", "15"),
     ("channels", "x"), ("outcome", "maybe"), ("direction", "up"), ("slip_onset", "1.5"),
+    ("kind", "torque"),
 ])
 def test_read_grasp_set_names_line_of_bad_header_value(tmp_path, key, value):
     path = tmp_path / "g.txt"
-    write_grasp_set(synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)), path)
+    write_recording(synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)), path)
     ln = _with_header_value(path, key, value)
     with pytest.raises(ValueError, match=rf"g\.txt:{ln}: {key} must be .*, got '{value}'"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -553,10 +633,10 @@ def test_read_grasp_set_names_line_of_bad_header_value(tmp_path, key, value):
 ])
 def test_read_pressure_run_names_line_of_bad_header_value(tmp_path, key, value):
     path = tmp_path / "p.txt"
-    write_pressure_run(synth_pressure_run(0, n_steps=100), path)
+    write_recording(synth_pressure_run(0, n_steps=100), path)
     ln = _with_header_value(path, key, value)
     with pytest.raises(ValueError, match=rf"p\.txt:{ln}: {key} must be .*, got '{value}'"):
-        read_pressure_run(path)
+        read_recording(path)
 
 
 # -- trace files ------------------------------------------------------------------------
@@ -565,8 +645,8 @@ def test_read_pressure_run_names_line_of_bad_header_value(tmp_path, key, value):
 def test_grasp_file_round_trip(tmp_path):
     g = synth_grasp(21, SynthParams(slip_onset=200, drop_step=260))
     path = tmp_path / "g.txt"
-    write_grasp_set(g, path)
-    again = read_grasp_set(path)
+    write_recording(g, path)
+    again = read_recording(path)
     np.testing.assert_array_equal(again.as_matrix(), g.as_matrix())
     assert again.outcome == g.outcome
     assert again.direction == g.direction
@@ -580,7 +660,7 @@ def test_grasp_file_round_trip(tmp_path):
 def test_grasp_file_matches_independent_parser(tmp_path):
     g = synth_grasp(22)
     path = tmp_path / "g.txt"
-    write_grasp_set(g, path)
+    write_recording(g, path)
     rows = oracles.parse_trace_matrix(path.read_text())
     np.testing.assert_array_equal(np.asarray(rows, dtype=float), g.as_matrix())
 
@@ -589,43 +669,43 @@ def test_read_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("hello world\n1 2 3\n")
     with pytest.raises(ValueError, match="not a graspslip-trace v1 file"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 def test_read_reports_malformed_header_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("graspslip-trace v1\nkind\ndata\n1\n")
     with pytest.raises(ValueError, match=r"bad\.txt:2: malformed header line"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 def test_read_requires_data_section(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("graspslip-trace v1\nkind force\n")
     with pytest.raises(ValueError, match="missing 'data' section"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 def test_read_reports_bad_row_width(tmp_path):
     g = synth_grasp(1, SynthParams(n_steps=50, slip_onset=None, drop_step=None))
     path = tmp_path / "g.txt"
-    write_grasp_set(g, path)
+    write_recording(g, path)
     lines = path.read_text().splitlines()
     body = lines.index("data") + 1
     lines[body + 2] = "1 2 3"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"g\.txt:{body + 3}: expected 16 channels, got 3"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 def test_read_reports_non_numeric(tmp_path):
     g = synth_grasp(1, SynthParams(n_steps=50, slip_onset=None, drop_step=None))
     path = tmp_path / "g.txt"
-    write_grasp_set(g, path)
+    write_recording(g, path)
     text = path.read_text().replace("\ndata\n", "\ndata\n" + "x " * 15 + "x\n", 1)
     path.write_text(text)
     with pytest.raises(ValueError, match="non-numeric value"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 def test_read_rejects_empty_body(tmp_path):
@@ -635,7 +715,7 @@ def test_read_rejects_empty_body(tmp_path):
         "outcome success\ndirection back\nobject 0\ndata\n"
     )
     with pytest.raises(ValueError, match="empty input"):
-        read_grasp_set(path)
+        read_recording(path)
 
 
 # -- dataset directories -----------------------------------------------------------------
@@ -670,7 +750,7 @@ def test_empty_dataset_is_manifest_only(tmp_path):
 def test_load_dataset_single_file(tmp_path):
     g = synth_grasp(2)
     path = tmp_path / "one.txt"
-    write_grasp_set(g, path)
+    write_recording(g, path)
     got = load_force_dataset(path)
     assert len(got) == 1
     np.testing.assert_array_equal(got[0].as_matrix(), g.as_matrix())
@@ -698,7 +778,7 @@ def test_convert_csv_with_header_row(tmp_path):
     dst = tmp_path / "out.txt"
     g = convert_csv(src, dst, outcome="success", direction="top")
     np.testing.assert_array_equal(g.as_matrix(), matrix)
-    again = read_grasp_set(dst)
+    again = read_recording(dst)
     np.testing.assert_array_equal(again.as_matrix(), matrix)
     assert again.direction == "top"
 
@@ -716,7 +796,7 @@ def test_convert_csv_returns_the_rounded_samples_it_writes(tmp_path):
     src.write_text("\n".join([",".join(["1000.5"] * 16)] * 3) + "\n")
     g = convert_csv(src, tmp_path / "out.txt")
     np.testing.assert_array_equal(g.as_matrix(), np.full((3, 16), 1000.0))
-    np.testing.assert_array_equal(read_grasp_set(tmp_path / "out.txt").as_matrix(), g.as_matrix())
+    np.testing.assert_array_equal(read_recording(tmp_path / "out.txt").as_matrix(), g.as_matrix())
 
 
 def test_convert_csv_names_bad_line(tmp_path):
@@ -731,3 +811,41 @@ def test_convert_csv_bad_width(tmp_path):
     src.write_text("1,2,3\n")
     with pytest.raises(ValueError, match="expected 16 channels, got 3"):
         convert_csv(src, tmp_path / "out.txt")
+
+
+def test_convert_csv_rejects_sample_too_large_for_int64(tmp_path):
+    # np.rint(1e20).astype(np.int64) wraps to -2**63 with only a warning.
+    src = tmp_path / "raw.csv"
+    src.write_text(",".join(["1e20"] * 16) + "\n" + ",".join(["5"] * 16) + "\n")
+    dst = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=r"sample 1e\+20 at step 0, channel 0 does not fit a 64-bit integer"):
+        convert_csv(src, dst)
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("value", [2.0**63, -(2.0**63) - 2048.0, -1e300])
+def test_writers_reject_samples_outside_int64(tmp_path, value):
+    g = make_set(n_steps=5)
+    samples = g.as_matrix().copy()
+    samples[2, 9] = value
+    bad = dataclasses.replace(g, samples=samples)
+    with pytest.raises(ValueError, match="does not fit a 64-bit integer"):
+        write_recording(bad, tmp_path / "bad.txt")
+    with pytest.raises(ValueError, match="does not fit a 64-bit integer"):
+        save_force_dataset([g, bad], tmp_path / "ds")
+    assert not (tmp_path / "bad.txt").exists() and not (tmp_path / "ds").exists()
+
+
+def test_writer_keeps_largest_int64_samples(tmp_path):
+    g = make_set(n_steps=3)
+    samples = g.as_matrix().copy()
+    samples[0, :2] = [2.0**63 - 1024.0, -(2.0**63)]
+    path = tmp_path / "big.txt"
+    write_recording(dataclasses.replace(g, samples=samples), path)
+    np.testing.assert_array_equal(read_recording(path).as_matrix(), samples)
+
+
+def test_save_dataset_rejects_mixed_kinds(tmp_path):
+    with pytest.raises(ValueError, match="one kind of recording"):
+        save_force_dataset([make_set(n_steps=5), synth_pressure_run(0, n_steps=100)], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()

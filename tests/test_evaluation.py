@@ -1,15 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from graspslip import baselines, data, evaluation, models
+from graspslip import data, evaluation, models
 from graspslip.evaluation import (
     EvalReport,
     ahead_drop_rate,
     confusion_counts,
     cross_condition_matrix,
-    evaluate_baseline,
     evaluate_model,
     first_unstable,
     fit_variant,
@@ -138,12 +138,9 @@ def test_evaluate_model_beats_constant_predictor(trained_c, synth_split):
     assert trained.success_rate > base.success_rate + 0.2
 
 
-def test_evaluate_model_validation(trained_c, synth_split):
-    _, test_sets = synth_split
+def test_evaluate_model_validation(trained_c):
     with pytest.raises(ValueError, match="empty input: no sets"):
         evaluate_model(trained_c, [])
-    with pytest.raises(ValueError, match="average must be"):
-        evaluate_model(trained_c, test_sets, average="macro")
 
 
 def test_evaluate_model_detect_mode_uses_detected_drop(trained_c, synth_split):
@@ -153,41 +150,13 @@ def test_evaluate_model_detect_mode_uses_detected_drop(trained_c, synth_split):
     assert report.n_failure_sets > 0
 
 
-# -- baseline evaluation --------------------------------------------------------------
-
-
-def test_evaluate_baseline(trained_c, synth_split):
-    train_sets, test_sets = synth_split
-    feats, ys = [], []
-    for g in train_sets:
-        for w in data.window_batches(g, 160, 0, labels="truth"):
-            feats.append(baselines.flatten_window(trained_c.featurize(w.samples)))
-            ys.append(int(w.unstable[-1]))
-    nb = baselines.fit("nb", np.array(feats), np.array(ys))
-    out = evaluate_baseline(nb, trained_c, test_sets, labels="truth")
-    assert out["n_windows"] == 2 * len(test_sets)
-    assert 0.5 <= out["success_rate"] <= 1.0
-
-
-def test_evaluate_baseline_empty():
-    with pytest.raises(ValueError, match="empty input: no sets"):
-        evaluate_baseline(None, None, [])
-
-
 # -- cross-condition matrix --------------------------------------------------------------
 
 
 def test_cross_matrix_single_condition_matches_plain_eval():
     sets = data.synth_force_dataset(10, seed=31)
     # force a single direction so the matrix is 1x1
-    sets = [
-        data.GraspSet(
-            traces=s.traces, outcome=s.outcome, object_id=s.object_id,
-            direction="top", weight=s.weight, force_level=s.force_level,
-            set_id=s.set_id, meta=s.meta,
-        )
-        for s in sets
-    ]
+    sets = [dataclasses.replace(s, direction="top") for s in sets]
     matrix = cross_condition_matrix(sets, "B", SMALL_CONFIG, condition="direction")
     assert matrix["rows"] == ["top"] and matrix["cols"] == ["top"]
     train, test = data.split(sets, 0.8, seed=SMALL_CONFIG.seed)
@@ -198,18 +167,9 @@ def test_cross_matrix_single_condition_matches_plain_eval():
 
 def test_cross_matrix_unsplittable_condition_is_na():
     sets = data.synth_force_dataset(12, seed=32)
-    lone = data.GraspSet(
-        traces=sets[0].traces, outcome=sets[0].outcome, object_id=0,
-        direction="top", set_id="lone", meta=sets[0].meta,
-    )
-    rest = [
-        data.GraspSet(
-            traces=s.traces, outcome=s.outcome, object_id=s.object_id,
-            direction="back", weight=s.weight, force_level=s.force_level,
-            set_id=s.set_id, meta=s.meta,
-        )
-        for s in sets[1:]
-    ]
+    lone = dataclasses.replace(sets[0], object_id=0, direction="top", weight=0,
+                               force_level=0, set_id="lone")
+    rest = [dataclasses.replace(s, direction="back") for s in sets[1:]]
     matrix = cross_condition_matrix(rest + [lone], "B", SMALL_CONFIG)
     assert matrix["rows"] == ["back", "top"]
     # "top" holds one set: it cannot be split, so its test column is n/a

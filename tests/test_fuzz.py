@@ -12,12 +12,11 @@ import hashlib
 import json
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graspslip import baselines, data, models, stream
+from graspslip import data, models, stream
 from graspslip.signal import compute_norm_stats
 
 FUZZ = settings(
@@ -77,15 +76,14 @@ def valid(tmp_path_factory):
     """One small valid file of each kind, as bytes."""
     root = tmp_path_factory.mktemp("valid")
     grasp = data.synth_grasp(1, n_steps=16, ramp_steps=4, slip_onset=8, drop_step=12)
-    data.write_grasp_set(grasp, root / "set.txt")
+    data.write_recording(grasp, root / "set.txt")
+    data.write_recording(data.synth_pressure_run(2, n_steps=12), root / "pressure.txt")
     events = [stream.StepEvent(step, ch, 0.25 * ch, ch % 2 == 1, 12.5)
               for step in range(3) for ch in range(3)]
     stream.write_event_log(events, root / "events.csv")
     model = models.build_model("D", models.TrainConfig(window_len=40, lstm_units=2))
     model.stats = compute_norm_stats([grasp.channel(0)])
     models.save_checkpoint(model, root / "model.gslp")
-    points = np.arange(12.0).reshape(4, 3)
-    models.save_checkpoint(baselines.fit("knn", points, [0, 1, 0, 1], k=3), root / "knn.gslp")
     return {path.name: path.read_bytes() for path in root.iterdir()}
 
 
@@ -95,7 +93,8 @@ def scratch(tmp_path_factory):
 
 
 READERS = {
-    "set.txt": data.read_grasp_set,
+    "set.txt": data.read_recording,
+    "pressure.txt": data.read_recording,
     "events.csv": stream.read_event_log,
     "model.gslp": models.load_checkpoint,
 }
@@ -141,7 +140,7 @@ def header_slots(valid, scratch, name):
     return header, body, slots
 
 
-CHECKPOINTS = ["knn.gslp", "model.gslp"]
+CHECKPOINTS = ["model.gslp"]
 
 
 @pytest.mark.parametrize("name", CHECKPOINTS)

@@ -643,28 +643,3 @@ def test_read_blob_rejects_non_object_header(tmp_path):
     path.write_bytes(payload + hashlib.sha256(payload).hexdigest().encode("ascii"))
     with pytest.raises(models.CheckpointError, match="header length"):
         models.read_blob(path)
-
-
-def test_baseline_checkpoint_missing_field_is_checkpoint_error(tmp_path):
-    path = tmp_path / "model.gslp"
-    models.write_blob(path, {"kind": "knn"}, [("points", np.zeros((2, 3))), ("labels", np.zeros(2))])
-    with pytest.raises(models.CheckpointError, match="KeyError"):
-        load_checkpoint(path)
-
-
-def test_baseline_checkpoint_infinite_field_is_checkpoint_error(tmp_path):
-    # json writes float("inf") as Infinity and reads it back as a float.
-    path = tmp_path / "model.gslp"
-    models.write_blob(path, {"kind": "knn", "k": float("inf")},
-                      [("points", np.zeros((2, 3))), ("labels", np.zeros(2))])
-    with pytest.raises(models.CheckpointError, match="'k' must be an integer, got inf"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("k", [3.7, 3.0, True, "3", None])
-def test_baseline_checkpoint_non_integer_k_is_checkpoint_error(tmp_path, k):
-    path = tmp_path / "model.gslp"
-    models.write_blob(path, {"kind": "knn", "k": k},
-                      [("points", np.zeros((4, 3))), ("labels", np.zeros(4))])
-    with pytest.raises(models.CheckpointError, match="'k' must be an integer"):
-        load_checkpoint(path)

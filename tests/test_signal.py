@@ -8,7 +8,6 @@ from graspslip.signal import (
     SensorTrace,
     band_magnitudes,
     compute_norm_stats,
-    downsample,
     normalize_array,
     stft_window,
 )
@@ -49,25 +48,38 @@ def test_trace_samples_read_only():
         t.samples[0] = 5.0
 
 
+def test_trace_keeps_a_read_only_float64_array_uncopied():
+    owner = np.zeros((3, 4))
+    owner.setflags(write=False)
+    assert trace(owner[:, 1]).samples.base is owner
+    assert trace(owner[0]).samples.base is owner
+
+
+@pytest.mark.parametrize("dtype, writable", [
+    ("<f8", True), ("<i8", False), (">f8", False),
+], ids=["writable", "int", "big-endian"])
+def test_trace_copies_an_array_it_cannot_keep(dtype, writable):
+    a = np.arange(4).astype(dtype)
+    a.setflags(write=writable)
+    t = SensorTrace(a, 16.7)
+    assert not np.shares_memory(t.samples, a)
+    assert t.samples.dtype == np.float64 and not t.samples.flags.writeable
+
+
+def test_trace_copies_a_read_only_view_of_writable_memory():
+    owner = np.arange(4.0)
+    view = owner[:]
+    view.setflags(write=False)
+    t = SensorTrace(view, 16.7)
+    owner[0] = 99.0
+    assert t.samples[0] == 0.0
+
+
 def test_trace_meta_is_copied():
     meta = {"source": "force"}
     t = trace([1.0], meta=meta)
     meta["source"] = "pressure"
     assert t.meta["source"] == "force"
-
-
-def test_validate_range_force_bounds():
-    trace([0.0, 10000.0], meta={"source": "force"}).validate_range()
-    with pytest.raises(ValueError, match="force"):
-        trace([-1.0], meta={"source": "force"}).validate_range()
-    with pytest.raises(ValueError, match="force"):
-        trace([10001.0], meta={"source": "force"}).validate_range()
-
-
-def test_validate_range_pressure_bounds():
-    trace([0.0, 65535.0], meta={"source": "pressure"}).validate_range()
-    with pytest.raises(ValueError, match="pressure"):
-        trace([65536.0], meta={"source": "pressure"}).validate_range()
 
 
 # -- stft_window -----------------------------------------------------------
@@ -178,27 +190,3 @@ def test_normalize_output_in_unit_interval(values):
     y = normalize_array(x, stats)
     assert y.min() >= 0.0 and y.max() <= 1.0
     assert y[np.argmin(x)] == 0.0 and y[np.argmax(x)] == 1.0
-
-
-# -- downsample ----------------------------------------------------------------
-
-
-def test_downsample_identity():
-    t = trace([1.0, 2.0, 3.0])
-    d = downsample(t, 1)
-    np.testing.assert_array_equal(d.samples, t.samples)
-    assert d.freq_hz == t.freq_hz
-
-
-def test_downsample_strides_and_rescales():
-    t = trace(np.arange(10.0), freq=16.7)
-    d = downsample(t, 3)
-    np.testing.assert_array_equal(d.samples, [0.0, 3.0, 6.0, 9.0])
-    assert d.freq_hz == pytest.approx(16.7 / 3)
-
-
-def test_downsample_rejects_bad_factor():
-    with pytest.raises(ValueError, match="downsample factor"):
-        downsample(trace([1.0, 2.0]), 0)
-    with pytest.raises(ValueError, match="downsample factor"):
-        downsample(trace([1.0, 2.0]), 1.5)
