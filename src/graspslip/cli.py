@@ -32,7 +32,7 @@ from graspslip import evaluation as geval
 from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
-from graspslip.ioutil import atomic_write_text, rng_for, sha256_file
+from graspslip.ioutil import atomic_write_text, rng_for, sha256_bytes, sha256_file
 from graspslip.signal import NormStats
 
 GRAD_TOLERANCE = 1e-4
@@ -55,15 +55,11 @@ def _out_dir(args) -> str:
 
 
 def _digest_dataset(path) -> str:
-    if os.path.isfile(path):
-        return sha256_file(path)
-    manifest = os.path.join(path, "manifest.json")
-    if os.path.exists(manifest):
-        return sha256_file(manifest)
-    names = sorted(f for f in os.listdir(path) if f.endswith(".txt"))
-    parts = [f"{n}:{sha256_file(os.path.join(path, n))}" for n in names]
-    from graspslip.ioutil import sha256_bytes
-
+    """sha256 over ``name:sha256`` of the manifest (when present) and of
+    every set file the loader reads."""
+    manifest, files = gdata.dataset_files(path)
+    parts = [f"{os.path.basename(p)}:{sha256_file(p)}"
+             for p in ([manifest] if manifest else []) + files]
     return sha256_bytes("\n".join(parts).encode("utf-8"))
 
 
@@ -206,6 +202,8 @@ def cmd_eval(args) -> int:
     eval_sets, side = _load_split(args, sets)
     if not eval_sets:
         raise ValueError("selected split side is empty")
+    if args.dump_set is not None and not (0 <= args.dump_set < len(eval_sets)):
+        raise ValueError(f"--dump-set {args.dump_set} out of range (0..{len(eval_sets) - 1})")
     inputs = {"dataset": _digest_dataset(args.data)}
     table_rows = []
     for ckpt_path in args.checkpoint:

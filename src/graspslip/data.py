@@ -1,5 +1,8 @@
 """Dataset ingestion, labeling, windowing, splitting, and synthesis.
 
+A recording's per-step labels (``window_batches``) and its drop step
+(``drop_step``) are decided here and nowhere else.
+
 Trace file grammar (one grasp set per file, whitespace-separated):
 
     graspslip-trace v1
@@ -133,18 +136,14 @@ class Recording:
 class LabeledWindow:
     """A fixed-length slice of one channel with per-step stability labels.
 
-    ``labels`` holds stable=True booleans. ``drop_step`` is the index of
-    the detected drop relative to the window start when the drop falls
-    inside this window and the 20-step pre-drop rule produced the labels;
-    it is None for ground-truth-labeled synthetic windows, where the
-    unstable span comes straight from the generator.
+    ``labels`` holds stable=True booleans. ``start`` is the step of the
+    recording the window begins at (see ``window_batches``); windows
+    built by hand default to 0.
     """
 
     samples: np.ndarray
     labels: np.ndarray
-    drop_step: int | None = None
-    channel_id: int = 0
-    provenance: dict = field(default_factory=dict)
+    start: int = 0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -153,17 +152,10 @@ class LabeledWindow:
             raise ValueError("empty input")
         if labels.shape != samples.shape:
             raise ValueError("length mismatch between samples and labels")
-        if self.drop_step is not None:
-            if not (0 <= self.drop_step < samples.size):
-                raise ValueError("drop_step out of range")
-            start = max(0, self.drop_step - LABEL_LEAD_STEPS)
-            if labels[start:].any():
-                raise ValueError("labels inconsistent with drop_step")
         for a in (samples, labels):
             a.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "provenance", dict(self.provenance))
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -215,102 +207,63 @@ def label_slip(trace, drop_step: int | None) -> np.ndarray:
     return labels
 
 
+def drop_step(rec: Recording, channel: int = 0) -> int | None:
+    """The step a recording's grasp drops at: the generator's ground truth
+    when it recorded one, else ``detect_drop`` on ``channel``."""
+    if "drop_step" in rec.meta:
+        return int(rec.meta["drop_step"])
+    return detect_drop(rec.channel(channel))
+
+
 # -- windowing ------------------------------------------------------------
 
 
-def window_trace(
-    samples: np.ndarray,
-    labels: np.ndarray,
-    window_len: int = 160,
-    drop_step: int | None = None,
-    channel_id: int = 0,
-    provenance: dict | None = None,
-    truth_labels: bool = False,
-) -> list[LabeledWindow]:
-    """Cut non-overlapping windows; the trailing remainder is dropped."""
-    samples = np.asarray(samples, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    if window_len < 1:
-        raise ValueError("window_len must be >= 1")
-    if samples.size < window_len:
-        raise ValueError(
-            f"trace shorter than window: {samples.size} < {window_len}"
-        )
-    if labels.shape != samples.shape:
-        raise ValueError("length mismatch between samples and labels")
-    provenance = dict(provenance or {})
-    out = []
-    for start in range(0, samples.size - window_len + 1, window_len):
-        stop = start + window_len
-        local_drop = None
-        if not truth_labels and drop_step is not None and start <= drop_step < stop:
-            local_drop = drop_step - start
-        out.append(
-            LabeledWindow(
-                samples=samples[start:stop],
-                labels=labels[start:stop],
-                drop_step=local_drop,
-                channel_id=channel_id,
-                provenance=dict(provenance, start=start),
-            )
-        )
-    return out
-
-
 def window_batches(
-    source,
+    rec: Recording,
     window_len: int = 160,
     channel: int = 0,
     labels: str = "detect",
 ) -> list[LabeledWindow]:
-    """LabeledWindows for one channel of a force Recording (or a bare trace).
+    """Non-overlapping LabeledWindows over one channel of a Recording.
 
-    labels="detect" runs detect_drop + the 20-step pre-drop rule on the
-    channel itself; labels="truth" takes the generator's slip_onset from
-    the set meta (synthetic sets only) and marks [slip_onset, end).
+    The trailing remainder is dropped. Each window's samples are a view of
+    the recording's read-only matrix, and its ``start`` is the step it
+    begins at. labels="detect" runs detect_drop + the 20-step pre-drop
+    rule on the channel itself; labels="truth" takes the generator's
+    slip_onset from the set meta (synthetic sets only) and marks
+    [slip_onset, end) of a failure set.
     """
-    if isinstance(source, SensorTrace):
-        trace = source
-        provenance = dict(trace.meta)
-        if labels == "truth":
-            raise ValueError("truth labels need a synthetic Recording")
-    else:
-        trace = source.channel(channel)
-        provenance = {
-            "set_id": source.set_id,
-            "direction": source.direction,
-            "object": source.object_id,
-            "outcome": source.outcome,
-        }
+    trace = rec.channel(channel)
     if labels == "truth":
-        onset = source.meta.get("slip_onset")
         lab = np.ones(len(trace), dtype=bool)
-        if source.outcome == "failure":
+        if rec.outcome == "failure":
+            onset = rec.meta.get("slip_onset")
             if onset is None:
                 raise ValueError("truth labels need slip_onset in set meta")
             lab[int(onset):] = False
-        return window_trace(
-            trace.samples, lab, window_len,
-            channel_id=trace.channel_id, provenance=provenance, truth_labels=True,
-        )
-    if labels != "detect":
+    elif labels == "detect":
+        lab = label_slip(trace, detect_drop(trace))
+    else:
         raise ValueError(f"labels must be detect|truth, got {labels!r}")
-    drop = detect_drop(trace)
-    lab = label_slip(trace, drop)
-    return window_trace(
-        trace.samples, lab, window_len, drop_step=drop,
-        channel_id=trace.channel_id, provenance=provenance,
-    )
+    if window_len < 1:
+        raise ValueError("window_len must be >= 1")
+    if len(trace) < window_len:
+        raise ValueError(f"trace shorter than window: {len(trace)} < {window_len}")
+    return [
+        LabeledWindow(trace.samples[start : start + window_len],
+                      lab[start : start + window_len], start)
+        for start in range(0, len(trace) - window_len + 1, window_len)
+    ]
 
 
 # -- splitting -------------------------------------------------------------
 
 
-def split(dataset, ratio: float = 0.8, seed: int = 0, stratify_by: str = "outcome"):
-    """Seeded stratified set-level split into (train, test).
+def split(dataset, ratio: float = 0.8, seed: int = 0):
+    """Seeded set-level split into (train, test), stratified by outcome.
 
     Windows of one grasp never straddle the split because whole recordings
-    are assigned. Per stratum the train share is floor(ratio * n); if that
+    are assigned. Per outcome the train share is floor(ratio * n); if that
     leaves either side empty overall, one set moves across.
     """
     sets = list(dataset)
@@ -318,16 +271,10 @@ def split(dataset, ratio: float = 0.8, seed: int = 0, stratify_by: str = "outcom
         raise ValueError("need at least 2 sets to split")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    if stratify_by == "outcome":
-        key = lambda s: s.outcome
-    elif stratify_by == "direction":
-        key = lambda s: s.direction
-    else:
-        raise ValueError(f"stratify_by must be outcome|direction, got {stratify_by!r}")
 
     groups: dict[str, list] = {}
     for idx, s in enumerate(sets):
-        groups.setdefault(key(s), []).append(idx)
+        groups.setdefault(s.outcome, []).append(idx)
 
     rng = rng_for(seed, "dataset-split")
     train_idx, test_idx = [], []
@@ -730,35 +677,42 @@ def save_force_dataset(sets, out_dir, prefix: str = "set") -> str:
     return manifest_path
 
 
-def load_force_dataset(path) -> list[Recording]:
-    """Read every set file in a dataset directory, manifest order, or one
-    trace file. Every file must be of kind force."""
+def dataset_files(path) -> tuple[str | None, list[str]]:
+    """(manifest.json path or None, set file paths in load order) of a
+    dataset: one trace file; a directory's manifest ``files``; or, with no
+    manifest, the directory's non-hidden ``.txt`` files sorted by name."""
     if os.path.isfile(path):
-        return [_read_force(path)]
+        return None, [path]
     if not os.path.isdir(path):
         raise ValueError(f"no such dataset: {path}")
     manifest_path = os.path.join(path, "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{manifest_path}: JSON nested too deep") from None
-        names = manifest.get("files") if isinstance(manifest, dict) else None
-        if not (isinstance(names, list) and all(
-            isinstance(n, str) and n not in ("", ".", "..") and os.path.basename(n) == n
-            for n in names
-        )):
-            raise ValueError(f"{manifest_path}: 'files' must be a list of file names "
-                             "in the dataset directory")
-    else:
+    if not os.path.exists(manifest_path):
         names = sorted(
             f for f in os.listdir(path)
             if f.endswith(".txt") and not f.startswith(".")
         )
         if not names:
             raise ValueError(f"{path}: empty input")
-    return [_read_force(os.path.join(path, name)) for name in names]
+        return None, [os.path.join(path, name) for name in names]
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{manifest_path}: JSON nested too deep") from None
+    names = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (isinstance(names, list) and all(
+        isinstance(n, str) and n not in ("", ".", "..") and os.path.basename(n) == n
+        for n in names
+    )):
+        raise ValueError(f"{manifest_path}: 'files' must be a list of file names "
+                         "in the dataset directory")
+    return manifest_path, [os.path.join(path, name) for name in names]
+
+
+def load_force_dataset(path) -> list[Recording]:
+    """Read every set file of a dataset (see ``dataset_files``), in order.
+    Every file must be of kind force."""
+    return [_read_force(p) for p in dataset_files(path)[1]]
 
 
 # -- foreign format conversion -----------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -111,13 +111,6 @@ class EvalReport:
         return cls(**json.loads(text))
 
 
-def _set_drop_step(grasp: gdata.Recording, channel: int) -> int | None:
-    """Ground-truth drop when the generator recorded one, else detected."""
-    if "drop_step" in grasp.meta:
-        return int(grasp.meta["drop_step"])
-    return gdata.detect_drop(grasp.channel(channel))
-
-
 def evaluate_model(
     model,
     sets,
@@ -153,7 +146,7 @@ def evaluate_model(
             set_pred.append(pred.unstable)
             by_direction.setdefault(grasp.direction, []).append(window_rates[-1])
         if grasp.outcome == "failure":
-            drop = _set_drop_step(grasp, channel)
+            drop = gdata.drop_step(grasp, channel)
             if drop is not None:
                 firsts.append(first_unstable(np.concatenate(set_pred)))
                 drops.append(drop)
@@ -260,8 +253,7 @@ def fit_variant(
 
 
 def _run_cell(args):
-    variant_tag, seed, train_sets, test_sets, config_kwargs, labels, channel = args
-    config = gmodels.TrainConfig(**dict(config_kwargs, seed=seed))
+    variant_tag, train_sets, test_sets, config, labels, channel = args
     try:
         model, history = fit_variant(
             variant_tag, train_sets, config, labels=labels, channel=channel
@@ -271,7 +263,7 @@ def _run_cell(args):
         )
         return {
             "variant": variant_tag,
-            "seed": seed,
+            "seed": config.seed,
             "ok": True,
             "success_rate": report.success_rate,
             "ahead_drop_rate": report.ahead_drop_rate,
@@ -280,7 +272,7 @@ def _run_cell(args):
             "epochs_run": len(history),
         }
     except (ValueError, RuntimeError) as exc:
-        return {"variant": variant_tag, "seed": seed, "ok": False, "error": str(exc)}
+        return {"variant": variant_tag, "seed": config.seed, "ok": False, "error": str(exc)}
 
 
 def run_experiment(
@@ -304,19 +296,12 @@ def run_experiment(
     sets = list(sets)
     config = config or gmodels.TrainConfig()
     variant_tags = [gmodels.get_variant(v).tag for v in variants]
-    base_kwargs = {
-        k: getattr(config, k)
-        for k in (
-            "window_len", "lstm_units", "lr", "epochs", "clip_norm",
-            "loss_mode", "init_mode", "threshold", "early_stop_patience",
-        )
-    }
 
     tasks = []
     for seed in seeds:
         train_sets, test_sets = gdata.split(sets, ratio, seed=seed)
         for tag in variant_tags:
-            tasks.append((tag, seed, train_sets, test_sets, base_kwargs, labels, channel))
+            tasks.append((tag, train_sets, test_sets, replace(config, seed=seed), labels, channel))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -397,10 +382,9 @@ def write_prediction_dump(model, grasp, path, window_len: int = 160, channel: in
     windows = gdata.window_batches(grasp, window_len, channel, labels=labels)
     preds = model.predict_batch([model.featurize(w.samples) for w in windows])
     for w, pred in zip(windows, preds):
-        start = int(w.provenance.get("start", 0))
         for i in range(len(w)):
             rows.append(
-                f"{start + i},{w.samples[i]:g},{int(w.unstable[i])},"
+                f"{w.start + i},{w.samples[i]:g},{int(w.unstable[i])},"
                 f"{pred.p_unstable[i]:.9f},{int(pred.unstable[i])}"
             )
     atomic_write_text(path, "\n".join(rows) + "\n")

@@ -300,16 +300,8 @@ class GraspModel:
         return self._forward_loss(features, labels_unstable)[-1]
 
     def loss_and_grads(self, features, labels_unstable: np.ndarray):
-        """Mean cross-entropy over supervised steps and its exact gradient,
-        named as in param_dict(); each LSTM's are views into one dK array."""
-        loss, grads = self._stored_loss_and_grads(features, labels_unstable)
-        for idx in range(len(self.lstms)):
-            dk = grads.pop(f"lstm{idx}")
-            grads.update({f"lstm{idx}.{n}": g for n, g in nn.gate_views(dk).items()})
-        return loss, grads
-
-    def _stored_loss_and_grads(self, features, labels_unstable: np.ndarray):
-        """loss_and_grads() with one gradient per stored array (see _stored)."""
+        """Mean cross-entropy over supervised steps and its exact gradient
+        with respect to each of stored_arrays(), under the same names."""
         caches, hcat, probs, y, sup, loss = self._forward_loss(features, labels_unstable)
         d_logits = np.zeros_like(probs)
         d_logits[sup] = probs[sup]
@@ -336,8 +328,9 @@ class GraspModel:
                  for g, a in nn.gate_views(p.k).items()}
         return {**gates, "fc.w": self.head.w, "fc.b": self.head.b}
 
-    def _stored(self) -> dict[str, np.ndarray]:
-        """The stored arrays: one kernel ``lstm{i}`` per LSTM, then the head."""
+    def stored_arrays(self) -> dict[str, np.ndarray]:
+        """The arrays the model holds: one kernel ``lstm{i}`` per LSTM (the
+        gates' storage, see ``nn.gate_views``), then ``fc.w`` and ``fc.b``."""
         kernels = {f"lstm{idx}": p.k for idx, p in enumerate(self.lstms)}
         return {**kernels, "fc.w": self.head.w, "fc.b": self.head.b}
 
@@ -373,11 +366,12 @@ def train(
 ) -> list[EpochRecord]:
     """Seeded-shuffled window iteration, one Adam step per window.
 
-    Windows must carry ``samples`` and stable-flag ``labels`` (see
-    graspslip.data.LabeledWindow). Features are derived once up front from
-    the model's frozen stats. When validation windows are given, training
-    stops after ``early_stop_patience`` epochs without a success-rate
-    improvement and the best parameters are restored.
+    Windows must carry ``samples`` and stable-flag ``labels``:
+    ``data.window_batches`` cuts them from a Recording, and callers may
+    build ``data.LabeledWindow``s of their own. Features are derived once
+    up front from the model's frozen stats. When validation windows are
+    given, training stops after ``early_stop_patience`` epochs without a
+    success-rate improvement and the best parameters are restored.
     """
     windows = list(windows)
     if not windows:
@@ -405,14 +399,14 @@ def train(
         order = rng.permutation(len(windows))
         losses = np.empty(len(windows))
         for step, wi in enumerate(order):
-            loss, grads = model._stored_loss_and_grads(feats[wi], ys[wi])
+            loss, grads = model.loss_and_grads(feats[wi], ys[wi])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"diverged: non-finite loss at epoch {epoch}, step {step}"
                 )
             if config.clip_norm:
                 grads = nn.clip_gradients(grads, config.clip_norm)
-            new_params, opt = nn.adam_step(model._stored(), grads, opt)
+            new_params, opt = nn.adam_step(model.stored_arrays(), grads, opt)
             model._restore(new_params)
             losses[step] = loss
 
@@ -423,7 +417,7 @@ def train(
             record.val_success = hit / sum(y.size for y in val_ys)
             if record.val_success > best_success:
                 best_success = record.val_success
-                best_params = {k: v.copy() for k, v in model._stored().items()}
+                best_params = {k: v.copy() for k, v in model.stored_arrays().items()}
                 stale = 0
             else:
                 stale += 1

@@ -335,16 +335,17 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 def grad_check(model, features, labels, eps: float = 1e-5) -> float:
     """Max relative disagreement between BPTT and central finite differences.
 
-    ``model`` must expose param_dict(), loss(features, labels) and
-    loss_and_grads(features, labels). Parameters are perturbed in place
-    through the arrays param_dict() returns, which must be the model's
-    storage or live views of it, and restored. The denominator is floored
-    at 1e-6: below that the difference quotient itself carries ~1e-11
-    float64 roundoff, so tinier components are effectively compared
-    absolutely (a wrong derivative still shows up as an O(1) ratio). A
-    model with no parameters checks out at 0 by convention.
+    ``model`` must expose stored_arrays(), loss(features, labels) and
+    loss_and_grads(features, labels), whose gradients carry the names of
+    stored_arrays(). Parameters are perturbed in place through the arrays
+    stored_arrays() returns, which must be the model's storage, and
+    restored. The denominator is floored at 1e-6: below that the
+    difference quotient itself carries ~1e-11 float64 roundoff, so tinier
+    components are effectively compared absolutely (a wrong derivative
+    still shows up as an O(1) ratio). A model with no parameters checks
+    out at 0 by convention.
     """
-    params = model.param_dict()
+    params = model.stored_arrays()
     if not params:
         return 0.0
     _, analytic = model.loss_and_grads(features, labels)

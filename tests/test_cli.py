@@ -223,6 +223,35 @@ def test_train_does_not_mutate_dataset(tmp_path, dataset_dir):
     assert digest_tree(dataset_dir) == before
 
 
+def test_dataset_digest_covers_the_set_files_the_loader_reads(tmp_path, dataset_dir):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for name in os.listdir(dataset_dir):
+        (ds / name).write_bytes((dataset_dir / name).read_bytes())
+
+    def train_digest():
+        out = tmp_path / "o"
+        assert run("train", "--data", str(ds), "--variant", "A", "--out", str(out),
+                   "--epochs", "0", "--units", "2", "--labels", "truth") == 0
+        return json.loads((out / "run_manifest.json").read_text())["inputs"]["dataset"]
+
+    before = train_digest()
+    assert train_digest() == before
+    path = ds / "set_0000.txt"
+    lines = path.read_text().splitlines()
+    row = lines.index("data") + 1
+    first, rest = lines[row].split(" ", 1)
+    lines[row] = f"{int(first) + 1} {rest}"
+    path.write_text("\n".join(lines) + "\n")
+    assert train_digest() != before
+
+    # Without a manifest, dot-files the loader skips do not count either.
+    (ds / "manifest.json").unlink()
+    listed = cli._digest_dataset(str(ds))
+    (ds / ".scratch.txt").write_text("not a trace\n")
+    assert cli._digest_dataset(str(ds)) == listed
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -269,6 +298,19 @@ def test_eval_dump_set_writes_plot_data(tmp_path, dataset_dir, trained_dir):
     plot = (out / "plotdata_B_checkpoint.csv").read_text().splitlines()
     assert plot[0] == "step,force_mn,label_unstable,p_unstable,predicted_unstable"
     assert len(plot) == 1 + 2 * 160
+
+
+@pytest.mark.parametrize("index", ["6", "-1"])
+def test_eval_dump_set_out_of_range_fails_before_any_output(tmp_path, dataset_dir, trained_dir,
+                                                            index, capsys):
+    out = tmp_path / "dump"
+    assert run(
+        "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+        "--data", str(dataset_dir), "--out", str(out),
+        "--labels", "truth", "--dump-set", index,
+    ) == 1
+    assert f"--dump-set {index} out of range (0..5)" in capsys.readouterr().err
+    assert not list(out.glob("eval_*.json")) and not list(out.glob("plotdata_*"))
 
 
 def test_eval_rejects_baseline_checkpoint(tmp_path, dataset_dir, capsys):

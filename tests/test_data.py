@@ -23,7 +23,6 @@ from graspslip.data import (
     synth_grasp,
     synth_pressure_run,
     window_batches,
-    window_trace,
     write_recording,
 )
 from graspslip.signal import SensorTrace, band_magnitudes, normalize_array, compute_norm_stats
@@ -39,8 +38,9 @@ def force_trace(samples, channel_id=0):
     )
 
 
-def make_set(n_steps=400, outcome="success", **kw):
-    return Recording(samples=np.full((n_steps, 16), 1000.0), freq_hz=16.7,
+def make_set(n_steps=400, outcome="success", samples=None, **kw):
+    samples = np.full((n_steps, 16), 1000.0) if samples is None else samples
+    return Recording(samples=samples, freq_hz=16.7,
                      outcome=outcome, object_id=0, direction="back", **kw)
 
 
@@ -220,76 +220,62 @@ def test_labeled_window_validation():
         LabeledWindow(samples=np.zeros(0), labels=np.zeros(0, dtype=bool))
     with pytest.raises(ValueError, match="length mismatch"):
         LabeledWindow(samples=np.zeros(5), labels=np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError, match="drop_step out of range"):
-        LabeledWindow(samples=np.zeros(5), labels=np.zeros(5, dtype=bool), drop_step=7)
-
-
-def test_labeled_window_consistency_with_drop():
-    labels = np.ones(100, dtype=bool)
-    labels[30:] = False
-    w = LabeledWindow(samples=np.zeros(100), labels=labels, drop_step=50)
-    np.testing.assert_array_equal(w.unstable, ~labels)
-    bad = np.ones(100, dtype=bool)  # stable after the drop: inconsistent
-    with pytest.raises(ValueError, match="labels inconsistent with drop_step"):
-        LabeledWindow(samples=np.zeros(100), labels=bad, drop_step=50)
 
 
 def test_labeled_window_arrays_read_only():
     w = LabeledWindow(samples=np.zeros(5), labels=np.ones(5, dtype=bool))
     with pytest.raises(ValueError):
         w.samples[0] = 1.0
+    assert w.start == 0
 
 
 # -- windowing ---------------------------------------------------------------------
 
 
 def test_window_counts():
-    labels = np.ones(400, dtype=bool)
-    assert len(window_trace(np.zeros(400), labels, 160)) == 2
-    labels = np.ones(50560, dtype=bool)
-    assert len(window_trace(np.zeros(50560), labels, 160)) == 316
+    assert len(window_batches(make_set(400), 160)) == 2
+    assert len(window_batches(make_set(50560), 160)) == 316
 
 
 def test_window_remainder_dropped():
-    labels = np.ones(330, dtype=bool)
-    wins = window_trace(np.arange(330.0), labels, 160)
+    samples = np.full((330, 16), 1000.0)
+    samples[:, 0] = np.arange(330)
+    wins = window_batches(make_set(330, samples=samples), 160)
     assert len(wins) == 2
     np.testing.assert_array_equal(wins[1].samples, np.arange(160.0, 320.0))
 
 
 def test_window_too_short():
     with pytest.raises(ValueError, match="trace shorter than window: 100 < 160"):
-        window_trace(np.zeros(100), np.ones(100, dtype=bool), 160)
+        window_batches(make_set(100), 160)
+    with pytest.raises(ValueError, match="window_len must be >= 1"):
+        window_batches(make_set(100), 0)
 
 
-def test_window_slices_match_source(rng):
-    x = rng.uniform(0, 100, size=480)
-    labels = label_slip(x, drop_step=250)
-    wins = window_trace(x, labels, 160, drop_step=250)
+def test_window_slices_match_source():
+    grasp = synth_force_dataset(2, seed=11, failure_fraction=1.0)[0]
+    x = grasp.channel(3).samples
+    labels = label_slip(x, detect_drop(x))
+    wins = window_batches(grasp, 160, channel=3)
     for i, w in enumerate(wins):
         np.testing.assert_array_equal(w.samples, x[i * 160 : (i + 1) * 160])
         np.testing.assert_array_equal(w.labels, labels[i * 160 : (i + 1) * 160])
-        assert w.provenance["start"] == i * 160
+        assert w.start == i * 160
+        assert np.shares_memory(w.samples, grasp.as_matrix())
+        with pytest.raises(ValueError, match="read-only"):
+            w.labels[0] = False
 
 
-def test_window_drop_step_is_window_relative(rng):
-    x = rng.uniform(0, 100, size=480)
-    labels = label_slip(x, drop_step=250)
-    wins = window_trace(x, labels, 160, drop_step=250)
-    assert wins[0].drop_step is None
-    assert wins[1].drop_step == 90  # 250 - 160
-    assert wins[2].drop_step is None
+def test_window_drop_step_is_window_relative():
+    samples = np.full((480, 16), 1000.0)
+    samples[250:, 0] = 0.0
+    grasp = make_set(480, outcome="failure", samples=samples)
+    wins = window_batches(grasp, 160)
+    assert data.drop_step(grasp) - wins[1].start == 90  # 250 - 160
     # window 1: unstable from 230 onward, i.e. local step 70
+    assert wins[0].labels.all()
     assert wins[1].labels[:70].all() and not wins[1].labels[70:].any()
-
-
-def test_window_truth_mode_has_no_local_drop(rng):
-    x = rng.uniform(0, 100, size=320)
-    labels = np.ones(320, dtype=bool)
-    labels[200:] = False
-    wins = window_trace(x, labels, 160, drop_step=250, truth_labels=True)
-    assert all(w.drop_step is None for w in wins)
-    assert not wins[1].labels[40:].any()
+    assert not wins[2].labels.any()
 
 
 def test_window_batches_detect_mode():
@@ -301,8 +287,6 @@ def test_window_batches_detect_mode():
     expected = label_slip(grasp.channel(0), drop)
     got = np.concatenate([w.labels for w in wins])
     np.testing.assert_array_equal(got, expected[: len(got)])
-    assert wins[0].provenance["set_id"] == grasp.set_id
-    assert wins[0].provenance["outcome"] == "failure"
 
 
 def test_window_batches_truth_mode():
@@ -313,16 +297,13 @@ def test_window_batches_truth_mode():
     flat = np.concatenate([w.labels for w in wins])
     assert flat[:onset].all()
     assert not flat[onset:].any()
-    assert all(w.drop_step is None for w in wins)
+    assert all(w.labels.all() for w in window_batches(make_set(), labels="truth"))
 
 
 def test_window_batches_truth_needs_onset():
     grasp = make_set(outcome="failure")  # no slip_onset in meta
     with pytest.raises(ValueError, match="truth labels need slip_onset"):
         window_batches(grasp, labels="truth")
-    bare = force_trace(np.full(400, 1000.0))
-    with pytest.raises(ValueError, match="truth labels need a synthetic Recording"):
-        window_batches(bare, labels="truth")
 
 
 def test_window_batches_rejects_bad_mode():
@@ -330,12 +311,18 @@ def test_window_batches_rejects_bad_mode():
         window_batches(make_set(), labels="guess")
 
 
-def test_window_batches_on_bare_trace():
-    t = force_trace(np.full(400, 1000.0), channel_id=7)
-    wins = window_batches(t, window_len=160)
-    assert len(wins) == 2
-    assert wins[0].channel_id == 7
-    assert wins[0].labels.all()
+def test_drop_step_prefers_recorded_truth_else_detects_on_the_channel():
+    samples = np.full((300, 16), 1000.0)
+    samples[200:, 2] = 0.0
+    samples[120:, 5] = 0.0
+    grasp = make_set(300, outcome="failure", samples=samples)
+    assert data.drop_step(grasp) is None
+    assert data.drop_step(grasp, channel=2) == 200
+    assert data.drop_step(grasp, channel=5) == 120
+    truth = make_set(300, outcome="failure", samples=samples, meta={"drop_step": 260})
+    assert data.drop_step(truth, channel=2) == 260
+    synth = synth_grasp(3, SynthParams(slip_onset=200, drop_step=280))
+    assert data.drop_step(synth) == 280
 
 
 # -- splitting -----------------------------------------------------------------------
@@ -373,8 +360,6 @@ def test_split_validation():
         split(sets, ratio=1.0)
     with pytest.raises(ValueError, match="need at least 2 sets"):
         split(sets[:1])
-    with pytest.raises(ValueError, match="stratify_by"):
-        split(sets, stratify_by="weight")
 
 
 def test_split_never_leaves_a_side_empty():

@@ -349,7 +349,7 @@ def test_last_step_gradients_also_pass(rng):
 
 
 def test_param_dict_writes_reach_the_model(rng):
-    # grad_check perturbs parameters in place through param_dict().
+    # param_dict() gates are live views of the stored kernels.
     m = small_model("D", lstm_units=3, seed=5)
     feats = m.featurize(rng.uniform(0.1, 0.9, size=30))
     before = m.predict(feats).p_unstable
@@ -360,19 +360,19 @@ def test_param_dict_writes_reach_the_model(rng):
         before = after
 
 
-def test_named_grads_are_views_of_stored_grads(rng):
+def test_grads_are_named_as_the_stored_arrays(rng):
+    # grad_check perturbs the arrays stored_arrays() returns.
     m = small_model("D", lstm_units=3, seed=5)
     feats = m.featurize(rng.uniform(0.1, 0.9, size=30))
     y = rng.integers(0, 2, size=30)
-    loss, named = m.loss_and_grads(feats, y)
-    stored_loss, stored = m._stored_loss_and_grads(feats, y)
-    assert loss == stored_loss
-    assert list(stored) == ["fc.w", "fc.b", "lstm0", "lstm1"]
-    assert named.keys() == m.param_dict().keys()
-    for idx in range(2):
-        assert stored[f"lstm{idx}"].shape == m.lstms[idx].k.shape
-        for gname, g in nn.gate_views(stored[f"lstm{idx}"]).items():
-            np.testing.assert_array_equal(named[f"lstm{idx}.{gname}"], g)
+    loss, grads = m.loss_and_grads(feats, y)
+    assert loss == m.loss(feats, y)
+    stored = m.stored_arrays()
+    assert list(stored) == ["lstm0", "lstm1", "fc.w", "fc.b"]
+    assert stored["lstm1"] is m.lstms[1].k and stored["fc.w"] is m.head.w
+    assert grads.keys() == stored.keys()
+    for name, g in grads.items():
+        assert g.shape == stored[name].shape, name
 
 
 # -- training -------------------------------------------------------------------

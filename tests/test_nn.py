@@ -231,8 +231,8 @@ class _BareLstm:
         self.params = params
         self.weights = weights
 
-    def param_dict(self):
-        return nn.gate_views(self.params.k)
+    def stored_arrays(self):
+        return {"k": self.params.k}
 
     def loss(self, features, labels):
         cache = nn.lstm_forward_cache(features, self.params)
@@ -241,7 +241,7 @@ class _BareLstm:
     def loss_and_grads(self, features, labels):
         cache = nn.lstm_forward_cache(features, self.params)
         loss = float(np.sum(self.weights * cache.h_all[1:]))
-        return loss, nn.gate_views(nn.lstm_backward(self.params, cache, self.weights))
+        return loss, {"k": nn.lstm_backward(self.params, cache, self.weights)}
 
 
 def test_lstm_backward_matches_finite_differences(rng):
@@ -255,7 +255,7 @@ def test_lstm_backward_matches_finite_differences(rng):
 
 def test_grad_check_empty_params_is_zero():
     class Empty:
-        def param_dict(self):
+        def stored_arrays(self):
             return {}
 
     assert nn.grad_check(Empty(), None, None) == 0.0
