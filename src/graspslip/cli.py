@@ -114,6 +114,8 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    if args.sets < 0:
+        raise ValueError(f"--sets must be >= 0, got {args.sets}")
     out = _out_dir(args)
     existing = [f for f in os.listdir(out) if not f.startswith(".")]
     if existing and not args.force:
@@ -134,7 +136,7 @@ def cmd_gen_data(args) -> int:
                 drop = int(rng.integers(args.steps // 2, args.steps - 10))
             runs.append(gdata.synth_pressure_run(
                 seed=int(rng.integers(0, 2**31)),
-                n_steps=args.steps, drop_step=drop,
+                n_steps=args.steps, freq_hz=args.freq_hz, drop_step=drop,
             ))
         gdata.save_force_dataset(runs, out, prefix="run")
     _write_run_manifest(out, "gen-data", args, inputs={})
@@ -370,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sets", type=int, default=40)
     p.add_argument("--profile", choices=("force", "pressure"), default="force")
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--freq-hz", type=float, default=16.7)
+    p.add_argument("--freq-hz", type=float, default=None)
     p.add_argument("--failure-fraction", type=float, default=0.5)
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
@@ -453,8 +455,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "steps", None) is None and args.command == "gen-data":
+    if args.command == "gen-data" and args.steps is None:
         args.steps = 400 if args.profile == "force" else 1600
+    if args.command == "gen-data" and args.freq_hz is None:
+        args.freq_hz = 16.7 if args.profile == "force" else 71.0
     try:
         return int(args.func(args) or 0)
     except nn.TrainingDiverged as exc:

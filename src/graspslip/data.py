@@ -138,7 +138,7 @@ class LabeledWindow:
 
     ``labels`` holds stable=True booleans. ``start`` is the step of the
     recording the window begins at (see ``window_batches``); windows
-    built by hand default to 0.
+    built by hand default to 0. Both arrays are read-only; writable input is copied.
     """
 
     samples: np.ndarray
@@ -146,14 +146,13 @@ class LabeledWindow:
     start: int = 0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=bool)
+        samples = readonly_float64(self.samples)
+        labels = np.array(self.labels, dtype=bool)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("empty input")
         if labels.shape != samples.shape:
             raise ValueError("length mismatch between samples and labels")
-        for a in (samples, labels):
-            a.setflags(write=False)
+        labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
 
@@ -172,7 +171,6 @@ def detect_drop(
     trace,
     eps_drop: float = EPS_DROP_MN,
     arm_level: float = ARM_MN,
-    sustain: int = DROP_SUSTAIN,
 ) -> int | None:
     """First step at/after lift where the signal stays below eps_drop.
 
@@ -187,8 +185,8 @@ def detect_drop(
     run = 0
     for t in range(int(armed[0]), x.size):
         run = run + 1 if low[t] else 0
-        if run == sustain:
-            return t - sustain + 1
+        if run == DROP_SUSTAIN:
+            return t - DROP_SUSTAIN + 1
     return None
 
 
@@ -352,7 +350,7 @@ def _synth_channels(params: SynthParams, gains: np.ndarray, rng) -> np.ndarray:
     return np.clip(np.rint(force), 0.0, 10000.0)
 
 
-def synth_grasp(seed: int, params: SynthParams | None = None, **overrides) -> Recording:
+def synth_grasp(seed: int, params: SynthParams = SynthParams()) -> Recording:
     """One deterministic synthetic force Recording with exact ground truth.
 
     Channels are gain-scaled copies (0.8-1.2) of a shared profile with
@@ -360,20 +358,17 @@ def synth_grasp(seed: int, params: SynthParams | None = None, **overrides) -> Re
     (slip_onset, drop_step) rides in the set meta; unstable = [slip_onset,
     end) for failure sets.
     """
-    p = params if params is not None else SynthParams(**overrides)
-    if params is not None and overrides:
-        raise ValueError("pass params or overrides, not both")
     rng = rng_for(seed, "synth-grasp")
     gains = rng.uniform(0.8, 1.2, size=FORCE_CHANNELS)
     gains[0] = 1.0
-    failure = p.slip_onset is not None
+    failure = params.slip_onset is not None
     meta = {"seed": seed, "synthetic": True}
     if failure:
-        meta["slip_onset"] = int(p.slip_onset)
-        meta["drop_step"] = int(p.drop_step)
+        meta["slip_onset"] = int(params.slip_onset)
+        meta["drop_step"] = int(params.drop_step)
     return Recording(
-        samples=_frozen(_synth_channels(p, gains, rng)).T,
-        freq_hz=p.freq_hz,
+        samples=_frozen(_synth_channels(params, gains, rng)).T,
+        freq_hz=params.freq_hz,
         outcome="failure" if failure else "success",
         object_id=int(rng.integers(0, 10)),
         direction=DIRECTIONS[int(rng.integers(0, len(DIRECTIONS)))],
@@ -430,32 +425,32 @@ def synth_force_dataset(
     return sets
 
 
+# Synthetic pressure runs: zero-position counts, held level, noise sd.
 PRESSURE_INITIAL = (6458.0, 6263.0, 6357.0, 6458.0)
+PRESSURE_HOLD = 20000.0
+PRESSURE_NOISE_SD = 15.0
 
 
 def synth_pressure_run(
     seed: int,
     n_steps: int = 1600,
     freq_hz: float = 71.0,
-    initial=PRESSURE_INITIAL,
-    hold_level: float = 20000.0,
     drop_step: int | None = None,
-    noise_sd: float = 15.0,
 ) -> Recording:
     """Pressure-domain analogue of synth_grasp: rise, hold, optional drop."""
     rng = rng_for(seed, "synth-pressure")
     rise = min(80, n_steps // 4)
     if drop_step is not None and not (rise < drop_step < n_steps):
         raise ValueError("require rise < drop_step < n_steps")
-    base = np.array(initial, dtype=np.float64)[:, None]
-    x = np.full((PRESSURE_CHANNELS, n_steps), hold_level)
-    x[:, :rise] = base + (hold_level - base) * (np.arange(rise) + 1) / rise
+    base = np.array(PRESSURE_INITIAL)[:, None]
+    x = np.full((PRESSURE_CHANNELS, n_steps), PRESSURE_HOLD)
+    x[:, :rise] = base + (PRESSURE_HOLD - base) * (np.arange(rise) + 1) / rise
     if drop_step is not None:
         x[:, drop_step:] = base
     # One row-major draw equals one draw per channel in channel order.
-    x += rng.normal(0.0, noise_sd, size=x.shape)
+    x += rng.normal(0.0, PRESSURE_NOISE_SD, size=x.shape)
     x = np.clip(np.rint(x), 0.0, PRESSURE_MAX)
-    return Recording(_frozen(x).T, freq_hz, "pressure", initial=initial)
+    return Recording(_frozen(x).T, freq_hz, "pressure", initial=PRESSURE_INITIAL)
 
 
 # -- trace file serialization ----------------------------------------------

@@ -88,6 +88,7 @@ def get_variant(key: str) -> ModelVariant:
 
 LOSS_MODES = ("per-step", "last-step")
 INIT_MODES = ("seeded-uniform", "literal-zeros")
+EARLY_STOP_PATIENCE = 10
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class TrainConfig:
     loss_mode: str = "per-step"
     init_mode: str = "seeded-uniform"
     threshold: float = 0.5
-    early_stop_patience: int = 10
 
     def __post_init__(self):
         if self.window_len <= DEFAULT_WINDOW_LEN:
@@ -174,12 +174,14 @@ class GraspModel:
                 raise ValueError(f"LSTM input dim {p.input_dim} != stream dim {dim}")
         if head.in_dim != sum(p.hidden_dim for p in lstms):
             raise ValueError("head input dim must equal total hidden dim")
+        if loss_mode not in LOSS_MODES:
+            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {loss_mode!r}")
         self.variant = variant
         self.lstms = lstms
         self.head = head
         self.stats = stats
         self.loss_mode = loss_mode
-        self.threshold = threshold
+        self.threshold = _check_threshold(threshold)
 
     # -- construction -------------------------------------------------
 
@@ -370,7 +372,7 @@ def train(
     ``data.window_batches`` cuts them from a Recording, and callers may
     build ``data.LabeledWindow``s of their own. Features are derived once
     up front from the model's frozen stats. When validation windows are
-    given, training stops after ``early_stop_patience`` epochs without a
+    given, training stops after EARLY_STOP_PATIENCE epochs without a
     success-rate improvement and the best parameters are restored.
     """
     windows = list(windows)
@@ -404,8 +406,7 @@ def train(
                 raise TrainingDiverged(
                     f"diverged: non-finite loss at epoch {epoch}, step {step}"
                 )
-            if config.clip_norm:
-                grads = nn.clip_gradients(grads, config.clip_norm)
+            grads = nn.clip_gradients(grads, config.clip_norm)
             new_params, opt = nn.adam_step(model.stored_arrays(), grads, opt)
             model._restore(new_params)
             losses[step] = loss
@@ -422,7 +423,7 @@ def train(
             else:
                 stale += 1
         history.append(record)
-        if val_feats is not None and stale >= config.early_stop_patience:
+        if val_feats is not None and stale >= EARLY_STOP_PATIENCE:
             break
 
     if best_params is not None:
@@ -539,15 +540,10 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
     for key in ("stft_window", "band_count"):
         fixed = getattr(GraspModel, key)
         checked(key, lambda v: _is_int(v) and v == fixed, str(fixed))
-    loss_mode = checked("loss_mode", lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")
     threshold = checked("threshold", lambda v: _is_int(v) or isinstance(v, float), "a number")
     try:
         variant = get_variant(variant)
-        threshold = _check_threshold(threshold)
-        stats = header.get("norm_stats")
-        if stats is not None:
-            stats = NormStats(float(stats["min"]), float(stats["max"]))
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
     expected = {"fc.w": (2, hd * variant.n_streams), "fc.b": (2,)}
@@ -564,14 +560,18 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
                                for w in "wb" for g in nn.GATE_NAMES})
         for idx in range(variant.n_streams)
     ]
-    return GraspModel(
-        variant=variant,
-        lstms=lstms,
-        head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
-        stats=stats,
-        loss_mode=loss_mode,
-        threshold=threshold,
-    )
+    stats = header.get("norm_stats")
+    try:  # the constructors check the stats, loss mode and threshold ranges
+        return GraspModel(
+            variant=variant,
+            lstms=lstms,
+            head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
+            stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
+            loss_mode=header.get("loss_mode"),
+            threshold=threshold,
+        )
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
 
 def load_checkpoint(path) -> GraspModel:

@@ -36,6 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Adam's decay rates and denominator floor: Kingma & Ba's defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient goes non-finite."""
@@ -288,9 +293,6 @@ class AdamState:
     """Moment accumulators for Adam; one slot per named parameter."""
 
     lr: float = 0.0006
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -306,18 +308,18 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"diverged: non-finite gradient for '{name}'")
     opt.t += 1
-    bc1 = 1.0 - opt.beta1 ** opt.t
-    bc2 = 1.0 - opt.beta2 ** opt.t
+    bc1 = 1.0 - ADAM_BETA1 ** opt.t
+    bc2 = 1.0 - ADAM_BETA2 ** opt.t
     updated = {}
     for name, theta in params.items():
         g = grads[name]
         m = opt.m.setdefault(name, np.zeros_like(theta))
         v = opt.v.setdefault(name, np.zeros_like(theta))
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        updated[name] = theta - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        updated[name] = theta - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return updated, opt
 
 

@@ -1,7 +1,7 @@
 """Deterministic signal-processing front end.
 
-Min/max normalization and short-time Fourier band magnitudes. Everything
-here is a pure function over immutable inputs; all arithmetic is float64.
+Min/max normalization and STFT band magnitudes (20-sample window, 10 bands).
+Everything here is a pure function over immutable inputs; all arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -76,26 +76,18 @@ class NormStats:
             raise ValueError("degenerate channel")
 
 
-def stft_window(
-    window: np.ndarray,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    band_count: int | None = None,
-) -> np.ndarray:
-    """Band magnitudes |X_k|, k = 1..band_count, of one rectangular window.
+def stft_window(window: np.ndarray) -> np.ndarray:
+    """Band magnitudes |X_k|, k = 1..10, of one rectangular 20-sample window.
 
-    X_k = sum_n x_n * exp(-i*2*pi*k*n/window_len). The DC bin (k = 0) is
-    dropped: it carries the static grip level, not the slip vibration.
+    X_k = sum_n x_n * exp(-i*2*pi*k*n/20). The DC bin (k = 0) is dropped:
+    it carries the static grip level, not the slip vibration.
     """
     x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1 or x.size != window_len:
+    if x.ndim != 1 or x.size != DEFAULT_WINDOW_LEN:
         raise ValueError("window size mismatch")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite sample value")
-    if band_count is None:
-        band_count = window_len // 2
-    if not (1 <= band_count <= window_len // 2):
-        raise ValueError(f"band_count must be in [1, {window_len // 2}]")
-    return band_magnitudes(x, band_count)
+    return band_magnitudes(x, DEFAULT_BAND_COUNT)
 
 
 def band_magnitudes(windows: np.ndarray, band_count: int) -> np.ndarray:

@@ -8,7 +8,8 @@ and timing is measured around that call only: every sensor's event is
 charged the whole frame's wall time. That is stricter than timing each
 sensor alone, and it makes latency_report's per-frame sum (n_sensors
 times the frame time) a conservative upper bound on the real frame
-cost. The replay models no physics, it validates decisions and latency.
+cost. Only latency_report applies the 4 ms per-sensor SENSOR_BUDGET_MS.
+The replay models no physics, it validates decisions and latency.
 
 Event log format (CSV): step,channel,probability,label,latency_us with
 label 1 = unstable. Controller trajectory: step,pj_ma,mj_ma.
@@ -43,7 +44,6 @@ class FrameClock:
     """Per-frame timing contract for the streaming predictor."""
 
     freq_hz: float
-    sensor_budget_ms: float = SENSOR_BUDGET_MS
     n_sensors: int = MAX_SENSORS
 
     def __post_init__(self):
@@ -51,16 +51,10 @@ class FrameClock:
             raise ValueError("freq_hz must be finite and > 0")
         if not (0 < self.n_sensors <= MAX_SENSORS):
             raise ValueError(f"n_sensors must be in 1..{MAX_SENSORS}")
-        if not (self.sensor_budget_ms > 0):
-            raise ValueError("sensor_budget_ms must be > 0")
-
-    @property
-    def frame_period_s(self) -> float:
-        return 1.0 / self.freq_hz
 
     @property
     def frame_budget_ms(self) -> float:
-        return self.n_sensors * self.sensor_budget_ms
+        return self.n_sensors * SENSOR_BUDGET_MS
 
 
 @dataclass
@@ -72,7 +66,6 @@ class StepEvent:
     probability: float
     unstable: bool
     latency_us: float = 0.0
-    over_budget: bool = False
 
 
 class StreamingPredictor:
@@ -160,8 +153,8 @@ def replay(
 
     Returns the merged log ordered by (step, channel). Each frame is one
     batched push_frame call, and every sensor's event is charged that
-    call's whole wall time. Budget overruns are flagged on the event,
-    never fatal. timing=False zeroes latencies for byte-reproducible logs.
+    call's whole wall time. latency_report counts budget overruns, never
+    fatal. timing=False zeroes latencies for byte-reproducible logs.
     """
     if isinstance(traces, SensorTrace):
         traces = [traces]
@@ -184,7 +177,6 @@ def replay(
         channels = [t.channel_id for t in traces]
     else:
         channels = list(range(len(traces)))
-    budget_us = clock.sensor_budget_ms * 1e3
     events: list[StepEvent] = []
     for step in range(n_steps):
         t0 = time.perf_counter_ns()
@@ -197,7 +189,6 @@ def replay(
                 probability=p,
                 unstable=flag,
                 latency_us=lat_us,
-                over_budget=lat_us > budget_us,
             )
             for channel, p, flag in zip(channels, probs.tolist(), flags.tolist())
         )
@@ -230,25 +221,17 @@ class GripState:
     history: list = field(default_factory=list)
 
 
-def grip_controller(
-    events,
-    pj_init: float = PJ_INIT_MA,
-    mj_init: float = MJ_INIT_MA,
-    pj_step: float = PJ_STEP_MA,
-    mj_step: float = MJ_STEP_MA,
-    pj_max: float = PJ_MAX_MA,
-    mj_max: float = MJ_MAX_MA,
-) -> GripState:
+def grip_controller(events) -> GripState:
     """Fold the event log into a current trajectory.
 
     Each rising-edge slip event adds +5 mA (pj) and +10 mA (mj), clamped
-    at the configured ceilings; currents never decrease. Replaying the
+    at PJ_MAX_MA / MJ_MAX_MA; currents never decrease. Replaying the
     same log reproduces the same trajectory.
     """
-    state = GripState(pj_ma=pj_init, mj_ma=mj_init)
+    state = GripState()
     for ev in slip_events(events):
-        state.pj_ma = min(state.pj_ma + pj_step, pj_max)
-        state.mj_ma = min(state.mj_ma + mj_step, mj_max)
+        state.pj_ma = min(state.pj_ma + PJ_STEP_MA, PJ_MAX_MA)
+        state.mj_ma = min(state.mj_ma + MJ_STEP_MA, MJ_MAX_MA)
         state.slip_events += 1
         state.history.append((ev.step, state.pj_ma, state.mj_ma))
     return state
@@ -262,11 +245,10 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
 
 
 def latency_report(events, clock: FrameClock | None = None) -> dict:
-    """p50/p95/max per-sensor latency plus frame totals and a verdict."""
+    """p50/p95/max per-sensor latency, frame totals, overruns and a verdict."""
     events = list(events)
     if not events:
         raise ValueError("no events")
-    budget_ms = (clock.sensor_budget_ms if clock else SENSOR_BUDGET_MS)
     lat_ms = np.sort(np.array([e.latency_us for e in events]) / 1e3)
 
     frames: dict[int, float] = {}
@@ -294,10 +276,10 @@ def latency_report(events, clock: FrameClock | None = None) -> dict:
             "p95": _nearest_rank(frame_ms, 95.0),
             "max": float(frame_ms[-1]),
         },
-        "budget_ms": budget_ms,
+        "budget_ms": SENSOR_BUDGET_MS,
         "frame_budget_ms": frame_budget_ms,
-        "n_over_budget": int(sum(1 for e in events if e.over_budget)),
-        "pass": bool(p95 < budget_ms),
+        "n_over_budget": sum(1 for e in events if e.latency_us > SENSOR_BUDGET_MS * 1e3),
+        "pass": bool(p95 < SENSOR_BUDGET_MS),
     }
 
 

@@ -115,6 +115,23 @@ def test_gen_data_pressure_profile(pressure_dir):
     assert data.detect_drop(run1.channel(0), eps_drop=level, arm_level=level + 200.0) is not None
 
 
+def test_gen_data_pressure_honours_and_records_freq_hz(tmp_path, pressure_dir):
+    config = json.loads((pressure_dir / "run_manifest.json").read_text())["config"]
+    assert config["freq_hz"] == 71.0  # the rate the files carry
+    out = tmp_path / "press50"
+    assert run("gen-data", "--out", str(out), "--profile", "pressure", "--sets", "1",
+               "--steps", "100", "--freq-hz", "50") == 0
+    assert data.read_recording(out / "run_0000.txt").freq_hz == 50.0
+    assert json.loads((out / "run_manifest.json").read_text())["config"]["freq_hz"] == 50.0
+
+
+def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert run("gen-data", "--out", str(out), "--sets", "-3") == 1
+    assert "--sets must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     target = tmp_path / "via-env"
     monkeypatch.setenv("GRASPSLIP_OUT_DIR", str(target))

@@ -229,6 +229,14 @@ def test_labeled_window_arrays_read_only():
     assert w.start == 0
 
 
+def test_labeled_window_leaves_the_callers_arrays_writable():
+    samples, labels = np.zeros(5), np.ones(5, dtype=bool)
+    w = LabeledWindow(samples=samples, labels=labels)
+    assert samples.flags.writeable and labels.flags.writeable
+    samples[0], labels[0] = 1.0, False
+    assert w.samples[0] == 0.0 and w.labels[0]
+
+
 # -- windowing ---------------------------------------------------------------------
 
 
@@ -430,8 +438,6 @@ def test_synth_params_validation():
         SynthParams(slip_onset=10, drop_step=30, ramp_steps=40)
     with pytest.raises(ValueError, match="noise_sd"):
         SynthParams(noise_sd=-1.0)
-    with pytest.raises(ValueError, match="params or overrides"):
-        synth_grasp(0, SynthParams(), n_steps=100)
 
 
 def test_synth_dataset_balance_and_ranges():

@@ -75,7 +75,8 @@ def checkpoint_bytes(header, body: bytes) -> bytes:
 def valid(tmp_path_factory):
     """One small valid file of each kind, as bytes."""
     root = tmp_path_factory.mktemp("valid")
-    grasp = data.synth_grasp(1, n_steps=16, ramp_steps=4, slip_onset=8, drop_step=12)
+    grasp = data.synth_grasp(
+        1, data.SynthParams(n_steps=16, ramp_steps=4, slip_onset=8, drop_step=12))
     data.write_recording(grasp, root / "set.txt")
     data.write_recording(data.synth_pressure_run(2, n_steps=12), root / "pressure.txt")
     events = [stream.StepEvent(step, ch, 0.25 * ch, ch % 2 == 1, 12.5)

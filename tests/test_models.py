@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from graspslip import models, nn
+from graspslip import data, models, nn
 from graspslip.data import LabeledWindow
+from graspslip.evaluation import fit_variant
 from graspslip.models import (
     GraspModel,
     TrainConfig,
@@ -459,8 +460,7 @@ def test_train_divergence_raises():
 def test_early_stop_restores_best_params():
     windows = toy_windows(n=20, seed=3)
     val = toy_windows(n=8, seed=4)
-    cfg = TrainConfig(window_len=60, lstm_units=6, epochs=12, seed=1,
-                      early_stop_patience=2)
+    cfg = TrainConfig(window_len=60, lstm_units=6, epochs=12, seed=1)
     model = build_model("B", cfg)
     model.stats = compute_norm_stats([w.samples for w in windows])
     history = train(model, windows, cfg, val_windows=val)
@@ -472,6 +472,25 @@ def test_early_stop_restores_best_params():
         hits += int(np.sum(pred.unstable == ~w.labels))
         total += w.labels.size
     assert hits / total == pytest.approx(best)
+
+
+def test_early_stop_stops_after_patience_epochs_without_improvement():
+    # lr=1e-12 leaves validation success flat after epoch 0, so training
+    # stops EARLY_STOP_PATIENCE epochs later, well before the 30 allowed.
+    train_sets, val_sets = data.split(data.synth_force_dataset(10, seed=1), 0.6)
+    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=30, lr=1e-12, seed=0)
+    _, history = fit_variant("C", train_sets, cfg, val_sets=val_sets, labels="truth")
+    assert len(history) == 1 + models.EARLY_STOP_PATIENCE == 11
+
+
+@pytest.mark.parametrize("over, match", [
+    ({"threshold": 1.5}, "threshold"), ({"threshold": float("nan")}, "threshold"),
+    ({"loss_mode": "every-step"}, "loss_mode"),
+], ids=["threshold-1.5", "threshold-nan", "loss-mode"])
+def test_model_rejects_threshold_and_loss_mode_out_of_range(over, match):
+    m = small_model("B")
+    with pytest.raises(ValueError, match=match):
+        GraspModel(m.variant, m.lstms, m.head, m.stats, **over)
 
 
 # -- checkpoints -----------------------------------------------------------------
