@@ -36,6 +36,9 @@ from graspslip.ioutil import atomic_write_text, rng_for, sha256_bytes, sha256_fi
 from graspslip.signal import NormStats
 
 GRAD_TOLERANCE = 1e-4
+# Shortest --steps per profile: force fits every slip onset and drop the
+# generator draws; pressure needs a non-empty drop draw [steps // 2, steps - 10).
+GEN_MIN_STEPS = {"force": gdata.FORCE_MIN_STEPS, "pressure": 21}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,29 +119,32 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 def cmd_gen_data(args) -> int:
     if args.sets < 0:
         raise ValueError(f"--sets must be >= 0, got {args.sets}")
-    out = _out_dir(args)
-    existing = [f for f in os.listdir(out) if not f.startswith(".")]
-    if existing and not args.force:
-        raise ValueError(f"output dir {out} is not empty (use --force to overwrite)")
+    min_steps = GEN_MIN_STEPS[args.profile]
+    if args.steps < min_steps:
+        raise ValueError(f"--steps must be >= {min_steps} for the {args.profile} profile, "
+                         f"got {args.steps}")
     if args.profile == "force":
-        sets = gdata.synth_force_dataset(
+        recs = gdata.synth_force_dataset(
             args.sets, seed=args.seed,
             failure_fraction=args.failure_fraction,
             freq_hz=args.freq_hz, n_steps=args.steps,
         ) if args.sets > 0 else []
-        gdata.save_force_dataset(sets, out)
     else:
         rng = rng_for(args.seed, "gen-pressure")
-        runs = []
+        recs = []
         for i in range(args.sets):
             drop = None
             if i % 2 == 1:  # alternate stable / dropping runs
                 drop = int(rng.integers(args.steps // 2, args.steps - 10))
-            runs.append(gdata.synth_pressure_run(
+            recs.append(gdata.synth_pressure_run(
                 seed=int(rng.integers(0, 2**31)),
                 n_steps=args.steps, freq_hz=args.freq_hz, drop_step=drop,
             ))
-        gdata.save_force_dataset(runs, out, prefix="run")
+    out = _out_dir(args)
+    existing = [f for f in os.listdir(out) if not f.startswith(".")]
+    if existing and not args.force:
+        raise ValueError(f"output dir {out} is not empty (use --force to overwrite)")
+    gdata.save_force_dataset(recs, out, prefix="set" if args.profile == "force" else "run")
     _write_run_manifest(out, "gen-data", args, inputs={})
     print(f"wrote {args.sets} {args.profile} set(s) to {out}")
     return 0

@@ -379,6 +379,10 @@ def synth_grasp(seed: int, params: SynthParams = SynthParams()) -> Recording:
     )
 
 
+# The latest slip onset is 240, and a drop step must still fit after it.
+FORCE_MIN_STEPS = 242
+
+
 def synth_force_dataset(
     n_sets: int,
     seed: int = 0,
@@ -395,6 +399,8 @@ def synth_force_dataset(
     """
     if n_sets < 1:
         raise ValueError("n_sets must be >= 1")
+    if not (0.0 <= failure_fraction <= 1.0):
+        raise ValueError(f"failure_fraction must lie in [0, 1], got {failure_fraction!r}")
     rng = rng_for(seed, "synth-dataset")
     n_failure = int(round(n_sets * failure_fraction))
     sets = []

@@ -8,8 +8,8 @@ LSTM cell, gate order i, f, o, g, over z_t = [x_t, h_{t-1}, 1]:
 Every forward pass runs one folded kernel, ``lstm_cell``, on a working
 copy of K^T (``LstmParams.cell_kernel``, taken once per pass) whose i/f/o
 rows are scaled by -1, an exact power of two. A batch is laid out by
-columns, z (D+H+1, B) and state (H, B), so one product u = K^T z gives
-all four gates' pre-activations as four contiguous (H, B) blocks, and one
+columns, z (D+H+1, B) and state (H, B), so u = K^T z holds all four
+gates' pre-activations as four contiguous (H, B) blocks, and one
 exp/add/reciprocal pass over the first 3H rows,
 
     i|f|o = 1 / (1 + exp(u_{i,f,o})),
@@ -17,6 +17,16 @@ exp/add/reciprocal pass over the first 3H rows,
 gives the sigmoids, and g = tanh(u_g). An exp that overflows to inf
 gives the saturated gate exactly (0); callers silence that overflow
 warning once around each loop.
+
+A batch of B > 1 columns takes u as one (H, D+H+1) x (D+H+1, B) product
+per gate block. On OpenBLAS 0.3.31 (SkylakeX kernels) that gives the
+same bits as one product, and a product of M*N*K <= 1e6 runs in a
+single-threaded small-matrix kernel, so at H = 128 each block stays
+there up to B = 55: the 16-channel stream frame never fans out over BLAS
+threads, where a descheduled peer thread stretches a real-time frame,
+and on one thread the blocks are faster at B = 16..48. A single column
+(B = 1) keeps the one product, because there the three extra calls cost
+more than they save.
 
 g keeps its own tanh, not tanh(a) = 2 sigmoid(2a) - 1 from the same exp
 pass: that identity's error is absolute (up to ~4e-16), so for tiny a it
@@ -49,9 +59,10 @@ class TrainingDiverged(RuntimeError):
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 GATE_NAMES = ("i", "f", "o", "g")
@@ -124,14 +135,20 @@ def lstm_cell(z, k, c, gates, c_out, tanh_c, h_out) -> None:
     """One gated update of an (H, B) state, written into caller buffers.
 
     ``z`` holds the (D+H+1, B) columns [x_t; h_{t-1}; 1] and ``k`` is
-    ``LstmParams.cell_kernel()``. Writes the gates i|f|o|g into ``gates``
-    (4H, B), c' into ``c_out``, tanh(c') into ``tanh_c`` and h' into
-    ``h_out`` (all (H, B)); ``h_out`` may be the h slot of the next z
-    and ``c_out`` may be ``c``. B = 1 may drop its axis: a (D+H+1,) z
-    and (4H,) / (H,) buffers. |h'| < 1 by construction.
+    ``LstmParams.cell_kernel()``; a z of more than one column is
+    multiplied one gate block of k at a time (see the module docstring).
+    Writes the gates i|f|o|g into ``gates`` (4H, B), c' into ``c_out``,
+    tanh(c') into ``tanh_c`` and h' into ``h_out`` (all (H, B));
+    ``h_out`` may be the h slot of the next z and ``c_out`` may be ``c``.
+    B = 1 may drop its axis: a (D+H+1,) z and (4H,) / (H,) buffers.
+    |h'| < 1 by construction.
     """
     hd = c.shape[0]
-    np.matmul(k, z, out=gates)
+    if z.ndim == 2 and z.shape[1] > 1:
+        for j in range(0, 4 * hd, hd):
+            np.matmul(k[j : j + hd], z, out=gates[j : j + hd])
+    else:
+        np.matmul(k, z, out=gates)
     ifo, g = gates[: 3 * hd], gates[3 * hd :]
     np.exp(ifo, out=ifo)
     ifo += 1.0
@@ -285,7 +302,9 @@ class FcHead:
 
     def probs(self, h: np.ndarray) -> np.ndarray:
         """(..., in_dim) hidden rows -> (..., 2) class probabilities."""
-        return softmax(h @ self.w.T + self.b)
+        logits = h @ self.w.T
+        logits += self.b
+        return softmax(logits)
 
 
 @dataclass

@@ -109,8 +109,7 @@ def compute_norm_stats(arrays) -> NormStats:
 
 def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
     """(x - min)/(max - min), clamped to [0, 1]."""
-    y = (np.asarray(x, dtype=np.float64) - stats.min_value) / (
-        stats.max_value - stats.min_value
-    )
-    return np.clip(y, 0.0, 1.0)
+    y = np.subtract(x, stats.min_value, dtype=np.float64)
+    y /= stats.max_value - stats.min_value
+    return y.clip(0.0, 1.0, out=y)  # the method skips np.clip's dispatch, ~2 us a call
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -57,9 +58,9 @@ class FrameClock:
         return self.n_sensors * SENSOR_BUDGET_MS
 
 
-@dataclass
+@dataclass(slots=True)
 class StepEvent:
-    """One per-step prediction record in the replay log."""
+    """One per-step prediction record; replay builds one per channel per frame."""
 
     step: int
     channel: int
@@ -95,7 +96,8 @@ class StreamingPredictor:
     def reset(self) -> None:
         n = self.n_channels
         self._ring = np.empty((n, self.model.stft_window))
-        self._started = np.zeros(n, dtype=bool)
+        # Channels whose ring is refilled from their next sample, or None.
+        self._restart = np.ones(n, dtype=bool)
         # Per LSTM: the (D+H+1, C) columns [x_t; h; 1] whose h slot holds the
         # state, the cell state, and the gate and tanh(c') buffers.
         self._cells = [
@@ -112,12 +114,11 @@ class StreamingPredictor:
             raise ValueError(f"expected {self.n_channels} sample(s), got shape {raw.shape}")
         bad = ~np.isfinite(raw)
         x = normalize_array(np.where(bad, 0.0, raw), m.stats)
-        fresh = ~self._started
         self._ring[:, :-1] = self._ring[:, 1:]
         self._ring[:, -1] = x
-        if fresh.any():
-            self._ring[fresh] = x[fresh, None]  # causal left-pad with the first sample
-            self._started[:] = True
+        if self._restart is not None:
+            restart, self._restart = self._restart, None
+            self._ring[restart] = x[restart, None]  # causal left-pad with the first sample
         hs = []
         with np.errstate(over="ignore"):
             for vec, k, (z, c, gates, tanh_c) in zip(
@@ -131,7 +132,7 @@ class StreamingPredictor:
         p_unstable = m.head.probs(np.concatenate(hs).T)[:, CLASS_UNSTABLE]
         if bad.any():
             p_unstable[bad] = np.nan
-            self._started[bad] = False
+            self._restart = bad
             for h, (_, c, _, _) in zip(hs, self._cells):
                 h[:, bad] = 0.0
                 c[:, bad] = 0.0
@@ -182,16 +183,8 @@ def replay(
         t0 = time.perf_counter_ns()
         probs, flags = predictor.push_frame(frames[step])
         lat_us = (time.perf_counter_ns() - t0) / 1e3 if timing else 0.0
-        events.extend(
-            StepEvent(
-                step=step,
-                channel=channel,
-                probability=p,
-                unstable=flag,
-                latency_us=lat_us,
-            )
-            for channel, p, flag in zip(channels, probs.tolist(), flags.tolist())
-        )
+        events.extend(map(StepEvent, repeat(step), channels, probs.tolist(),
+                          flags.tolist(), repeat(lat_us)))
     return events
 
 

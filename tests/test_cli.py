@@ -132,6 +132,28 @@ def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--failure-fraction", "1.5"], "failure_fraction must lie in [0, 1]"),
+    (["--failure-fraction", "nan"], "failure_fraction must lie in [0, 1]"),
+    (["--steps", "100"], "--steps must be >= 242 for the force profile"),
+    (["--profile", "pressure", "--steps", "12"], "--steps must be >= 21 for the pressure profile"),
+], ids=["fraction-1.5", "fraction-nan", "force-steps", "pressure-steps"])
+def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert run("gen-data", "--out", str(out), "--sets", "2", *flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_shortest_steps_per_profile(tmp_path):
+    for profile, steps in cli.GEN_MIN_STEPS.items():
+        out = tmp_path / profile
+        assert run("gen-data", "--out", str(out), "--profile", profile, "--sets", "4",
+                   "--failure-fraction", "1", "--steps", str(steps)) == 0
+        recs = [data.read_recording(f) for f in data.dataset_files(str(out))[1]]
+        assert [r.n_steps for r in recs] == [steps] * 4
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     target = tmp_path / "via-env"
     monkeypatch.setenv("GRASPSLIP_OUT_DIR", str(target))

@@ -451,6 +451,12 @@ def test_synth_dataset_balance_and_ranges():
         synth_force_dataset(0)
 
 
+@pytest.mark.parametrize("fraction", [-0.25, 1.5, float("nan")])
+def test_synth_dataset_rejects_failure_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"failure_fraction must lie in \[0, 1\]"):
+        synth_force_dataset(4, failure_fraction=fraction)
+
+
 def test_synth_dataset_deterministic():
     a = synth_force_dataset(4, seed=9)
     b = synth_force_dataset(4, seed=9)

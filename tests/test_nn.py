@@ -158,12 +158,15 @@ def test_forward_cache_matches_stepwise(rng):
         np.testing.assert_allclose(cache.c_all[t + 1], c[0], atol=1e-12)
 
 
-def test_lstm_hidden_matches_forward_cache_per_sequence(rng):
-    p = make_params(3, 4, seed=3)
-    x = rng.normal(size=(5, 25, 3))
+# (128, 16) and (128, 40) are the benchmark's batched sizes, where the cell
+# takes one product per gate block; B = 1 sequences take the single product.
+@pytest.mark.parametrize("hd, bsz", [(4, 5), (128, 16), (128, 40)])
+def test_lstm_hidden_matches_forward_cache_per_sequence(hd, bsz, rng):
+    p = make_params(11, hd, seed=3)
+    x = rng.normal(size=(bsz, 25, 11))
     hidden = nn.lstm_hidden(x, p)
-    assert hidden.shape == (5, 25, 4)
-    for k in range(5):
+    assert hidden.shape == (bsz, 25, hd)
+    for k in range(bsz):
         np.testing.assert_allclose(hidden[k], nn.lstm_forward_cache(x[k], p).h_all[1:], atol=1e-12)
 
 

@@ -135,23 +135,27 @@ def test_push_frame_nonfinite_channel_leaves_others_alone(bad, rng, trained_c):
     x = rng.uniform(500, 3000, size=(4, 50))
     spoiled = x.copy()
     spoiled[2, 25] = bad
+    spoiled[0, 35] = bad  # a second channel fails after channel 2 has restarted
     clean_pred = StreamingPredictor(trained_c, n_channels=4)
     pred = StreamingPredictor(trained_c, n_channels=4)
     clean = [clean_pred.push_frame(x[:, t]) for t in range(50)]
     out = [pred.push_frame(spoiled[:, t]) for t in range(50)]
-    others = [0, 1, 3]
+    others = [1, 3]
     for (p_ref, f_ref), (p, f) in zip(clean, out):
         np.testing.assert_array_equal(p[others], p_ref[others])
         np.testing.assert_array_equal(f[others], f_ref[others])
-    p_bad, f_bad = out[25]
-    assert np.isnan(p_bad[2]) and f_bad[2]
-    # Channel 2 restarts at step 26: it must score as a fresh predictor of
-    # the same width fed from there. Same width, because BLAS does not
-    # promise a row bit-identical results at batch sizes 4 and 1.
-    restarted = StreamingPredictor(trained_c, n_channels=4)
-    np.testing.assert_array_equal(
-        [p[2] for p, _ in out[26:]], [restarted.push_frame(x[:, t])[0][2] for t in range(26, 50)]
-    )
+    np.testing.assert_array_equal([p[0] for p, _ in out[:35]], [p[0] for p, _ in clean[:35]])
+    for ch, step in [(2, 25), (0, 35)]:
+        p_bad, f_bad = out[step]
+        assert np.isnan(p_bad[ch]) and f_bad[ch]
+        # The channel restarts at step + 1: it must score as a fresh predictor
+        # of the same width fed from there. Same width, because BLAS does not
+        # promise a row bit-identical results at batch sizes 4 and 1.
+        restarted = StreamingPredictor(trained_c, n_channels=4)
+        np.testing.assert_array_equal(
+            [p[ch] for p, _ in out[step + 1 :]],
+            [restarted.push_frame(x[:, t])[0][ch] for t in range(step + 1, 50)],
+        )
 
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
