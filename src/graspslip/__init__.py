@@ -16,7 +16,6 @@ from graspslip.models import (
     TrainConfig,
     GraspModel,
     get_variant,
-    build_model,
     train,
     save_checkpoint,
     load_checkpoint,
@@ -33,7 +32,6 @@ __all__ = [
     "TrainConfig",
     "GraspModel",
     "get_variant",
-    "build_model",
     "train",
     "save_checkpoint",
     "load_checkpoint",

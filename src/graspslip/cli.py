@@ -41,6 +41,21 @@ GRAD_TOLERANCE = 1e-4
 GEN_MIN_STEPS = {"force": gdata.FORCE_MIN_STEPS, "pressure": 21}
 
 
+def _number(kind, ok, want: str):
+    """argparse type: a finite ``kind`` value that ``ok`` accepts."""
+    def parse(text):
+        value = kind(text)
+        if not (np.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_count = _number(int, lambda v: v >= 1, ">= 1")
+_holdout = _number(float, lambda v: 0 <= v < 1, "in [0, 1)")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the documented user-error code is 1."""
 
@@ -79,7 +94,7 @@ def _write_run_manifest(out_dir, command: str, args, inputs: dict) -> None:
     }
     atomic_write_text(
         os.path.join(out_dir, "run_manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
 
 
@@ -103,7 +118,7 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.0006)
     p.add_argument("--units", type=int, default=128)
     p.add_argument("--window-len", type=int, default=160)
-    p.add_argument("--clip-norm", type=float, default=5.0,
+    p.add_argument("--clip-norm", type=_number(float, lambda v: True, "finite"), default=5.0,
                    help="global gradient norm cap; <= 0 disables")
     p.add_argument("--loss-mode", choices=gmodels.LOSS_MODES, default="per-step")
     p.add_argument("--init-mode", choices=gmodels.INIT_MODES, default="seeded-uniform")
@@ -117,6 +132,9 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    if not (0.0 <= args.failure_fraction <= 1.0):
+        raise ValueError("failure_fraction must lie in [0, 1], "
+                         f"got --failure-fraction {args.failure_fraction!r}")
     if args.sets < 0:
         raise ValueError(f"--sets must be >= 0, got {args.sets}")
     min_steps = GEN_MIN_STEPS[args.profile]
@@ -263,7 +281,7 @@ def cmd_cross_eval(args) -> int:
     )
     atomic_write_text(
         os.path.join(out, "matrix.json"),
-        json.dumps(matrix, indent=2, sort_keys=True) + "\n",
+        json.dumps(matrix, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     names = matrix["rows"]
     width = max(8, max(len(n) for n in names) + 2)
@@ -310,7 +328,7 @@ def cmd_simulate(args) -> int:
     report = gstream.latency_report(events, clock)
     atomic_write_text(
         os.path.join(out, "latency.json"),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     _write_run_manifest(out, "simulate", args, inputs=inputs)
     print(
@@ -341,6 +359,8 @@ def _gradcheck_model(tag: str, hidden: int, seed: int) -> gmodels.GraspModel:
 
 
 def cmd_grad_check(args) -> int:
+    if not args.variants:
+        raise ValueError("--variants must name at least one variant")
     worst_overall = 0.0
     failed = False
     for tag in args.variants:
@@ -399,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--variant", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--holdout", type=float, default=0.0,
+    p.add_argument("--holdout", type=_holdout, default=0.0,
                    help="held-out fraction (seeded split; also drives early stop)")
     _add_train_knobs(p)
     p.set_defaults(func=cmd_train)
@@ -409,7 +429,7 @@ def build_parser() -> _Parser:
                    help="repeatable: one table row per checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--holdout", type=float, default=0.0)
+    p.add_argument("--holdout", type=_holdout, default=0.0)
     p.add_argument("--side", choices=("train", "test", "all"), default="test")
     p.add_argument("--seed", type=int, default=0,
                    help="split seed; must match the train run to stay disjoint")
@@ -425,7 +445,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--condition", choices=("direction", "outcome"), default="direction")
-    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--ratio", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"), default=0.8)
     _add_train_knobs(p)
     p.set_defaults(func=cmd_cross_eval)
 
@@ -445,11 +465,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("grad-check", help="verify gradients by finite differences")
     p.add_argument("--variants", default="ABCD",
                    help="variant tags to check, e.g. AC")
-    p.add_argument("--hidden", type=int, default=4)
-    p.add_argument("--steps", type=int, default=12)
-    p.add_argument("--instances", type=int, default=3)
+    p.add_argument("--hidden", type=_count, default=4)
+    p.add_argument("--steps", type=_count, default=12)
+    p.add_argument("--instances", type=_count, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=GRAD_TOLERANCE)
+    p.add_argument("--tolerance", type=_number(float, lambda v: v > 0, "> 0"),
+                   default=GRAD_TOLERANCE)
     p.set_defaults(func=cmd_grad_check)
 
     return parser

@@ -181,13 +181,11 @@ def detect_drop(
     armed = np.nonzero(x >= arm_level)[0]
     if armed.size == 0:
         return None
-    low = x < eps_drop
-    run = 0
-    for t in range(int(armed[0]), x.size):
-        run = run + 1 if low[t] else 0
-        if run == DROP_SUSTAIN:
-            return t - DROP_SUSTAIN + 1
-    return None
+    # Samples that are not low, counted up to each step from the arm step:
+    # a window of DROP_SUSTAIN steps is all low where the count stays level.
+    high = np.concatenate(([0], np.cumsum(~(x[armed[0]:] < eps_drop))))
+    starts = np.flatnonzero(high[DROP_SUSTAIN:] == high[:-DROP_SUSTAIN])
+    return int(armed[0] + starts[0]) if starts.size else None
 
 
 def label_slip(trace, drop_step: int | None) -> np.ndarray:
@@ -533,16 +531,20 @@ def _parse_header(path, lines):
 
 
 def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
-    # numpy's str -> float64 cast parses each token as float() does.
-    rows = [cells for cells in map(str.split, lines[body_start:]) if cells]
-    if set(map(len, rows)) == {n_channels}:
+    # numpy's C text reader splits and parses as str.split() and float() do,
+    # but rejects some tokens float() accepts (1_000, non-ASCII digits), and
+    # warns on a body with no data: those bodies take the per-line pass.
+    body = lines[body_start:]
+    if any(map(str.strip, body)):
         try:
-            return np.array(rows, dtype=np.float64)
+            rows = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
-            pass
+            rows = None
+        if rows is not None and rows.shape[0] and rows.shape[1] == n_channels:
+            return rows
     # A bad or empty body: the per-line pass names its first bad line.
     rows = []
-    for ln, raw in enumerate(lines[body_start:], start=body_start + 1):
+    for ln, raw in enumerate(body, start=body_start + 1):
         stripped = raw.strip()
         if not stripped:
             continue

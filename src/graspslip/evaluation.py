@@ -10,8 +10,10 @@ a first unstable prediction exactly at the drop step does not count.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -104,7 +106,7 @@ class EvalReport:
             raise ValueError("confusion counts inconsistent with n_steps")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -275,6 +277,22 @@ def _run_cell(args):
         return {"variant": variant_tag, "seed": config.seed, "ok": False, "error": str(exc)}
 
 
+@contextmanager
+def worker_pool(jobs: int):
+    """A pool of ``jobs`` spawned processes that start with one BLAS thread each
+    (read from their environment as BLAS loads), so fits do not oversubscribe."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.pop(name, None) for name in names}
+    os.environ.update(dict.fromkeys(names, "1"))
+    try:
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name in names:
+            os.environ.pop(name, None)
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
+
+
 def run_experiment(
     sets,
     variants=("A", "B", "C", "D"),
@@ -291,7 +309,7 @@ def run_experiment(
     Every seed re-splits the data (seeded); all variants in one seed share
     that split so their comparison is paired. Failed cells carry their
     error message and do not abort the sweep. With jobs > 1 cells run in
-    separate processes; results are deterministic either way.
+    a ``worker_pool``; results are deterministic either way.
     """
     sets = list(sets)
     config = config or gmodels.TrainConfig()
@@ -304,7 +322,7 @@ def run_experiment(
             tasks.append((tag, train_sets, test_sets, replace(config, seed=seed), labels, channel))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with worker_pool(jobs) as pool:
             rows = list(pool.map(_run_cell, tasks))
     else:
         rows = [_run_cell(t) for t in tasks]
@@ -371,7 +389,7 @@ def write_experiment_files(result: dict, out_dir) -> None:
     atomic_write_text(os.path.join(out_dir, "experiment.txt"), "\n".join(txt) + "\n")
     atomic_write_text(
         os.path.join(out_dir, "report.json"),
-        json.dumps(result, indent=2, sort_keys=True) + "\n",
+        json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
 
 

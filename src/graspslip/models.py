@@ -346,10 +346,6 @@ class GraspModel:
         return {k: v.copy() for k, v in self.param_dict().items()}
 
 
-def build_model(variant, config: TrainConfig, seed: int | None = None) -> GraspModel:
-    return GraspModel.build(variant, config, seed)
-
-
 # -- training ----------------------------------------------------------
 
 

@@ -216,7 +216,7 @@ def test_criterion_09_streaming_equivalence_and_latency():
     """Online replay matches offline prediction to 1e-12 on 50 traces;
     per-step latency p95 < 4 ms per sensor, 16-channel frame < 64 ms."""
     config = models.TrainConfig(lstm_units=128, seed=0)
-    model = models.build_model("C", config)
+    model = models.GraspModel.build("C", config)
     model.stats = NormStats(0.0, 4000.0)
 
     sets = data.synth_force_dataset(4, seed=77, n_steps=400)

@@ -137,7 +137,16 @@ def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
     (["--failure-fraction", "nan"], "failure_fraction must lie in [0, 1]"),
     (["--steps", "100"], "--steps must be >= 242 for the force profile"),
     (["--profile", "pressure", "--steps", "12"], "--steps must be >= 21 for the pressure profile"),
-], ids=["fraction-1.5", "fraction-nan", "force-steps", "pressure-steps"])
+    (["--sets", "0", "--failure-fraction", "1.5"],
+     "failure_fraction must lie in [0, 1], got --failure-fraction 1.5"),
+    (["--sets", "0", "--failure-fraction", "nan"],
+     "failure_fraction must lie in [0, 1], got --failure-fraction nan"),
+    (["--profile", "pressure", "--sets", "1", "--steps", "30", "--failure-fraction", "7"],
+     "failure_fraction must lie in [0, 1], got --failure-fraction 7.0"),
+    (["--profile", "pressure", "--failure-fraction", "-0.5"],
+     "failure_fraction must lie in [0, 1], got --failure-fraction -0.5"),
+], ids=["fraction-1.5", "fraction-nan", "force-steps", "pressure-steps", "zero-sets-fraction-1.5",
+        "zero-sets-fraction-nan", "pressure-fraction-7", "pressure-fraction-negative"])
 def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, capsys):
     out = tmp_path / "bad"
     assert run("gen-data", "--out", str(out), "--sets", "2", *flags) == 1
@@ -250,6 +259,30 @@ def test_train_rejects_nan_threshold(tmp_path, dataset_dir, capsys):
         "--out", str(tmp_path / "o"), "--threshold", "nan",
     ) == 1
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--clip-norm", "nan"], "argument --clip-norm: must be finite, got 'nan'"),
+    (["--clip-norm", "inf"], "argument --clip-norm: must be finite, got 'inf'"),
+    (["--holdout", "1.5"], "argument --holdout: must be in [0, 1), got '1.5'"),
+    (["--holdout", "1"], "argument --holdout: must be in [0, 1), got '1'"),
+    (["--holdout", "-0.2"], "argument --holdout: must be in [0, 1), got '-0.2'"),
+], ids=["clip-nan", "clip-inf", "holdout-1.5", "holdout-1", "holdout-negative"])
+def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_path,
+                                                             dataset_dir, capsys):
+    out = tmp_path / "o"
+    assert run("train", "--data", str(dataset_dir), "--variant", "A", "--out", str(out),
+               "--epochs", "1", "--units", "4", *flags) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_manifest_refuses_a_non_finite_value(tmp_path):
+    args = cli.build_parser().parse_args(["grad-check"])
+    args.tolerance = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_run_manifest(str(tmp_path), "grad-check", args, inputs={})
+    assert not (tmp_path / "run_manifest.json").exists()
 
 
 def test_train_does_not_mutate_dataset(tmp_path, dataset_dir):
@@ -445,7 +478,24 @@ def test_eval_bad_header_value_exits_1_naming_the_file(tmp_path, dataset_dir, tr
     assert f"set_0000.txt:{ln}: object must be an integer, got 'x'" in capsys.readouterr().err
 
 
+def test_eval_holdout_out_of_range_exits_1(tmp_path, dataset_dir, trained_dir, capsys):
+    out = tmp_path / "o"
+    assert run("eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+               "--data", str(dataset_dir), "--out", str(out), "--holdout", "1") == 1
+    assert "argument --holdout: must be in [0, 1), got '1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- cross-eval -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ratio", ["2", "0", "1", "nan"])
+def test_cross_eval_ratio_out_of_range_exits_1(ratio, tmp_path, dataset_dir, capsys):
+    out = tmp_path / "o"
+    assert run("cross-eval", "--data", str(dataset_dir), "--variant", "B",
+               "--out", str(out), "--ratio", ratio) == 1
+    assert f"argument --ratio: must be in (0, 1), got '{ratio}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cross_eval_outputs(tmp_path, dataset_dir):
@@ -569,6 +619,26 @@ def test_grad_check_impossible_tolerance(capsys):
                "--steps", "6", "--hidden", "3", "--tolerance", "1e-12")
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--tolerance", "nan"], "argument --tolerance: must be > 0, got 'nan'"),
+    (["--tolerance", "inf"], "argument --tolerance: must be > 0, got 'inf'"),
+    (["--tolerance", "0"], "argument --tolerance: must be > 0, got '0'"),
+    (["--tolerance", "-0.001"], "argument --tolerance: must be > 0, got '-0.001'"),
+    (["--instances", "0"], "argument --instances: must be >= 1, got '0'"),
+    (["--steps", "0"], "argument --steps: must be >= 1, got '0'"),
+    (["--hidden", "0"], "argument --hidden: must be >= 1, got '0'"),
+    (["--hidden", "-2"], "argument --hidden: must be >= 1, got '-2'"),
+    (["--variants", ""], "--variants must name at least one variant"),
+], ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "instances-0", "steps-0",
+        "hidden-0", "hidden-negative", "no-variants"])
+def test_grad_check_that_would_check_nothing_exits_1(flags, named, capsys):
+    assert run("grad-check", "--variants", "A", "--instances", "1", "--steps", "6",
+               "--hidden", "3", *flags) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
 
 
 # -- parser behavior ---------------------------------------------------------------------

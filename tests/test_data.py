@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graspslip import data
@@ -187,6 +187,25 @@ def test_detect_drop_matches_scan_oracle(hold, tail):
         ]
     )
     assert detect_drop(x) == oracles.scan_drop(x, 50.0, 200.0, 3)
+
+
+LEVELS = st.sampled_from([0.0, 40.0, 49.0, 50.0, 150.0, 200.0, 250.0, 1000.0, float("nan")])
+S = data.DROP_SUSTAIN
+
+
+@given(x=st.lists(LEVELS, max_size=40), eps=st.sampled_from([50.0, 300.0]),
+       arm=st.sampled_from([200.0, 45.0]))
+@example(x=[100.0] * 10, eps=50.0, arm=200.0)  # never armed
+@example(x=[0.0, 250.0, 250.0, 250.0, 1000.0], eps=300.0, arm=200.0)  # drop at the arm step
+@example(x=[1000.0] * 10 + [0.0] * S, eps=50.0, arm=200.0)  # a run at the very end
+@example(x=[1000.0] * 5 + [0.0] * (S - 1), eps=50.0, arm=200.0)  # S - 1 low, at the end
+@example(x=[1000.0] * 5 + [0.0] * (S - 1) + [1000.0] + [0.0] * S + [1000.0],
+         eps=50.0, arm=200.0)  # S - 1 low, then exactly S
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_detect_drop_matches_the_loop(x, eps, arm):
+    got = detect_drop(np.array(x), eps_drop=eps, arm_level=arm)
+    assert got == oracles.scan_drop(x, eps, arm, S)
+    assert got is None or type(got) is int
 
 
 # -- labeling -------------------------------------------------------------------

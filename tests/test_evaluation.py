@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ def test_eval_report_validation():
     EvalReport(**report_kwargs(ahead_drop_rate=None))  # success-only runs
 
 
+def test_eval_report_json_refuses_non_finite_values(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        EvalReport(**report_kwargs(breakdown={"back": float("nan")})).to_json()
+    result = {"rows": [], "aggregate": [], "ratio": float("inf")}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_experiment_files(result, tmp_path)
+    assert not (tmp_path / "report.json").exists()
+
+
 # -- model evaluation --------------------------------------------------------------
 
 
@@ -130,7 +140,7 @@ def test_evaluate_model_beats_constant_predictor(trained_c, synth_split):
     _, test_sets = synth_split
     trained = evaluate_model(trained_c, test_sets, labels="truth")
     cfg = models.TrainConfig(lstm_units=32, init_mode="literal-zeros")
-    constant = models.build_model("C", cfg)
+    constant = models.GraspModel.build("C", cfg)
     constant.stats = trained_c.stats
     base = evaluate_model(constant, test_sets, labels="truth")
     # all-zero weights predict 0.5 everywhere, thresholded to unstable
@@ -260,6 +270,29 @@ def test_run_experiment_parallel_matches_serial():
     serial = run_experiment(sets, **kwargs, jobs=1)
     parallel = run_experiment(sets, **kwargs, jobs=2)
     assert serial == parallel
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads_in_worker(_):
+    """The worker's BLAS thread settings and, where /proc lists them, its
+    thread count; this module imports numpy, so BLAS has loaded by now."""
+    task_dir = "/proc/self/task"
+    threads = len(os.listdir(task_dir)) if os.path.isdir(task_dir) else None
+    return [os.environ.get(name) for name in BLAS_THREAD_VARS], threads
+
+
+def test_worker_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with evaluation.worker_pool(2) as pool:
+        seen = list(pool.map(blas_threads_in_worker, range(4), timeout=120))
+    assert dict(os.environ) == before
+    for settings, threads in seen:
+        assert settings == ["1"] * 3
+        assert threads in (1, None)
 
 
 def test_write_experiment_files(experiment_result, tmp_path):

@@ -82,7 +82,7 @@ def valid(tmp_path_factory):
     events = [stream.StepEvent(step, ch, 0.25 * ch, ch % 2 == 1, 12.5)
               for step in range(3) for ch in range(3)]
     stream.write_event_log(events, root / "events.csv")
-    model = models.build_model("D", models.TrainConfig(window_len=40, lstm_units=2))
+    model = models.GraspModel.build("D", models.TrainConfig(window_len=40, lstm_units=2))
     model.stats = compute_norm_stats([grasp.channel(0)])
     models.save_checkpoint(model, root / "model.gslp")
     return {path.name: path.read_bytes() for path in root.iterdir()}

@@ -11,7 +11,6 @@ from graspslip.evaluation import fit_variant
 from graspslip.models import (
     GraspModel,
     TrainConfig,
-    build_model,
     get_variant,
     load_checkpoint,
     save_checkpoint,
@@ -27,7 +26,7 @@ UNIT_STATS = NormStats(0.0, 1.0)
 
 def small_model(tag, stats=UNIT_STATS, **over):
     cfg = TrainConfig(**{**dict(window_len=60, lstm_units=6, epochs=4, seed=3), **over})
-    m = build_model(tag, cfg)
+    m = GraspModel.build(tag, cfg)
     m.stats = stats
     return m
 
@@ -90,7 +89,7 @@ def test_config_rejects_empty_lstm(units):
 
 
 def test_build_shapes():
-    m = build_model("D", SMALL)
+    m = GraspModel.build("D", SMALL)
     assert len(m.lstms) == 2
     assert m.lstms[0].input_dim == 1 and m.lstms[1].input_dim == 10
     assert m.lstms[0].hidden_dim == 6
@@ -99,24 +98,24 @@ def test_build_shapes():
 
 
 def test_build_same_seed_identical():
-    a = build_model("C", SMALL, seed=9)
-    b = build_model("C", SMALL, seed=9)
+    a = GraspModel.build("C", SMALL, seed=9)
+    b = GraspModel.build("C", SMALL, seed=9)
     for k, arr in a.param_dict().items():
         np.testing.assert_array_equal(arr, b.param_dict()[k])
-    c = build_model("C", SMALL, seed=10)
+    c = GraspModel.build("C", SMALL, seed=10)
     assert any(
         not np.array_equal(v, c.param_dict()[k]) for k, v in a.param_dict().items()
     )
 
 
 def test_build_literal_zeros():
-    m = build_model("B", TrainConfig(lstm_units=4, init_mode="literal-zeros"))
+    m = GraspModel.build("B", TrainConfig(lstm_units=4, init_mode="literal-zeros"))
     for arr in m.param_dict().values():
         np.testing.assert_array_equal(arr, 0.0)
 
 
 def test_mismatched_lstm_count_rejected():
-    m = build_model("D", SMALL)
+    m = GraspModel.build("D", SMALL)
     with pytest.raises(ValueError, match="one LSTM required per input stream"):
         GraspModel(m.variant, m.lstms[:1], m.head)
 
@@ -125,7 +124,7 @@ def test_mismatched_lstm_count_rejected():
 
 
 def test_featurize_requires_stats():
-    m = build_model("A", SMALL)
+    m = GraspModel.build("A", SMALL)
     with pytest.raises(ValueError, match="missing normalization stats"):
         m.featurize(np.zeros(60))
 
@@ -237,7 +236,7 @@ def test_nan_probability_is_flagged_unstable(tag, rng):
 
 
 def test_zero_params_predict_half_and_tie_unstable():
-    m2 = build_model("B", TrainConfig(lstm_units=4, init_mode="literal-zeros"))
+    m2 = GraspModel.build("B", TrainConfig(lstm_units=4, init_mode="literal-zeros"))
     m2.stats = UNIT_STATS
     pred = m2.predict_samples(np.linspace(0, 1, 50))
     np.testing.assert_array_equal(pred.p_unstable, 0.5)
@@ -397,7 +396,7 @@ def toy_windows(n=24, steps=60, seed=0):
 
 def fitted(windows, tag="B", **over):
     cfg = TrainConfig(**{**dict(window_len=60, lstm_units=8, epochs=15, seed=1), **over})
-    model = build_model(tag, cfg)
+    model = GraspModel.build(tag, cfg)
     model.stats = compute_norm_stats([w.samples for w in windows])
     history = train(model, windows, cfg)
     return model, history
@@ -406,7 +405,7 @@ def fitted(windows, tag="B", **over):
 def test_train_zero_epochs_is_identity():
     windows = toy_windows()
     cfg = TrainConfig(window_len=60, lstm_units=4, epochs=0)
-    model = build_model("B", cfg)
+    model = GraspModel.build("B", cfg)
     model.stats = compute_norm_stats([w.samples for w in windows])
     before = model.copy_params()
     history = train(model, windows, cfg)
@@ -418,7 +417,7 @@ def test_train_zero_epochs_is_identity():
 def test_train_requires_both_classes():
     windows = [w for w in toy_windows() if w.labels.all()]
     cfg = TrainConfig(window_len=60, lstm_units=4, epochs=1)
-    model = build_model("B", cfg)
+    model = GraspModel.build("B", cfg)
     model.stats = compute_norm_stats([w.samples for w in windows])
     with pytest.raises(ValueError, match="both classes"):
         train(model, windows, cfg)
@@ -450,7 +449,7 @@ def test_train_is_seed_deterministic():
 def test_train_divergence_raises():
     windows = toy_windows(n=4)
     cfg = TrainConfig(window_len=60, lstm_units=4, epochs=2)
-    model = build_model("B", cfg)
+    model = GraspModel.build("B", cfg)
     model.stats = compute_norm_stats([w.samples for w in windows])
     model.head.b[0] = np.nan
     with pytest.raises(nn.TrainingDiverged, match="diverged: non-finite loss"):
@@ -461,7 +460,7 @@ def test_early_stop_restores_best_params():
     windows = toy_windows(n=20, seed=3)
     val = toy_windows(n=8, seed=4)
     cfg = TrainConfig(window_len=60, lstm_units=6, epochs=12, seed=1)
-    model = build_model("B", cfg)
+    model = GraspModel.build("B", cfg)
     model.stats = compute_norm_stats([w.samples for w in windows])
     history = train(model, windows, cfg, val_windows=val)
     assert len(history) <= 12
@@ -528,7 +527,7 @@ def test_checkpoint_bytes_unchanged(tmp_path):
 
 
 def test_checkpoint_without_stats(tmp_path):
-    m = build_model("A", SMALL)
+    m = GraspModel.build("A", SMALL)
     path = tmp_path / "raw.gslp"
     save_checkpoint(m, path)
     assert load_checkpoint(path).stats is None

@@ -21,7 +21,7 @@ from tests import oracles
 def constant_model(stable=True, variant="C"):
     """Zoo model whose head bias forces one class regardless of input."""
     cfg = models.TrainConfig(lstm_units=4, init_mode="literal-zeros")
-    m = models.build_model(variant, cfg)
+    m = models.GraspModel.build(variant, cfg)
     m.stats = NormStats(0.0, 4000.0)
     m.head.b = np.array([10.0, -10.0]) if stable else np.array([-10.0, 10.0])
     return m
@@ -72,7 +72,7 @@ def test_frame_clock_rejects_nonfinite_freq(freq):
 
 
 def test_predictor_requires_stats():
-    m = models.build_model("B", models.TrainConfig(lstm_units=4))
+    m = models.GraspModel.build("B", models.TrainConfig(lstm_units=4))
     with pytest.raises(ValueError, match="missing normalization stats"):
         StreamingPredictor(m)
 
@@ -89,7 +89,7 @@ def test_predictor_reset_reproduces(rng, trained_c):
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
 def test_streaming_matches_offline(tag, rng):
     cfg = models.TrainConfig(lstm_units=6, seed=4)
-    m = models.build_model(tag, cfg)
+    m = models.GraspModel.build(tag, cfg)
     m.stats = NormStats(0.0, 3000.0)
     x = rng.uniform(0, 3000, size=200)
     offline = m.predict_samples(x).p_unstable
@@ -99,7 +99,7 @@ def test_streaming_matches_offline(tag, rng):
 
 
 def test_push_frame_16_channels_matches_offline(rng):
-    m = models.build_model("D", models.TrainConfig(lstm_units=6, seed=3))
+    m = models.GraspModel.build("D", models.TrainConfig(lstm_units=6, seed=3))
     m.stats = NormStats(0.0, 3000.0)
     x = rng.uniform(0, 3000, size=(16, 60))
     pred = StreamingPredictor(m, n_channels=16)
@@ -160,7 +160,7 @@ def test_push_frame_nonfinite_channel_leaves_others_alone(bad, rng, trained_c):
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
 def test_push_frame_nan_probability_is_unstable(tag, rng):
-    m = models.build_model(tag, models.TrainConfig(lstm_units=6, seed=4))
+    m = models.GraspModel.build(tag, models.TrainConfig(lstm_units=6, seed=4))
     m.stats = NormStats(0.0, 3000.0)
     m.head.b = np.array([0.0, np.nan])
     pred = StreamingPredictor(m, n_channels=3)

@@ -1,8 +1,10 @@
 """Differential tests of the trace-file body reader and writer.
 
-``data._parse_rows`` converts a whole body with one numpy str -> float64
-cast and runs a per-line pass only to name the first bad line;
-``data._trace_lines`` formats a whole matrix with one ``%``. The oracles
+``data._parse_rows`` reads a whole body with numpy's C text reader
+(``np.loadtxt``) and runs a per-line pass when the reader rejects the
+body: to name the first bad line, and to parse tokens that only
+``float()`` accepts; ``data._trace_lines`` formats a whole matrix with
+one ``%``. The oracles
 below are the per-token ``float()`` loop and the per-row ``str.join``
 that they replaced. On every drawn body the reader must return the same
 array, bit for bit, or raise ValueError with the same message; on every
@@ -10,7 +12,10 @@ drawn matrix the writer must produce the same text. Runs are
 derandomized so every run sees the same examples.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -73,12 +78,14 @@ SPECIAL = st.sampled_from([
 NUMBERS = st.one_of(INTS, DECIMALS, EXPONENTS, UNDERSCORED, NON_ASCII, SPECIAL)
 BAD = st.one_of(
     st.from_regex(r"_[0-9]|[0-9]__[0-9]|[0-9]_|[0-9]_\.[0-9]", fullmatch=True),
-    st.sampled_from(["infinit", "0x10", "1e", "e1", ".", "-", "1\x00", "1,5", "٫5", "1_e5"]),
+    st.sampled_from(["infinit", "0x10", "1e", "e1", ".", "-", "1\x00", "1,5", "٫5", "1_e5",
+                     "#", "#1", "1#", '"1"', "'1'"]),
     st.text(max_size=4),
 )
 TOKENS = st.one_of(NUMBERS, NUMBERS, NUMBERS, BAD)
 # Python whitespace; the last three are also line breaks to str.splitlines().
-SPACE = st.sampled_from([" "] * 12 + ["  ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1f"])
+SPACE = st.sampled_from([" "] * 12 + ["  ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1f",
+                                      "\x1c", "\x1d", "\x1e"])
 
 
 @st.composite
@@ -114,6 +121,39 @@ def test_parse_rows_matches_per_token_float(body):
     if want is not None:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lines", [
+    ["1\r2 3", "4\n5 6"],
+    ["1\x1c2\x1d3", "4\x1e5\x856", "7\u20288\u20299", "1\x0b2\x0c3"],
+    ["# 1 2", "1 2 3"],
+    ["1 2 3", "4 5 #6"],
+    ['"1" 2 3'],
+    ["1_000 2 3", "٤ ５ 6"],
+    ["1 2 3", "", "\r", "4 5 6"],
+], ids=["cr-lf", "other-breaks", "hash-line", "hash-token", "quoted", "float-only", "blanks"])
+def test_parse_rows_matches_per_token_float_on_lines_with_breaks_and_marks(lines):
+    # convert_csv joins CSV cells with spaces, so its lines are not split by
+    # str.splitlines() and may hold any line-break character.
+    got, got_err = outcome(data._parse_rows, "f.txt", lines, 0, 3)
+    want, want_err = outcome(parse_rows_oracle, "f.txt", lines, 0, 3)
+    assert got_err == want_err
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "  \n\t\n\xa0\u3000\x85\n"],
+                         ids=["empty", "blank-lines", "unicode-blanks"])
+def test_an_empty_or_blank_body_fails_without_a_warning(body, tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text(data._recording_text(data.synth_grasp(1)).split("data\n")[0] + "data\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty input"):
+            data.read_recording(path)
+        lines = path.read_text().splitlines()
+        with pytest.raises(ValueError, match="empty input"):
+            data._parse_rows("f.txt", lines, lines.index("data") + 1, 16)
 
 
 MATRIX_SHAPES = st.tuples(st.integers(1, 12), st.integers(1, 16))
