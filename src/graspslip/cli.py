@@ -33,7 +33,7 @@ from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
 from graspslip.ioutil import atomic_write_text, rng_for, sha256_bytes, sha256_file
-from graspslip.signal import NormStats
+from graspslip.signal import DEFAULT_WINDOW_LEN, NormStats
 
 GRAD_TOLERANCE = 1e-4
 # Shortest --steps per profile: force fits every slip onset and drop the
@@ -53,7 +53,16 @@ def _number(kind, ok, want: str):
 
 
 _count = _number(int, lambda v: v >= 1, ">= 1")
+_natural = _number(int, lambda v: v >= 0, ">= 0")
+_positive = _number(float, lambda v: v > 0, "> 0")
+_fraction = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
 _holdout = _number(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_window_len = _number(int, lambda v: v > DEFAULT_WINDOW_LEN,
+                      f"> {DEFAULT_WINDOW_LEN} (the STFT window)")
+_channel = _number(int, lambda v: 0 <= v < gdata.FORCE_CHANNELS,
+                   f"in 0..{gdata.FORCE_CHANNELS - 1}")
+_channels = _number(int, lambda v: 1 <= v <= gdata.FORCE_CHANNELS,
+                    f"in 1..{gdata.FORCE_CHANNELS}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,19 +122,19 @@ def _train_config(args) -> gmodels.TrainConfig:
 
 
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.0006)
-    p.add_argument("--units", type=int, default=128)
-    p.add_argument("--window-len", type=int, default=160)
+    p.add_argument("--seed", type=_natural, default=0)
+    p.add_argument("--epochs", type=_natural, default=50)
+    p.add_argument("--lr", type=_positive, default=0.0006)
+    p.add_argument("--units", type=_count, default=128)
+    p.add_argument("--window-len", type=_window_len, default=160)
     p.add_argument("--clip-norm", type=_number(float, lambda v: True, "finite"), default=5.0,
                    help="global gradient norm cap; <= 0 disables")
     p.add_argument("--loss-mode", choices=gmodels.LOSS_MODES, default="per-step")
     p.add_argument("--init-mode", choices=gmodels.INIT_MODES, default="seeded-uniform")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_fraction, default=0.5)
     p.add_argument("--labels", choices=("detect", "truth"), default="detect",
                    help="label source: drop detection or synthetic ground truth")
-    p.add_argument("--channel", type=int, default=0)
+    p.add_argument("--channel", type=_channel, default=0)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -394,7 +403,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="synthesize a dataset directory")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--sets", type=int, default=40)
     p.add_argument("--profile", choices=("force", "pressure"), default="force")
     p.add_argument("--steps", type=int, default=None)
@@ -431,11 +440,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--holdout", type=_holdout, default=0.0)
     p.add_argument("--side", choices=("train", "test", "all"), default="test")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_natural, default=0,
                    help="split seed; must match the train run to stay disjoint")
-    p.add_argument("--window-len", type=int, default=160)
+    p.add_argument("--window-len", type=_window_len, default=160)
     p.add_argument("--labels", choices=("detect", "truth"), default="detect")
-    p.add_argument("--channel", type=int, default=0)
+    p.add_argument("--channel", type=_channel, default=0)
     p.add_argument("--dump-set", type=int, default=None,
                    help="also write per-step plot data for this set index")
     p.set_defaults(func=cmd_eval)
@@ -445,7 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--condition", choices=("direction", "outcome"), default="direction")
-    p.add_argument("--ratio", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"), default=0.8)
+    p.add_argument("--ratio", type=_fraction, default=0.8)
     _add_train_knobs(p)
     p.set_defaults(func=cmd_cross_eval)
 
@@ -455,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", default=None, help="dataset dir (with --set)")
     p.add_argument("--set", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--channels", type=_channels, default=1)
     p.add_argument("--strict-latency", action="store_true",
                    help="exit 2 when p95 latency misses the 4 ms budget")
     p.add_argument("--no-timing", action="store_true",
@@ -468,9 +477,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=_count, default=4)
     p.add_argument("--steps", type=_count, default=12)
     p.add_argument("--instances", type=_count, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=_number(float, lambda v: v > 0, "> 0"),
-                   default=GRAD_TOLERANCE)
+    p.add_argument("--seed", type=_natural, default=0)
+    p.add_argument("--tolerance", type=_positive, default=GRAD_TOLERANCE)
     p.set_defaults(func=cmd_grad_check)
 
     return parser
@@ -491,7 +499,7 @@ def main(argv=None) -> int:
     except nn.TrainingDiverged as exc:
         print(f"graspslip: numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"graspslip: error: {exc}", file=sys.stderr)
         return 1
 

@@ -184,8 +184,10 @@ def cross_condition_matrix(
 ) -> dict:
     """Train per row condition, evaluate on every column's held-out part.
 
-    Cells hold step-level success rates; conditions with no train or test
-    data yield "n/a" and the run continues.
+    Cells hold step-level success rates; a column with no test data
+    yields "n/a", a row whose fit raises ValueError holds the error, and
+    TrainingDiverged propagates. Rows run through ``_map_fits``, so a
+    script calling this at import time needs a ``__main__`` guard.
     """
     if condition not in ("direction", "outcome"):
         raise ValueError(f"condition must be direction|outcome, got {condition!r}")
@@ -202,28 +204,26 @@ def cross_condition_matrix(
         except ValueError:
             splits[name] = (groups[name], [])
 
-    cells: dict[str, dict[str, object]] = {}
-    for row in names:
-        train_sets = splits[row][0]
-        row_cells: dict[str, object] = {}
-        try:
-            model, _ = fit_variant(variant, train_sets, config, labels=labels, channel=channel)
-        except ValueError as exc:
-            for col in names:
-                row_cells[col] = f"error: {exc}"
-            cells[row] = row_cells
-            continue
-        for col in names:
-            test_sets = splits[col][1]
-            if not test_sets:
-                row_cells[col] = "n/a"
-                continue
-            report = evaluate_model(
-                model, test_sets, config.window_len, channel, labels=labels
-            )
-            row_cells[col] = report.success_rate
-        cells[row] = row_cells
-    return {"condition": condition, "rows": names, "cols": names, "cells": cells}
+    test_splits = {name: splits[name][1] for name in names}
+    rows = _map_fits(_cross_row, [
+        (variant, splits[row][0], test_splits, config, labels, channel) for row in names
+    ])
+    return {"condition": condition, "rows": names, "cols": names,
+            "cells": dict(zip(names, rows))}
+
+
+def _cross_row(args) -> dict[str, object]:
+    """One matrix row: fit on the row's train split, score every column."""
+    variant, train_sets, test_splits, config, labels, channel = args
+    try:
+        model, _ = fit_variant(variant, train_sets, config, labels=labels, channel=channel)
+    except ValueError as exc:
+        return dict.fromkeys(test_splits, f"error: {exc}")
+    return {
+        col: evaluate_model(model, test_sets, config.window_len, channel,
+                            labels=labels).success_rate if test_sets else "n/a"
+        for col, test_sets in test_splits.items()
+    }
 
 
 # -- experiment runner -----------------------------------------------------
@@ -293,23 +293,36 @@ def worker_pool(jobs: int):
         os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
+def _map_fits(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]`` for independent fits: in a ``worker_pool``
+    of one worker per task up to the usable CPUs when that is more than
+    one worker, else in-process. Spawned workers re-import the caller's
+    main module and take ``fn`` by name, so ``fn`` must be module-level;
+    results come back in task order either way."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(tasks), cpus or 1)
+    if workers > 1:
+        with worker_pool(workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def run_experiment(
     sets,
     variants=("A", "B", "C", "D"),
     seeds=(0,),
-    out_dir=None,
     config: gmodels.TrainConfig | None = None,
     ratio: float = 0.8,
     labels: str = "detect",
     channel: int = 0,
-    jobs: int = 1,
 ) -> dict:
     """Variant x seed sweep on a shared split; per-seed rows plus means.
 
     Every seed re-splits the data (seeded); all variants in one seed share
     that split so their comparison is paired. Failed cells carry their
-    error message and do not abort the sweep. With jobs > 1 cells run in
-    a ``worker_pool``; results are deterministic either way.
+    error message and do not abort the sweep. Cells run through
+    ``_map_fits``, so a script calling this at import time needs a
+    ``__main__`` guard.
     """
     sets = list(sets)
     config = config or gmodels.TrainConfig()
@@ -320,12 +333,7 @@ def run_experiment(
         train_sets, test_sets = gdata.split(sets, ratio, seed=seed)
         for tag in variant_tags:
             tasks.append((tag, train_sets, test_sets, replace(config, seed=seed), labels, channel))
-
-    if jobs > 1:
-        with worker_pool(jobs) as pool:
-            rows = list(pool.map(_run_cell, tasks))
-    else:
-        rows = [_run_cell(t) for t in tasks]
+    rows = _map_fits(_run_cell, tasks)
 
     aggregates = []
     for tag in variant_tags:
@@ -338,7 +346,7 @@ def run_experiment(
             agg["ahead_drop_rate"] = float(np.mean(adrs)) if adrs else None
         aggregates.append(agg)
 
-    result = {
+    return {
         "split": "shared-per-seed",
         "ratio": ratio,
         "seeds": list(seeds),
@@ -347,50 +355,6 @@ def run_experiment(
         "rows": rows,
         "aggregate": aggregates,
     }
-    if out_dir is not None:
-        write_experiment_files(result, out_dir)
-    return result
-
-
-_CSV_COLUMNS = (
-    "variant", "seed", "ok", "success_rate", "ahead_drop_rate",
-    "window_success_rate", "n_windows", "epochs_run", "error",
-)
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
-
-
-def write_experiment_files(result: dict, out_dir) -> None:
-    """experiment.csv (per-cell), experiment.txt (aligned), report.json."""
-    os.makedirs(out_dir, exist_ok=True)
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in result["rows"]:
-        lines.append(",".join(_fmt(row.get(c)) for c in _CSV_COLUMNS))
-    atomic_write_text(os.path.join(out_dir, "experiment.csv"), "\n".join(lines) + "\n")
-
-    txt = ["variant              success    ahead-drop   cells"]
-    for agg in result["aggregate"]:
-        name = gmodels.VARIANTS[agg["variant"]].name
-        sr = f"{agg['success_rate']:.4f}" if "success_rate" in agg else "n/a"
-        adr = agg.get("ahead_drop_rate")
-        adr = f"{adr:.4f}" if adr is not None else "n/a"
-        txt.append(
-            f"{agg['variant']} {name:<18} {sr:>7}    {adr:>7}   "
-            f"{agg['n_ok']} ok / {agg['n_failed']} failed"
-        )
-    atomic_write_text(os.path.join(out_dir, "experiment.txt"), "\n".join(txt) + "\n")
-    atomic_write_text(
-        os.path.join(out_dir, "report.json"),
-        json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
 
 
 def write_prediction_dump(model, grasp, path, window_len: int = 160, channel: int = 0,

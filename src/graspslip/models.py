@@ -118,6 +118,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.lstm_units < 1:
             raise ValueError("lstm_units must be >= 1")
+        if self.clip_norm is not None and not (0 < self.clip_norm < math.inf):
+            raise ValueError("clip_norm must be None or a finite number > 0")
         _check_threshold(self.threshold)
 
 

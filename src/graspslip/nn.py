@@ -343,8 +343,8 @@ def adam_step(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    if max_norm is None or max_norm <= 0:
+    """Scale all gradients so their global L2 norm is at most max_norm (None: no cap)."""
+    if max_norm is None:
         return grads
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm:

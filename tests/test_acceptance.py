@@ -110,21 +110,22 @@ def test_criterion_03_adam_minimizes_quadratic():
 
 def test_criterion_04_synthetic_end_to_end():
     """200 synthetic sets: variant C reaches success >= 0.90 and
-    ahead-drop >= 0.80 held-out, and C's success >= A's on the same split."""
+    ahead-drop >= 0.80 held-out, and C's success >= A's on the same split.
+    The two fits run through run_experiment, in parallel where CPUs allow."""
     t0 = timed()
     sets = data.synth_force_dataset(200, seed=42)
-    train_sets, test_sets = data.split(sets, 0.8, seed=0)
     config = models.TrainConfig(epochs=8, lstm_units=128, seed=0)
+    result = evaluation.run_experiment(
+        sets, variants=("C", "A"), seeds=(0,), config=config, ratio=0.8, labels="truth"
+    )
+    for row in result["rows"]:
+        assert row["ok"], f"variant {row['variant']}: {row.get('error')}"
+    row_c, row_a = result["rows"]
 
-    model_c, _ = evaluation.fit_variant("C", train_sets, config, labels="truth")
-    report_c = evaluation.evaluate_model(model_c, test_sets, labels="truth")
-    model_a, _ = evaluation.fit_variant("A", train_sets, config, labels="truth")
-    report_a = evaluation.evaluate_model(model_a, test_sets, labels="truth")
-
-    assert report_c.success_rate >= 0.90, report_c.success_rate
-    assert report_c.ahead_drop_rate >= 0.80, report_c.ahead_drop_rate
-    assert report_c.success_rate >= report_a.success_rate, (
-        report_c.success_rate, report_a.success_rate,
+    assert row_c["success_rate"] >= 0.90, row_c["success_rate"]
+    assert row_c["ahead_drop_rate"] >= 0.80, row_c["ahead_drop_rate"]
+    assert row_c["success_rate"] >= row_a["success_rate"], (
+        row_c["success_rate"], row_a["success_rate"],
     )
     elapsed = timed() - t0
     assert elapsed < 900.0, f"took {elapsed:.1f} s (budget 900 s)"

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +275,49 @@ def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_p
     out = tmp_path / "o"
     assert run("train", "--data", str(dataset_dir), "--variant", "A", "--out", str(out),
                "--epochs", "1", "--units", "4", *flags) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("train", ["--epochs", "-1"], "argument --epochs: must be >= 0, got '-1'"),
+    ("train", ["--units", "0"], "argument --units: must be >= 1, got '0'"),
+    ("train", ["--lr", "0"], "argument --lr: must be > 0, got '0'"),
+    ("train", ["--lr", "inf"], "argument --lr: must be > 0, got 'inf'"),
+    ("train", ["--lr", "nan"], "argument --lr: must be > 0, got 'nan'"),
+    ("train", ["--window-len", "20"], "argument --window-len: must be > 20 (the STFT window), "
+                                      "got '20'"),
+    ("train", ["--channel", "16"], "argument --channel: must be in 0..15, got '16'"),
+    ("train", ["--channel", "-1"], "argument --channel: must be in 0..15, got '-1'"),
+    ("train", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
+    ("train", ["--threshold", "1"], "argument --threshold: must be in (0, 1), got '1'"),
+    ("train", ["--threshold", "0"], "argument --threshold: must be in (0, 1), got '0'"),
+    ("cross-eval", ["--window-len", "10"], "argument --window-len: must be > 20"),
+    ("cross-eval", ["--epochs", "-2"], "argument --epochs: must be >= 0, got '-2'"),
+    ("eval", ["--window-len", "10"], "argument --window-len: must be > 20 (the STFT window), "
+                                     "got '10'"),
+    ("eval", ["--channel", "16"], "argument --channel: must be in 0..15, got '16'"),
+    ("eval", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
+    ("simulate", ["--channels", "17"], "argument --channels: must be in 1..16, got '17'"),
+    ("simulate", ["--channels", "0"], "argument --channels: must be in 1..16, got '0'"),
+    ("gen-data", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
+], ids=["epochs-negative", "units-0", "lr-0", "lr-inf", "lr-nan", "window-len-20", "channel-16",
+        "channel-negative", "seed-negative", "threshold-1", "threshold-0", "cross-window-len-10",
+        "cross-epochs-negative", "eval-window-len-10", "eval-channel-16", "eval-seed-negative",
+        "channels-17", "channels-0", "gen-seed-negative"])
+def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, named, tmp_path,
+                                                             dataset_dir, trained_dir, capsys):
+    checkpoint = str(trained_dir / "checkpoint.gslp")
+    fit = ["--data", str(dataset_dir), "--variant", "A", "--epochs", "1", "--units", "4"]
+    base = {
+        "gen-data": ["--sets", "1"],
+        "train": fit,
+        "cross-eval": fit,
+        "eval": ["--checkpoint", checkpoint, "--data", str(dataset_dir)],
+        "simulate": ["--checkpoint", checkpoint, "--data", str(dataset_dir)],
+    }[command]
+    out = tmp_path / "o"
+    assert run(command, *base, "--out", str(out), *flags) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -639,6 +684,22 @@ def test_grad_check_that_would_check_nothing_exits_1(flags, named, capsys):
     captured = capsys.readouterr()
     assert named in captured.err
     assert captured.out == ""
+
+
+def test_grad_check_out_of_memory_is_a_user_error():
+    # 10**7 hidden units ask for a (10**7, 10**7 + 1) float64 gate block,
+    # 728 TiB: more than a user address space holds, so it fails at once
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graspslip", "grad-check", "--variants", "A",
+         "--instances", "1", "--steps", "1", "--hidden", "10000000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("graspslip: error: Unable to allocate"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- parser behavior ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from graspslip import data, evaluation, models
+from graspslip import data, evaluation, models, nn
 from graspslip.evaluation import (
     EvalReport,
     ahead_drop_rate,
@@ -16,7 +16,6 @@ from graspslip.evaluation import (
     fit_variant,
     run_experiment,
     success_rate,
-    write_experiment_files,
     write_prediction_dump,
 )
 
@@ -112,13 +111,9 @@ def test_eval_report_validation():
     EvalReport(**report_kwargs(ahead_drop_rate=None))  # success-only runs
 
 
-def test_eval_report_json_refuses_non_finite_values(tmp_path):
+def test_eval_report_json_refuses_non_finite_values():
     with pytest.raises(ValueError, match="not JSON compliant"):
         EvalReport(**report_kwargs(breakdown={"back": float("nan")})).to_json()
-    result = {"rows": [], "aggregate": [], "ratio": float("inf")}
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        write_experiment_files(result, tmp_path)
-    assert not (tmp_path / "report.json").exists()
 
 
 # -- model evaluation --------------------------------------------------------------
@@ -163,16 +158,26 @@ def test_evaluate_model_detect_mode_uses_detected_drop(trained_c, synth_split):
 # -- cross-condition matrix --------------------------------------------------------------
 
 
+def with_directions(sets, directions):
+    """The sets with their directions dealt out in turn from ``directions``."""
+    return [dataclasses.replace(s, direction=directions[i % len(directions)])
+            for i, s in enumerate(sets)]
+
+
 def test_cross_matrix_single_condition_matches_plain_eval():
-    sets = data.synth_force_dataset(10, seed=31)
-    # force a single direction so the matrix is 1x1
-    sets = [dataclasses.replace(s, direction="top") for s in sets]
-    matrix = cross_condition_matrix(sets, "B", SMALL_CONFIG, condition="direction")
-    assert matrix["rows"] == ["top"] and matrix["cols"] == ["top"]
-    train, test = data.split(sets, 0.8, seed=SMALL_CONFIG.seed)
-    model, _ = fit_variant("B", train, SMALL_CONFIG)
-    expected = evaluate_model(model, test, SMALL_CONFIG.window_len)
-    assert matrix["cells"]["top"]["top"] == pytest.approx(expected.success_rate)
+    # a 1x1 matrix, then a 2x2 one whose rows fit in separate workers
+    for directions in (["top"], ["back", "top"]):
+        sets = with_directions(data.synth_force_dataset(10 * len(directions), seed=31),
+                               directions)
+        matrix = cross_condition_matrix(sets, "B", SMALL_CONFIG, condition="direction")
+        assert matrix["rows"] == directions and matrix["cols"] == directions
+        splits = {d: data.split([s for s in sets if s.direction == d], 0.8,
+                                seed=SMALL_CONFIG.seed) for d in directions}
+        for row in directions:
+            model, _ = fit_variant("B", splits[row][0], SMALL_CONFIG)
+            for col in directions:
+                expected = evaluate_model(model, splits[col][1], SMALL_CONFIG.window_len)
+                assert matrix["cells"][row][col] == pytest.approx(expected.success_rate)
 
 
 def test_cross_matrix_unsplittable_condition_is_na():
@@ -194,6 +199,16 @@ def test_cross_matrix_records_errors_per_row():
     assert matrix["rows"] == ["success"]
     cell = matrix["cells"]["success"]["success"]
     assert isinstance(cell, str) and cell.startswith("error:")
+
+
+def test_cross_matrix_divergence_propagates_from_workers(monkeypatch):
+    # only a ValueError from a fit becomes an error row; a divergence in a
+    # pooled row reaches the caller, so cross-eval exits 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sets = with_directions(data.synth_force_dataset(8, seed=36), ["back", "top"])
+    config = models.TrainConfig(epochs=1, lstm_units=8, lr=float("inf"))
+    with pytest.raises(nn.TrainingDiverged, match="diverged"):
+        cross_condition_matrix(sets, "B", config, labels="truth")
 
 
 def test_cross_matrix_rejects_bad_condition():
@@ -261,15 +276,32 @@ def test_run_experiment_records_failures():
     assert agg["n_failed"] == 1 and "success_rate" not in agg
 
 
-def test_run_experiment_parallel_matches_serial():
-    sets = data.synth_force_dataset(8, seed=36)
-    kwargs = dict(
-        variants=("B",), seeds=(0,),
-        config=models.TrainConfig(epochs=1, lstm_units=8), labels="truth",
-    )
-    serial = run_experiment(sets, **kwargs, jobs=1)
-    parallel = run_experiment(sets, **kwargs, jobs=2)
-    assert serial == parallel
+def two_fits(driver, sets, config):
+    if driver == "run_experiment":
+        return run_experiment(sets, variants=("A", "B"), seeds=(0,), config=config,
+                              labels="truth")
+    return cross_condition_matrix(sets, "B", config, labels="truth")
+
+
+@pytest.mark.parametrize("driver", ["run_experiment", "cross_condition_matrix"])
+def test_pooled_fits_match_in_process_fits(driver, monkeypatch):
+    sets = with_directions(data.synth_force_dataset(8, seed=36), ["back", "top"])
+    config = models.TrainConfig(epochs=1, lstm_units=8)
+    pools = []
+    real_pool = evaluation.worker_pool
+
+    def counted_pool(jobs):
+        pools.append(jobs)
+        return real_pool(jobs)
+
+    monkeypatch.setattr(evaluation, "worker_pool", counted_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = two_fits(driver, sets, config)
+    assert pools == [2]  # two fits, two usable CPUs: two workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    in_process = two_fits(driver, sets, config)
+    assert pools == [2]  # one usable CPU: no pool
+    assert pooled == in_process
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -293,17 +325,6 @@ def test_worker_pool_workers_start_with_one_blas_thread(monkeypatch):
     for settings, threads in seen:
         assert settings == ["1"] * 3
         assert threads in (1, None)
-
-
-def test_write_experiment_files(experiment_result, tmp_path):
-    write_experiment_files(experiment_result, tmp_path)
-    csv_lines = (tmp_path / "experiment.csv").read_text().splitlines()
-    assert csv_lines[0].startswith("variant,seed,ok,success_rate")
-    assert len(csv_lines) == 1 + len(experiment_result["rows"])
-    txt = (tmp_path / "experiment.txt").read_text()
-    assert "stft-lstm" in txt
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["rows"] == experiment_result["rows"]
 
 
 # -- prediction dump ---------------------------------------------------------------------------

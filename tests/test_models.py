@@ -85,6 +85,14 @@ def test_config_rejects_empty_lstm(units):
         TrainConfig(lstm_units=units)
 
 
+@pytest.mark.parametrize("clip_norm", [np.nan, np.inf, 0.0, -1.0])
+def test_config_rejects_clip_norm_that_is_not_none_or_finite_positive(clip_norm):
+    with pytest.raises(ValueError, match="clip_norm must be None or a finite number > 0"):
+        TrainConfig(clip_norm=clip_norm)
+    assert TrainConfig(clip_norm=None).clip_norm is None
+    assert TrainConfig(clip_norm=0.5).clip_norm == 0.5
+
+
 # -- construction -----------------------------------------------------------
 
 
