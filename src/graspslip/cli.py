@@ -115,8 +115,6 @@ def _train_config(args) -> gmodels.TrainConfig:
         epochs=args.epochs,
         seed=args.seed,
         clip_norm=args.clip_norm if args.clip_norm > 0 else None,
-        loss_mode=args.loss_mode,
-        init_mode=args.init_mode,
         threshold=args.threshold,
     )
 
@@ -129,8 +127,6 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-len", type=_window_len, default=160)
     p.add_argument("--clip-norm", type=_number(float, lambda v: True, "finite"), default=5.0,
                    help="global gradient norm cap; <= 0 disables")
-    p.add_argument("--loss-mode", choices=gmodels.LOSS_MODES, default="per-step")
-    p.add_argument("--init-mode", choices=gmodels.INIT_MODES, default="seeded-uniform")
     p.add_argument("--threshold", type=_fraction, default=0.5)
     p.add_argument("--labels", choices=("detect", "truth"), default="detect",
                    help="label source: drop detection or synthetic ground truth")
@@ -293,15 +289,12 @@ def cmd_cross_eval(args) -> int:
         json.dumps(matrix, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     names = matrix["rows"]
-    width = max(8, max(len(n) for n in names) + 2)
-    head = "train\\test".ljust(width) + "".join(n.rjust(width) for n in names)
-    lines = [head]
-    for row in names:
-        cells = []
-        for col in names:
-            v = matrix["cells"][row][col]
-            cells.append((f"{v:.4f}" if isinstance(v, float) else str(v)).rjust(width))
-        lines.append(row.ljust(width) + "".join(cells))
+    cells = {row: [f"{v:.4f}" if isinstance(v, float) else str(v)
+                   for v in map(matrix["cells"][row].get, names)] for row in names}
+    # Two spaces past the widest name or cell keep every column apart.
+    width = max(8, max(len(t) for t in [*names, *sum(cells.values(), [])]) + 2)
+    lines = ["train\\test".ljust(width) + "".join(n.rjust(width) for n in names)]
+    lines += [row.ljust(width) + "".join(t.rjust(width) for t in cells[row]) for row in names]
     atomic_write_text(os.path.join(out, "matrix.txt"), "\n".join(lines) + "\n")
     _write_run_manifest(
         out, "cross-eval", args, inputs={"dataset": _digest_dataset(args.data)}
@@ -329,12 +322,11 @@ def cmd_simulate(args) -> int:
         inputs["dataset"] = _digest_dataset(args.data)
 
     traces = [grasp.channel(c) for c in range(args.channels)]
-    clock = gstream.FrameClock(freq_hz=grasp.freq_hz, n_sensors=args.channels)
-    events = gstream.replay(traces, model, clock, timing=not args.no_timing)
+    events = gstream.replay(traces, model, timing=not args.no_timing)
     gstream.write_event_log(events, os.path.join(out, "events.csv"))
     state = gstream.grip_controller(events)
     gstream.write_trajectory(state, os.path.join(out, "trajectory.csv"))
-    report = gstream.latency_report(events, clock)
+    report = gstream.latency_report(events)
     atomic_write_text(
         os.path.join(out, "latency.json"),
         json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -407,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sets", type=int, default=40)
     p.add_argument("--profile", choices=("force", "pressure"), default="force")
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--freq-hz", type=float, default=None)
+    p.add_argument("--freq-hz", type=_positive, default=None)
     p.add_argument("--failure-fraction", type=float, default=0.5)
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
@@ -416,7 +408,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("convert", help="CSV -> trace file")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    p.add_argument("--freq-hz", type=float, default=16.7)
+    p.add_argument("--freq-hz", type=_positive, default=16.7)
     p.add_argument("--outcome", choices=("success", "failure"), default="failure")
     p.add_argument("--direction", choices=gdata.DIRECTIONS, default="back")
     p.add_argument("--object", type=int, default=0)

@@ -86,8 +86,6 @@ def get_variant(key: str) -> ModelVariant:
                      f"{sorted(VARIANTS)} or {sorted(_BY_NAME)}")
 
 
-LOSS_MODES = ("per-step", "last-step")
-INIT_MODES = ("seeded-uniform", "literal-zeros")
 EARLY_STOP_PATIENCE = 10
 
 
@@ -101,8 +99,6 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     clip_norm: float | None = 5.0
-    loss_mode: str = "per-step"
-    init_mode: str = "seeded-uniform"
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -110,10 +106,6 @@ class TrainConfig:
             raise ValueError("window_len must exceed the STFT window")
         if not (self.lr > 0):
             raise ValueError("lr must be > 0")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.lstm_units < 1:
@@ -155,10 +147,15 @@ PREDICT_CHUNK = 64
 
 
 class GraspModel:
-    """A variant's parameters plus its frozen feature pipeline."""
+    """A variant's parameters plus its frozen feature pipeline.
+
+    Training supervises every time step; checkpoints record that as the
+    fixed ``loss_mode``, as they do the STFT window and band count.
+    """
 
     stft_window = DEFAULT_WINDOW_LEN
     band_count = DEFAULT_BAND_COUNT
+    loss_mode = "per-step"
 
     def __init__(
         self,
@@ -166,7 +163,6 @@ class GraspModel:
         lstms: list[LstmParams],
         head: FcHead,
         stats: NormStats | None = None,
-        loss_mode: str = "per-step",
         threshold: float = 0.5,
     ):
         if len(lstms) != variant.n_streams:
@@ -176,13 +172,10 @@ class GraspModel:
                 raise ValueError(f"LSTM input dim {p.input_dim} != stream dim {dim}")
         if head.in_dim != sum(p.hidden_dim for p in lstms):
             raise ValueError("head input dim must equal total hidden dim")
-        if loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {loss_mode!r}")
         self.variant = variant
         self.lstms = lstms
         self.head = head
         self.stats = stats
-        self.loss_mode = loss_mode
         self.threshold = _check_threshold(threshold)
 
     # -- construction -------------------------------------------------
@@ -191,19 +184,9 @@ class GraspModel:
     def build(cls, variant: ModelVariant | str, config: TrainConfig, seed: int | None = None) -> "GraspModel":
         variant = variant if isinstance(variant, ModelVariant) else get_variant(variant)
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        zeros = config.init_mode == "literal-zeros"
-        lstms = [
-            LstmParams.init(dim, config.lstm_units, rng, zeros=zeros)
-            for dim in variant.stream_dims
-        ]
-        head = FcHead.init(config.lstm_units * variant.n_streams, rng, zeros=zeros)
-        return cls(
-            variant=variant,
-            lstms=lstms,
-            head=head,
-            loss_mode=config.loss_mode,
-            threshold=config.threshold,
-        )
+        lstms = [LstmParams.init(dim, config.lstm_units, rng) for dim in variant.stream_dims]
+        head = FcHead.init(config.lstm_units * variant.n_streams, rng)
+        return cls(variant=variant, lstms=lstms, head=head, threshold=config.threshold)
 
     @property
     def hidden_dim(self) -> int:
@@ -252,15 +235,15 @@ class GraspModel:
     # -- forward/backward ---------------------------------------------
 
     def _forward_loss(self, features, labels_unstable):
-        """Cached forward pass and the mean cross-entropy over supervised steps."""
+        """Cached forward pass and the mean cross-entropy over all steps."""
         caches = [nn.lstm_forward_cache(s, p)
                   for s, p in zip(self._coerce_streams(features), self.lstms)]
         hcat = np.concatenate([c.h_all[1:] for c in caches], axis=1)
         probs = self.head.probs(hcat)
         y = np.asarray(labels_unstable, dtype=np.int64)
-        sup = self._supervised_steps(probs.shape[0])
-        loss = float(np.mean(-np.log(np.maximum(probs[sup, y[sup]], 1e-12))))
-        return caches, hcat, probs, y, sup, loss
+        steps = np.arange(probs.shape[0])
+        loss = float(np.mean(-np.log(np.maximum(probs[steps, y], 1e-12))))
+        return caches, hcat, probs, y, steps, loss
 
     def predict(self, features) -> Prediction:
         """Per-step probability of instability plus thresholded flags.
@@ -295,22 +278,16 @@ class GraspModel:
     def predict_samples(self, samples: np.ndarray) -> Prediction:
         return self.predict(self.featurize(samples))
 
-    def _supervised_steps(self, n: int) -> np.ndarray:
-        if self.loss_mode == "last-step":
-            return np.array([n - 1])
-        return np.arange(n)
-
     def loss(self, features, labels_unstable: np.ndarray) -> float:
         return self._forward_loss(features, labels_unstable)[-1]
 
     def loss_and_grads(self, features, labels_unstable: np.ndarray):
-        """Mean cross-entropy over supervised steps and its exact gradient
-        with respect to each of stored_arrays(), under the same names."""
-        caches, hcat, probs, y, sup, loss = self._forward_loss(features, labels_unstable)
-        d_logits = np.zeros_like(probs)
-        d_logits[sup] = probs[sup]
-        d_logits[sup, y[sup]] -= 1.0
-        d_logits[sup] /= sup.size
+        """Mean per-step cross-entropy and its exact gradient with respect
+        to each of stored_arrays(), under the same names."""
+        caches, hcat, probs, y, steps, loss = self._forward_loss(features, labels_unstable)
+        d_logits = probs.copy()
+        d_logits[steps, y] -= 1.0
+        d_logits /= steps.size
 
         grads: dict[str, np.ndarray] = {
             "fc.w": d_logits.T @ hcat,
@@ -535,9 +512,9 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
 
     variant = checked("variant", lambda v: isinstance(v, str), "a variant tag or name")
     hd = checked("hidden_dim", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-    for key in ("stft_window", "band_count"):
+    for key in ("stft_window", "band_count", "loss_mode"):
         fixed = getattr(GraspModel, key)
-        checked(key, lambda v: _is_int(v) and v == fixed, str(fixed))
+        checked(key, lambda v: type(v) is type(fixed) and v == fixed, repr(fixed))
     threshold = checked("threshold", lambda v: _is_int(v) or isinstance(v, float), "a number")
     try:
         variant = get_variant(variant)
@@ -559,13 +536,12 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
         for idx in range(variant.n_streams)
     ]
     stats = header.get("norm_stats")
-    try:  # the constructors check the stats, loss mode and threshold ranges
+    try:  # the constructors check the stats and threshold ranges
         return GraspModel(
             variant=variant,
             lstms=lstms,
             head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
             stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
-            loss_mode=header.get("loss_mode"),
             threshold=threshold,
         )
     except (ValueError, TypeError, KeyError) as exc:

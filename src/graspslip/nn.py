@@ -97,21 +97,13 @@ class LstmParams:
         return self.k.shape[0] - self.hidden_dim - 1
 
     @classmethod
-    def init(
-        cls,
-        input_dim: int,
-        hidden_dim: int,
-        rng: np.random.Generator,
-        scale: float = 0.08,
-        zeros: bool = False,
-    ) -> "LstmParams":
+    def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
+             scale: float = 0.08) -> "LstmParams":
         """Biases start at zero; weights uniform in [-scale, scale], drawn
-        gate by gate as (H, D+H) arrays, unless ``zeros`` asks for the
-        literal all-zero initialization."""
+        gate by gate as (H, D+H) arrays."""
         shape = (hidden_dim, input_dim + hidden_dim)
         return cls.from_gates({
-            **{f"w_{g}": np.zeros(shape) if zeros else rng.uniform(-scale, scale, size=shape)
-               for g in GATE_NAMES},
+            **{f"w_{g}": rng.uniform(-scale, scale, size=shape) for g in GATE_NAMES},
             **{f"b_{g}": np.zeros(hidden_dim) for g in GATE_NAMES},
         })
 
@@ -287,18 +279,8 @@ class FcHead:
         return self.w.shape[1]
 
     @classmethod
-    def init(
-        cls,
-        in_dim: int,
-        rng: np.random.Generator,
-        scale: float = 0.08,
-        zeros: bool = False,
-    ) -> "FcHead":
-        if zeros:
-            w = np.zeros((2, in_dim))
-        else:
-            w = rng.uniform(-scale, scale, size=(2, in_dim))
-        return cls(w=w, b=np.zeros(2))
+    def init(cls, in_dim: int, rng: np.random.Generator, scale: float = 0.08) -> "FcHead":
+        return cls(w=rng.uniform(-scale, scale, size=(2, in_dim)), b=np.zeros(2))
 
     def probs(self, h: np.ndarray) -> np.ndarray:
         """(..., in_dim) hidden rows -> (..., 2) class probabilities."""

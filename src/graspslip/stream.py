@@ -3,13 +3,16 @@
 The replay loop maintains the causal STFT window and LSTM state
 incrementally, so each step costs O(window) and produces the same
 probabilities as the offline pipeline on the same samples (to 1e-12).
-All channels of a frame advance together in one batched inference call,
-and timing is measured around that call only: every sensor's event is
-charged the whole frame's wall time. That is stricter than timing each
-sensor alone, and it makes latency_report's per-frame sum (n_sensors
-times the frame time) a conservative upper bound on the real frame
-cost. Only latency_report applies the 4 ms per-sensor SENSOR_BUDGET_MS.
-The replay models no physics, it validates decisions and latency.
+A frame holds one sample from each of up to MAX_SENSORS (16) channels,
+and all of them advance together in one batched inference call. Timing
+is measured around that call only: every sensor's event is charged the
+whole frame's wall time. That is stricter than timing each sensor alone,
+and it makes latency_report's per-frame sum (n_sensors times the frame
+time) a conservative upper bound on the real frame cost. Only
+latency_report applies the budgets: 4 ms per sensor (SENSOR_BUDGET_MS)
+and n_sensors times that per frame, n_sensors being the channel count
+of the log. The replay models no physics, it validates decisions and
+latency.
 
 Event log format (CSV): step,channel,probability,label,latency_us with
 label 1 = unstable. Controller trajectory: step,pj_ma,mj_ma.
@@ -38,24 +41,6 @@ MJ_MAX_MA = 400.0
 
 SENSOR_BUDGET_MS = 4.0
 MAX_SENSORS = 16
-
-
-@dataclass(frozen=True)
-class FrameClock:
-    """Per-frame timing contract for the streaming predictor."""
-
-    freq_hz: float
-    n_sensors: int = MAX_SENSORS
-
-    def __post_init__(self):
-        if not (0 < self.freq_hz < np.inf):
-            raise ValueError("freq_hz must be finite and > 0")
-        if not (0 < self.n_sensors <= MAX_SENSORS):
-            raise ValueError(f"n_sensors must be in 1..{MAX_SENSORS}")
-
-    @property
-    def frame_budget_ms(self) -> float:
-        return self.n_sensors * SENSOR_BUDGET_MS
 
 
 @dataclass(slots=True)
@@ -144,13 +129,8 @@ class StreamingPredictor:
         return float(p[0]), bool(flag[0])
 
 
-def replay(
-    traces,
-    model: GraspModel,
-    clock: FrameClock | None = None,
-    timing: bool = True,
-) -> list[StepEvent]:
-    """Run every trace through one predictor, one frame at a time.
+def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
+    """Run up to MAX_SENSORS traces through one predictor, one frame at a time.
 
     Returns the merged log ordered by (step, channel). Each frame is one
     batched push_frame call, and every sensor's event is charged that
@@ -165,10 +145,8 @@ def replay(
     freqs = {t.freq_hz for t in traces}
     if len(freqs) != 1:
         raise ValueError(f"frequency mismatch across traces: {sorted(freqs)}")
-    if clock is None:
-        clock = FrameClock(freq_hz=traces[0].freq_hz, n_sensors=min(len(traces), MAX_SENSORS))
-    if len(traces) > clock.n_sensors:
-        raise ValueError(f"{len(traces)} traces exceed the {clock.n_sensors}-sensor frame")
+    if len(traces) > MAX_SENSORS:
+        raise ValueError(f"{len(traces)} traces exceed the {MAX_SENSORS}-sensor frame")
 
     predictor = StreamingPredictor(model, n_channels=len(traces))
     n_steps = min(len(t) for t in traces)
@@ -237,8 +215,11 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def latency_report(events, clock: FrameClock | None = None) -> dict:
-    """p50/p95/max per-sensor latency, frame totals, overruns and a verdict."""
+def latency_report(events) -> dict:
+    """p50/p95/max per-sensor latency, frame totals, overruns and a verdict.
+
+    The frame budget is SENSOR_BUDGET_MS for each channel in the log.
+    """
     events = list(events)
     if not events:
         raise ValueError("no events")
@@ -251,9 +232,6 @@ def latency_report(events, clock: FrameClock | None = None) -> dict:
         channels.add(e.channel)
     frame_ms = np.sort(np.array(list(frames.values())))
     n_sensors = len(channels)
-    frame_budget_ms = (
-        clock.frame_budget_ms if clock else n_sensors * SENSOR_BUDGET_MS
-    )
 
     p95 = _nearest_rank(lat_ms, 95.0)
     return {
@@ -270,7 +248,7 @@ def latency_report(events, clock: FrameClock | None = None) -> dict:
             "max": float(frame_ms[-1]),
         },
         "budget_ms": SENSOR_BUDGET_MS,
-        "frame_budget_ms": frame_budget_ms,
+        "frame_budget_ms": n_sensors * SENSOR_BUDGET_MS,
         "n_over_budget": sum(1 for e in events if e.latency_us > SENSOR_BUDGET_MS * 1e3),
         "pass": bool(p95 < SENSOR_BUDGET_MS),
     }

@@ -46,8 +46,9 @@ def golden_model(tag: str, seed: int) -> models.GraspModel:
     lstms = []
     for dim in variant.stream_dims:
         p = nn.LstmParams.init(dim, HIDDEN, rng, scale=0.6)
+        gates = nn.gate_views(p.k)
         for name in ("b_i", "b_f", "b_o", "b_g"):
-            setattr(p, name, rng.uniform(-0.5, 0.5, size=HIDDEN))
+            gates[name][...] = rng.uniform(-0.5, 0.5, size=HIDDEN)
         lstms.append(p)
     head = nn.FcHead.init(HIDDEN * variant.n_streams, rng, scale=0.6)
     head.b = rng.uniform(-0.3, 0.3, size=2)

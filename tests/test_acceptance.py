@@ -230,10 +230,9 @@ def test_criterion_09_streaming_equivalence_and_latency():
         worst = max(worst, float(np.max(np.abs(online - offline))))
     assert worst < 1e-12, f"online/offline max divergence {worst:.3e}"
 
-    clock = stream.FrameClock(freq_hz=16.7, n_sensors=16)
     frame_traces = [sets[0].channel(ch) for ch in range(16)]
-    events = stream.replay(frame_traces, model, clock=clock, timing=True)
-    report = stream.latency_report(events, clock)
+    events = stream.replay(frame_traces, model, timing=True)
+    report = stream.latency_report(events)
     assert report["per_sensor_ms"]["p95"] < 4.0, report["per_sensor_ms"]
     assert report["per_frame_ms"]["p95"] < 64.0, report["per_frame_ms"]
     assert report["pass"] is True

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -202,6 +203,16 @@ def test_convert_sample_too_large_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("freq", ["nan", "inf", "0", "-3"])
+def test_convert_freq_hz_out_of_range_exits_1_and_writes_nothing(freq, tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    src.write_text(",".join(["5"] * 16) + "\n")
+    dst = tmp_path / "trace.txt"
+    assert run("convert", "--src", str(src), "--dst", str(dst), "--freq-hz", freq) == 1
+    assert f"argument --freq-hz: must be > 0, got '{freq}'" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_convert_missing_source(tmp_path, capsys):
     assert run("convert", "--src", str(tmp_path / "none.csv"), "--dst", str(tmp_path / "o.txt")) == 1
     assert "error:" in capsys.readouterr().err
@@ -301,10 +312,13 @@ def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_p
     ("simulate", ["--channels", "17"], "argument --channels: must be in 1..16, got '17'"),
     ("simulate", ["--channels", "0"], "argument --channels: must be in 1..16, got '0'"),
     ("gen-data", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
+    *(("gen-data", ["--freq-hz", f], f"argument --freq-hz: must be > 0, got '{f}'")
+      for f in ("nan", "inf", "0", "-3")),
 ], ids=["epochs-negative", "units-0", "lr-0", "lr-inf", "lr-nan", "window-len-20", "channel-16",
         "channel-negative", "seed-negative", "threshold-1", "threshold-0", "cross-window-len-10",
         "cross-epochs-negative", "eval-window-len-10", "eval-channel-16", "eval-seed-negative",
-        "channels-17", "channels-0", "gen-seed-negative"])
+        "channels-17", "channels-0", "gen-seed-negative", "gen-freq-nan", "gen-freq-inf",
+        "gen-freq-0", "gen-freq-negative"])
 def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, named, tmp_path,
                                                              dataset_dir, trained_dir, capsys):
     checkpoint = str(trained_dir / "checkpoint.gslp")
@@ -543,21 +557,40 @@ def test_cross_eval_ratio_out_of_range_exits_1(ratio, tmp_path, dataset_dir, cap
     assert not out.exists()
 
 
-def test_cross_eval_outputs(tmp_path, dataset_dir):
-    out = tmp_path / "xeval"
+@pytest.fixture(scope="module")
+def xeval_dir(tmp_path_factory, dataset_dir):
+    out = tmp_path_factory.mktemp("run") / "xeval"
     code = run(
         "cross-eval", "--data", str(dataset_dir), "--variant", "B",
         "--out", str(out), "--condition", "outcome",
         "--epochs", "1", "--units", "4", "--labels", "truth",
     )
     assert code == 0
-    matrix = json.loads((out / "matrix.json").read_text())
+    return out
+
+
+def test_cross_eval_outputs(xeval_dir):
+    matrix = json.loads((xeval_dir / "matrix.json").read_text())
     assert matrix["condition"] == "outcome"
     assert matrix["rows"] == sorted(matrix["rows"])
-    txt = (out / "matrix.txt").read_text()
+    txt = (xeval_dir / "matrix.txt").read_text()
     assert txt.startswith("train\\test")
     for name in matrix["rows"]:
         assert name in txt
+
+
+def test_cross_eval_text_keeps_error_cells_apart(xeval_dir):
+    # Truth labels leave the all-success row with one class, so its fit
+    # fails and every cell of that row holds the long error text.
+    matrix = json.loads((xeval_dir / "matrix.json").read_text())
+    names = matrix["rows"]
+    assert any(str(v).startswith("error: ") for v in matrix["cells"]["success"].values())
+    lines = (xeval_dir / "matrix.txt").read_text().splitlines()
+    assert re.split(r" {2,}", lines[0]) == ["train\\test", *names]
+    for row, line in zip(names, lines[1:], strict=True):
+        want = [f"{v:.4f}" if isinstance(v, float) else v
+                for v in map(matrix["cells"][row].get, names)]
+        assert re.split(r" {2,}", line) == [row, *want]
 
 
 # -- simulate ----------------------------------------------------------------------

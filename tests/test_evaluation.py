@@ -134,8 +134,9 @@ def test_evaluate_model_on_trained_variant(trained_c, synth_split):
 def test_evaluate_model_beats_constant_predictor(trained_c, synth_split):
     _, test_sets = synth_split
     trained = evaluate_model(trained_c, test_sets, labels="truth")
-    cfg = models.TrainConfig(lstm_units=32, init_mode="literal-zeros")
-    constant = models.GraspModel.build("C", cfg)
+    constant = models.GraspModel.build("C", models.TrainConfig(lstm_units=32))
+    for arr in constant.stored_arrays().values():
+        arr[...] = 0.0
     constant.stats = trained_c.stats
     base = evaluate_model(constant, test_sets, labels="truth")
     # all-zero weights predict 0.5 everywhere, thresholded to unstable

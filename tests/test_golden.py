@@ -13,6 +13,7 @@ import pytest
 
 from graspslip import models
 from graspslip.stream import StreamingPredictor
+from tests.golden import record
 
 GOLDEN = Path(__file__).parent / "golden"
 TOL = 1e-12
@@ -61,3 +62,16 @@ def test_golden_streaming(tag, expected):
     frame_pred = StreamingPredictor(model, n_channels=len(traces))
     online = np.stack([frame_pred.push_frame(frame)[0] for frame in np.stack(traces, axis=1)])
     assert_close(online.T, ref[tag])
+
+
+@pytest.mark.parametrize("k, tag", enumerate("ABCD"))
+def test_recorder_rebuilds_the_committed_fixture(k, tag, expected):
+    # A re-record must reproduce today's checkpoints and traces exactly.
+    committed = load(tag).param_dict()
+    rebuilt = record.golden_model(tag, 100 + k).param_dict()
+    assert rebuilt.keys() == committed.keys()
+    for name, arr in committed.items():
+        np.testing.assert_array_equal(rebuilt[name], arr, err_msg=name)
+    traces, _ = expected
+    for got, ref in zip(record.golden_traces(), traces, strict=True):
+        np.testing.assert_array_equal(got, ref)

@@ -185,7 +185,7 @@ def saturated_params():
     Unit 0: i = o = 1, f = 0, g = -1, so c = -1 and h = tanh(-1) every step.
     Unit 1: i = o = 0, f = 1, g = +1, so c = h = 0.
     """
-    p = nn.LstmParams.init(1, 2, None, zeros=True)
+    p = nn.LstmParams(np.zeros((1 + 2 + 1, 4 * 2)))
     for name, sign in zip(("b_i", "b_f", "b_o", "b_g"), (1.0, -1.0, 1.0, -1.0)):
         nn.gate_views(p.k)[name][...] = np.array([sign, -sign]) * 1e3
     return p

@@ -4,7 +4,6 @@ import pytest
 from graspslip import data, models, stream
 from graspslip.signal import NormStats, SensorTrace
 from graspslip.stream import (
-    FrameClock,
     StepEvent,
     StreamingPredictor,
     grip_controller,
@@ -20,8 +19,9 @@ from tests import oracles
 
 def constant_model(stable=True, variant="C"):
     """Zoo model whose head bias forces one class regardless of input."""
-    cfg = models.TrainConfig(lstm_units=4, init_mode="literal-zeros")
-    m = models.GraspModel.build(variant, cfg)
+    m = models.GraspModel.build(variant, models.TrainConfig(lstm_units=4))
+    for arr in m.stored_arrays().values():
+        arr[...] = 0.0
     m.stats = NormStats(0.0, 4000.0)
     m.head.b = np.array([10.0, -10.0]) if stable else np.array([-10.0, 10.0])
     return m
@@ -43,29 +43,6 @@ def fake_events(latencies_us, step_channels=None):
         StepEvent(step=s, channel=c, probability=0.1, unstable=False, latency_us=l)
         for (s, c), l in zip(step_channels, latencies_us)
     ]
-
-
-# -- clock -----------------------------------------------------------------
-
-
-def test_frame_clock_budget():
-    clock = FrameClock(freq_hz=16.7)
-    assert clock.frame_budget_ms == pytest.approx(64.0)
-    assert FrameClock(freq_hz=71.0, n_sensors=4).frame_budget_ms == pytest.approx(16.0)
-
-
-def test_frame_clock_validation():
-    with pytest.raises(ValueError, match="freq_hz"):
-        FrameClock(freq_hz=0.0)
-    with pytest.raises(ValueError, match="n_sensors"):
-        FrameClock(freq_hz=10.0, n_sensors=17)
-
-
-@pytest.mark.parametrize("freq", [np.inf, np.nan])
-def test_frame_clock_rejects_nonfinite_freq(freq):
-    # an infinite rate would give a 0 s frame period
-    with pytest.raises(ValueError, match="freq_hz must be finite"):
-        FrameClock(freq_hz=freq)
 
 
 # -- streaming predictor -------------------------------------------------------
@@ -254,9 +231,8 @@ def test_replay_validation(trained_c):
     b = force_trace(np.ones(10), 1, freq_hz=71.0)
     with pytest.raises(ValueError, match="frequency mismatch"):
         replay([a, b], trained_c)
-    clock = FrameClock(freq_hz=16.7, n_sensors=1)
-    with pytest.raises(ValueError, match="exceed the 1-sensor frame"):
-        replay([a, force_trace(np.ones(10), 1)], trained_c, clock=clock)
+    with pytest.raises(ValueError, match="17 traces exceed the 16-sensor frame"):
+        replay([force_trace(np.ones(10), ch) for ch in range(17)], trained_c)
 
 
 def test_replay_timing_populates_latency(trained_c):
