@@ -114,7 +114,7 @@ def _train_config(args) -> gmodels.TrainConfig:
         lr=args.lr,
         epochs=args.epochs,
         seed=args.seed,
-        clip_norm=args.clip_norm if args.clip_norm > 0 else None,
+        clip_norm=args.clip_norm,
         threshold=args.threshold,
     )
 
@@ -125,8 +125,8 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=_positive, default=0.0006)
     p.add_argument("--units", type=_count, default=128)
     p.add_argument("--window-len", type=_window_len, default=160)
-    p.add_argument("--clip-norm", type=_number(float, lambda v: True, "finite"), default=5.0,
-                   help="global gradient norm cap; <= 0 disables")
+    p.add_argument("--clip-norm", type=_positive, default=5.0,
+                   help="global gradient norm cap")
     p.add_argument("--threshold", type=_fraction, default=0.5)
     p.add_argument("--labels", choices=("detect", "truth"), default="detect",
                    help="label source: drop detection or synthetic ground truth")
@@ -137,11 +137,6 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if not (0.0 <= args.failure_fraction <= 1.0):
-        raise ValueError("failure_fraction must lie in [0, 1], "
-                         f"got --failure-fraction {args.failure_fraction!r}")
-    if args.sets < 0:
-        raise ValueError(f"--sets must be >= 0, got {args.sets}")
     min_steps = GEN_MIN_STEPS[args.profile]
     if args.steps < min_steps:
         raise ValueError(f"--steps must be >= {min_steps} for the {args.profile} profile, "
@@ -183,28 +178,19 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _load_split(args, sets):
-    """(selected sets, description) honoring --holdout / --side."""
+def _split(args, sets):
+    """(train sets, held-out sets) of the seeded --holdout split; at
+    --holdout 0 every set trains and none is held out (None)."""
     if args.holdout <= 0:
-        return sets, "all"
-    train_sets, test_sets = gdata.split(sets, 1.0 - args.holdout, seed=args.seed)
-    side = args.side
-    if side == "train":
-        return train_sets, "train"
-    if side == "test":
-        return test_sets, "test"
-    return sets, "all"
+        return sets, None
+    return gdata.split(sets, 1.0 - args.holdout, seed=args.seed)
 
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
     sets = gdata.load_force_dataset(args.data)
     config = _train_config(args)
-    val_sets = None
-    if args.holdout > 0:
-        train_sets, val_sets = gdata.split(sets, 1.0 - args.holdout, seed=args.seed)
-    else:
-        train_sets = sets
+    train_sets, val_sets = _split(args, sets)
     model, history = geval.fit_variant(
         args.variant, train_sets, config,
         val_sets=val_sets, labels=args.labels, channel=args.channel,
@@ -230,9 +216,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     sets = gdata.load_force_dataset(args.data)
-    eval_sets, side = _load_split(args, sets)
+    held_out = _split(args, sets)[1]
+    eval_sets, side = (sets, "all") if held_out is None else (held_out, "test")
     if not eval_sets:
-        raise ValueError("selected split side is empty")
+        raise ValueError("no sets to evaluate")
     if args.dump_set is not None and not (0 <= args.dump_set < len(eval_sets)):
         raise ValueError(f"--dump-set {args.dump_set} out of range (0..{len(eval_sets) - 1})")
     inputs = {"dataset": _digest_dataset(args.data)}
@@ -396,11 +383,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="synthesize a dataset directory")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--sets", type=int, default=40)
+    p.add_argument("--sets", type=_natural, default=40)
     p.add_argument("--profile", choices=("force", "pressure"), default="force")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--freq-hz", type=_positive, default=None)
-    p.add_argument("--failure-fraction", type=float, default=0.5)
+    p.add_argument("--failure-fraction", type=_number(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                   default=0.5)
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
     p.set_defaults(func=cmd_gen_data)
@@ -430,8 +418,8 @@ def build_parser() -> _Parser:
                    help="repeatable: one table row per checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--holdout", type=_holdout, default=0.0)
-    p.add_argument("--side", choices=("train", "test", "all"), default="test")
+    p.add_argument("--holdout", type=_holdout, default=0.0,
+                   help="evaluate the held-out side of train's seeded split (0: all sets)")
     p.add_argument("--seed", type=_natural, default=0,
                    help="split seed; must match the train run to stay disjoint")
     p.add_argument("--window-len", type=_window_len, default=160)

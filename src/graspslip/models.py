@@ -98,7 +98,7 @@ class TrainConfig:
     lr: float = 0.0006
     epochs: int = 50
     seed: int = 0
-    clip_norm: float | None = 5.0
+    clip_norm: float = 5.0
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -110,8 +110,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.lstm_units < 1:
             raise ValueError("lstm_units must be >= 1")
-        if self.clip_norm is not None and not (0 < self.clip_norm < math.inf):
-            raise ValueError("clip_norm must be None or a finite number > 0")
+        if self.clip_norm is None or not (0 < self.clip_norm < math.inf):
+            raise ValueError("clip_norm must be a finite number > 0")
         _check_threshold(self.threshold)
 
 
@@ -315,12 +315,6 @@ class GraspModel:
         kernels = {f"lstm{idx}": p.k for idx, p in enumerate(self.lstms)}
         return {**kernels, "fc.w": self.head.w, "fc.b": self.head.b}
 
-    def _restore(self, stored: dict[str, np.ndarray]) -> None:
-        for idx, p in enumerate(self.lstms):
-            p.k = stored[f"lstm{idx}"]
-        self.head.w = stored["fc.w"]
-        self.head.b = stored["fc.b"]
-
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.param_dict().items()}
 
@@ -341,7 +335,7 @@ def train(
     config: TrainConfig,
     val_windows=None,
 ) -> list[EpochRecord]:
-    """Seeded-shuffled window iteration, one Adam step per window.
+    """Seeded-shuffled window iteration, one clipped Adam step per window.
 
     Windows must carry ``samples`` and stable-flag ``labels``:
     ``data.window_batches`` cuts them from a Recording, and callers may
@@ -349,6 +343,8 @@ def train(
     up front from the model's frozen stats. When validation windows are
     given, training stops after EARLY_STOP_PATIENCE epochs without a
     success-rate improvement and the best parameters are restored.
+    Every update, the restore included, writes into the model's own
+    arrays, so views from param_dict() stay live.
     """
     windows = list(windows)
     if not windows:
@@ -365,6 +361,7 @@ def train(
         val_feats = [model.featurize(w.samples) for w in val_windows]
         val_ys = [(~np.asarray(w.labels, dtype=bool)).astype(np.int64) for w in val_windows]
 
+    params = model.stored_arrays()
     opt = AdamState(lr=config.lr)
     rng = np.random.default_rng(config.seed)
     history: list[EpochRecord] = []
@@ -381,9 +378,7 @@ def train(
                 raise TrainingDiverged(
                     f"diverged: non-finite loss at epoch {epoch}, step {step}"
                 )
-            grads = nn.clip_gradients(grads, config.clip_norm)
-            new_params, opt = nn.adam_step(model.stored_arrays(), grads, opt)
-            model._restore(new_params)
+            nn.adam_step(params, nn.clip_gradients(grads, config.clip_norm), opt)
             losses[step] = loss
 
         record = EpochRecord(epoch=epoch, mean_loss=float(losses.mean()))
@@ -393,7 +388,7 @@ def train(
             record.val_success = hit / sum(y.size for y in val_ys)
             if record.val_success > best_success:
                 best_success = record.val_success
-                best_params = {k: v.copy() for k, v in model.stored_arrays().items()}
+                best_params = {k: v.copy() for k, v in params.items()}
                 stale = 0
             else:
                 stale += 1
@@ -402,7 +397,8 @@ def train(
             break
 
     if best_params is not None:
-        model._restore(best_params)
+        for name, arr in params.items():
+            arr[...] = best_params[name]
     return history
 
 

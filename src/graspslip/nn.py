@@ -299,19 +299,17 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    opt: AdamState,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh parameter arrays."""
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], opt: AdamState) -> None:
+    """One bias-corrected Adam update, written into the arrays of ``params``.
+
+    Every gradient is checked before any array changes.
+    """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"diverged: non-finite gradient for '{name}'")
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** opt.t
     bc2 = 1.0 - ADAM_BETA2 ** opt.t
-    updated = {}
     for name, theta in params.items():
         g = grads[name]
         m = opt.m.setdefault(name, np.zeros_like(theta))
@@ -320,14 +318,12 @@ def adam_step(
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        updated[name] = theta - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return updated, opt
+        theta -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so their global L2 norm is at most max_norm (None: no cap)."""
-    if max_norm is None:
-        return grads
+    """Scaled copies of the gradients whose global L2 norm is at most
+    max_norm; the gradients themselves when it already is."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm:
         return grads

@@ -131,23 +131,23 @@ def test_gen_data_pressure_honours_and_records_freq_hz(tmp_path, pressure_dir):
 def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "neg"
     assert run("gen-data", "--out", str(out), "--sets", "-3") == 1
-    assert "--sets must be >= 0" in capsys.readouterr().err
+    assert "argument --sets: must be >= 0, got '-3'" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--failure-fraction", "1.5"], "failure_fraction must lie in [0, 1]"),
-    (["--failure-fraction", "nan"], "failure_fraction must lie in [0, 1]"),
+    (["--failure-fraction", "1.5"], "argument --failure-fraction: must be in [0, 1]"),
+    (["--failure-fraction", "nan"], "argument --failure-fraction: must be in [0, 1]"),
     (["--steps", "100"], "--steps must be >= 242 for the force profile"),
     (["--profile", "pressure", "--steps", "12"], "--steps must be >= 21 for the pressure profile"),
     (["--sets", "0", "--failure-fraction", "1.5"],
-     "failure_fraction must lie in [0, 1], got --failure-fraction 1.5"),
+     "argument --failure-fraction: must be in [0, 1], got '1.5'"),
     (["--sets", "0", "--failure-fraction", "nan"],
-     "failure_fraction must lie in [0, 1], got --failure-fraction nan"),
+     "argument --failure-fraction: must be in [0, 1], got 'nan'"),
     (["--profile", "pressure", "--sets", "1", "--steps", "30", "--failure-fraction", "7"],
-     "failure_fraction must lie in [0, 1], got --failure-fraction 7.0"),
+     "argument --failure-fraction: must be in [0, 1], got '7'"),
     (["--profile", "pressure", "--failure-fraction", "-0.5"],
-     "failure_fraction must lie in [0, 1], got --failure-fraction -0.5"),
+     "argument --failure-fraction: must be in [0, 1], got '-0.5'"),
 ], ids=["fraction-1.5", "fraction-nan", "force-steps", "pressure-steps", "zero-sets-fraction-1.5",
         "zero-sets-fraction-nan", "pressure-fraction-7", "pressure-fraction-negative"])
 def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, capsys):
@@ -275,12 +275,14 @@ def test_train_rejects_nan_threshold(tmp_path, dataset_dir, capsys):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--clip-norm", "nan"], "argument --clip-norm: must be finite, got 'nan'"),
-    (["--clip-norm", "inf"], "argument --clip-norm: must be finite, got 'inf'"),
+    (["--clip-norm", "nan"], "argument --clip-norm: must be > 0, got 'nan'"),
+    (["--clip-norm", "inf"], "argument --clip-norm: must be > 0, got 'inf'"),
+    (["--clip-norm", "0"], "argument --clip-norm: must be > 0, got '0'"),
+    (["--clip-norm", "-1"], "argument --clip-norm: must be > 0, got '-1'"),
     (["--holdout", "1.5"], "argument --holdout: must be in [0, 1), got '1.5'"),
     (["--holdout", "1"], "argument --holdout: must be in [0, 1), got '1'"),
     (["--holdout", "-0.2"], "argument --holdout: must be in [0, 1), got '-0.2'"),
-], ids=["clip-nan", "clip-inf", "holdout-1.5", "holdout-1", "holdout-negative"])
+], ids=["clip-nan", "clip-inf", "clip-0", "clip-negative", "holdout-1.5", "holdout-1", "holdout-negative"])
 def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_path,
                                                              dataset_dir, capsys):
     out = tmp_path / "o"
@@ -391,7 +393,7 @@ def test_eval_outputs(tmp_path, dataset_dir, trained_dir):
     code = run(
         "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
         "--data", str(dataset_dir), "--out", str(out),
-        "--labels", "truth", "--holdout", "0.34", "--side", "test",
+        "--labels", "truth", "--holdout", "0.34",
     )
     assert code == 0
     report = json.loads((out / "eval_B_checkpoint.json").read_text())

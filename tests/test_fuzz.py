@@ -1,22 +1,27 @@
-"""Fuzzing of the file parsers: arbitrary bytes and mutated valid files.
+"""Fuzzing of the file parsers and of the command line.
 
 Whatever a trace file, event log or checkpoint contains, reading it must
 either succeed or raise ValueError (CheckpointError is one), which the
 CLI turns into exit code 1; nothing else may escape. Checkpoints go
 through load_checkpoint, so read_blob and the header checks behind it
-are both exercised. Runs are derandomized so every run sees the same
-examples.
+are both exercised. Whatever flag values a subcommand gets, it must exit
+0, 1 or 2 without a traceback, and an exit 1 must leave no file behind.
+Runs are derandomized so every run sees the same examples.
 """
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+import math
 import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graspslip import data, models, stream
+from graspslip import cli, data, models, stream
 from graspslip.signal import compute_norm_stats
 
 FUZZ = settings(
@@ -171,3 +176,110 @@ def test_valid_files_read_back(valid, scratch):
     for name, raw in valid.items():
         scratch.write_bytes(raw)
         READERS.get(name, models.load_checkpoint)(scratch)
+
+
+# -- command lines ------------------------------------------------------------
+#
+# Each subcommand runs in process on drawn flags: every flag is left out
+# or takes an edge value or a small int. Size flags are capped so that no
+# run allocates more than a few MB.
+
+EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1", "1.5", "21")
+
+
+def numbers(lo=-2, hi=8):
+    """An edge value or an int in [lo, hi]; no finite edge value above hi."""
+    edges = [v for v in EDGES if not (math.isfinite(float(v)) and float(v) > hi)]
+    return st.sampled_from(edges) | st.integers(lo, hi).map(str)
+
+
+def flags(**strategies):
+    """argv tokens: each ``--name`` left out or given a drawn value
+    (``True`` draws a bare switch)."""
+    def tokens(drawn):
+        out = []
+        for name, value in sorted(drawn.items()):
+            out.append("--" + name.replace("_", "-"))
+            if value is not True:
+                out.append(value)
+        return out
+    return st.fixed_dictionaries({}, optional=strategies).map(tokens)
+
+
+TRAIN_KNOBS = dict(
+    seed=numbers(), epochs=numbers(hi=2), lr=numbers(), units=numbers(hi=8),
+    window_len=numbers(hi=300), clip_norm=numbers(), threshold=numbers(),
+    labels=st.sampled_from(["detect", "truth"]), channel=numbers(hi=16),
+)
+
+ARGV = {
+    "gen-data": flags(
+        seed=numbers(), sets=numbers(hi=6), profile=st.sampled_from(["force", "pressure"]),
+        steps=numbers(hi=500) | st.integers(230, 500).map(str), freq_hz=numbers(),
+        failure_fraction=numbers(), force=st.just(True)),
+    "convert": flags(
+        freq_hz=numbers(), object=numbers(), weight=numbers(), force_level=numbers(),
+        outcome=st.sampled_from(["success", "failure"]),
+        direction=st.sampled_from(data.DIRECTIONS)),
+    "train": flags(holdout=numbers(), **TRAIN_KNOBS),
+    "eval": flags(
+        holdout=numbers(), seed=numbers(), window_len=numbers(hi=300),
+        labels=st.sampled_from(["detect", "truth"]), channel=numbers(hi=16),
+        dump_set=numbers()),
+    "cross-eval": flags(
+        ratio=numbers(), condition=st.sampled_from(["direction", "outcome"]), **TRAIN_KNOBS),
+    "simulate": flags(
+        set=numbers(), channels=numbers(hi=16), no_timing=st.just(True),
+        strict_latency=st.just(True)),
+    "grad-check": flags(
+        variants=st.sampled_from(["A", "CD", "ABCD", "", "Z"]), hidden=numbers(hi=3),
+        steps=numbers(hi=21), instances=numbers(hi=2), seed=numbers(), tolerance=numbers()),
+}
+
+# Examples per subcommand; each cross-eval run starts a spawn pool.
+EXAMPLES = {"cross-eval": 10, "grad-check": 15}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Input flags per subcommand, over one tiny dataset and checkpoint,
+    and a source of fresh output paths."""
+    root = tmp_path_factory.mktemp("argv")
+    ds, run = root / "ds", root / "run"
+    assert cli.main(["gen-data", "--out", str(ds), "--sets", "4", "--steps", "330",
+                     "--seed", "1"]) == 0
+    assert cli.main(["train", "--data", str(ds), "--variant", "A", "--out", str(run),
+                     "--epochs", "1", "--units", "2"]) == 0
+    csv_path = root / "trace.csv"
+    csv_path.write_text("\n".join([",".join(f"c{j}" for j in range(16))]
+                                  + [",".join(str(100 * i + j) for j in range(16))
+                                     for i in range(5)]) + "\n")
+    ckpt = ["--checkpoint", str(run / "checkpoint.gslp")]
+    fit = ["--data", str(ds), "--variant", "C"]
+    inputs = {
+        "gen-data": [], "convert": ["--src", str(csv_path)], "train": fit, "cross-eval": fit,
+        "eval": [*ckpt, "--data", str(ds)], "simulate": [*ckpt, "--data", str(ds)],
+        "grad-check": [],
+    }
+    counter = itertools.count()
+    return inputs, lambda: root / f"out{next(counter)}"
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+def test_cli_flags_exit_cleanly(cli_inputs, command):
+    inputs, fresh = cli_inputs
+
+    @settings(FUZZ, max_examples=EXAMPLES.get(command, 30))
+    @given(argv=ARGV[command])
+    def check(argv):
+        out = fresh()
+        dest = {"convert": ["--dst", str(out)], "grad-check": []}.get(command, ["--out", str(out)])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, *inputs[command], *dest, *argv])
+        assert code in (0, 1, 2), code
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert not out.is_file() and not any(p.is_file() for p in out.rglob("*"))
+
+    check()

@@ -81,11 +81,10 @@ def test_config_rejects_empty_lstm(units):
         TrainConfig(lstm_units=units)
 
 
-@pytest.mark.parametrize("clip_norm", [np.nan, np.inf, 0.0, -1.0])
-def test_config_rejects_clip_norm_that_is_not_none_or_finite_positive(clip_norm):
-    with pytest.raises(ValueError, match="clip_norm must be None or a finite number > 0"):
+@pytest.mark.parametrize("clip_norm", [np.nan, np.inf, 0.0, -1.0, None])
+def test_config_rejects_clip_norm_that_is_not_finite_positive(clip_norm):
+    with pytest.raises(ValueError, match="clip_norm must be a finite number > 0"):
         TrainConfig(clip_norm=clip_norm)
-    assert TrainConfig(clip_norm=None).clip_norm is None
     assert TrainConfig(clip_norm=0.5).clip_norm == 0.5
 
 
@@ -452,6 +451,21 @@ def test_early_stop_restores_best_params():
         hits += int(np.sum(pred.unstable == ~w.labels))
         total += w.labels.size
     assert hits / total == pytest.approx(best)
+
+
+def test_views_taken_before_train_stay_live():
+    # train writes every Adam step and the early-stop restore into the
+    # model's own arrays, so views taken beforehand see the trained values.
+    windows = toy_windows(n=20, seed=3)
+    cfg = TrainConfig(window_len=60, lstm_units=6, epochs=3, seed=1)
+    model = GraspModel.build("D", cfg)
+    model.stats = compute_norm_stats([w.samples for w in windows])
+    views, stored, initial = model.param_dict(), model.stored_arrays(), model.copy_params()
+    train(model, windows, cfg, val_windows=toy_windows(n=8, seed=4))
+    assert all(model.stored_arrays()[k] is a for k, a in stored.items())
+    for k, v in model.param_dict().items():
+        np.testing.assert_array_equal(views[k], v)
+    assert all(not np.array_equal(views[k], initial[k]) for k in ("lstm0.w_i", "lstm1.w_g", "fc.w"))
 
 
 def test_early_stop_stops_after_patience_epochs_without_improvement():

@@ -271,8 +271,9 @@ def test_adam_first_step_magnitude_is_lr():
     opt = nn.AdamState(lr=0.0006)
     theta = {"w": np.array([1.0, -2.0])}
     grads = {"w": np.array([3.0, -0.5])}
-    new, _ = nn.adam_step(theta, grads, opt)
-    delta = new["w"] - theta["w"]
+    before = theta["w"].copy()
+    nn.adam_step(theta, grads, opt)
+    delta = theta["w"] - before
     # bias-corrected first step is -lr * g / (|g| + eps) = -lr * sign(g)
     np.testing.assert_allclose(np.abs(delta), 0.0006, rtol=1e-6)
     assert delta[0] < 0 and delta[1] > 0
@@ -282,25 +283,29 @@ def test_adam_accumulates_moments():
     opt = nn.AdamState(lr=0.1)
     theta = {"w": np.array([1.0])}
     g = {"w": np.array([1.0])}
-    t1, opt = nn.adam_step(theta, g, opt)
-    t2, opt = nn.adam_step(t1, g, opt)
+    t0 = theta["w"][0]
+    nn.adam_step(theta, g, opt)
+    t1 = theta["w"][0]
+    nn.adam_step(theta, g, opt)
     assert opt.t == 2
-    assert t2["w"][0] < t1["w"][0] < theta["w"][0]
+    assert theta["w"][0] < t1 < t0
 
 
 def test_adam_minimizes_quadratic_fast():
     theta = np.array([1.0])
     opt = nn.AdamState(lr=0.01)
     for _ in range(2000):
-        new, opt = nn.adam_step({"t": theta}, {"t": 2.0 * theta}, opt)
-        theta = new["t"]
+        nn.adam_step({"t": theta}, {"t": 2.0 * theta}, opt)
     assert abs(theta[0]) < 1e-3
 
 
 def test_adam_rejects_nonfinite_gradient():
     opt = nn.AdamState()
+    params = {"v": np.zeros(2), "w": np.zeros(2)}
     with pytest.raises(nn.TrainingDiverged, match="diverged: non-finite gradient"):
-        nn.adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, opt)
+        nn.adam_step(params, {"v": np.ones(2), "w": np.array([1.0, np.nan])}, opt)
+    # every gradient is checked before any array changes
+    assert opt.t == 0 and not params["v"].any()
 
 
 # -- clipping -------------------------------------------------------------------
