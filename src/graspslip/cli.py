@@ -293,21 +293,11 @@ def cmd_cross_eval(args) -> int:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     model = gmodels.load_checkpoint(args.checkpoint)
-    inputs = {"checkpoint": sha256_file(args.checkpoint)}
-    if args.trace:
-        if not os.path.isfile(args.trace):
-            raise ValueError(f"--trace {args.trace}: not a file")
-        (grasp,) = gdata.load_force_dataset(args.trace)
-        inputs["trace"] = sha256_file(args.trace)
-    else:
-        if not args.data:
-            raise ValueError("simulate needs --trace or --data")
-        sets = gdata.load_force_dataset(args.data)
-        if not (0 <= args.set < len(sets)):
-            raise ValueError(f"--set {args.set} out of range (0..{len(sets) - 1})")
-        grasp = sets[args.set]
-        inputs["dataset"] = _digest_dataset(args.data)
-
+    sets = gdata.load_force_dataset(args.data)
+    if not (0 <= args.set < len(sets)):
+        raise ValueError(f"--set {args.set} out of range (0..{len(sets) - 1})")
+    grasp = sets[args.set]
+    inputs = {"checkpoint": sha256_file(args.checkpoint), "dataset": _digest_dataset(args.data)}
     traces = [grasp.channel(c) for c in range(args.channels)]
     events = gstream.replay(traces, model, timing=not args.no_timing)
     gstream.write_event_log(events, os.path.join(out, "events.csv"))
@@ -399,9 +389,9 @@ def build_parser() -> _Parser:
     p.add_argument("--freq-hz", type=_positive, default=16.7)
     p.add_argument("--outcome", choices=("success", "failure"), default="failure")
     p.add_argument("--direction", choices=gdata.DIRECTIONS, default="back")
-    p.add_argument("--object", type=int, default=0)
-    p.add_argument("--weight", type=int, default=0)
-    p.add_argument("--force-level", type=int, default=0)
+    p.add_argument("--object", type=_natural, default=0)
+    p.add_argument("--weight", type=_natural, default=0)
+    p.add_argument("--force-level", type=_natural, default=0)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train", help="fit one variant, write a checkpoint")
@@ -440,8 +430,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="streamed replay with grip controller")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--trace", default=None, help="single trace file")
-    p.add_argument("--data", default=None, help="dataset dir (with --set)")
+    p.add_argument("--data", required=True, help="dataset dir (with --set) or one trace file")
     p.add_argument("--set", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--channels", type=_channels, default=1)

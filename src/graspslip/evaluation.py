@@ -108,10 +108,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
 
 def evaluate_model(
     model,
@@ -130,42 +126,32 @@ def evaluate_model(
     if not sets:
         raise ValueError("empty input: no sets")
 
-    all_pred, all_ref = [], []
-    window_rates = []
-    firsts, drops = [], []
-    by_direction: dict[str, list] = {}
-
     per_set = [gdata.window_batches(g, window_len, channel, labels=labels) for g in sets]
-    preds = iter(model.predict_batch(
-        model.featurize(w.samples) for windows in per_set for w in windows
-    ))
-    for grasp, windows in zip(sets, per_set):
-        set_pred = []
-        for w, pred in zip(windows, preds):
-            all_pred.append(pred.unstable)
-            all_ref.append(w.unstable)
-            window_rates.append(float(np.mean(pred.unstable == w.unstable)))
-            set_pred.append(pred.unstable)
-            by_direction.setdefault(grasp.direction, []).append(window_rates[-1])
-        if grasp.outcome == "failure":
-            drop = gdata.drop_step(grasp, channel)
-            if drop is not None:
-                firsts.append(first_unstable(np.concatenate(set_pred)))
-                drops.append(drop)
+    windows = [w for ws in per_set for w in ws]
+    pred = model.predict_batch(model.featurize(w.samples) for w in windows).unstable
+    ref = np.stack([w.unstable for w in windows])
+    window_rates = np.mean(pred == ref, axis=1)
+    # Set i's windows are rows bounds[i]:bounds[i + 1], in time order.
+    bounds = np.cumsum([0] + [len(ws) for ws in per_set])
+    by_direction: dict[str, list] = {}
+    firsts, drops = [], []
+    for grasp, lo, hi in zip(sets, bounds, bounds[1:]):
+        by_direction.setdefault(grasp.direction, []).append(window_rates[lo:hi])
+        if grasp.outcome == "failure" and (drop := gdata.drop_step(grasp, channel)) is not None:
+            firsts.append(first_unstable(pred[lo:hi]))
+            drops.append(drop)
 
-    pred = np.concatenate(all_pred)
-    ref = np.concatenate(all_ref)
     adr = ahead_drop_rate(firsts, drops) if firsts else None
     return EvalReport(
         success_rate=success_rate(pred, ref),
         ahead_drop_rate=adr,
         confusion=confusion_counts(pred, ref),
-        n_windows=len(window_rates),
+        n_windows=len(windows),
         n_steps=int(pred.size),
         n_failure_sets=len(firsts),
         window_success_rate=float(np.mean(window_rates)),
         breakdown={
-            d: float(np.mean(v)) for d, v in sorted(by_direction.items())
+            d: float(np.mean(np.concatenate(v))) for d, v in sorted(by_direction.items())
         },
     )
 
@@ -362,11 +348,11 @@ def write_prediction_dump(model, grasp, path, window_len: int = 160, channel: in
     """Per-step plot data: step, force_mn, label, p_unstable, predicted."""
     rows = ["step,force_mn,label_unstable,p_unstable,predicted_unstable"]
     windows = gdata.window_batches(grasp, window_len, channel, labels=labels)
-    preds = model.predict_batch([model.featurize(w.samples) for w in windows])
-    for w, pred in zip(windows, preds):
+    pred = model.predict_batch(model.featurize(w.samples) for w in windows)
+    for w, p, flags in zip(windows, pred.p_unstable, pred.unstable):
         for i in range(len(w)):
             rows.append(
                 f"{w.start + i},{w.samples[i]:g},{int(w.unstable[i])},"
-                f"{pred.p_unstable[i]:.9f},{int(pred.unstable[i])}"
+                f"{p[i]:.9f},{int(flags[i])}"
             )
     atomic_write_text(path, "\n".join(rows) + "\n")

@@ -129,7 +129,8 @@ def _check_threshold(threshold) -> float:
 
 @dataclass
 class Prediction:
-    """Per-step instability probabilities and thresholded flags."""
+    """Per-step instability probabilities and thresholded flags: (steps,)
+    arrays for one window, (windows, steps) from predict_batch."""
 
     p_unstable: np.ndarray
     unstable: np.ndarray
@@ -245,35 +246,40 @@ class GraspModel:
         loss = float(np.mean(-np.log(np.maximum(probs[steps, y], 1e-12))))
         return caches, hcat, probs, y, steps, loss
 
+    def decide(self, p_unstable: np.ndarray) -> Prediction:
+        """Probabilities -> Prediction. Ties at the threshold and NaN
+        probabilities are flagged unstable (the fail-safe side)."""
+        return Prediction(p_unstable=p_unstable, unstable=~(p_unstable < self.threshold))
+
     def predict(self, features) -> Prediction:
-        """Per-step probability of instability plus thresholded flags.
+        """Per-step probability of instability plus thresholded flags."""
+        pred = self.predict_batch([features])
+        return Prediction(p_unstable=pred.p_unstable[0], unstable=pred.unstable[0])
 
-        Ties at the threshold and NaN probabilities resolve to unstable
-        (the fail-safe side).
+    def predict_batch(self, windows) -> Prediction:
+        """predict() of many equal-length windows as one Prediction of
+        (windows, steps) arrays, row b for window b.
+
+        ``windows`` is a non-empty iterable of features arguments as
+        predict() takes them. It is consumed PREDICT_CHUNK windows at a
+        time; each chunk advances together through one (B, H) cell update
+        per step, so the working memory stays bounded however many windows
+        there are.
         """
-        return self.predict_batch([features])[0]
-
-    def predict_batch(self, windows) -> list[Prediction]:
-        """predict() for each of many equal-length windows, a chunk at a time.
-
-        ``windows`` is an iterable of features arguments as predict() takes
-        them. It is consumed PREDICT_CHUNK windows at a time; each chunk
-        advances together through one (B, H) cell update per step, so the
-        working memory stays bounded however many windows there are.
-        """
-        out: list[Prediction] = []
+        chunks: list[np.ndarray] = []
         it = iter(windows)
         while chunk := [self._coerce_streams(f) for f in islice(it, PREDICT_CHUNK)]:
-            if len({w[0].shape[0] for w in chunk} | {len(p) for p in out[:1]}) > 1:
+            if len({w[0].shape[0] for w in chunk} | {c.shape[1] for c in chunks[:1]}) > 1:
                 raise ValueError("predict_batch needs windows of equal length")
             hcat = np.concatenate(
                 [nn.lstm_hidden(np.stack([w[k] for w in chunk]), p)
                  for k, p in enumerate(self.lstms)],
                 axis=2,
             )
-            p_unstable = self.head.probs(hcat)[..., CLASS_UNSTABLE]
-            out.extend(Prediction(p_unstable=p, unstable=~(p < self.threshold)) for p in p_unstable)
-        return out
+            chunks.append(self.head.probs(hcat)[..., CLASS_UNSTABLE])
+        if not chunks:
+            raise ValueError("predict_batch needs at least one window")
+        return self.decide(np.concatenate(chunks))
 
     def predict_samples(self, samples: np.ndarray) -> Prediction:
         return self.predict(self.featurize(samples))
@@ -355,11 +361,13 @@ def train(
     if counts.min() == 0:
         raise ValueError("training windows must contain both classes")
 
-    val_feats = val_ys = None
+    val_feats = val_unstable = None
     if val_windows is not None:
         val_windows = list(val_windows)
+        if not val_windows:
+            raise ValueError("no validation windows")
         val_feats = [model.featurize(w.samples) for w in val_windows]
-        val_ys = [(~np.asarray(w.labels, dtype=bool)).astype(np.int64) for w in val_windows]
+        val_unstable = ~np.stack([w.labels for w in val_windows]).astype(bool)
 
     params = model.stored_arrays()
     opt = AdamState(lr=config.lr)
@@ -383,9 +391,8 @@ def train(
 
         record = EpochRecord(epoch=epoch, mean_loss=float(losses.mean()))
         if val_feats is not None:
-            preds = model.predict_batch(val_feats)
-            hit = sum(int(np.sum(p.unstable == y.astype(bool))) for p, y in zip(preds, val_ys))
-            record.val_success = hit / sum(y.size for y in val_ys)
+            hits = model.predict_batch(val_feats).unstable == val_unstable
+            record.val_success = float(np.mean(hits))
             if record.val_success > best_success:
                 best_success = record.val_success
                 best_params = {k: v.copy() for k, v in params.items()}

@@ -60,7 +60,7 @@ class StreamingPredictor:
     Keeps, for each of ``n_channels`` sensors, a window_len ring of
     normalized samples for the band magnitudes and one (h, c) LSTM state
     per stream; push_frame() advances every channel by one time step in
-    one batched cell update, push() is the one-channel case.
+    one batched cell update.
 
     A non-finite sample (NaN or +-inf) is flagged unstable, the fail-safe
     answer, with a NaN probability, and leaves nothing behind in the ring
@@ -121,12 +121,8 @@ class StreamingPredictor:
             for h, (_, c, _, _) in zip(hs, self._cells):
                 h[:, bad] = 0.0
                 c[:, bad] = 0.0
-        return p_unstable, ~(p_unstable < m.threshold)
-
-    def push(self, sample: float) -> tuple[float, bool]:
-        """Consume one raw sample of a one-channel predictor."""
-        p, flag = self.push_frame([sample])
-        return float(p[0]), bool(flag[0])
+        pred = m.decide(p_unstable)
+        return pred.p_unstable, pred.unstable
 
 
 def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:

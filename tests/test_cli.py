@@ -316,16 +316,22 @@ def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_p
     ("gen-data", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
     *(("gen-data", ["--freq-hz", f], f"argument --freq-hz: must be > 0, got '{f}'")
       for f in ("nan", "inf", "0", "-3")),
+    *(("convert", [flag, "-1"], f"argument {flag}: must be >= 0, got '-1'")
+      for flag in ("--object", "--weight", "--force-level")),
 ], ids=["epochs-negative", "units-0", "lr-0", "lr-inf", "lr-nan", "window-len-20", "channel-16",
         "channel-negative", "seed-negative", "threshold-1", "threshold-0", "cross-window-len-10",
         "cross-epochs-negative", "eval-window-len-10", "eval-channel-16", "eval-seed-negative",
         "channels-17", "channels-0", "gen-seed-negative", "gen-freq-nan", "gen-freq-inf",
-        "gen-freq-0", "gen-freq-negative"])
+        "gen-freq-0", "gen-freq-negative", "convert-object-negative", "convert-weight-negative",
+        "convert-force-level-negative"])
 def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, named, tmp_path,
                                                              dataset_dir, trained_dir, capsys):
     checkpoint = str(trained_dir / "checkpoint.gslp")
     fit = ["--data", str(dataset_dir), "--variant", "A", "--epochs", "1", "--units", "4"]
+    src = tmp_path / "raw.csv"
+    src.write_text(",".join(["5"] * 16) + "\n")
     base = {
+        "convert": ["--src", str(src)],
         "gen-data": ["--sets", "1"],
         "train": fit,
         "cross-eval": fit,
@@ -333,7 +339,7 @@ def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, nam
         "simulate": ["--checkpoint", checkpoint, "--data", str(dataset_dir)],
     }[command]
     out = tmp_path / "o"
-    assert run(command, *base, "--out", str(out), *flags) == 1
+    assert run(command, *base, "--dst" if command == "convert" else "--out", str(out), *flags) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -638,7 +644,7 @@ def test_simulate_single_trace_file(tmp_path, trained_dir):
     out = tmp_path / "sim"
     assert run(
         "simulate", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
-        "--trace", str(trace_path), "--out", str(out), "--no-timing",
+        "--data", str(trace_path), "--out", str(out), "--no-timing",
         "--strict-latency",
     ) == 0
     assert (out / "events.csv").exists()
@@ -649,15 +655,7 @@ def test_simulate_needs_input(tmp_path, trained_dir, capsys):
         "simulate", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
         "--out", str(tmp_path / "o"),
     ) == 1
-    assert "needs --trace or --data" in capsys.readouterr().err
-
-
-def test_simulate_trace_must_be_a_file(tmp_path, dataset_dir, trained_dir, capsys):
-    assert run(
-        "simulate", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
-        "--trace", str(dataset_dir), "--out", str(tmp_path / "o"),
-    ) == 1
-    assert "not a file" in capsys.readouterr().err
+    assert "the following arguments are required: --data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "simulate"])
@@ -667,7 +665,7 @@ def test_pressure_data_is_rejected_naming_the_file(tmp_path, pressure_dir, train
     argv = {
         "train": ["--data", str(pressure_dir), "--variant", "B"],
         "eval": ["--checkpoint", ckpt, "--data", str(pressure_dir)],
-        "simulate": ["--checkpoint", ckpt, "--trace", str(pressure_dir / "run_0001.txt")],
+        "simulate": ["--checkpoint", ckpt, "--data", str(pressure_dir / "run_0001.txt")],
     }[command]
     assert run(command, *argv, "--out", str(tmp_path / "o")) == 1
     name = "run_0001.txt" if command == "simulate" else "run_0000.txt"

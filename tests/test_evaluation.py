@@ -18,6 +18,7 @@ from graspslip.evaluation import (
     success_rate,
     write_prediction_dump,
 )
+from graspslip.signal import compute_norm_stats
 
 
 SMALL_CONFIG = models.TrainConfig(epochs=2, lstm_units=8, seed=0)
@@ -96,7 +97,7 @@ def report_kwargs(**over):
 
 def test_eval_report_round_trip():
     rep = EvalReport(**report_kwargs())
-    again = EvalReport.from_json(rep.to_json())
+    again = EvalReport(**json.loads(rep.to_json()))
     assert again == rep
     assert json.loads(rep.to_json())["success_rate"] == 0.9
 
@@ -154,6 +155,72 @@ def test_evaluate_model_detect_mode_uses_detected_drop(trained_c, synth_split):
     report = evaluate_model(trained_c, test_sets, labels="detect")
     assert 0.0 <= report.success_rate <= 1.0
     assert report.n_failure_sets > 0
+
+
+def per_window_report(model, sets, window_len, labels):
+    """evaluate_model's report built with loops from one predict() per window,
+    and each counted failure set's first unstable step."""
+    all_pred, all_ref, window_rates, firsts, drops = [], [], [], [], []
+    by_direction = {}
+    for grasp in sets:
+        set_pred = []
+        for w in data.window_batches(grasp, window_len, labels=labels):
+            pred = model.predict(model.featurize(w.samples)).unstable
+            all_pred.append(pred)
+            all_ref.append(w.unstable)
+            window_rates.append(float(np.mean(pred == w.unstable)))
+            by_direction.setdefault(grasp.direction, []).append(window_rates[-1])
+            set_pred.append(pred)
+        if grasp.outcome == "failure" and data.drop_step(grasp) is not None:
+            firsts.append(first_unstable(np.concatenate(set_pred)))
+            drops.append(data.drop_step(grasp))
+    pred, ref = np.concatenate(all_pred), np.concatenate(all_ref)
+    return firsts, EvalReport(
+        success_rate=success_rate(pred, ref),
+        ahead_drop_rate=ahead_drop_rate(firsts, drops) if firsts else None,
+        confusion=confusion_counts(pred, ref),
+        n_windows=len(window_rates),
+        n_steps=int(pred.size),
+        n_failure_sets=len(firsts),
+        window_success_rate=float(np.mean(window_rates)),
+        breakdown={d: float(np.mean(v)) for d, v in sorted(by_direction.items())},
+    )
+
+
+@pytest.fixture(scope="module")
+def two_direction_sets():
+    """11 synthetic sets dealt to back and top, then a failure set whose
+    drop goes undetected: 72 windows of 60 steps, more than one chunk."""
+    sets = with_directions(data.synth_force_dataset(11, seed=11), ["back", "top"])
+    stable = next(s for s in sets if s.outcome == "success")
+    undetected = dataclasses.replace(stable, outcome="failure", meta={"slip_onset": 200})
+    assert data.drop_step(undetected) is None
+    return [*sets, undetected]
+
+
+@pytest.mark.parametrize("labels", ["truth", "detect"])
+@pytest.mark.parametrize("k, tag", enumerate("ABCD"))
+def test_evaluate_model_equals_per_window_report(k, tag, labels, two_direction_sets,
+                                                 monkeypatch):
+    sets = two_direction_sets
+    model = models.GraspModel.build(tag, models.TrainConfig(window_len=60, lstm_units=4, seed=k))
+    model.stats = compute_norm_stats([s.channel(0).samples for s in sets])
+    # A threshold at the 90th percentile gives both flags in every report,
+    # and first unstable steps in various windows of the failure sets.
+    p = np.concatenate([model.predict_samples(s.channel(0).samples).p_unstable for s in sets])
+    model.threshold = float(np.quantile(p, 0.9))
+    firsts, ref = per_window_report(model, sets, 60, labels)
+    assert ref.n_windows > models.PREDICT_CHUNK
+    assert 0 < ref.confusion["tp"] + ref.confusion["fp"] < ref.n_steps
+    assert ref.n_failure_sets == sum(s.outcome == "failure" for s in sets) - 1
+    assert set(ref.breakdown) == {"back", "top"}
+    seen = []
+    monkeypatch.setattr(evaluation, "ahead_drop_rate",
+                        lambda f, d: seen.append(list(f)) or ahead_drop_rate(f, d))
+    got = evaluate_model(model, sets, 60, labels=labels)
+    assert seen == [firsts]
+    assert got == ref
+    assert got.to_json() == ref.to_json()
 
 
 # -- cross-condition matrix --------------------------------------------------------------

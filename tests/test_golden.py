@@ -48,8 +48,9 @@ def test_golden_offline_predict(tag, expected):
 def test_golden_batched_predict(tag, expected):
     traces, ref = expected
     model = load(tag)
-    preds = model.predict_batch(model.featurize(tr) for tr in traces)
-    assert_close(np.stack([p.p_unstable for p in preds]), ref[tag])
+    pred = model.predict_batch(model.featurize(tr) for tr in traces)
+    assert pred.p_unstable.shape == ref[tag].shape
+    assert_close(pred.p_unstable, ref[tag])
 
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
@@ -58,7 +59,7 @@ def test_golden_streaming(tag, expected):
     model = load(tag)
     for tr, p in zip(traces, ref[tag]):
         pred = StreamingPredictor(model)
-        assert_close([pred.push(v)[0] for v in tr], p)
+        assert_close(np.concatenate([pred.push_frame([v])[0] for v in tr]), p)
     frame_pred = StreamingPredictor(model, n_channels=len(traces))
     online = np.stack([frame_pred.push_frame(frame)[0] for frame in np.stack(traces, axis=1)])
     assert_close(online.T, ref[tag])

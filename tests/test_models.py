@@ -227,9 +227,12 @@ def test_nan_probability_is_flagged_unstable(tag, rng):
     m = small_model(tag)
     m.head.b = np.array([0.0, np.nan])
     x = rng.uniform(0, 1, size=(3, 30))
-    for pred in [m.predict_samples(x[0]), *m.predict_batch(m.featurize(w) for w in x)]:
-        assert np.isnan(pred.p_unstable).all()
-        assert pred.unstable.all()
+    single = m.predict_samples(x[0])
+    batch = m.predict_batch(m.featurize(w) for w in x)
+    assert batch.p_unstable.shape == batch.unstable.shape == (3, 30)
+    for p, flags in [(single.p_unstable, single.unstable), *zip(batch.p_unstable, batch.unstable)]:
+        assert np.isnan(p).all()
+        assert flags.all()
 
 
 def test_zero_params_predict_half_and_tie_unstable():
@@ -271,18 +274,20 @@ def test_predict_batch_matches_per_window(tag, n_windows, rng):
     m = small_model(tag, stats=NormStats(0.0, 3000.0))
     feats = [m.featurize(rng.uniform(0, 3000, size=30)) for _ in range(n_windows)]
     batched = m.predict_batch(feats)
-    assert len(batched) == n_windows
-    for f, got in zip(feats, batched):
-        np.testing.assert_allclose(got.p_unstable, m.predict(f).p_unstable, atol=1e-12)
-        np.testing.assert_allclose(got.p_unstable, cached_p_unstable(m, f), atol=1e-12)
-        np.testing.assert_array_equal(got.unstable, got.p_unstable >= m.threshold)
+    assert batched.p_unstable.shape == batched.unstable.shape == (n_windows, 30)
+    for b, f in enumerate(feats):
+        p = batched.p_unstable[b]
+        np.testing.assert_allclose(p, m.predict(f).p_unstable, atol=1e-12)
+        np.testing.assert_allclose(p, cached_p_unstable(m, f), atol=1e-12)
+        np.testing.assert_array_equal(batched.unstable[b], p >= m.threshold)
 
 
 def test_predict_batch_rejects_unequal_lengths(rng):
     m = small_model("C")
     with pytest.raises(ValueError, match="equal length"):
         m.predict_batch([rng.normal(size=(30, 11)), rng.normal(size=(31, 11))])
-    assert m.predict_batch([]) == []
+    with pytest.raises(ValueError, match="at least one window"):
+        m.predict_batch([])
 
 
 def test_c_with_zero_force_column_embeds_b(rng):
@@ -434,6 +439,18 @@ def test_train_divergence_raises():
     model.head.b[0] = np.nan
     with pytest.raises(nn.TrainingDiverged, match="diverged: non-finite loss"):
         train(model, windows, cfg)
+
+
+def test_train_rejects_empty_validation_before_any_update():
+    windows = toy_windows(n=4)
+    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=2)
+    model = GraspModel.build("B", cfg)
+    model.stats = compute_norm_stats([w.samples for w in windows])
+    before = model.copy_params()
+    with pytest.raises(ValueError, match="no validation windows"):
+        train(model, windows, cfg, val_windows=[])
+    for k, v in model.param_dict().items():
+        np.testing.assert_array_equal(v, before[k])
 
 
 def test_early_stop_restores_best_params():

@@ -57,10 +57,10 @@ def test_predictor_requires_stats():
 def test_predictor_reset_reproduces(rng, trained_c):
     pred = StreamingPredictor(trained_c)
     x = rng.uniform(500, 3000, size=80)
-    first = [pred.push(v) for v in x]
+    first = [pred.push_frame([v]) for v in x]
     pred.reset()
-    second = [pred.push(v) for v in x]
-    assert first == second
+    second = [pred.push_frame([v]) for v in x]
+    np.testing.assert_array_equal(first, second)
 
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
@@ -71,7 +71,7 @@ def test_streaming_matches_offline(tag, rng):
     x = rng.uniform(0, 3000, size=200)
     offline = m.predict_samples(x).p_unstable
     pred = StreamingPredictor(m)
-    online = np.array([pred.push(v)[0] for v in x])
+    online = np.concatenate([pred.push_frame([v])[0] for v in x])
     np.testing.assert_allclose(online, offline, atol=1e-12)
 
 
@@ -98,13 +98,13 @@ def test_push_nonfinite_is_unstable_and_restarts(bad, rng, trained_c):
     x = rng.uniform(500, 3000, size=40)
     pred = StreamingPredictor(trained_c)
     for v in x[:20]:
-        pred.push(v)
-    p, flag = pred.push(bad)
-    assert np.isnan(p) and flag is True
-    after = [pred.push(v) for v in x[20:]]
+        pred.push_frame([v])
+    p, flag = pred.push_frame([bad])
+    assert np.isnan(p).tolist() == [True] and flag.tolist() == [True]
+    after = [pred.push_frame([v]) for v in x[20:]]
     fresh = StreamingPredictor(trained_c)
-    assert after == [fresh.push(v) for v in x[20:]]
-    assert not any(np.isnan(q) for q, _ in after)
+    np.testing.assert_array_equal(after, [fresh.push_frame([v]) for v in x[20:]])
+    assert not any(np.isnan(q).any() for q, _ in after)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
