@@ -31,6 +31,7 @@ line.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -48,6 +49,8 @@ FORCE_CHANNELS = 16
 PRESSURE_CHANNELS = 4
 CHANNELS = {"force": FORCE_CHANNELS, "pressure": PRESSURE_CHANNELS}
 PRESSURE_MAX = 65535.0
+# The trace writer formats values in [0, TOKEN_VALUES) from a token table.
+TOKEN_VALUES = 65536
 
 # Drop detection: scan is armed at the first sample >= ARM_MN (the lift
 # proxy; the dataset has no explicit lift-onset marker), then the drop is
@@ -466,10 +469,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _token_table() -> np.ndarray:
+    """(TOKEN_VALUES, 6) uint8: each value's ASCII digits right-aligned in
+    five bytes, NUL for its leading zeros, then a space."""
+    v = np.arange(TOKEN_VALUES, dtype=np.int32)
+    table = np.zeros((TOKEN_VALUES, 6), np.uint8)
+    for k, place in enumerate((10000, 1000, 100, 10, 1)):
+        table[:, k] = np.where(v >= place, v // place % 10 + ord("0"), 0)
+    table[0, 4] = ord("0")
+    table[:, 5] = ord(" ")
+    return _frozen(table)
+
+
 def _trace_lines(values: np.ndarray) -> str:
     """The rows of an (n_steps, channels) sample matrix as newline-joined
     lines of space-separated integers."""
     rounded = np.rint(values)
+    if rounded.size and 0 <= rounded.min() and rounded.max() < TOKEN_VALUES:
+        # Every force and pressure file: gather each value's token, end each
+        # row's last token with a newline, and drop the NUL padding.
+        tokens = _token_table().take(rounded.astype(np.intp), axis=0)
+        tokens[:, -1, -1] = ord("\n")
+        return tokens.tobytes().translate(None, b"\0")[:-1].decode("ascii")
     fits = (rounded >= -(2.0**63)) & (rounded < 2.0**63)
     if not fits.all():
         step, ch = np.unravel_index(np.argmin(fits), fits.shape)
@@ -480,11 +502,17 @@ def _trace_lines(values: np.ndarray) -> str:
     return "\n".join([row] * ints.shape[0]) % tuple(ints.ravel().tolist())
 
 
+def _number(value: float) -> str:
+    """Header number text that float() reads back as ``value``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def _recording_text(rec: Recording) -> str:
     lines = [
         TRACE_FORMAT,
         f"kind {rec.kind}",
-        f"freq_hz {rec.freq_hz:g}",
+        f"freq_hz {_number(rec.freq_hz)}",
         f"channels {rec.n_channels}",
     ]
     if rec.kind == "force":
@@ -498,7 +526,7 @@ def _recording_text(rec: Recording) -> str:
         lines += [f"{key} {int(rec.meta[key])}" for key in ("slip_onset", "drop_step")
                   if key in rec.meta]
     else:
-        lines.append("initial " + " ".join(f"{v:g}" for v in rec.initial))
+        lines.append("initial " + " ".join(map(_number, rec.initial)))
     lines += ["data", _trace_lines(rec.samples)]
     return "\n".join(lines) + "\n"
 
@@ -531,17 +559,22 @@ def _parse_header(path, lines):
 
 
 def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
-    # numpy's C text reader splits and parses as str.split() and float() do,
-    # but rejects some tokens float() accepts (1_000, non-ASCII digits), and
-    # warns on a body with no data: those bodies take the per-line pass.
+    # numpy's C text reader splits lines as str.split() does. Its int64
+    # parser takes only ASCII decimal integers below 2**63, as every force
+    # and pressure file holds, and each cast to float64 equals float() of
+    # its text; a body with a '-' skips it, so that '-0' reads as -0.0. The
+    # float64 parser reads as float() does but rejects some tokens float()
+    # accepts (1_000, non-ASCII digits), and both warn on a body with no
+    # data: those bodies take the per-line pass.
     body = lines[body_start:]
     if any(map(str.strip, body)):
-        try:
-            rows = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            rows = None
-        if rows is not None and rows.shape[0] and rows.shape[1] == n_channels:
-            return rows
+        for dtype in (np.float64,) if "-" in "".join(body) else (np.int64, np.float64):
+            try:
+                rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=2)
+            except ValueError:
+                continue
+            if rows.shape[0] and rows.shape[1] == n_channels:
+                return rows.astype(np.float64, copy=False)
     # A bad or empty body: the per-line pass names its first bad line.
     rows = []
     for ln, raw in enumerate(body, start=body_start + 1):

@@ -581,6 +581,20 @@ def test_pressure_file_round_trip(tmp_path):
     np.testing.assert_array_equal(again.as_matrix(), run.as_matrix())
 
 
+@pytest.mark.parametrize("value", [16.666667, 6458.123456, 1 / 3, 1e-7, 123456789.0, 1e300])
+def test_header_numbers_round_trip(tmp_path, value):
+    # "%g" keeps 6 significant digits: 16.666667 was written as 16.6667.
+    run = dataclasses.replace(synth_pressure_run(4, n_steps=100), freq_hz=value,
+                              initial=(value, 6458.0, 0.1, value))
+    write_recording(run, tmp_path / "p.txt")
+    again = read_recording(tmp_path / "p.txt")
+    assert (again.freq_hz, again.initial) == (run.freq_hz, run.initial)
+    src = tmp_path / "raw.csv"
+    src.write_text(",".join(["5"] * 16) + "\n")
+    g = convert_csv(src, tmp_path / "g.txt", freq_hz=value)
+    assert read_recording(tmp_path / "g.txt").freq_hz == g.freq_hz == value
+
+
 def test_trace_writers_bytes_unchanged(tmp_path):
     """Digests of files written by the earlier per-element str() writer."""
     write_recording(synth_force_dataset(2, seed=11)[1], tmp_path / "g.txt")

@@ -1,9 +1,12 @@
 """Differential tests of the trace-file body reader and writer.
 
 ``data._parse_rows`` reads a whole body with numpy's C text reader
-(``np.loadtxt``) and runs a per-line pass when the reader rejects the
-body: to name the first bad line, and to parse tokens that only
-``float()`` accepts; ``data._trace_lines`` formats a whole matrix with
+(``np.loadtxt``), first as int64 cast to float64 when the body holds
+no '-', then as float64, and runs a per-line pass when the reader
+rejects the body: to name the first bad line, and to parse tokens that
+only ``float()`` accepts. ``data._trace_lines`` formats a matrix whose
+rounded values all lie in [0, 65536) by gathering each value's token
+from a table and stripping its NUL padding, and any other matrix with
 one ``%``. The oracles
 below are the per-token ``float()`` loop and the per-row ``str.join``
 that they replaced. On every drawn body the reader must return the same
@@ -83,20 +86,30 @@ BAD = st.one_of(
     st.text(max_size=4),
 )
 TOKENS = st.one_of(NUMBERS, NUMBERS, NUMBERS, BAD)
+# Tokens numpy's int64 parser reads, or rejects only past 2**63 - 1; '-0'
+# must still read as -0.0.
+UNSIGNED = st.one_of(
+    st.integers(0, 70000).map(str),
+    st.integers(0, 70000).map(str),
+    st.builds(lambda sign, zeros, n: f"{sign}{zeros}{n}",
+              st.sampled_from(["", "+"]), st.text("0", max_size=3), st.integers(0, 2**64)),
+    st.sampled_from([str(2**53 + 1), str(2**63 - 1), str(2**63), "+0", "00", "-0"]),
+)
 # Python whitespace; the last three are also line breaks to str.splitlines().
 SPACE = st.sampled_from([" "] * 12 + ["  ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1f",
                                       "\x1c", "\x1d", "\x1e"])
 
 
 @st.composite
-def bodies(draw):
+def bodies(draw, tokens=None):
     """A trace body as the reader sees it: lines from str.splitlines().
 
-    Half the bodies draw only tokens that float() accepts, so the
-    whole-array path returns a matrix on many of them.
+    Without ``tokens``, half the bodies draw only tokens that float()
+    accepts, so the whole-array path returns a matrix on many of them.
     """
     n_channels = draw(st.integers(1, 4))
-    tokens = draw(st.sampled_from([NUMBERS, TOKENS]))
+    if tokens is None:
+        tokens = draw(st.sampled_from([NUMBERS, TOKENS]))
     lines = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
@@ -114,6 +127,20 @@ def bodies(draw):
 @DIFF
 @given(body=bodies())
 def test_parse_rows_matches_per_token_float(body):
+    lines, body_start, n_channels = body
+    got, got_err = outcome(data._parse_rows, "f.txt", lines, body_start, n_channels)
+    want, want_err = outcome(parse_rows_oracle, "f.txt", lines, body_start, n_channels)
+    assert got_err == want_err
+    if want is not None:
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@DIFF
+@given(body=bodies(UNSIGNED))
+def test_parse_rows_matches_per_token_float_on_integer_bodies(body):
+    # Bodies the int64 pass reads, and bodies it must hand on: a '-0',
+    # a value past 2**63 - 1, a ragged row.
     lines, body_start, n_channels = body
     got, got_err = outcome(data._parse_rows, "f.txt", lines, body_start, n_channels)
     want, want_err = outcome(parse_rows_oracle, "f.txt", lines, body_start, n_channels)
@@ -171,4 +198,32 @@ def test_trace_lines_match_str_join_on_ints(matrix):
     np.float64, shape, elements=st.floats(-(10**12), 10**12, allow_nan=False))))
 def test_trace_lines_match_str_join_on_floats(matrix):
     # Writers pass float64 samples: non-integral values and -0.0 round first.
+    assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
+
+
+# Per matrix, either every element fits the token table or some may not.
+TABLE_TOPS = st.sampled_from([data.TOKEN_VALUES - 1, 70000])
+
+
+@DIFF
+@given(matrix=st.tuples(MATRIX_SHAPES, TABLE_TOPS).flatmap(
+    lambda drawn: arrays(np.int64, drawn[0], elements=st.integers(0, drawn[1]))))
+def test_trace_lines_match_str_join_on_token_table_ints(matrix):
+    assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
+
+
+@DIFF
+@given(matrix=st.tuples(MATRIX_SHAPES, TABLE_TOPS).flatmap(
+    lambda drawn: arrays(np.float64, drawn[0], elements=st.floats(-0.5, drawn[1] + 0.5))))
+def test_trace_lines_match_str_join_on_token_table_floats(matrix):
+    # -0.5 and -0.0 round to -0.0, which the table writes as "0".
+    assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.0]], [[65535.0, 0.0]], [[65536.0, 5.0]], [[-1.0, 5.0]], [[-0.0, 7.0]], [[0.0], [65535.0]],
+    [[65535.4, 65535.5]], [[-0.5, 9.0]],
+], ids=["zero", "top", "past-top", "minus-one", "minus-zero", "column", "round-to-top", "round-to-minus-zero"])
+def test_trace_lines_match_str_join_at_token_table_edges(matrix):
+    matrix = np.array(matrix)
     assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
