@@ -560,16 +560,14 @@ def _parse_header(path, lines):
 
 
 def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
-    # numpy's C text reader splits lines as str.split() does. Its int64
-    # parser takes only ASCII decimal integers below 2**63, as every force
-    # and pressure file holds, and each cast to float64 equals float() of
-    # its text; a body with a '-' skips it, so that '-0' reads as -0.0.
-    # NumPy from 1.23 on may instead read a token such as 1.5 or nan as a
-    # float, truncate it and only issue a DeprecationWarning; made an error,
-    # that warning becomes a ValueError and the body goes on. The float64
-    # parser reads as float() does but rejects some tokens float() accepts
-    # (1_000, non-ASCII digits), and both warn on a body with no data:
-    # those bodies take the per-line pass.
+    # numpy's C text reader splits lines as str.split() does. A body with
+    # no '-' (so '-0' stays -0.0) goes to its int64 parser first: it takes
+    # only ASCII integers below 2**63, each cast to float64 as float() reads
+    # its text. Its DeprecationWarning is an error here, as numpy from 1.23
+    # on may truncate 1.5 or nan to an integer with only that warning. The
+    # float64 parser reads as float() does but rejects 1_000 and non-ASCII
+    # digits, and both warn on a body with no data: those bodies take the
+    # per-line pass.
     body = lines[body_start:]
     if any(map(str.strip, body)):
         for dtype in (np.float64,) if "-" in "".join(body) else (np.int64, np.float64):
