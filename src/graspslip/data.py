@@ -706,11 +706,12 @@ def save_force_dataset(sets, out_dir, prefix: str = "set") -> str:
         for g in sets:
             outcomes[g.outcome] = outcomes.get(g.outcome, 0) + 1
             directions[g.direction] = directions.get(g.direction, 0) + 1
-        pooled = np.concatenate([g.samples.ravel() for g in sets]) if sets else None
         manifest.update(
             outcomes=outcomes,
             directions=directions,
-            force_range_mn=None if pooled is None else [float(pooled.min()), float(pooled.max())],
+            # per-set bounds: pooling the samples would copy every transposed matrix
+            force_range_mn=[float(min(g.samples.min() for g in sets)),
+                            float(max(g.samples.max() for g in sets))] if sets else None,
         )
     manifest_path = os.path.join(out_dir, "manifest.json")
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

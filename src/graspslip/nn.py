@@ -18,15 +18,14 @@ gives the sigmoids, and g = tanh(u_g). An exp that overflows to inf
 gives the saturated gate exactly (0); callers silence that overflow
 warning once around each loop.
 
-A batch of B > 1 columns takes u as one (H, D+H+1) x (D+H+1, B) product
-per gate block. On OpenBLAS 0.3.31 (SkylakeX kernels) that gives the
-same bits as one product, and a product of M*N*K <= 1e6 runs in a
-single-threaded small-matrix kernel, so at H = 128 each block stays
-there up to B = 55: the 16-channel stream frame never fans out over BLAS
-threads, where a descheduled peer thread stretches a real-time frame,
-and on one thread the blocks are faster at B = 16..48. A single column
-(B = 1) keeps the one product, because there the three extra calls cost
-more than they save.
+u is taken in row blocks of whole gates: each block is the most gates
+whose product with z stays below ``ONE_THREAD_MACS`` multiply-adds, where
+OpenBLAS runs it on one thread, and at least one gate: only a gate past
+the bound fans out over BLAS threads, where a descheduled peer thread
+stretches a real-time frame. At H = 128, D = 11 one column (a 1-D z) to 7 columns take the
+whole kernel, 8-14 two or three gates per product, and 15 or more one
+gate. On OpenBLAS 0.3.31 the blocks give the bits of the whole product
+below 1e6 multiply-adds, and at H = 128 those of one gate per product.
 
 g keeps its own tanh, not tanh(a) = 2 sigmoid(2a) - 1 from the same exp
 pass: that identity's error is absolute (up to ~4e-16), so for tiny a it
@@ -50,19 +49,14 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# OpenBLAS's interface/gemm.c keeps a GEMM on one thread while M*N*K per thread
+# is below SMP_THRESHOLD_MIN (65,536) x GEMM_MULTITHREAD_THRESHOLD (4), so any
+# product of fewer than 2 x 65,536 x 4 multiply-adds runs on one thread.
+ONE_THREAD_MACS = 524_288
 
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient goes non-finite."""
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
 
 
 GATE_NAMES = ("i", "f", "o", "g")
@@ -127,30 +121,29 @@ def lstm_cell(z, k, c, gates, c_out, tanh_c, h_out) -> None:
     """One gated update of an (H, B) state, written into caller buffers.
 
     ``z`` holds the (D+H+1, B) columns [x_t; h_{t-1}; 1] and ``k`` is
-    ``LstmParams.cell_kernel()``; a z of more than one column is
-    multiplied one gate block of k at a time (see the module docstring).
+    ``LstmParams.cell_kernel()``, multiplied in row blocks of whole gates
+    (see the module docstring).
     Writes the gates i|f|o|g into ``gates`` (4H, B), c' into ``c_out``,
     tanh(c') into ``tanh_c`` and h' into ``h_out`` (all (H, B));
     ``h_out`` may be the h slot of the next z and ``c_out`` may be ``c``.
     B = 1 may drop its axis: a (D+H+1,) z and (4H,) / (H,) buffers.
     |h'| < 1 by construction.
     """
-    hd = c.shape[0]
-    if z.ndim == 2 and z.shape[1] > 1:
-        for j in range(0, 4 * hd, hd):
-            np.matmul(k[j : j + hd], z, out=gates[j : j + hd])
-    else:
-        np.matmul(k, z, out=gates)
+    hd = c.shape[0]  # ufunc outputs go positionally: keyword parsing shows at B=1
+    fit = (ONE_THREAD_MACS - 1) // (hd * z.size)  # whole gates per product
+    rows = hd * (4 if fit > 3 else max(fit, 1))
+    for j in range(0, 4 * hd, rows):
+        np.matmul(k[j : j + rows], z, gates[j : j + rows])
     ifo, g = gates[: 3 * hd], gates[3 * hd :]
-    np.exp(ifo, out=ifo)
+    np.exp(ifo, ifo)
     ifo += 1.0
-    np.reciprocal(ifo, out=ifo)
-    np.tanh(g, out=g)
-    np.multiply(gates[:hd], g, out=tanh_c)
-    np.multiply(gates[hd : 2 * hd], c, out=c_out)
+    np.reciprocal(ifo, ifo)
+    np.tanh(g, g)
+    np.multiply(gates[:hd], g, tanh_c)
+    np.multiply(gates[hd : 2 * hd], c, c_out)
     c_out += tanh_c
-    np.tanh(c_out, out=tanh_c)
-    np.multiply(gates[2 * hd : 3 * hd], tanh_c, out=h_out)
+    np.tanh(c_out, tanh_c)
+    np.multiply(gates[2 * hd : 3 * hd], tanh_c, h_out)
 
 
 def _check_input(x: np.ndarray, params: LstmParams) -> None:
@@ -205,8 +198,8 @@ def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
     gates = np.empty((n, 4 * hd))
     tanh_c = np.empty((n, hd))
     with np.errstate(over="ignore"):
-        for t in range(n):
-            lstm_cell(z[t], k, c_all[t], gates[t], c_all[t + 1], tanh_c[t], z[t + 1, d : d + hd])
+        for zt, c, g, c1, tc, h1 in zip(z, c_all, gates, c_all[1:], tanh_c, z[1:, d : d + hd]):
+            lstm_cell(zt, k, c, g, c1, tc, h1)
     return LstmCache(z=z, c_all=c_all, gates=gates, tanh_c=tanh_c)
 
 
@@ -283,10 +276,14 @@ class FcHead:
         return cls(w=rng.uniform(-scale, scale, size=(2, in_dim)), b=np.zeros(2))
 
     def probs(self, h: np.ndarray) -> np.ndarray:
-        """(..., in_dim) hidden rows -> (..., 2) class probabilities."""
+        """(..., in_dim) hidden rows -> (..., 2) class probabilities: the
+        softmax of the two logits, shifted by their maximum."""
         logits = h @ self.w.T
         logits += self.b
-        return softmax(logits)
+        logits -= np.maximum(logits[..., :1], logits[..., 1:])
+        np.exp(logits, out=logits)
+        logits /= logits[..., :1] + logits[..., 1:]
+        return logits
 
 
 @dataclass

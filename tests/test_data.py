@@ -767,6 +767,18 @@ def test_save_and_load_dataset_round_trip(tmp_path):
     assert manifest_path == str(out / "manifest.json")
 
 
+def test_manifest_force_range_is_the_pooled_sample_range(tmp_path):
+    sets = synth_force_dataset(5, seed=3)
+    # the maximum and the minimum sit in two sets other than the first
+    sets[2] = dataclasses.replace(sets[2], samples=sets[2].samples + 1000.5)
+    sets[4] = dataclasses.replace(sets[4], samples=sets[4].samples - 2000.25)
+    save_force_dataset(sets, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    pooled = np.concatenate([g.samples.ravel() for g in sets])
+    assert manifest["force_range_mn"] == [float(pooled.min()), float(pooled.max())]
+    assert manifest["force_range_mn"][0] < 0 and manifest["force_range_mn"][1] % 1 == 0.5
+
+
 def test_empty_dataset_is_manifest_only(tmp_path):
     out = tmp_path / "empty"
     save_force_dataset([], out)
@@ -774,6 +786,7 @@ def test_empty_dataset_is_manifest_only(tmp_path):
     assert manifest["n_sets"] == 0
     assert manifest["files"] == []
     assert manifest["freq_hz"] is None
+    assert manifest["force_range_mn"] is None
     assert load_force_dataset(out) == []
 
 

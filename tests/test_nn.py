@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -59,21 +63,55 @@ def test_sigmoid_symmetry(x):
     assert up[3] == np.tanh(x) and down[3] == np.tanh(-x)
 
 
-def test_softmax_rows_sum_to_one(rng):
-    z = rng.normal(size=(6, 3)) * 10
-    p = nn.softmax(z)
+def logit_head(bias=(0.0, 0.0)):
+    """A head whose logits are its two inputs plus ``bias``."""
+    return nn.FcHead(w=np.eye(2), b=np.array(bias, dtype=np.float64))
+
+
+def test_probs_rows_sum_to_one_at_large_logits(rng):
+    p = logit_head().probs(rng.normal(size=(6, 2)) * 10)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert p.min() >= 0
 
 
-def test_softmax_shift_invariance(rng):
+def test_probs_bias_shift_invariance(rng):
     z = rng.normal(size=(4, 2))
-    np.testing.assert_allclose(nn.softmax(z), nn.softmax(z + 100.0), atol=1e-12)
+    np.testing.assert_allclose(logit_head().probs(z), logit_head((100.0, 100.0)).probs(z),
+                               atol=1e-12)
 
 
-def test_softmax_extreme_logits_finite():
-    p = nn.softmax(np.array([[1000.0, -1000.0]]))
+def test_probs_extreme_logits_finite():
+    p = logit_head((1000.0, -1000.0)).probs(np.zeros((1, 2)))
     np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-12)
+
+
+def reduce_softmax(logits):
+    """The N-class softmax over the last axis, written with reduces."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+@pytest.mark.parametrize("bias", [(0.0, 0.0), (1e3, -1e3), (-1e3, 1e3), (1e3, 1e3),
+                                  (np.inf, 0.0), (0.0, -np.inf), (np.inf, np.inf),
+                                  (np.inf, -np.inf), (-np.inf, -np.inf)])
+def test_probs_equal_reduce_softmax_bit_for_bit(bias, rng):
+    head = nn.FcHead(w=rng.normal(size=(2, 5)), b=np.array(bias))
+    h = rng.normal(size=(3, 7, 5)) * 50
+    with np.errstate(invalid="ignore"):
+        p = head.probs(h)
+        logits = h @ head.w.T
+        logits += head.b
+        expected = reduce_softmax(logits)
+    assert p.shape == expected.shape
+    assert p.tobytes() == expected.tobytes()
+
+
+def test_probs_nan_bias_gives_nan_rows(rng):
+    p = nn.FcHead(w=rng.normal(size=(2, 5)), b=np.array([np.nan, 0.0])).probs(
+        rng.normal(size=(4, 5)))
+    assert np.isnan(p).all()
 
 
 # -- LSTM cell ---------------------------------------------------------------
@@ -159,7 +197,7 @@ def test_forward_cache_matches_stepwise(rng):
 
 
 # (128, 16) and (128, 40) are the benchmark's batched sizes, where the cell
-# takes one product per gate block; B = 1 sequences take the single product.
+# takes one product per gate; B = 1 sequences take the whole kernel at once.
 @pytest.mark.parametrize("hd, bsz", [(4, 5), (128, 16), (128, 40)])
 def test_lstm_hidden_matches_forward_cache_per_sequence(hd, bsz, rng):
     p = make_params(11, hd, seed=3)
@@ -168,6 +206,88 @@ def test_lstm_hidden_matches_forward_cache_per_sequence(hd, bsz, rng):
     assert hidden.shape == (bsz, 25, hd)
     for k in range(bsz):
         np.testing.assert_allclose(hidden[k], nn.lstm_forward_cache(x[k], p).h_all[1:], atol=1e-12)
+
+
+class _RowLog(np.ndarray):
+    """A cell kernel that logs the (start, stop) row blocks lstm_cell takes."""
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        self.blocks.append((rows.start, rows.stop))
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("bsz, per_product", [(0, 4), (1, 4), (7, 4), (8, 3), (10, 2),
+                                              (14, 2), (15, 1), (16, 1), (64, 1)])
+def test_lstm_cell_takes_whole_gates_per_one_thread_product(bsz, per_product):
+    """At H = 128, D = 11 each product is the most whole gates that stay
+    below nn.ONE_THREAD_MACS multiply-adds, and at least one gate.
+    bsz 0 is a 1-D z."""
+    k = make_params(11, 128).cell_kernel().view(_RowLog)
+    k.blocks = []
+    cols = (bsz,) if bsz else ()
+    nn.lstm_cell(np.ones((140,) + cols), k, np.zeros((128,) + cols), np.empty((512,) + cols),
+                 *(np.empty((128,) + cols) for _ in range(3)))
+    rows, macs_per_row = 128 * per_product, 140 * max(bsz, 1)
+    assert k.blocks == [(j, min(j + rows, 512)) for j in range(0, 512, rows)]
+    assert per_product == 1 or rows * macs_per_row < nn.ONE_THREAD_MACS
+    assert per_product == 4 or (rows + 128) * macs_per_row >= nn.ONE_THREAD_MACS
+
+
+# One child per kernel set: for H in {7, 128}, D in {1, 10, 11} and B = 1..64
+# (a 1-D z at B = 1), lstm_cell's row blocks against the whole product (taken
+# with the bound lifted) and against one product per gate (bound 1). Prints the
+# core name and, per reference, the (H, D, B) cases that differ in any bit.
+_SWEEP = """
+import json
+import numpy as np
+from graspslip import nn
+from tests.blas import openblas_core_name
+
+rng = np.random.default_rng(0)
+bound, differ = nn.ONE_THREAD_MACS, {"whole": [], "per_gate": []}
+for hd in (7, 128):
+    for d in (1, 10, 11):
+        k = nn.LstmParams.init(d, hd, rng, scale=0.5).cell_kernel()
+        for bsz in range(1, 65):
+            cols = (bsz,) if bsz > 1 else ()
+            z, c = rng.normal(size=(d + hd + 1,) + cols), rng.normal(size=(hd,) + cols)
+            outs = []
+            for nn.ONE_THREAD_MACS in (bound, 2**62, 1):
+                bufs = [np.empty((4 * hd,) + cols)] + [np.empty((hd,) + cols) for _ in range(3)]
+                with np.errstate(over="ignore"):
+                    nn.lstm_cell(z, k, c, *bufs)
+                outs.append(b"".join(b.tobytes() for b in bufs))
+            for ref, out in zip(differ, outs[1:]):
+                if out != outs[0]:
+                    differ[ref].append([hd, d, bsz, k.size * bsz])
+print(json.dumps({"core": openblas_core_name(), **differ}))
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Sandybridge"])
+def test_lstm_cell_blocks_equal_whole_product_per_kernel_set(coretype):
+    """The rule's blocks give the whole product's bits wherever that product
+    has under 1e6 multiply-adds. Above that the SkylakeX kernels leave their
+    small-matrix path and the whole product rounds differently (at H = 128,
+    B = 17-20, 25-28, ... here); lstm_cell never takes it there. At H = 128,
+    where a gate is a whole number of the kernels' row tiles, the blocks also
+    give one-product-per-gate bits at every B; at H = 7 they do not."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), root, os.environ.get("PYTHONPATH")]))
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", _SWEEP], capture_output=True, text=True,
+                          env=env, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if coretype and result["core"] != coretype:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} loaded the {result['core']} kernels")
+    assert [case for case in result["whole"] if case[3] < 1_000_000] == [], result["core"]
+    assert [case for case in result["per_gate"] if case[0] == 128] == [], result["core"]
 
 
 def test_forward_cache_rejects_empty():
