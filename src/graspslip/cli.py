@@ -12,9 +12,10 @@ Subcommands:
 Exit codes: 0 ok; 1 user error (bad flags, paths, file formats);
 2 numeric failure (divergence, failed grad check, strict-latency miss).
 
-Every run writes run_manifest.json (resolved config + input digests,
-no timestamps) into its output directory, and output files are written
-atomically. The default --out comes from $GRASPSLIP_OUT_DIR when set.
+Every run writes run_manifest.json (resolved config, input digests, the
+numpy and BLAS builds and the runtime OpenBLAS core; no timestamps) into
+its output directory, and output files are written atomically. The
+default --out comes from $GRASPSLIP_OUT_DIR when set.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from graspslip import evaluation as geval
 from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
-from graspslip.ioutil import atomic_write_text, rng_for, sha256_bytes, sha256_file
+from graspslip.ioutil import atomic_write_text, blas_record, rng_for, sha256_bytes, sha256_file
 from graspslip.signal import DEFAULT_WINDOW_LEN, NormStats
 
 GRAD_TOLERANCE = 1e-4
@@ -100,6 +101,7 @@ def _write_run_manifest(out_dir, command: str, args, inputs: dict) -> None:
         "config": config,
         "inputs": inputs,
         "package_version": __version__,
+        **blas_record(),
     }
     atomic_write_text(
         os.path.join(out_dir, "run_manifest.json"),

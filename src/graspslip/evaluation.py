@@ -118,9 +118,11 @@ def evaluate_model(
 ) -> EvalReport:
     """Per-step evaluation of a zoo model over one channel of each set.
 
-    Success rate pools all windowed steps; the ahead-drop pass stitches
-    each set's windows back into a timeline and compares the first
-    unstable prediction against the set's drop step.
+    Every set's windows are stacked into one (windows, window_len) array,
+    featurized once and predicted in one predict_batch call. Success rate
+    pools all windowed steps; the ahead-drop pass stitches each set's
+    windows back into a timeline and compares the first unstable
+    prediction against the set's drop step.
     """
     sets = list(sets)
     if not sets:
@@ -128,7 +130,7 @@ def evaluate_model(
 
     per_set = [gdata.window_batches(g, window_len, channel, labels=labels) for g in sets]
     windows = [w for ws in per_set for w in ws]
-    pred = model.predict_batch(model.featurize(w.samples) for w in windows).unstable
+    pred = model.predict_batch(model.featurize(np.stack([w.samples for w in windows]))).unstable
     ref = np.stack([w.unstable for w in windows])
     window_rates = np.mean(pred == ref, axis=1)
     # Set i's windows are rows bounds[i]:bounds[i + 1], in time order.
@@ -348,7 +350,7 @@ def write_prediction_dump(model, grasp, path, window_len: int = 160, channel: in
     """Per-step plot data: step, force_mn, label, p_unstable, predicted."""
     rows = ["step,force_mn,label_unstable,p_unstable,predicted_unstable"]
     windows = gdata.window_batches(grasp, window_len, channel, labels=labels)
-    pred = model.predict_batch(model.featurize(w.samples) for w in windows)
+    pred = model.predict_batch(model.featurize(np.stack([w.samples for w in windows])))
     for w, p, flags in zip(windows, pred.p_unstable, pred.unstable):
         for i in range(len(w)):
             rows.append(

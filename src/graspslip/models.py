@@ -17,7 +17,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -54,14 +53,15 @@ class ModelVariant:
         return len(self.streams)
 
     def features(self, windows: np.ndarray) -> list[np.ndarray]:
-        """(m, stft_window) normalized windows -> one (m, dim) view per stream.
+        """(..., m, stft_window) normalized windows -> one (..., m, dim) view
+        per stream.
 
         Row t of the feature matrix is [bands of window t | its last sample].
         """
         row = np.concatenate(
-            [band_magnitudes(windows, DEFAULT_BAND_COUNT), windows[:, -1:]], axis=1
+            [band_magnitudes(windows, DEFAULT_BAND_COUNT), windows[..., -1:]], axis=-1
         )
-        return [row[:, s.start : s.stop] for s in self.streams]
+        return [row[..., s.start : s.stop] for s in self.streams]
 
 
 VARIANTS = {
@@ -196,41 +196,43 @@ class GraspModel:
     # -- feature pipeline ---------------------------------------------
 
     def featurize(self, samples: np.ndarray) -> list[np.ndarray]:
-        """Raw window -> one (n, dim) feature matrix per input stream.
+        """(..., n) raw windows -> one (..., n, dim) feature array per stream:
+        (n, dim) for one window, as predict() takes it, and (windows, n, dim)
+        for a stack of equal-length windows, as predict_batch() takes it.
 
         Normalizes with the stored training stats and hands the variant
         one causal window per step: samples t-stft_window+1 .. t, left-padded
-        with the first sample, so no step looks ahead. Accepts any length
-        >= 1; training enforces the window size.
+        with the window's first sample, so no step looks ahead. Accepts any
+        n >= 1; training enforces the window size.
         """
         if self.stats is None:
             raise ValueError("missing normalization stats; train or load a checkpoint first")
         x = np.asarray(samples, dtype=np.float64)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
+        if x.ndim == 0 or x.size == 0:
+            raise ValueError(f"samples must be a non-empty (..., n) array, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite sample value")
         norm = normalize_array(x, self.stats)
-        padded = np.concatenate([np.full(self.stft_window - 1, norm[0]), norm])
+        pad = np.broadcast_to(norm[..., :1], norm.shape[:-1] + (self.stft_window - 1,))
+        padded = np.concatenate([pad, norm], axis=-1)
         return self.variant.features(
-            np.lib.stride_tricks.sliding_window_view(padded, self.stft_window)
+            np.lib.stride_tricks.sliding_window_view(padded, self.stft_window, axis=-1)
         )
 
     def _coerce_streams(self, features) -> list[np.ndarray]:
+        """One float array per stream, all of one leading shape, each with
+        its stream's width in the last axis."""
         if isinstance(features, np.ndarray):
             streams = [features]
         else:
             streams = [np.asarray(s, dtype=np.float64) for s in features]
+        got = [s.shape for s in streams]
         if len(streams) != self.variant.n_streams:
-            raise ValueError(
-                f"expected {self.variant.n_streams} feature stream(s), got {len(streams)}"
-            )
-        n = streams[0].shape[0]
-        for s, dim in zip(streams, self.variant.stream_dims):
-            if s.ndim != 2 or s.shape != (n, dim):
-                raise ValueError(
-                    f"feature dimension mismatch: expected (n, {dim}), got {s.shape}"
-                )
+            raise ValueError(f"expected {self.variant.n_streams} feature stream(s), "
+                             f"got {len(streams)} of shapes {got}")
+        want = [got[0][:-1] + (dim,) for dim in self.variant.stream_dims]
+        if got != want:
+            raise ValueError(f"feature dimension mismatch: expected {want}, got {got}")
         return streams
 
     # -- forward/backward ---------------------------------------------
@@ -252,34 +254,33 @@ class GraspModel:
         return Prediction(p_unstable=p_unstable, unstable=~(p_unstable < self.threshold))
 
     def predict(self, features) -> Prediction:
-        """Per-step probability of instability plus thresholded flags."""
-        pred = self.predict_batch([features])
+        """Per-step probability of instability plus thresholded flags of one
+        window, from its (steps, dim) streams: row 0 of a one-window batch."""
+        pred = self.predict_batch([s[None] for s in self._coerce_streams(features)])
         return Prediction(p_unstable=pred.p_unstable[0], unstable=pred.unstable[0])
 
-    def predict_batch(self, windows) -> Prediction:
-        """predict() of many equal-length windows as one Prediction of
+    def predict_batch(self, features) -> Prediction:
+        """predict() of stacked equal-length windows as one Prediction of
         (windows, steps) arrays, row b for window b.
 
-        ``windows`` is a non-empty iterable of features arguments as
-        predict() takes them. It is consumed PREDICT_CHUNK windows at a
-        time; each chunk advances together through one (B, H) cell update
-        per step, so the working memory stays bounded however many windows
-        there are.
+        ``features`` holds one (windows, steps, dim) array per stream, as
+        featurize() returns them for a (windows, steps) stack of samples.
+        Each PREDICT_CHUNK rows advance together, one (B, H) cell update
+        per step, so the working memory stays bounded. The head reads one
+        C-contiguous (B, steps, H_total) array: on the cell's window-fastest
+        layout numpy's matmul leaves BLAS for a loop 2-9x slower.
         """
-        chunks: list[np.ndarray] = []
-        it = iter(windows)
-        while chunk := [self._coerce_streams(f) for f in islice(it, PREDICT_CHUNK)]:
-            if len({w[0].shape[0] for w in chunk} | {c.shape[1] for c in chunks[:1]}) > 1:
-                raise ValueError("predict_batch needs windows of equal length")
-            hcat = np.concatenate(
-                [nn.lstm_hidden(np.stack([w[k] for w in chunk]), p)
-                 for k, p in enumerate(self.lstms)],
-                axis=2,
-            )
-            chunks.append(self.head.probs(hcat)[..., CLASS_UNSTABLE])
-        if not chunks:
-            raise ValueError("predict_batch needs at least one window")
-        return self.decide(np.concatenate(chunks))
+        streams = self._coerce_streams(features)
+        shape = streams[0].shape
+        if len(shape) != 3 or shape[0] == 0:
+            raise ValueError("predict_batch needs (windows, steps, dim) streams with at least "
+                             f"one window, got shapes {[s.shape for s in streams]}")
+        p_unstable = np.empty(shape[:2])
+        for lo in range(0, shape[0], PREDICT_CHUNK):
+            hs = [nn.lstm_hidden(s[lo : lo + PREDICT_CHUNK], p) for s, p in zip(streams, self.lstms)]
+            hcat = np.concatenate(hs, axis=2, out=np.empty(hs[0].shape[:2] + (self.head.in_dim,)))
+            p_unstable[lo : lo + PREDICT_CHUNK] = self.head.probs(hcat)[..., CLASS_UNSTABLE]
+        return self.decide(p_unstable)
 
     def predict_samples(self, samples: np.ndarray) -> Prediction:
         return self.predict(self.featurize(samples))
@@ -366,7 +367,7 @@ def train(
         val_windows = list(val_windows)
         if not val_windows:
             raise ValueError("no validation windows")
-        val_feats = [model.featurize(w.samples) for w in val_windows]
+        val_feats = model.featurize(np.stack([w.samples for w in val_windows]))
         val_unstable = ~np.stack([w.labels for w in val_windows]).astype(bool)
 
     params = model.stored_arrays()

@@ -189,7 +189,7 @@ def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
     """Fold the cell over a sequence from the zero state, caching gates."""
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError("empty sequence")
+        raise ValueError(f"expected a (steps, dim) sequence, got shape {x.shape}")
     _check_input(x, params)
     n, d, hd = x.shape[0], x.shape[1], params.hidden_dim
     k = params.cell_kernel()
@@ -309,8 +309,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], opt: 
     bc2 = 1.0 - ADAM_BETA2 ** opt.t
     for name, theta in params.items():
         g = grads[name]
-        m = opt.m.setdefault(name, np.zeros_like(theta))
-        v = opt.v.setdefault(name, np.zeros_like(theta))
+        if name not in opt.m:
+            opt.m[name], opt.v[name] = np.zeros_like(theta), np.zeros_like(theta)
+        m, v = opt.m[name], opt.v[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from graspslip import cli, data, models
+from graspslip import cli, data, ioutil, models
 from graspslip.stream import read_event_log
 
 
@@ -90,6 +90,36 @@ def test_gen_data_zero_sets_manifest_only(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_sets"] == 0 and manifest["files"] == []
     assert data.load_force_dataset(out) == []
+
+
+def test_run_manifest_records_numpy_and_its_blas(tmp_path):
+    assert run("gen-data", "--out", str(tmp_path), "--sets", "0") == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"],
+                                "openblas_core": ioutil.openblas_core_name()}
+
+
+def test_run_manifest_records_the_openblas_core_the_run_loaded(tmp_path):
+    # OPENBLAS_CORETYPE acts only on the child, so this host's own pick
+    # cannot hide a reader that ignores the override.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graspslip", "gen-data", "--out", str(tmp_path), "--sets", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    core = json.loads((tmp_path / "run_manifest.json").read_text())["blas"]["openblas_core"]
+    cpu = set()
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = set(fh.read().split())
+    if core != "Haswell" and not {"avx2", "fma"} <= cpu:
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell loaded {core}; this CPU lacks AVX2/FMA")
+    assert core == "Haswell"
 
 
 @pytest.fixture(scope="module")

@@ -48,7 +48,7 @@ def test_golden_offline_predict(tag, expected):
 def test_golden_batched_predict(tag, expected):
     traces, ref = expected
     model = load(tag)
-    pred = model.predict_batch(model.featurize(tr) for tr in traces)
+    pred = model.predict_batch(model.featurize(np.stack(traces)))
     assert pred.p_unstable.shape == ref[tag].shape
     assert_close(pred.p_unstable, ref[tag])
 

@@ -228,7 +228,7 @@ def test_nan_probability_is_flagged_unstable(tag, rng):
     m.head.b = np.array([0.0, np.nan])
     x = rng.uniform(0, 1, size=(3, 30))
     single = m.predict_samples(x[0])
-    batch = m.predict_batch(m.featurize(w) for w in x)
+    batch = m.predict_batch(m.featurize(x))
     assert batch.p_unstable.shape == batch.unstable.shape == (3, 30)
     for p, flags in [(single.p_unstable, single.unstable), *zip(batch.p_unstable, batch.unstable)]:
         assert np.isnan(p).all()
@@ -272,10 +272,11 @@ def cached_p_unstable(m, streams):
 @pytest.mark.parametrize("n_windows", [1, models.PREDICT_CHUNK + 5])
 def test_predict_batch_matches_per_window(tag, n_windows, rng):
     m = small_model(tag, stats=NormStats(0.0, 3000.0))
-    feats = [m.featurize(rng.uniform(0, 3000, size=30)) for _ in range(n_windows)]
-    batched = m.predict_batch(feats)
+    samples = rng.uniform(0, 3000, size=(n_windows, 30))
+    batched = m.predict_batch(m.featurize(samples))
     assert batched.p_unstable.shape == batched.unstable.shape == (n_windows, 30)
-    for b, f in enumerate(feats):
+    for b, x in enumerate(samples):
+        f = m.featurize(x)
         p = batched.p_unstable[b]
         np.testing.assert_allclose(p, m.predict(f).p_unstable, atol=1e-12)
         np.testing.assert_allclose(p, cached_p_unstable(m, f), atol=1e-12)
@@ -283,11 +284,38 @@ def test_predict_batch_matches_per_window(tag, n_windows, rng):
 
 
 def test_predict_batch_rejects_unequal_lengths(rng):
-    m = small_model("C")
-    with pytest.raises(ValueError, match="equal length"):
-        m.predict_batch([rng.normal(size=(30, 11)), rng.normal(size=(31, 11))])
-    with pytest.raises(ValueError, match="at least one window"):
-        m.predict_batch([])
+    # A stack cannot hold windows of two lengths; D's two streams can
+    # still disagree, in steps or in windows.
+    d = small_model("D")
+    want = r"expected \[\(3, 30, 1\), \(3, 30, 10\)\], got \[\(3, 30, 1\), "
+    with pytest.raises(ValueError, match=want + r"\(3, 31, 10\)\]"):
+        d.predict_batch([rng.normal(size=(3, 30, 1)), rng.normal(size=(3, 31, 10))])
+    with pytest.raises(ValueError, match=want + r"\(2, 30, 10\)\]"):
+        d.predict_batch([rng.normal(size=(3, 30, 1)), rng.normal(size=(2, 30, 10))])
+
+
+@pytest.mark.parametrize("streams, message", [
+    ([(0, 30, 1), (0, 30, 10)], r"at least one window, got shapes \[\(0, 30, 1\), \(0, 30, 10\)\]"),
+    ([(30, 1), (30, 10)], r"\(windows, steps, dim\) streams .* got shapes \[\(30, 1\), \(30, 10\)\]"),
+    ([(3, 30, 1)], r"expected 2 feature stream\(s\), got 1 of shapes \[\(3, 30, 1\)\]"),
+    ([(3, 30, 1)] * 3, r"expected 2 feature stream\(s\), got 3 of shapes \[\(3, 30, 1\), "),
+])
+def test_predict_batch_rejects_bad_stacks_naming_the_shapes(streams, message, rng):
+    # Zero windows, a 2-D (steps, dim) stream, and the wrong stream count.
+    with pytest.raises(ValueError, match=message):
+        small_model("D").predict_batch([rng.normal(size=shape) for shape in streams])
+
+
+@pytest.mark.parametrize("tag", "ABCD")
+@pytest.mark.parametrize("n_windows", [1, 3, 40])
+def test_stacked_featurize_equals_per_window_bit_for_bit(tag, n_windows, rng):
+    m = small_model(tag, stats=NormStats(0.0, 3000.0))
+    samples = rng.uniform(0, 3000, size=(n_windows, 160))
+    stacked = m.featurize(samples)
+    assert [s.shape for s in stacked] == [(n_windows, 160, d) for d in m.variant.stream_dims]
+    for b, x in enumerate(samples):
+        for got, want in zip(stacked, m.featurize(x), strict=True):
+            assert got[b].tobytes() == want.tobytes()
 
 
 def test_c_with_zero_force_column_embeds_b(rng):
@@ -322,6 +350,13 @@ def test_loss_matches_manual_mean_cross_entropy(rng):
     p_true = np.where(y == 1, pred.p_unstable, p_stable)
     expected = float(np.mean(-np.log(p_true)))
     assert m.loss(feats, y) == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_rejects_stacked_windows_naming_the_shape(rng):
+    # Training takes one window at a time; a stack is for predict_batch.
+    m = small_model("C")
+    with pytest.raises(ValueError, match=r"\(steps, dim\) sequence, got shape \(2, 30, 11\)"):
+        m.loss(m.featurize(rng.uniform(0, 1, size=(2, 30))), np.zeros(30, dtype=int))
 
 
 def test_gradients_pass_finite_difference_check(rng):

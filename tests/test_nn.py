@@ -242,7 +242,7 @@ _SWEEP = """
 import json
 import numpy as np
 from graspslip import nn
-from tests.blas import openblas_core_name
+from graspslip.ioutil import openblas_core_name
 
 rng = np.random.default_rng(0)
 bound, differ = nn.ONE_THREAD_MACS, {"whole": [], "per_gate": []}
@@ -409,6 +409,24 @@ def test_adam_accumulates_moments():
     nn.adam_step(theta, g, opt)
     assert opt.t == 2
     assert theta["w"][0] < t1 < t0
+
+
+def test_adam_creates_each_moment_once(monkeypatch, rng):
+    # The two moment arrays per parameter are made on the first step only.
+    calls = []
+
+    def counting_zeros_like(a, *args, **kwargs):
+        calls.append(a.shape)
+        return zeros_like(a, *args, **kwargs)
+
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+    params = {"k": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+    opt = nn.AdamState()
+    for _ in range(3):
+        nn.adam_step(params, {name: rng.normal(size=p.shape) for name, p in params.items()}, opt)
+    assert calls == [(4, 3), (4, 3), (3,), (3,)]
+    assert opt.t == 3 and opt.m.keys() == opt.v.keys() == params.keys()
 
 
 def test_adam_minimizes_quadratic_fast():
