@@ -265,22 +265,36 @@ class GraspModel:
 
         ``features`` holds one (windows, steps, dim) array per stream, as
         featurize() returns them for a (windows, steps) stack of samples.
-        Each PREDICT_CHUNK rows advance together, one (B, H) cell update
-        per step, so the working memory stays bounded. The head reads one
-        C-contiguous (B, steps, H_total) array: on the cell's window-fastest
-        layout numpy's matmul leaves BLAS for a loop 2-9x slower.
+        Each PREDICT_CHUNK rows advance together through step_rows(), so
+        the working memory stays bounded, and each step writes its h' rows
+        straight into the C-contiguous (B, steps, H_total) array the head
+        reads: push_frame's layout, so C traces score the same either way.
         """
         streams = self._coerce_streams(features)
         shape = streams[0].shape
-        if len(shape) != 3 or shape[0] == 0:
+        if len(shape) != 3 or 0 in shape[:2]:
             raise ValueError("predict_batch needs (windows, steps, dim) streams with at least "
-                             f"one window, got shapes {[s.shape for s in streams]}")
+                             f"one step and at least one window, got shapes {[s.shape for s in streams]}")
         p_unstable = np.empty(shape[:2])
-        for lo in range(0, shape[0], PREDICT_CHUNK):
-            hs = [nn.lstm_hidden(s[lo : lo + PREDICT_CHUNK], p) for s, p in zip(streams, self.lstms)]
-            hcat = np.concatenate(hs, axis=2, out=np.empty(hs[0].shape[:2] + (self.head.in_dim,)))
-            p_unstable[lo : lo + PREDICT_CHUNK] = self.head.probs(hcat)[..., CLASS_UNSTABLE]
+        with np.errstate(over="ignore"):
+            for lo in range(0, shape[0], PREDICT_CHUNK):
+                rows = [s[lo : lo + PREDICT_CHUNK] for s in streams]
+                hcat = np.empty(rows[0].shape[:2] + (self.head.in_dim,))
+                columns = self.lstm_columns(len(hcat))
+                for t in range(shape[1]):
+                    self.step_rows(columns, [x[:, t] for x in rows], hcat[:, t])
+                p_unstable[lo : lo + PREDICT_CHUNK] = self.head.probs(hcat)[..., CLASS_UNSTABLE]
         return self.decide(p_unstable)
+
+    def lstm_columns(self, batch: int) -> list[nn.LstmColumns]:
+        """Fresh zero-state columns of ``batch`` sequences, one per LSTM."""
+        return [nn.LstmColumns(p, batch) for p in self.lstms]
+
+    @staticmethod
+    def step_rows(columns: list[nn.LstmColumns], rows, out: np.ndarray) -> None:
+        """Advance each stream's columns by its (B, dim) input rows and write
+        the concatenated h' into the (B, H_total) rows of ``out``."""
+        np.concatenate([col.step(x.T) for col, x in zip(columns, rows)], out=out.T)
 
     def predict_samples(self, samples: np.ndarray) -> Prediction:
         return self.predict(self.featurize(samples))

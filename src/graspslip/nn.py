@@ -7,7 +7,10 @@ LSTM cell, gate order i, f, o, g, over z_t = [x_t, h_{t-1}, 1]:
 
 Every forward pass runs one folded kernel, ``lstm_cell``, on a working
 copy of K^T (``LstmParams.cell_kernel``, taken once per pass) whose i/f/o
-rows are scaled by -1, an exact power of two. A batch is laid out by
+rows are scaled by -1, an exact power of two. Inference steps through
+``LstmColumns``, online and offline alike, so a C-channel stream frame
+and a C-window stack make the same products; training's B=1 pass,
+``lstm_forward_cache``, keeps every step for BPTT. A batch is laid out by
 columns, z (D+H+1, B) and state (H, B), so u = K^T z holds all four
 gates' pre-activations as four contiguous (H, B) blocks, and one
 exp/add/reciprocal pass over the first 3H rows,
@@ -146,26 +149,6 @@ def lstm_cell(z, k, c, gates, c_out, tanh_c, h_out) -> None:
     np.multiply(gates[2 * hd : 3 * hd], tanh_c, h_out)
 
 
-def _check_input(x: np.ndarray, params: LstmParams) -> None:
-    d = params.input_dim
-    if 0 in x.shape[:-1]:
-        raise ValueError("empty sequence")
-    if x.shape[-1] != d:
-        raise ValueError(f"input dimension mismatch: expected {d}, got {x.shape[-1]}")
-
-
-def _z_steps(x: np.ndarray, hidden_dim: int) -> np.ndarray:
-    """(n, D, ...) inputs -> (n+1, D+H+1, ...) z_t = [x_t; 0; 1]; z_n has no x.
-
-    Step t reads z_t and writes h_t into the h slot of z_{t+1}.
-    """
-    d = x.shape[1]
-    z = np.zeros((x.shape[0] + 1, d + hidden_dim + 1) + x.shape[2:])
-    z[:-1, :d] = x
-    z[:, -1] = 1.0
-    return z
-
-
 @dataclass
 class LstmCache:
     """Forward-pass tensors kept for backpropagation through time."""
@@ -186,14 +169,23 @@ class LstmCache:
 
 
 def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
-    """Fold the cell over a sequence from the zero state, caching gates."""
+    """Fold the cell over a sequence from the zero state, caching gates.
+
+    Step t reads the row z_t = [x_t; h_{t-1}; 1] and writes h_t into the h
+    slot of z_{t+1}; z_n has no x.
+    """
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (steps, dim) sequence, got shape {x.shape}")
-    _check_input(x, params)
-    n, d, hd = x.shape[0], x.shape[1], params.hidden_dim
+    n, d, hd = x.shape[0], params.input_dim, params.hidden_dim
+    if n == 0:
+        raise ValueError("empty sequence")
+    if x.shape[1] != d:
+        raise ValueError(f"input dimension mismatch: expected {d}, got {x.shape[1]}")
     k = params.cell_kernel()
-    z = _z_steps(x, hd)
+    z = np.zeros((n + 1, d + hd + 1))
+    z[:-1, :d] = x
+    z[:, -1] = 1.0
     c_all = np.zeros((n + 1, hd))
     gates = np.empty((n, 4 * hd))
     tanh_c = np.empty((n, hd))
@@ -203,27 +195,30 @@ def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
     return LstmCache(z=z, c_all=c_all, gates=gates, tanh_c=tanh_c)
 
 
-def lstm_hidden(seqs: np.ndarray, params: LstmParams) -> np.ndarray:
-    """(B, n, D) sequences -> (B, n, H) hidden states, all from the zero state.
+class LstmColumns:
+    """B sequences of one LSTM advanced together from the zero state, one
+    (H, B) cell update per step(): inference, online and offline. Holds
+    z = [x; h; 1] (D+H+1, B), whose h slot ``h`` step() overwrites with h',
+    the cell state ``c``, the gate and tanh(c') buffers and the cell kernel,
+    taken once. Callers silence exp's overflow warning around their loop."""
 
-    The forward pass without a cache: the B sequences advance together,
-    one (H, B) cell update per time step.
-    """
-    x = np.asarray(seqs, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected (batch, steps, dim) sequences, got shape {x.shape}")
-    _check_input(x, params)
-    bsz, n, d = x.shape
-    hd = params.hidden_dim
-    k = params.cell_kernel()
-    z = _z_steps(x.transpose(1, 2, 0), hd)  # (n+1, D+H+1, B): one block per step
-    c = np.zeros((hd, bsz))
-    gates = np.empty((4 * hd, bsz))
-    tanh_c = np.empty((hd, bsz))
-    with np.errstate(over="ignore"):
-        for t in range(n):
-            lstm_cell(z[t], k, c, gates, c, tanh_c, z[t + 1, d : d + hd])
-    return z[1:, d : d + hd].transpose(2, 0, 1)
+    def __init__(self, params: LstmParams, batch: int):
+        d, hd = params.input_dim, params.hidden_dim
+        self.k = params.cell_kernel()
+        self.z = np.zeros((d + hd + 1, batch))
+        self.z[-1] = 1.0
+        self.x, self.h = self.z[:d], self.z[d:-1]
+        self.c = np.zeros((hd, batch))
+        self._gates = np.empty((4 * hd, batch))
+        self._tanh_c = np.empty((hd, batch))
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """Advance every column by the (D, B) input ``x``; returns h' (H, B)."""
+        if x.shape != self.x.shape:
+            raise ValueError(f"input dimension mismatch: expected {self.x.shape}, got {x.shape}")
+        self.x[...] = x
+        lstm_cell(self.z, self.k, self.c, self._gates, self.c, self._tanh_c, self.h)
+        return self.h
 
 
 def lstm_backward(params: LstmParams, cache: LstmCache, d_h_ext: np.ndarray) -> np.ndarray:

@@ -1,18 +1,18 @@
 """Stream replay: incremental inference, grip-current policy, latency.
 
 The replay loop maintains the causal STFT window and LSTM state
-incrementally, so each step costs O(window) and produces the same
-probabilities as the offline pipeline on the same samples (to 1e-12).
-A frame holds one sample from each of up to MAX_SENSORS (16) channels,
-and all of them advance together in one batched inference call. Timing
-is measured around that call only: every sensor's event is charged the
-whole frame's wall time. That is stricter than timing each sensor alone,
-and it makes latency_report's per-frame sum (n_sensors times the frame
-time) a conservative upper bound on the real frame cost. Only
-latency_report applies the budgets: 4 ms per sensor (SENSOR_BUDGET_MS)
-and n_sensors times that per frame, n_sensors being the channel count
-of the log. The replay models no physics, it validates decisions and
-latency.
+incrementally, so each step costs O(window). A frame holds one sample
+from each of up to MAX_SENSORS (16) channels, and all of them advance
+together in one batched inference call: C channels give predict_batch's
+bits for those C traces stacked (see HEAD_ROW_BLOCK), and one-window
+predict's to 1e-12. Timing is measured around that call only: every
+sensor's event is charged the whole frame's wall time. That is stricter
+than timing each sensor alone, and it makes latency_report's per-frame
+sum (n_sensors times the frame time) a conservative upper bound on the
+real frame cost. Only latency_report applies the budgets: 4 ms per
+sensor (SENSOR_BUDGET_MS) and n_sensors times that per frame, n_sensors
+being the channel count of the log. The replay models no physics, it
+validates decisions and latency.
 
 Event log format (CSV): step,channel,probability,label,latency_us with
 label 1 = unstable. Controller trajectory: step,pj_ma,mj_ma.
@@ -26,7 +26,6 @@ from itertools import repeat
 
 import numpy as np
 
-from graspslip import nn
 from graspslip.ioutil import atomic_write_text
 from graspslip.models import CLASS_UNSTABLE, GraspModel
 from graspslip.signal import SensorTrace, normalize_array
@@ -41,6 +40,10 @@ MJ_MAX_MA = 400.0
 
 SENSOR_BUDGET_MS = 4.0
 MAX_SENSORS = 16
+# push_frame's head reads its channel rows zero-padded to whole blocks of 4,
+# rounded as predict_batch's head rounds a window of 4k steps: numpy takes one
+# row through GEMV, and SkylakeX's GEMM rounds rows outside such blocks apart.
+HEAD_ROW_BLOCK = 4
 
 
 @dataclass(slots=True)
@@ -58,9 +61,9 @@ class StreamingPredictor:
     """Frame-at-a-time inference with the model's own feature pipeline.
 
     Keeps, for each of ``n_channels`` sensors, a window_len ring of
-    normalized samples for the band magnitudes and one (h, c) LSTM state
-    per stream; push_frame() advances every channel by one time step in
-    one batched cell update.
+    normalized samples for the band magnitudes, and the model's
+    lstm_columns() for all channels; push_frame() advances them by one
+    time step through the model's step_rows(), as predict_batch does.
 
     A non-finite sample (NaN or +-inf) is flagged unstable, the fail-safe
     answer, with a NaN probability, and leaves nothing behind in the ring
@@ -75,7 +78,6 @@ class StreamingPredictor:
             raise ValueError("n_channels must be >= 1")
         self.model = model
         self.n_channels = n_channels
-        self._kernels = [p.cell_kernel() for p in model.lstms]
         self.reset()
 
     def reset(self) -> None:
@@ -83,20 +85,15 @@ class StreamingPredictor:
         self._ring = np.empty((n, self.model.stft_window))
         # Channels whose ring is refilled from their next sample, or None.
         self._restart = np.ones(n, dtype=bool)
-        # Per LSTM: the (D+H+1, C) columns [x_t; h; 1] whose h slot holds the
-        # state, the cell state, and the gate and tanh(c') buffers.
-        self._cells = [
-            (np.vstack([np.zeros((p.input_dim + p.hidden_dim, n)), np.ones((1, n))]),
-             np.zeros((p.hidden_dim, n)), np.empty((4 * p.hidden_dim, n)), np.empty((p.hidden_dim, n)))
-            for p in self.model.lstms
-        ]
+        self._columns = self.model.lstm_columns(n)
+        self._hcat = np.zeros((-(-n // HEAD_ROW_BLOCK) * HEAD_ROW_BLOCK, self.model.head.in_dim))
 
     def push_frame(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Consume one raw sample per channel; return (p_unstable[C], flags[C])."""
         m = self.model
-        raw = np.asarray(values, dtype=np.float64)
-        if raw.shape != (self.n_channels,):
-            raise ValueError(f"expected {self.n_channels} sample(s), got shape {raw.shape}")
+        n, raw = self.n_channels, np.asarray(values, dtype=np.float64)
+        if raw.shape != (n,):
+            raise ValueError(f"expected {n} sample(s), got shape {raw.shape}")
         bad = ~np.isfinite(raw)
         x = normalize_array(np.where(bad, 0.0, raw), m.stats)
         self._ring[:, :-1] = self._ring[:, 1:]
@@ -104,23 +101,15 @@ class StreamingPredictor:
         if self._restart is not None:
             restart, self._restart = self._restart, None
             self._ring[restart] = x[restart, None]  # causal left-pad with the first sample
-        hs = []
         with np.errstate(over="ignore"):
-            for vec, k, (z, c, gates, tanh_c) in zip(
-                m.variant.features(self._ring), self._kernels, self._cells
-            ):
-                d = vec.shape[1]
-                h = z[d:-1]
-                z[:d] = vec.T
-                nn.lstm_cell(z, k, c, gates, c, tanh_c, h)
-                hs.append(h)
-        p_unstable = m.head.probs(np.concatenate(hs).T)[:, CLASS_UNSTABLE]
+            m.step_rows(self._columns, m.variant.features(self._ring), self._hcat[:n])
+        p_unstable = m.head.probs(self._hcat)[:n, CLASS_UNSTABLE]
         if bad.any():
             p_unstable[bad] = np.nan
             self._restart = bad
-            for h, (_, c, _, _) in zip(hs, self._cells):
-                h[:, bad] = 0.0
-                c[:, bad] = 0.0
+            for col in self._columns:
+                col.h[:, bad] = 0.0
+                col.c[:, bad] = 0.0
         pred = m.decide(p_unstable)
         return pred.p_unstable, pred.unstable
 

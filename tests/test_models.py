@@ -299,9 +299,10 @@ def test_predict_batch_rejects_unequal_lengths(rng):
     ([(30, 1), (30, 10)], r"\(windows, steps, dim\) streams .* got shapes \[\(30, 1\), \(30, 10\)\]"),
     ([(3, 30, 1)], r"expected 2 feature stream\(s\), got 1 of shapes \[\(3, 30, 1\)\]"),
     ([(3, 30, 1)] * 3, r"expected 2 feature stream\(s\), got 3 of shapes \[\(3, 30, 1\), "),
+    ([(2, 0, 1), (2, 0, 10)], r"at least one step .* got shapes \[\(2, 0, 1\), \(2, 0, 10\)\]"),
 ])
 def test_predict_batch_rejects_bad_stacks_naming_the_shapes(streams, message, rng):
-    # Zero windows, a 2-D (steps, dim) stream, and the wrong stream count.
+    # Zero windows, a 2-D (steps, dim) stream, the wrong stream count, zero steps.
     with pytest.raises(ValueError, match=message):
         small_model("D").predict_batch([rng.normal(size=shape) for shape in streams])
 

@@ -1,7 +1,3 @@
-import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -13,6 +9,7 @@ from graspslip import models, nn
 from graspslip.signal import NormStats
 from graspslip.stream import StreamingPredictor
 from tests import oracles
+from tests.blas import run_on_kernel_set
 
 
 def make_params(input_dim=3, hidden_dim=4, seed=0, scale=0.4):
@@ -167,10 +164,18 @@ def step_cell(x, h, c, p):
     return h_new.T, c_new.T
 
 
+def column_states(x, p):
+    """(B, n, D) sequences -> (B, n, H) hidden states, stepped from the zero
+    state through one nn.LstmColumns."""
+    cols = nn.LstmColumns(p, x.shape[0])
+    with np.errstate(over="ignore"):
+        return np.stack([cols.step(x[:, t].T).T.copy() for t in range(x.shape[1])], axis=1)
+
+
 def test_lstm_cell_dim_mismatch():
     p = make_params(3, 4)
     with pytest.raises(ValueError, match="input dimension mismatch"):
-        nn.lstm_hidden(np.zeros((2, 5, 2)), p)
+        nn.LstmColumns(p, 5).step(np.zeros((2, 5)))
     with pytest.raises(ValueError, match="input dimension mismatch"):
         nn.lstm_forward_cache(np.zeros((5, 2)), p)
     with pytest.raises(ValueError):  # a (B, 5) state against H = 4
@@ -199,10 +204,10 @@ def test_forward_cache_matches_stepwise(rng):
 # (128, 16) and (128, 40) are the benchmark's batched sizes, where the cell
 # takes one product per gate; B = 1 sequences take the whole kernel at once.
 @pytest.mark.parametrize("hd, bsz", [(4, 5), (128, 16), (128, 40)])
-def test_lstm_hidden_matches_forward_cache_per_sequence(hd, bsz, rng):
+def test_lstm_columns_match_forward_cache_per_sequence(hd, bsz, rng):
     p = make_params(11, hd, seed=3)
     x = rng.normal(size=(bsz, 25, 11))
-    hidden = nn.lstm_hidden(x, p)
+    hidden = column_states(x, p)
     assert hidden.shape == (bsz, 25, hd)
     for k in range(bsz):
         np.testing.assert_allclose(hidden[k], nn.lstm_forward_cache(x[k], p).h_all[1:], atol=1e-12)
@@ -273,19 +278,7 @@ def test_lstm_cell_blocks_equal_whole_product_per_kernel_set(coretype):
     B = 17-20, 25-28, ... here); lstm_cell never takes it there. At H = 128,
     where a gate is a whole number of the kernels' row tiles, the blocks also
     give one-product-per-gate bits at every B; at H = 7 they do not."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(root, "src"), root, os.environ.get("PYTHONPATH")]))
-    if coretype:
-        env["OPENBLAS_CORETYPE"] = coretype
-    proc = subprocess.run([sys.executable, "-c", _SWEEP], capture_output=True, text=True,
-                          env=env, cwd=root, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    if coretype and result["core"] != coretype:
-        pytest.skip(f"OPENBLAS_CORETYPE={coretype} loaded the {result['core']} kernels")
+    result = run_on_kernel_set(_SWEEP, coretype, OPENBLAS_NUM_THREADS="1")
     assert [case for case in result["whole"] if case[3] < 1_000_000] == [], result["core"]
     assert [case for case in result["per_gate"] if case[0] == 128] == [], result["core"]
 
@@ -324,10 +317,10 @@ def test_forward_cache_saturates_exactly(rng):
     np.testing.assert_array_equal(cache.h_all[1:], np.tile(SATURATED_H, (9, 1)))
 
 
-def test_lstm_hidden_saturates_exactly(rng):
+def test_lstm_columns_saturate_exactly(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hidden = nn.lstm_hidden(rng.normal(size=(3, 9, 1)), saturated_params())
+        hidden = column_states(rng.normal(size=(3, 9, 1)), saturated_params())
     np.testing.assert_array_equal(hidden, np.tile(SATURATED_H, (3, 9, 1)))
 
 
