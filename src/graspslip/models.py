@@ -267,8 +267,8 @@ class GraspModel:
         featurize() returns them for a (windows, steps) stack of samples.
         Each PREDICT_CHUNK rows advance together through step_rows(), so
         the working memory stays bounded, and each step writes its h' rows
-        straight into the C-contiguous (B, steps, H_total) array the head
-        reads: push_frame's layout, so C traces score the same either way.
+        straight into the (B, steps, H_total) array the head reads, which
+        scores each row alone: C traces score as C push_frame channels do.
         """
         streams = self._coerce_streams(features)
         shape = streams[0].shape

@@ -9,7 +9,8 @@ Every forward pass runs one folded kernel, ``lstm_cell``, on a working
 copy of K^T (``LstmParams.cell_kernel``, taken once per pass) whose i/f/o
 rows are scaled by -1, an exact power of two. Inference steps through
 ``LstmColumns``, online and offline alike, so a C-channel stream frame
-and a C-window stack make the same products; training's B=1 pass,
+and a C-window stack make the same products, and ``FcHead.probs`` scores
+each hidden row alone, at any row count; training's B=1 pass,
 ``lstm_forward_cache``, keeps every step for BPTT. A batch is laid out by
 columns, z (D+H+1, B) and state (H, B), so u = K^T z holds all four
 gates' pre-activations as four contiguous (H, B) blocks, and one
@@ -272,8 +273,10 @@ class FcHead:
 
     def probs(self, h: np.ndarray) -> np.ndarray:
         """(..., in_dim) hidden rows -> (..., 2) class probabilities: the
-        softmax of the two logits, shifted by their maximum."""
-        logits = h @ self.w.T
+        softmax of the two logits, shifted by their maximum. Each row's
+        logits are a one-row product, so no other row in the call (BLAS
+        rounds a GEMM by its row blocking) can change their bits."""
+        logits = (h[..., None, :] @ self.w.T)[..., 0, :]
         logits += self.b
         logits -= np.maximum(logits[..., :1], logits[..., 1:])
         np.exp(logits, out=logits)

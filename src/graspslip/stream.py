@@ -4,7 +4,7 @@ The replay loop maintains the causal STFT window and LSTM state
 incrementally, so each step costs O(window). A frame holds one sample
 from each of up to MAX_SENSORS (16) channels, and all of them advance
 together in one batched inference call: C channels give predict_batch's
-bits for those C traces stacked (see HEAD_ROW_BLOCK), and one-window
+bits for those C traces stacked, at any step count, and one-window
 predict's to 1e-12. Timing is measured around that call only: every
 sensor's event is charged the whole frame's wall time. That is stricter
 than timing each sensor alone, and it makes latency_report's per-frame
@@ -40,10 +40,6 @@ MJ_MAX_MA = 400.0
 
 SENSOR_BUDGET_MS = 4.0
 MAX_SENSORS = 16
-# push_frame's head reads its channel rows zero-padded to whole blocks of 4,
-# rounded as predict_batch's head rounds a window of 4k steps: numpy takes one
-# row through GEMV, and SkylakeX's GEMM rounds rows outside such blocks apart.
-HEAD_ROW_BLOCK = 4
 
 
 @dataclass(slots=True)
@@ -86,7 +82,7 @@ class StreamingPredictor:
         # Channels whose ring is refilled from their next sample, or None.
         self._restart = np.ones(n, dtype=bool)
         self._columns = self.model.lstm_columns(n)
-        self._hcat = np.zeros((-(-n // HEAD_ROW_BLOCK) * HEAD_ROW_BLOCK, self.model.head.in_dim))
+        self._hcat = np.empty((n, self.model.head.in_dim))
 
     def push_frame(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Consume one raw sample per channel; return (p_unstable[C], flags[C])."""
@@ -102,8 +98,8 @@ class StreamingPredictor:
             restart, self._restart = self._restart, None
             self._ring[restart] = x[restart, None]  # causal left-pad with the first sample
         with np.errstate(over="ignore"):
-            m.step_rows(self._columns, m.variant.features(self._ring), self._hcat[:n])
-        p_unstable = m.head.probs(self._hcat)[:n, CLASS_UNSTABLE]
+            m.step_rows(self._columns, m.variant.features(self._ring), self._hcat)
+        p_unstable = m.head.probs(self._hcat)[:, CLASS_UNSTABLE]
         if bad.any():
             p_unstable[bad] = np.nan
             self._restart = bad

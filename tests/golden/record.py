@@ -39,18 +39,18 @@ def golden_traces() -> list[np.ndarray]:
     ]
 
 
-def golden_model(tag: str, seed: int) -> models.GraspModel:
+def golden_model(tag: str, seed: int, hidden: int = HIDDEN) -> models.GraspModel:
     """Wide weights and random biases, so every parameter moves the output."""
     variant = models.get_variant(tag)
     rng = np.random.default_rng(seed)
     lstms = []
     for dim in variant.stream_dims:
-        p = nn.LstmParams.init(dim, HIDDEN, rng, scale=0.6)
+        p = nn.LstmParams.init(dim, hidden, rng, scale=0.6)
         gates = nn.gate_views(p.k)
         for name in ("b_i", "b_f", "b_o", "b_g"):
-            gates[name][...] = rng.uniform(-0.5, 0.5, size=HIDDEN)
+            gates[name][...] = rng.uniform(-0.5, 0.5, size=hidden)
         lstms.append(p)
-    head = nn.FcHead.init(HIDDEN * variant.n_streams, rng, scale=0.6)
+    head = nn.FcHead.init(hidden * variant.n_streams, rng, scale=0.6)
     head.b = rng.uniform(-0.3, 0.3, size=2)
     return models.GraspModel(variant, lstms, head, stats=STATS)
 

@@ -98,11 +98,51 @@ def test_probs_equal_reduce_softmax_bit_for_bit(bias, rng):
     h = rng.normal(size=(3, 7, 5)) * 50
     with np.errstate(invalid="ignore"):
         p = head.probs(h)
-        logits = h @ head.w.T
+        logits = (h[..., None, :] @ head.w.T)[..., 0, :]  # the head's row rule
         logits += head.b
         expected = reduce_softmax(logits)
     assert p.shape == expected.shape
     assert p.tobytes() == expected.tobytes()
+
+
+# One child per kernel set and thread count: wide heads over 128 and 256
+# hidden units (one LSTM, and D's two) score a (40, 160, in_dim) stack, then
+# random row subsets of it and single windows of it. Prints the core name and
+# every (in_dim, case) whose probabilities differ from the stack's in any bit.
+_HEAD_ROWS = """
+import json
+import numpy as np
+from graspslip import nn
+from graspslip.ioutil import openblas_core_name
+
+rng = np.random.default_rng(0)
+differ = []
+for in_dim in (128, 256):
+    head = nn.FcHead(w=rng.uniform(-0.6, 0.6, size=(2, in_dim)), b=rng.uniform(-0.3, 0.3, size=2))
+    stack = rng.uniform(-1.0, 1.0, size=(40, 160, in_dim))
+    full = head.probs(stack)
+    rows, scored = stack.reshape(-1, in_dim), full.reshape(-1, 2)
+    for n in (1, 3, 5, 173):
+        for _ in range(4):
+            pick = rng.choice(len(rows), n, replace=False)
+            if head.probs(rows[pick]).tobytes() != scored[pick].tobytes():
+                differ.append([in_dim, f"{n} rows"])
+    for b in (0, 17, 39):
+        if head.probs(stack[b]).tobytes() != full[b].tobytes():
+            differ.append([in_dim, f"window {b}"])
+print(json.dumps({"core": openblas_core_name(), "differ": differ}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Sandybridge"])
+def test_probs_of_a_row_do_not_depend_on_the_other_rows(coretype, threads):
+    """Each hidden row's probabilities are computed on their own, so any
+    subset of rows, one window of a stack included, gets the full stack's
+    bits: online frames of C channels and offline stacks of windows agree
+    at every step count, on every kernel set and thread count."""
+    result = run_on_kernel_set(_HEAD_ROWS, coretype, OPENBLAS_NUM_THREADS=threads)
+    assert result["differ"] == [], result["core"]
 
 
 def test_probs_nan_bias_gives_nan_rows(rng):
