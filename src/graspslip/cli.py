@@ -121,18 +121,23 @@ def _train_config(args) -> gmodels.TrainConfig:
     )
 
 
+def _add_window_knobs(p: argparse.ArgumentParser) -> None:
+    """How sets become labeled windows: length, label source, channel."""
+    p.add_argument("--window-len", type=_window_len, default=160)
+    p.add_argument("--labels", choices=("detect", "truth"), default="detect",
+                   help="label source: drop detection or synthetic ground truth")
+    p.add_argument("--channel", type=_channel, default=0)
+
+
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--epochs", type=_natural, default=50)
     p.add_argument("--lr", type=_positive, default=0.0006)
     p.add_argument("--units", type=_count, default=128)
-    p.add_argument("--window-len", type=_window_len, default=160)
     p.add_argument("--clip-norm", type=_positive, default=5.0,
                    help="global gradient norm cap")
     p.add_argument("--threshold", type=_fraction, default=0.5)
-    p.add_argument("--labels", choices=("detect", "truth"), default="detect",
-                   help="label source: drop detection or synthetic ground truth")
-    p.add_argument("--channel", type=_channel, default=0)
+    _add_window_knobs(p)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -414,9 +419,7 @@ def build_parser() -> _Parser:
                    help="evaluate the held-out side of train's seeded split (0: all sets)")
     p.add_argument("--seed", type=_natural, default=0,
                    help="split seed; must match the train run to stay disjoint")
-    p.add_argument("--window-len", type=_window_len, default=160)
-    p.add_argument("--labels", choices=("detect", "truth"), default="detect")
-    p.add_argument("--channel", type=_channel, default=0)
+    _add_window_knobs(p)
     p.add_argument("--dump-set", type=int, default=None,
                    help="also write per-step plot data for this set index")
     p.set_defaults(func=cmd_eval)

@@ -407,28 +407,16 @@ def synth_force_dataset(
     n_failure = int(round(n_sets * failure_fraction))
     sets = []
     for i in range(n_sets):
-        failure = i < n_failure
-        grasp_force = float(rng.uniform(1200.0, 3000.0))
-        if failure:
+        shape = {"grasp_force": float(rng.uniform(1200.0, 3000.0))}
+        if i < n_failure:
             onset = int(rng.integers(180, 241))
             drop = onset + int(rng.integers(50, 91))
-            p = SynthParams(
-                freq_hz=freq_hz,
-                n_steps=n_steps,
-                grasp_force=grasp_force,
-                slip_onset=onset,
-                slip_band_hz=float(rng.uniform(3.0, 5.0)),
-                slip_amplitude=float(rng.uniform(0.12, 0.20)),
-                drop_step=min(drop, n_steps - 1),
-            )
+            shape.update(slip_onset=onset, slip_band_hz=float(rng.uniform(3.0, 5.0)),
+                         slip_amplitude=float(rng.uniform(0.12, 0.20)),
+                         drop_step=min(drop, n_steps - 1))
         else:
-            p = SynthParams(
-                freq_hz=freq_hz,
-                n_steps=n_steps,
-                grasp_force=grasp_force,
-                slip_onset=None,
-                drop_step=None,
-            )
+            shape.update(slip_onset=None, drop_step=None)
+        p = SynthParams(freq_hz=freq_hz, n_steps=n_steps, **shape)
         sets.append(synth_grasp(int(rng.integers(0, 2**31)), p))
     return sets
 

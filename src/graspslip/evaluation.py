@@ -24,11 +24,15 @@ from graspslip.ioutil import atomic_write_text
 from graspslip.signal import compute_norm_stats
 
 
-def _as_flags(x, name: str) -> np.ndarray:
-    a = np.asarray(x)
-    if a.size == 0:
-        raise ValueError(f"empty input: {name}")
-    return a.astype(bool).ravel()
+def _as_flags(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted and reference flags as flat bool arrays of one length."""
+    p, y = np.asarray(predictions), np.asarray(labels)
+    for a, name in ((p, "predictions"), (y, "labels")):
+        if a.size == 0:
+            raise ValueError(f"empty input: {name}")
+    if p.size != y.size:
+        raise ValueError(f"length mismatch: {p.size} predictions vs {y.size} labels")
+    return p.astype(bool).ravel(), y.astype(bool).ravel()
 
 
 def success_rate(predictions, labels) -> float:
@@ -37,19 +41,13 @@ def success_rate(predictions, labels) -> float:
     Both arguments must use the same convention (both stable-flags or
     both unstable-flags); only equality is measured.
     """
-    p = _as_flags(predictions, "predictions")
-    y = _as_flags(labels, "labels")
-    if p.size != y.size:
-        raise ValueError(f"length mismatch: {p.size} predictions vs {y.size} labels")
+    p, y = _as_flags(predictions, labels)
     return float(np.mean(p == y))
 
 
 def confusion_counts(pred_unstable, label_unstable) -> dict[str, int]:
     """tp/fp/tn/fn with "unstable" as the positive class."""
-    p = _as_flags(pred_unstable, "predictions")
-    y = _as_flags(label_unstable, "labels")
-    if p.size != y.size:
-        raise ValueError(f"length mismatch: {p.size} predictions vs {y.size} labels")
+    p, y = _as_flags(pred_unstable, label_unstable)
     return {
         "tp": int(np.sum(p & y)),
         "fp": int(np.sum(p & ~y)),
@@ -173,7 +171,8 @@ def cross_condition_matrix(
     """Train per row condition, evaluate on every column's held-out part.
 
     Cells hold step-level success rates; a column with no test data
-    yields "n/a", a row whose fit raises ValueError holds the error, and
+    yields "n/a", a row whose fit or any of whose scores raises ValueError
+    holds that error in every cell, and a RuntimeError such as
     TrainingDiverged propagates. Rows run through ``_map_fits``, so a
     script calling this at import time needs a ``__main__`` guard.
     """
@@ -192,26 +191,20 @@ def cross_condition_matrix(
         except ValueError:
             splits[name] = (groups[name], [])
 
-    test_splits = {name: splits[name][1] for name in names}
-    rows = _map_fits(_cross_row, [
-        (variant, splits[row][0], test_splits, config, labels, channel) for row in names
+    results = _map_fits([
+        (variant, splits[row][0], [splits[col][1] for col in names], config, labels, channel)
+        for row in names
     ])
-    return {"condition": condition, "rows": names, "cols": names,
-            "cells": dict(zip(names, rows))}
-
-
-def _cross_row(args) -> dict[str, object]:
-    """One matrix row: fit on the row's train split, score every column."""
-    variant, train_sets, test_splits, config, labels, channel = args
-    try:
-        model, _ = fit_variant(variant, train_sets, config, labels=labels, channel=channel)
-    except ValueError as exc:
-        return dict.fromkeys(test_splits, f"error: {exc}")
-    return {
-        col: evaluate_model(model, test_sets, config.window_len, channel,
-                            labels=labels).success_rate if test_sets else "n/a"
-        for col, test_sets in test_splits.items()
-    }
+    cells = {}
+    for row, result in zip(names, results):
+        if isinstance(result, RuntimeError):
+            raise result
+        if isinstance(result, ValueError):
+            cells[row] = dict.fromkeys(names, f"error: {result}")
+        else:
+            cells[row] = {col: "n/a" if r is None else r.success_rate
+                          for col, r in zip(names, result[1])}
+    return {"condition": condition, "rows": names, "cols": names, "cells": cells}
 
 
 # -- experiment runner -----------------------------------------------------
@@ -242,27 +235,18 @@ def fit_variant(
     return model, history
 
 
-def _run_cell(args):
-    variant_tag, train_sets, test_sets, config, labels, channel = args
+def _fit_and_score(task):
+    """Fit one variant on a train split and score it on each held-out split
+    (None for an empty one): ``(epochs_run, reports)``, or the ValueError or
+    RuntimeError that stopped the fit or a score."""
+    variant, train_sets, test_splits, config, labels, channel = task
     try:
-        model, history = fit_variant(
-            variant_tag, train_sets, config, labels=labels, channel=channel
-        )
-        report = evaluate_model(
-            model, test_sets, config.window_len, channel, labels=labels
-        )
-        return {
-            "variant": variant_tag,
-            "seed": config.seed,
-            "ok": True,
-            "success_rate": report.success_rate,
-            "ahead_drop_rate": report.ahead_drop_rate,
-            "window_success_rate": report.window_success_rate,
-            "n_windows": report.n_windows,
-            "epochs_run": len(history),
-        }
+        model, history = fit_variant(variant, train_sets, config, labels=labels, channel=channel)
+        reports = [evaluate_model(model, sets, config.window_len, channel, labels=labels)
+                   if sets else None for sets in test_splits]
+        return len(history), reports
     except (ValueError, RuntimeError) as exc:
-        return {"variant": variant_tag, "seed": config.seed, "ok": False, "error": str(exc)}
+        return exc
 
 
 @contextmanager
@@ -281,18 +265,15 @@ def worker_pool(jobs: int):
         os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
-def _map_fits(fn, tasks) -> list:
-    """``[fn(t) for t in tasks]`` for independent fits: in a ``worker_pool``
-    of one worker per task up to the usable CPUs when that is more than
-    one worker, else in-process. Spawned workers re-import the caller's
-    main module and take ``fn`` by name, so ``fn`` must be module-level;
-    results come back in task order either way."""
+def _map_fits(tasks) -> list:
+    """``[_fit_and_score(t) for t in tasks]``, in task order: in a ``worker_pool`` of
+    one worker per task up to the usable CPUs when that is more than one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(tasks), cpus or 1)
     if workers > 1:
         with worker_pool(workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            return list(pool.map(_fit_and_score, tasks))
+    return [_fit_and_score(t) for t in tasks]
 
 
 def run_experiment(
@@ -320,8 +301,19 @@ def run_experiment(
     for seed in seeds:
         train_sets, test_sets = gdata.split(sets, ratio, seed=seed)
         for tag in variant_tags:
-            tasks.append((tag, train_sets, test_sets, replace(config, seed=seed), labels, channel))
-    rows = _map_fits(_run_cell, tasks)
+            tasks.append((tag, train_sets, [test_sets], replace(config, seed=seed), labels, channel))
+    rows = []
+    for task, result in zip(tasks, _map_fits(tasks)):
+        row = {"variant": task[0], "seed": task[3].seed}
+        if isinstance(result, Exception):
+            row.update(ok=False, error=str(result))
+        else:
+            (report,) = result[1]
+            row.update(ok=True, success_rate=report.success_rate,
+                       ahead_drop_rate=report.ahead_drop_rate,
+                       window_success_rate=report.window_success_rate,
+                       n_windows=report.n_windows, epochs_run=result[0])
+        rows.append(row)
 
     aggregates = []
     for tag in variant_tags:

@@ -8,10 +8,10 @@ LSTM cell, gate order i, f, o, g, over z_t = [x_t, h_{t-1}, 1]:
 Every forward pass runs one folded kernel, ``lstm_cell``, on a working
 copy of K^T (``LstmParams.cell_kernel``, taken once per pass) whose i/f/o
 rows are scaled by -1, an exact power of two. Inference steps through
-``LstmColumns``, online and offline alike, so a C-channel stream frame
-and a C-window stack make the same products, and ``FcHead.probs`` scores
-each hidden row alone, at any row count; training's B=1 pass,
-``lstm_forward_cache``, keeps every step for BPTT. A batch is laid out by
+``LstmColumns``, online and offline alike, in whole column blocks, and
+``FcHead.probs`` scores each hidden row alone, so a sequence gets the same
+bits at any batch size; training's B=1 pass, ``lstm_forward_cache``,
+keeps every step for BPTT. A batch is laid out by
 columns, z (D+H+1, B) and state (H, B), so u = K^T z holds all four
 gates' pre-activations as four contiguous (H, B) blocks, and one
 exp/add/reciprocal pass over the first 3H rows,
@@ -57,6 +57,10 @@ ADAM_EPS = 1e-8
 # is below SMP_THRESHOLD_MIN (65,536) x GEMM_MULTITHREAD_THRESHOLD (4), so any
 # product of fewer than 2 x 65,536 x 4 multiply-adds runs on one thread.
 ONE_THREAD_MACS = 524_288
+# LstmColumns pads a batch to whole blocks of this many columns, which OpenBLAS
+# rounds alike: a lone column, and on SkylakeX a tail of 1-4 columns past a
+# multiple of 8 (so even padding is not enough), round apart. Not a tuning knob.
+COLUMN_BLOCK = 8
 
 
 class TrainingDiverged(RuntimeError):
@@ -197,28 +201,29 @@ def lstm_forward_cache(seq: np.ndarray, params: LstmParams) -> LstmCache:
 
 
 class LstmColumns:
-    """B sequences of one LSTM advanced together from the zero state, one
-    (H, B) cell update per step(): inference, online and offline. Holds
-    z = [x; h; 1] (D+H+1, B), whose h slot ``h`` step() overwrites with h',
-    the cell state ``c``, the gate and tanh(c') buffers and the cell kernel,
-    taken once. Callers silence exp's overflow warning around their loop."""
+    """B sequences of one LSTM stepped together from the zero state, for all
+    inference. Holds z = [x; h; 1], c and the gate and tanh(c') buffers in whole
+    COLUMN_BLOCKs, so a sequence's bits do not depend on B, and the cell kernel;
+    ``x``, ``h`` (which step() overwrites) and ``c`` are the first B columns.
+    Callers silence exp's overflow warning around their loop."""
 
     def __init__(self, params: LstmParams, batch: int):
         d, hd = params.input_dim, params.hidden_dim
+        cols = -(-batch // COLUMN_BLOCK) * COLUMN_BLOCK
         self.k = params.cell_kernel()
-        self.z = np.zeros((d + hd + 1, batch))
+        self.z = np.zeros((d + hd + 1, cols))
         self.z[-1] = 1.0
-        self.x, self.h = self.z[:d], self.z[d:-1]
-        self.c = np.zeros((hd, batch))
-        self._gates = np.empty((4 * hd, batch))
-        self._tanh_c = np.empty((hd, batch))
+        self._h, self._c = self.z[d:-1], np.zeros((hd, cols))
+        self.x, self.h, self.c = self.z[:d, :batch], self._h[:, :batch], self._c[:, :batch]
+        self._gates = np.empty((4 * hd, cols))
+        self._tanh_c = np.empty((hd, cols))
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Advance every column by the (D, B) input ``x``; returns h' (H, B)."""
         if x.shape != self.x.shape:
             raise ValueError(f"input dimension mismatch: expected {self.x.shape}, got {x.shape}")
         self.x[...] = x
-        lstm_cell(self.z, self.k, self.c, self._gates, self.c, self._tanh_c, self.h)
+        lstm_cell(self.z, self.k, self._c, self._gates, self._c, self._tanh_c, self._h)
         return self.h
 
 

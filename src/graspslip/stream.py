@@ -3,9 +3,9 @@
 The replay loop maintains the causal STFT window and LSTM state
 incrementally, so each step costs O(window). A frame holds one sample
 from each of up to MAX_SENSORS (16) channels, and all of them advance
-together in one batched inference call: C channels give predict_batch's
-bits for those C traces stacked, at any step count, and one-window
-predict's to 1e-12. Timing is measured around that call only: every
+together in one batched inference call, which gives each channel the
+bits of offline predict or predict_batch of its trace at any channel
+and step count. Timing is measured around that call only: every
 sensor's event is charged the whole frame's wall time. That is stricter
 than timing each sensor alone, and it makes latency_report's per-frame
 sum (n_sensors times the frame time) a conservative upper bound on the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,16 @@ def trained_c(synth_split):
     config = models.TrainConfig(epochs=12, lstm_units=32, seed=0)
     model, history = evaluation.fit_variant("C", train_sets, config, labels="truth")
     return model
+
+
+@pytest.fixture(scope="session")
+def short_top_sets():
+    """Ten 400-step "back" sets and four "top" sets of data.FORCE_MIN_STEPS
+    steps, shorter than a 300-step window, with the error scoring one gives."""
+    back = [dataclasses.replace(s, direction="back") for s in data.synth_force_dataset(10, seed=37)]
+    top = [dataclasses.replace(s, direction="top")
+           for s in data.synth_force_dataset(4, seed=38, n_steps=data.FORCE_MIN_STEPS)]
+    return back + top, f"error: trace shorter than window: {data.FORCE_MIN_STEPS} < 300"
 
 
 @pytest.fixture()

@@ -631,6 +631,19 @@ def test_cross_eval_text_keeps_error_cells_apart(xeval_dir):
         assert re.split(r" {2,}", line) == [row, *want]
 
 
+def test_cross_eval_scoring_error_fills_rows_and_exits_0(tmp_path, short_top_sets):
+    sets, error = short_top_sets
+    data.save_force_dataset(sets, tmp_path / "data")
+    out = tmp_path / "o"
+    assert run("cross-eval", "--data", str(tmp_path / "data"), "--variant", "B",
+               "--out", str(out), "--window-len", "300", "--epochs", "1", "--units", "4") == 0
+    matrix = json.loads((out / "matrix.json").read_text())
+    assert matrix["cells"] == {row: {"back": error, "top": error} for row in ("back", "top")}
+    lines = (out / "matrix.txt").read_text().splitlines()
+    assert [re.split(r" {2,}", line) for line in lines] == [
+        ["train\\test", "back", "top"], ["back", error, error], ["top", error, error]]
+
+
 # -- simulate ----------------------------------------------------------------------
 
 

@@ -269,8 +269,17 @@ def test_cross_matrix_records_errors_per_row():
     assert isinstance(cell, str) and cell.startswith("error:")
 
 
+def test_cross_matrix_records_scoring_errors_per_row(short_top_sets):
+    # Every row scores the "top" column, whose held-out sets cannot be cut
+    # into windows: each row holds that error, as a row whose fit fails does.
+    sets, error = short_top_sets
+    config = dataclasses.replace(SMALL_CONFIG, window_len=300)
+    matrix = cross_condition_matrix(sets, "B", config)
+    assert matrix["cells"] == {row: {"back": error, "top": error} for row in ("back", "top")}
+
+
 def test_cross_matrix_divergence_propagates_from_workers(monkeypatch):
-    # only a ValueError from a fit becomes an error row; a divergence in a
+    # only a ValueError from a fit or a score becomes an error row; a divergence in a
     # pooled row reaches the caller, so cross-eval exits 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sets = with_directions(data.synth_force_dataset(8, seed=36), ["back", "top"])

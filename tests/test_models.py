@@ -18,6 +18,7 @@ from graspslip.models import (
 )
 from graspslip.signal import NormStats, compute_norm_stats
 from tests import oracles
+from tests.blas import run_on_kernel_set
 
 
 SMALL = TrainConfig(window_len=60, lstm_units=6, epochs=4, seed=3)
@@ -281,6 +282,51 @@ def test_predict_batch_matches_per_window(tag, n_windows, rng):
         np.testing.assert_allclose(p, m.predict(f).p_unstable, atol=1e-12)
         np.testing.assert_allclose(p, cached_p_unstable(m, f), atol=1e-12)
         np.testing.assert_array_equal(batched.unstable[b], p >= m.threshold)
+
+
+# One child per kernel set and thread count: for A-D with tests/golden/record.py's
+# wide weights at H = 8 and 128, predict_batch of the first B windows of a
+# 64-window stack for B = 1..64, one-window predict of every ninth window, and
+# the whole stack at PREDICT_CHUNK 8 and 24 (chunks with tails), each against
+# the whole stack at the default chunk. Prints the core name and every (H,
+# variant, case, count) whose probabilities differ in any bit.
+_BATCH_SWEEP = """
+import json
+import numpy as np
+from graspslip import data, models
+from graspslip.ioutil import openblas_core_name
+from tests.golden import record
+
+sets = data.synth_force_dataset(3, seed=7)
+samples = np.stack([w.samples for g in sets for w in data.window_batches(g, 16)])[:64]
+differ, chunk = [], models.PREDICT_CHUNK
+cases = [(f"B={b}", b, chunk) for b in range(1, 65)] + [("chunk 8", 64, 8), ("chunk 24", 64, 24)]
+for hidden in (8, 128):
+    for k, tag in enumerate("ABCD"):
+        m = record.golden_model(tag, 40 + k, hidden=hidden)
+        feats = m.featurize(samples)
+        full = m.predict_batch(feats).p_unstable
+        got = {f"window {w}": (full[w], m.predict([f[w] for f in feats]))
+               for w in range(0, 64, 9)}
+        for name, rows, models.PREDICT_CHUNK in cases:
+            got[name] = (full[:rows], m.predict_batch([f[:rows] for f in feats]))
+        models.PREDICT_CHUNK = chunk
+        for name, (want, pred) in got.items():
+            n = int(np.sum(pred.p_unstable.view(np.int64) != want.view(np.int64)))
+            if n:
+                differ.append([hidden, tag, name, n])
+print(json.dumps({"core": openblas_core_name(), "differ": differ}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Sandybridge"])
+def test_predict_batch_bits_do_not_depend_on_the_batch(coretype, threads):
+    """LstmColumns runs the cell on whole nn.COLUMN_BLOCKs of columns, so a
+    window gets the same bits alone, in any stack size, tails included, and
+    under any PREDICT_CHUNK, on every kernel set and thread count."""
+    result = run_on_kernel_set(_BATCH_SWEEP, coretype, OPENBLAS_NUM_THREADS=threads)
+    assert result["differ"] == [], result["core"]
 
 
 def test_predict_batch_rejects_unequal_lengths(rng):

@@ -163,6 +163,22 @@ def test_replay_16_channels_matches_offline(trained_c, synth_split):
         assert [e.unstable for e in events[c::16]] == offline.unstable.tolist()
 
 
+@pytest.mark.parametrize("seed", [5, 9, 13])
+def test_replay_16_channels_equals_one_window_predict_samples_bit_for_bit(seed):
+    """Whole column blocks give a trace the same bits in a 16-channel frame
+    as in a one-window predict, so every event of seeded, untrained H = 128
+    models A-D (as the benchmark's checkpoints) equals offline inference."""
+    grasp = data.synth_force_dataset(1, seed=seed, n_steps=data.FORCE_MIN_STEPS)[0]
+    for k, tag in enumerate("ABCD"):
+        m = models.GraspModel.build(tag, models.TrainConfig(lstm_units=128), seed=seed * 4 + k)
+        m.stats = NormStats(0.0, 4000.0)
+        events = replay([grasp.channel(c) for c in range(16)], m, timing=False)
+        for c in range(16):
+            offline = m.predict_samples(grasp.channel(c).samples)
+            assert [e.probability for e in events[c::16]] == offline.p_unstable.tolist(), (tag, c)
+            assert [e.unstable for e in events[c::16]] == offline.unstable.tolist(), (tag, c)
+
+
 # One child per kernel set: for seeds 5 and 9 and variants A-D, two H = 128
 # models, one seeded and untrained as the benchmark's checkpoints and one with
 # tests/golden/record.py's wide weights, replay C channels of one synthetic set,
