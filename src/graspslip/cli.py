@@ -169,7 +169,7 @@ def cmd_gen_data(args) -> int:
     existing = [f for f in os.listdir(out) if not f.startswith(".")]
     if existing and not args.force:
         raise ValueError(f"output dir {out} is not empty (use --force to overwrite)")
-    gdata.save_force_dataset(recs, out, prefix="set" if args.profile == "force" else "run")
+    gdata.save_force_dataset(recs, out, kind=args.profile)
     _write_run_manifest(out, "gen-data", args, inputs={})
     print(f"wrote {args.sets} {args.profile} set(s) to {out}")
     return 0

@@ -662,24 +662,25 @@ def _read_force(path) -> Recording:
 # -- dataset directory layout -----------------------------------------------
 
 
-def save_force_dataset(sets, out_dir, prefix: str = "set") -> str:
-    """Write one file per recording plus manifest.json; returns the
-    manifest path. The recordings must share one kind; pressure runs are
-    written this way too. Every file's text is made before any is written,
-    so a sample no file can hold leaves the directory untouched.
+def save_force_dataset(sets, out_dir, kind: str = "force") -> str:
+    """Write one file per recording plus manifest.json; returns the manifest
+    path. Every recording must be of ``kind``, which names the files (set_0000.txt
+    for force, run_0000.txt for pressure). Every file's text is made before any
+    is written, so a sample no file can hold leaves the directory untouched.
 
     An empty collection writes a manifest only (zero-set dataset).
     """
     sets = list(sets)
-    kinds = {rec.kind for rec in sets} or {"force"}
+    if kind not in CHANNELS:
+        raise ValueError(f"kind must be one of {tuple(CHANNELS)}, got {kind!r}")
+    kinds = {kind, *(rec.kind for rec in sets)}
     if len(kinds) > 1:
         raise ValueError(f"a dataset holds one kind of recording, got {sorted(kinds)}")
     texts = [_recording_text(rec) for rec in sets]
     os.makedirs(out_dir, exist_ok=True)
-    files = [f"{prefix}_{i:04d}.txt" for i in range(len(sets))]
+    files = [f"{'set' if kind == 'force' else 'run'}_{i:04d}.txt" for i in range(len(sets))]
     for name, text in zip(files, texts):
         atomic_write_text(os.path.join(out_dir, name), text)
-    (kind,) = kinds
     manifest = {
         "format": TRACE_FORMAT,
         "kind": kind,

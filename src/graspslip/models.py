@@ -139,12 +139,11 @@ class Prediction:
         return int(self.p_unstable.size)
 
 
-# Class indices for the softmax head.
-CLASS_STABLE = 0
+# Row of the head's output that holds p_unstable (row 0 is "stable").
 CLASS_UNSTABLE = 1
 
-# Windows per predict_batch forward pass: it bounds memory and changes no bit. 64
-# keeps eval's 40 windows in one chunk, faster than two of 20 (one BLAS thread).
+# Windows per predict_batch pass, the widest block the cell and head take; no bit
+# depends on it. 64 keeps eval's 40 windows in one chunk (faster, one BLAS thread).
 PREDICT_CHUNK = 64
 
 
@@ -243,10 +242,10 @@ class GraspModel:
         caches = [nn.lstm_forward_cache(s, p)
                   for s, p in zip(self._coerce_streams(features), self.lstms)]
         hcat = np.concatenate([c.h_all[1:] for c in caches], axis=1)
-        probs = self.head.probs(hcat)
+        probs = self.head.probs(hcat.T)
         y = np.asarray(labels_unstable, dtype=np.int64)
-        steps = np.arange(probs.shape[0])
-        loss = float(np.mean(-np.log(np.maximum(probs[steps, y], 1e-12))))
+        steps = np.arange(probs.shape[1])
+        loss = float(np.mean(-np.log(np.maximum(probs[y, steps], 1e-12))))
         return caches, hcat, probs, y, steps, loss
 
     def decide(self, p_unstable: np.ndarray) -> Prediction:
@@ -266,9 +265,9 @@ class GraspModel:
 
         ``features`` holds one (windows, steps, dim) array per stream, as
         featurize() returns them for a (windows, steps) stack of samples.
-        Each PREDICT_CHUNK rows advance together through step_rows(), as
-        push_frame's channels do, writing h' straight into the (B, steps,
-        H_total) array the head reads; no window's bits depend on another.
+        Each PREDICT_CHUNK windows advance through step() as push_frame's
+        channels do, step t writing column t of p_unstable; the cell and the
+        head take whole column blocks, so no window's bits depend on another.
         """
         streams = self._coerce_streams(features)
         shape = streams[0].shape
@@ -279,22 +278,22 @@ class GraspModel:
         with np.errstate(over="ignore"):
             for lo in range(0, shape[0], PREDICT_CHUNK):
                 rows = [s[lo : lo + PREDICT_CHUNK] for s in streams]
-                hcat = np.empty(rows[0].shape[:2] + (self.head.in_dim,))
-                columns = self.lstm_columns(len(hcat))
+                columns = self.lstm_columns(len(rows[0]))
                 for t in range(shape[1]):
-                    self.step_rows(columns, [x[:, t] for x in rows], hcat[:, t])
-                p_unstable[lo : lo + PREDICT_CHUNK] = self.head.probs(hcat)[..., CLASS_UNSTABLE]
+                    p_unstable[lo : lo + PREDICT_CHUNK, t] = self.step(columns, [x[:, t] for x in rows])
         return self.decide(p_unstable)
 
     def lstm_columns(self, batch: int) -> list[nn.LstmColumns]:
         """Fresh zero-state columns of ``batch`` sequences, one per LSTM."""
         return [nn.LstmColumns(p, batch) for p in self.lstms]
 
-    @staticmethod
-    def step_rows(columns: list[nn.LstmColumns], rows, out: np.ndarray) -> None:
-        """Advance each stream's columns by its (B, dim) input rows and write
-        the concatenated h' into the (B, H_total) rows of ``out``."""
-        np.concatenate([col.step(x.T) for col, x in zip(columns, rows)], out=out.T)
+    def step(self, columns: list[nn.LstmColumns], rows) -> np.ndarray:
+        """Advance each stream's columns by its (B, dim) input rows; returns the
+        (B,) p_unstable of the new state. The head scores the streams' h' over
+        the whole padded column block, never its first B columns alone."""
+        h = [col.step(x.T) for col, x in zip(columns, rows)]
+        probs = self.head.probs(h[0] if len(h) == 1 else np.concatenate(h))
+        return probs[CLASS_UNSTABLE, : len(rows[0])]
 
     def predict_samples(self, samples: np.ndarray) -> Prediction:
         return self.predict(self.featurize(samples))
@@ -306,7 +305,7 @@ class GraspModel:
         """Mean per-step cross-entropy and its exact gradient with respect
         to each of stored_arrays(), under the same names."""
         caches, hcat, probs, y, steps, loss = self._forward_loss(features, labels_unstable)
-        d_logits = probs.copy()
+        d_logits = probs.T.copy()
         d_logits[steps, y] -= 1.0
         d_logits /= steps.size
 

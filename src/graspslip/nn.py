@@ -9,9 +9,9 @@ Every forward pass runs one folded kernel, ``lstm_cell``, on a working
 copy of K^T (``LstmParams.cell_kernel``, taken once per pass) whose i/f/o
 rows are scaled by -1, an exact power of two. Inference steps through
 ``LstmColumns``, online and offline alike, in whole column blocks, and
-``FcHead.probs`` scores each hidden row alone, so a sequence gets the same
-bits at any batch size; training's B=1 pass, ``lstm_forward_cache``,
-keeps every step for BPTT. A batch is laid out by
+``FcHead.probs`` scores those same whole blocks of hidden columns, so a
+sequence gets the same bits at any batch size; training's B=1 pass,
+``lstm_forward_cache``, keeps every step for BPTT. A batch is laid out by
 columns, z (D+H+1, B) and state (H, B), so u = K^T z holds all four
 gates' pre-activations as four contiguous (H, B) blocks, and one
 exp/add/reciprocal pass over the first 3H rows,
@@ -204,8 +204,8 @@ class LstmColumns:
     """B sequences of one LSTM stepped together from the zero state, for all
     inference. Holds z = [x; h; 1], c and the gate and tanh(c') buffers in whole
     COLUMN_BLOCKs, so a sequence's bits do not depend on B, and the cell kernel;
-    ``x``, ``h`` (which step() overwrites) and ``c`` are the first B columns.
-    Callers silence exp's overflow warning around their loop."""
+    ``x``, ``h`` and ``c`` are the first B columns. Callers silence exp's
+    overflow warning around their loop."""
 
     def __init__(self, params: LstmParams, batch: int):
         d, hd = params.input_dim, params.hidden_dim
@@ -219,12 +219,13 @@ class LstmColumns:
         self._tanh_c = np.empty((hd, cols))
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Advance every column by the (D, B) input ``x``; returns h' (H, B)."""
+        """Advance every column by the (D, B) input ``x``; returns h' over the
+        whole padded block, which the next step overwrites."""
         if x.shape != self.x.shape:
             raise ValueError(f"input dimension mismatch: expected {self.x.shape}, got {x.shape}")
         self.x[...] = x
         lstm_cell(self.z, self.k, self._c, self._gates, self._c, self._tanh_c, self._h)
-        return self.h
+        return self._h
 
 
 def lstm_backward(params: LstmParams, cache: LstmCache, d_h_ext: np.ndarray) -> np.ndarray:
@@ -277,15 +278,15 @@ class FcHead:
         return cls(w=rng.uniform(-scale, scale, size=(2, in_dim)), b=np.zeros(2))
 
     def probs(self, h: np.ndarray) -> np.ndarray:
-        """(..., in_dim) hidden rows -> (..., 2) class probabilities: the
-        softmax of the two logits, shifted by their maximum. Each row's
-        logits are a one-row product, so no other row in the call (BLAS
-        rounds a GEMM by its row blocking) can change their bits."""
-        logits = (h[..., None, :] @ self.w.T)[..., 0, :]
-        logits += self.b
-        logits -= np.maximum(logits[..., :1], logits[..., 1:])
+        """(in_dim, N) hidden columns -> (2, N) class probabilities: the
+        softmax of the two logits w h + b, shifted by their maximum. BLAS
+        rounds a column of w h by the width of the product, so inference
+        passes whole COLUMN_BLOCKs, which round alike."""
+        logits = self.w @ h
+        logits += self.b[:, None]
+        logits -= np.maximum(logits[:1], logits[1:])
         np.exp(logits, out=logits)
-        logits /= logits[..., :1] + logits[..., 1:]
+        logits /= logits[:1] + logits[1:]
         return logits
 
 

@@ -2,11 +2,11 @@
 
 The replay loop maintains the causal STFT window and LSTM state
 incrementally, so each step costs O(window). A frame holds one sample
-from each of up to MAX_SENSORS (16) channels, and all of them advance
-together in one batched inference call, which gives each channel the
-bits of offline predict or predict_batch of its trace at any channel
-and step count. Timing is measured around that call only: every
-sensor's event is charged the whole frame's wall time. That is stricter
+from each of up to MAX_SENSORS (16) channels, and push_frame advances
+all of them through one GraspModel.step, the call predict_batch makes
+per time step, so each channel gets the bits of offline inference of its
+trace. Timing is measured around push_frame only: every sensor's event
+is charged the whole frame's wall time. That is stricter
 than timing each sensor alone, and it makes latency_report's per-frame
 sum (n_sensors times the frame time) a conservative upper bound on the
 real frame cost. Only latency_report applies the budgets: 4 ms per
@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from graspslip.ioutil import atomic_write_text
-from graspslip.models import CLASS_UNSTABLE, GraspModel
+from graspslip.models import GraspModel
 from graspslip.signal import SensorTrace, normalize_array
 
 PJ_INIT_MA = 50.0
@@ -59,7 +59,7 @@ class StreamingPredictor:
     Keeps, for each of ``n_channels`` sensors, a window_len ring of
     normalized samples for the band magnitudes, and the model's
     lstm_columns() for all channels; push_frame() advances them by one
-    time step through the model's step_rows(), as predict_batch does.
+    time step through the model's step(), as predict_batch does.
 
     A non-finite sample (NaN or +-inf) is flagged unstable, the fail-safe
     answer, with a NaN probability, and leaves nothing behind in the ring
@@ -82,7 +82,6 @@ class StreamingPredictor:
         # Channels whose ring is refilled from their next sample, or None.
         self._restart = np.ones(n, dtype=bool)
         self._columns = self.model.lstm_columns(n)
-        self._hcat = np.empty((n, self.model.head.in_dim))
 
     def push_frame(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Consume one raw sample per channel; return (p_unstable[C], flags[C])."""
@@ -98,8 +97,7 @@ class StreamingPredictor:
             restart, self._restart = self._restart, None
             self._ring[restart] = x[restart, None]  # causal left-pad with the first sample
         with np.errstate(over="ignore"):
-            m.step_rows(self._columns, m.variant.features(self._ring), self._hcat)
-        p_unstable = m.head.probs(self._hcat)[:, CLASS_UNSTABLE]
+            p_unstable = m.step(self._columns, m.variant.features(self._ring))
         if bad.any():
             p_unstable[bad] = np.nan
             self._restart = bad
@@ -111,7 +109,8 @@ class StreamingPredictor:
 
 
 def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
-    """Run up to MAX_SENSORS traces through one predictor, one frame at a time.
+    """Run up to MAX_SENSORS traces of one rate and length through one
+    predictor, one frame at a time.
 
     Returns the merged log ordered by (step, channel). Each frame is one
     batched push_frame call, and every sensor's event is charged that
@@ -123,24 +122,23 @@ def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
     traces = list(traces)
     if not traces:
         raise ValueError("empty input: no traces")
-    freqs = {t.freq_hz for t in traces}
-    if len(freqs) != 1:
-        raise ValueError(f"frequency mismatch across traces: {sorted(freqs)}")
+    for what, values in [("frequency", {t.freq_hz for t in traces}), ("length", set(map(len, traces)))]:
+        if len(values) != 1:  # a frame holds one sample of every trace
+            raise ValueError(f"{what} mismatch across traces: {sorted(values)}")
     if len(traces) > MAX_SENSORS:
         raise ValueError(f"{len(traces)} traces exceed the {MAX_SENSORS}-sensor frame")
 
     predictor = StreamingPredictor(model, n_channels=len(traces))
-    n_steps = min(len(t) for t in traces)
-    frames = np.stack([t.samples[:n_steps] for t in traces], axis=1)
+    frames = np.stack([t.samples for t in traces], axis=1)
     # Use the traces' own channel ids only when they are distinct.
     if len({t.channel_id for t in traces}) == len(traces):
         channels = [t.channel_id for t in traces]
     else:
         channels = list(range(len(traces)))
     events: list[StepEvent] = []
-    for step in range(n_steps):
+    for step, frame in enumerate(frames):
         t0 = time.perf_counter_ns()
-        probs, flags = predictor.push_frame(frames[step])
+        probs, flags = predictor.push_frame(frame)
         lat_us = (time.perf_counter_ns() - t0) / 1e3 if timing else 0.0
         events.extend(map(StepEvent, repeat(step), channels, probs.tolist(),
                           flags.tolist(), repeat(lat_us)))

@@ -22,7 +22,8 @@ def digest_tree(root):
     for name in sorted(os.listdir(root)):
         p = os.path.join(root, name)
         if os.path.isfile(p):
-            out[name] = hashlib.sha256(open(p, "rb").read()).hexdigest()
+            with open(p, "rb") as fh:
+                out[name] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -90,6 +91,13 @@ def test_gen_data_zero_sets_manifest_only(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_sets"] == 0 and manifest["files"] == []
     assert data.load_force_dataset(out) == []
+
+
+def test_gen_data_zero_pressure_runs_writes_a_pressure_manifest(tmp_path):
+    assert run("gen-data", "--out", str(tmp_path), "--profile", "pressure", "--sets", "0") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest == {"format": "graspslip-trace v1", "kind": "pressure", "files": [],
+                        "n_sets": 0, "n_steps": None, "freq_hz": None}
 
 
 def test_run_manifest_records_numpy_and_its_blas(tmp_path):

@@ -891,4 +891,8 @@ def test_writer_keeps_largest_int64_samples(tmp_path):
 def test_save_dataset_rejects_mixed_kinds(tmp_path):
     with pytest.raises(ValueError, match="one kind of recording"):
         save_force_dataset([make_set(n_steps=5), synth_pressure_run(0, n_steps=100)], tmp_path / "ds")
+    with pytest.raises(ValueError, match=r"one kind of recording, got \['force', 'pressure'\]"):
+        save_force_dataset([synth_pressure_run(0, n_steps=100)], tmp_path / "ds")  # kind="force"
+    with pytest.raises(ValueError, match="kind must be one of .*, got 'sonar'"):
+        save_force_dataset([], tmp_path / "ds", kind="sonar")
     assert not (tmp_path / "ds").exists()

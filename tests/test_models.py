@@ -266,7 +266,7 @@ def test_predict_feature_dim_mismatch(rng):
 def cached_p_unstable(m, streams):
     """p_unstable through lstm_forward_cache, the training forward pass."""
     h = np.concatenate([nn.lstm_forward_cache(s, p).h_all[1:] for s, p in zip(streams, m.lstms)], axis=1)
-    return m.head.probs(h)[:, models.CLASS_UNSTABLE]
+    return m.head.probs(h.T)[models.CLASS_UNSTABLE]
 
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])

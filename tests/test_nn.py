@@ -66,27 +66,27 @@ def logit_head(bias=(0.0, 0.0)):
 
 
 def test_probs_rows_sum_to_one_at_large_logits(rng):
-    p = logit_head().probs(rng.normal(size=(6, 2)) * 10)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    p = logit_head().probs(rng.normal(size=(2, 6)) * 10)
+    np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
     assert p.min() >= 0
 
 
 def test_probs_bias_shift_invariance(rng):
-    z = rng.normal(size=(4, 2))
+    z = rng.normal(size=(2, 4))
     np.testing.assert_allclose(logit_head().probs(z), logit_head((100.0, 100.0)).probs(z),
                                atol=1e-12)
 
 
 def test_probs_extreme_logits_finite():
-    p = logit_head((1000.0, -1000.0)).probs(np.zeros((1, 2)))
-    np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-12)
+    p = logit_head((1000.0, -1000.0)).probs(np.zeros((2, 1)))
+    np.testing.assert_allclose(p, [[1.0], [0.0]], atol=1e-12)
 
 
 def reduce_softmax(logits):
-    """The N-class softmax over the last axis, written with reduces."""
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    """The N-class softmax over the first axis, written with reduces."""
+    z = logits - np.maximum.reduce(logits, axis=0, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=0, keepdims=True)
     return z
 
 
@@ -95,21 +95,22 @@ def reduce_softmax(logits):
                                   (np.inf, -np.inf), (-np.inf, -np.inf)])
 def test_probs_equal_reduce_softmax_bit_for_bit(bias, rng):
     head = nn.FcHead(w=rng.normal(size=(2, 5)), b=np.array(bias))
-    h = rng.normal(size=(3, 7, 5)) * 50
+    h = rng.normal(size=(5, 21)) * 50
     with np.errstate(invalid="ignore"):
         p = head.probs(h)
-        logits = (h[..., None, :] @ head.w.T)[..., 0, :]  # the head's row rule
-        logits += head.b
+        logits = head.w @ h
+        logits += head.b[:, None]
         expected = reduce_softmax(logits)
     assert p.shape == expected.shape
     assert p.tobytes() == expected.tobytes()
 
 
 # One child per kernel set and thread count: wide heads over 128 and 256
-# hidden units (one LSTM, and D's two) score a (40, 160, in_dim) stack, then
-# random row subsets of it and single windows of it. Prints the core name and
-# every (in_dim, case) whose probabilities differ from the stack's in any bit.
-_HEAD_ROWS = """
+# hidden units (one LSTM, and D's two) score 20 random (in_dim, 64) blocks of
+# hidden columns, then the first 8, 16, ..., 56 columns of each as a block of
+# its own. Prints the core name and every (in_dim, width) whose probabilities
+# differ from the 64-column block's in any bit.
+_HEAD_BLOCKS = """
 import json
 import numpy as np
 from graspslip import nn
@@ -119,17 +120,13 @@ rng = np.random.default_rng(0)
 differ = []
 for in_dim in (128, 256):
     head = nn.FcHead(w=rng.uniform(-0.6, 0.6, size=(2, in_dim)), b=rng.uniform(-0.3, 0.3, size=2))
-    stack = rng.uniform(-1.0, 1.0, size=(40, 160, in_dim))
-    full = head.probs(stack)
-    rows, scored = stack.reshape(-1, in_dim), full.reshape(-1, 2)
-    for n in (1, 3, 5, 173):
-        for _ in range(4):
-            pick = rng.choice(len(rows), n, replace=False)
-            if head.probs(rows[pick]).tobytes() != scored[pick].tobytes():
-                differ.append([in_dim, f"{n} rows"])
-    for b in (0, 17, 39):
-        if head.probs(stack[b]).tobytes() != full[b].tobytes():
-            differ.append([in_dim, f"window {b}"])
+    for _ in range(20):
+        block = rng.uniform(-1.0, 1.0, size=(in_dim, 64))
+        full = head.probs(block)
+        for width in range(nn.COLUMN_BLOCK, 64, nn.COLUMN_BLOCK):
+            part = head.probs(np.ascontiguousarray(block[:, :width]))
+            if part.tobytes() != np.ascontiguousarray(full[:, :width]).tobytes():
+                differ.append([in_dim, width])
 print(json.dumps({"core": openblas_core_name(), "differ": differ}))
 """
 
@@ -137,17 +134,18 @@ print(json.dumps({"core": openblas_core_name(), "differ": differ}))
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Sandybridge"])
 def test_probs_of_a_row_do_not_depend_on_the_other_rows(coretype, threads):
-    """Each hidden row's probabilities are computed on their own, so any
-    subset of rows, one window of a stack included, gets the full stack's
-    bits: online frames of C channels and offline stacks of windows agree
-    at every step count, on every kernel set and thread count."""
-    result = run_on_kernel_set(_HEAD_ROWS, coretype, OPENBLAS_NUM_THREADS=threads)
+    """A batch row (a window or a channel) is one column of the hidden
+    block the head scores, and its probabilities get the same bits in
+    every block of whole COLUMN_BLOCKs up to 64 wide, the widths
+    GraspModel.step passes: online frames of C channels and offline stacks
+    of windows agree, on every kernel set and thread count."""
+    result = run_on_kernel_set(_HEAD_BLOCKS, coretype, OPENBLAS_NUM_THREADS=threads)
     assert result["differ"] == [], result["core"]
 
 
 def test_probs_nan_bias_gives_nan_rows(rng):
     p = nn.FcHead(w=rng.normal(size=(2, 5)), b=np.array([np.nan, 0.0])).probs(
-        rng.normal(size=(4, 5)))
+        rng.normal(size=(5, 4)))
     assert np.isnan(p).all()
 
 
@@ -206,10 +204,11 @@ def step_cell(x, h, c, p):
 
 def column_states(x, p):
     """(B, n, D) sequences -> (B, n, H) hidden states, stepped from the zero
-    state through one nn.LstmColumns."""
-    cols = nn.LstmColumns(p, x.shape[0])
+    state through one nn.LstmColumns: the first B columns of its padded h'."""
+    bsz = x.shape[0]
+    cols = nn.LstmColumns(p, bsz)
     with np.errstate(over="ignore"):
-        return np.stack([cols.step(x[:, t].T).T.copy() for t in range(x.shape[1])], axis=1)
+        return np.stack([cols.step(x[:, t].T)[:, :bsz].T.copy() for t in range(x.shape[1])], axis=1)
 
 
 def test_lstm_cell_dim_mismatch():
@@ -373,7 +372,7 @@ def test_push_frame_saturates_exactly(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         online = np.stack([pred.push_frame(x[:, t])[0] for t in range(9)], axis=1)
-    expected = head.probs(np.array(SATURATED_H))[models.CLASS_UNSTABLE]
+    expected = head.probs(np.array(SATURATED_H)[:, None])[models.CLASS_UNSTABLE, 0]
     np.testing.assert_array_equal(online, np.full((4, 9), expected))
 
 
@@ -511,12 +510,12 @@ def test_clip_gradients_never_exceeds_cap(cap):
 
 def test_head_probs_rows_sum_to_one(rng):
     head = nn.FcHead.init(4, rng)
-    p = head.probs(rng.normal(size=(3, 7, 4)))
-    assert p.shape == (3, 7, 2)
-    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+    p = head.probs(rng.normal(size=(4, 21)))
+    assert p.shape == (2, 21)
+    np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_head_probs_dim_mismatch(rng):
     head = nn.FcHead.init(4, rng)
     with pytest.raises(ValueError):
-        head.probs(np.zeros((2, 3)))
+        head.probs(np.zeros((3, 2)))  # 3 hidden units against 4

@@ -179,14 +179,14 @@ def test_replay_16_channels_equals_one_window_predict_samples_bit_for_bit(seed):
             assert [e.unstable for e in events[c::16]] == offline.unstable.tolist(), (tag, c)
 
 
-# One child per kernel set: for seeds 5 and 9 and variants A-D, two H = 128
-# models, one seeded and untrained as the benchmark's checkpoints and one with
-# tests/golden/record.py's wide weights, replay C channels of one synthetic set,
-# C in {1, 3, 16}, and predict_batch the same C traces stacked, cut to 173,
-# 399 and all 400 steps. A replay is causal, so its first n frames are the
-# replay of the traces cut to n steps. Prints the core name and every (seed,
-# variant, model, C, steps) whose probabilities or flags differ in any bit,
-# with the counts that differ.
+# One child per kernel set: for variants A-D, two H = 128 models, one seeded
+# and untrained as the benchmark's checkpoints and one with
+# tests/golden/record.py's wide weights, replay C channels of one 242-step
+# synthetic set (seed 5), C in {1, 3, 16}, and predict_batch the same C traces
+# stacked, cut to 173 and all 242 steps. A replay is causal, so its first n
+# frames are the replay of the traces cut to n steps. Prints the core name and
+# every (variant, model, C, steps) whose probabilities or flags differ in any
+# bit, with the counts that differ.
 _ONLINE_OFFLINE = """
 import json
 import numpy as np
@@ -195,29 +195,27 @@ from graspslip.ioutil import openblas_core_name
 from tests.golden import record
 
 differ = []
-for seed in (5, 9):
-    sets = data.synth_force_dataset(3, seed=seed)
-    stats = signal.compute_norm_stats(g.samples for g in sets)
-    for k, tag in enumerate("ABCD"):
-        for name, m in [
-            ("seeded", models.GraspModel.build(tag, models.TrainConfig(lstm_units=128),
-                                               seed=seed * 4 + k)),
-            ("wide", record.golden_model(tag, seed * 4 + k, hidden=128)),
-        ]:
-            m.stats = stats
-            for n_channels, rec in zip((1, 3, 16), sets):
-                traces = [rec.channel(c) for c in range(n_channels)]
-                events = stream.replay(traces, m, timing=False)
-                online = np.array([e.probability for e in events]).reshape(-1, n_channels).T
-                flags = np.array([e.unstable for e in events]).reshape(-1, n_channels).T
-                for n_steps in (173, 399, 400):
-                    samples = np.stack([t.samples[:n_steps] for t in traces])
-                    pred = m.predict_batch(m.featurize(samples))
-                    bits = int(np.sum(online[:, :n_steps].view(np.int64)
-                                      != pred.p_unstable.view(np.int64)))
-                    flipped = int(np.sum(flags[:, :n_steps] != pred.unstable))
-                    if bits or flipped:
-                        differ.append([seed, tag, name, n_channels, n_steps, bits, flipped])
+sets = data.synth_force_dataset(3, seed=5, n_steps=data.FORCE_MIN_STEPS)
+stats = signal.compute_norm_stats(g.samples for g in sets)
+for k, tag in enumerate("ABCD"):
+    for name, m in [
+        ("seeded", models.GraspModel.build(tag, models.TrainConfig(lstm_units=128), seed=20 + k)),
+        ("wide", record.golden_model(tag, 20 + k, hidden=128)),
+    ]:
+        m.stats = stats
+        for n_channels, rec in zip((1, 3, 16), sets):
+            traces = [rec.channel(c) for c in range(n_channels)]
+            events = stream.replay(traces, m, timing=False)
+            online = np.array([e.probability for e in events]).reshape(-1, n_channels).T
+            flags = np.array([e.unstable for e in events]).reshape(-1, n_channels).T
+            for n_steps in (173, data.FORCE_MIN_STEPS):
+                samples = np.stack([t.samples[:n_steps] for t in traces])
+                pred = m.predict_batch(m.featurize(samples))
+                bits = int(np.sum(online[:, :n_steps].view(np.int64)
+                                  != pred.p_unstable.view(np.int64)))
+                flipped = int(np.sum(flags[:, :n_steps] != pred.unstable))
+                if bits or flipped:
+                    differ.append([tag, name, n_channels, n_steps, bits, flipped])
 print(json.dumps({"core": openblas_core_name(), "differ": differ}))
 """
 
@@ -225,10 +223,9 @@ print(json.dumps({"core": openblas_core_name(), "differ": differ}))
 @pytest.mark.parametrize("coretype", [None, "Haswell", "Sandybridge"])
 def test_replay_of_c_channels_equals_predict_batch_bit_for_bit(coretype):
     """A C-channel frame makes predict_batch's products for those C traces
-    stacked: the same columns through the same cell, and a head that scores
-    each hidden row on its own, so every probability and flag is equal bit
-    for bit at any step count, on every kernel set and under the caller's
-    BLAS thread count."""
+    stacked: the same padded columns through the same cell and the same
+    head, so every probability and flag is equal bit for bit at any step
+    count, on every kernel set and under the caller's BLAS thread count."""
     result = run_on_kernel_set(_ONLINE_OFFLINE, coretype)
     assert result["differ"] == [], result["core"]
 
@@ -302,6 +299,9 @@ def test_replay_validation(trained_c):
     b = force_trace(np.ones(10), 1, freq_hz=71.0)
     with pytest.raises(ValueError, match="frequency mismatch"):
         replay([a, b], trained_c)
+    # a frame takes one sample of every trace: no trace is cut to the shortest
+    with pytest.raises(ValueError, match=r"length mismatch across traces: \[30, 50\]"):
+        replay([force_trace(np.ones(50), 0), force_trace(np.ones(30), 1)], trained_c)
     with pytest.raises(ValueError, match="17 traces exceed the 16-sensor frame"):
         replay([force_trace(np.ones(10), ch) for ch in range(17)], trained_c)
 
