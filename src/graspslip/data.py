@@ -24,8 +24,8 @@ Pressure runs use ``kind pressure`` with ``channels 4`` and an
 ``initial`` header of the four zero-position counts instead of the
 grasp provenance keys. Either kind reads into one ``Recording``. Values
 are written as integers, so each must fit a 64-bit integer, and read as
-Python float() reads them; parsing is strict and errors carry file and
-line.
+Python float() reads them; parsing is strict, a header key may appear
+once, and errors carry file and line.
 """
 
 from __future__ import annotations
@@ -541,6 +541,8 @@ def _parse_header(path, lines):
         parts = stripped.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"{path}:{ln}: malformed header line {stripped!r}")
+        if parts[0] in header:
+            raise ValueError(f"{path}:{ln}: {parts[0]} already set on line {header[parts[0]][0]}")
         header[parts[0]] = (ln, parts[1])
     if body_start is None:
         raise ValueError(f"{path}: missing 'data' section")
@@ -736,6 +738,8 @@ def dataset_files(path) -> tuple[str | None, list[str]]:
     )):
         raise ValueError(f"{manifest_path}: 'files' must be a list of file names "
                          "in the dataset directory")
+    if len(set(names)) < len(names):
+        raise ValueError(f"{manifest_path}: 'files' lists a file more than once")
     return manifest_path, [os.path.join(path, name) for name in names]
 
 

@@ -142,10 +142,6 @@ class Prediction:
 # Row of the head's output that holds p_unstable (row 0 is "stable").
 CLASS_UNSTABLE = 1
 
-# Windows per predict_batch pass, the widest block the cell and head take; no bit
-# depends on it. 64 keeps eval's 40 windows in one chunk (faster, one BLAS thread).
-PREDICT_CHUNK = 64
-
 
 class GraspModel:
     """A variant's parameters plus its frozen feature pipeline.
@@ -265,9 +261,9 @@ class GraspModel:
 
         ``features`` holds one (windows, steps, dim) array per stream, as
         featurize() returns them for a (windows, steps) stack of samples.
-        Each PREDICT_CHUNK windows advance through step() as push_frame's
-        channels do, step t writing column t of p_unstable; the cell and the
-        head take whole column blocks, so no window's bits depend on another.
+        The whole stack advances through step() as push_frame's channels do,
+        step t writing column t of p_unstable; the cell and the head take
+        whole column blocks, so no window's bits depend on another.
         """
         streams = self._coerce_streams(features)
         shape = streams[0].shape
@@ -275,12 +271,10 @@ class GraspModel:
             raise ValueError("predict_batch needs (windows, steps, dim) streams with at least "
                              f"one step and at least one window, got shapes {[s.shape for s in streams]}")
         p_unstable = np.empty(shape[:2])
+        columns = self.lstm_columns(shape[0])
         with np.errstate(over="ignore"):
-            for lo in range(0, shape[0], PREDICT_CHUNK):
-                rows = [s[lo : lo + PREDICT_CHUNK] for s in streams]
-                columns = self.lstm_columns(len(rows[0]))
-                for t in range(shape[1]):
-                    p_unstable[lo : lo + PREDICT_CHUNK, t] = self.step(columns, [x[:, t] for x in rows])
+            for t in range(shape[1]):
+                p_unstable[:, t] = self.step(columns, [s[:, t] for s in streams])
         return self.decide(p_unstable)
 
     def lstm_columns(self, batch: int) -> list[nn.LstmColumns]:

@@ -538,8 +538,9 @@ def test_eval_deeply_nested_checkpoint_header_exits_1(tmp_path, dataset_dir, cap
 @pytest.mark.parametrize("manifest", [
     "{}", '{"files": 5}', '{"files": [3]}', '{"files": ["../set_0000.txt"]}',
     '{"files": ["sub/set_0000.txt"]}', '{"files": [""]}', "[]", "[" * 200_000,
+    '{"files": ["set_0000.txt", "set_0000.txt"]}',
 ], ids=["no-files", "files-int", "name-int", "parent-dir", "subdir", "empty-name",
-        "not-object", "nested"])
+        "not-object", "nested", "listed-twice"])
 def test_eval_hostile_dataset_manifest_exits_1(tmp_path, dataset_dir, trained_dir,
                                                 manifest, capsys):
     ds = tmp_path / "ds"

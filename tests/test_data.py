@@ -669,6 +669,19 @@ def test_read_pressure_run_names_line_of_bad_header_value(tmp_path, key, value):
         read_recording(path)
 
 
+def test_read_names_both_lines_of_a_repeated_header_key(tmp_path):
+    # a second freq_hz must not silently win over the first
+    path = tmp_path / "g.txt"
+    write_recording(synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)), path)
+    lines = path.read_text().splitlines()
+    first = lines.index("freq_hz 16.7") + 1
+    again = lines.index("data") + 1
+    lines.insert(again - 1, "freq_hz 71")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"g\.txt:{again}: freq_hz already set on line {first}"):
+        read_recording(path)
+
+
 # -- trace files ------------------------------------------------------------------------
 
 
@@ -788,6 +801,17 @@ def test_empty_dataset_is_manifest_only(tmp_path):
     assert manifest["freq_hz"] is None
     assert manifest["force_range_mn"] is None
     assert load_force_dataset(out) == []
+
+
+def test_load_dataset_rejects_a_file_listed_twice(tmp_path):
+    # a set listed twice would load twice and could land on both sides of split()
+    out = tmp_path / "ds"
+    save_force_dataset(synth_force_dataset(2, seed=13), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"].insert(1, manifest["files"][0])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: 'files' lists a file more than once"):
+        load_force_dataset(out)
 
 
 def test_load_dataset_single_file(tmp_path):

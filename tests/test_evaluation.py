@@ -190,7 +190,7 @@ def per_window_report(model, sets, window_len, labels):
 @pytest.fixture(scope="module")
 def two_direction_sets():
     """11 synthetic sets dealt to back and top, then a failure set whose
-    drop goes undetected: 72 windows of 60 steps, more than one chunk."""
+    drop goes undetected: 72 windows of 60 steps, a stack past 64 windows."""
     sets = with_directions(data.synth_force_dataset(11, seed=11), ["back", "top"])
     stable = next(s for s in sets if s.outcome == "success")
     undetected = dataclasses.replace(stable, outcome="failure", meta={"slip_onset": 200})
@@ -210,7 +210,7 @@ def test_evaluate_model_equals_per_window_report(k, tag, labels, two_direction_s
     p = np.concatenate([model.predict_samples(s.channel(0).samples).p_unstable for s in sets])
     model.threshold = float(np.quantile(p, 0.9))
     firsts, ref = per_window_report(model, sets, 60, labels)
-    assert ref.n_windows > models.PREDICT_CHUNK
+    assert ref.n_windows > 64
     assert 0 < ref.confusion["tp"] + ref.confusion["fp"] < ref.n_steps
     assert ref.n_failure_sets == sum(s.outcome == "failure" for s in sets) - 1
     assert set(ref.breakdown) == {"back", "top"}

@@ -270,7 +270,7 @@ def cached_p_unstable(m, streams):
 
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
-@pytest.mark.parametrize("n_windows", [1, models.PREDICT_CHUNK + 5])
+@pytest.mark.parametrize("n_windows", [1, 69])
 def test_predict_batch_matches_per_window(tag, n_windows, rng):
     m = small_model(tag, stats=NormStats(0.0, 3000.0))
     samples = rng.uniform(0, 3000, size=(n_windows, 30))
@@ -285,32 +285,30 @@ def test_predict_batch_matches_per_window(tag, n_windows, rng):
 
 
 # One child per kernel set and thread count: for A-D with tests/golden/record.py's
-# wide weights at H = 8 and 128, predict_batch of the first B windows of a
-# 64-window stack for B = 1..64, one-window predict of every ninth window, and
-# the whole stack at PREDICT_CHUNK 8 and 24 (chunks with tails), each against
-# the whole stack at the default chunk. Prints the core name and every (H,
-# variant, case, count) whose probabilities differ in any bit.
+# wide weights at H = 8 and 128, predict_batch of a 130-window stack against
+# one-window predict of every ninth window and of windows 64, 71 and 129, and
+# predict_batch of its first B windows for B = 1..65 and 72 against the whole
+# stack. Prints the core name and every (H, variant, case, count) whose
+# probabilities differ in any bit.
 _BATCH_SWEEP = """
 import json
 import numpy as np
-from graspslip import data, models
+from graspslip import data
 from graspslip.ioutil import openblas_core_name
 from tests.golden import record
 
-sets = data.synth_force_dataset(3, seed=7)
-samples = np.stack([w.samples for g in sets for w in data.window_batches(g, 16)])[:64]
-differ, chunk = [], models.PREDICT_CHUNK
-cases = [(f"B={b}", b, chunk) for b in range(1, 65)] + [("chunk 8", 64, 8), ("chunk 24", 64, 24)]
+sets = data.synth_force_dataset(6, seed=7)
+samples = np.stack([w.samples for g in sets for w in data.window_batches(g, 16)])[:130]
+differ = []
 for hidden in (8, 128):
     for k, tag in enumerate("ABCD"):
         m = record.golden_model(tag, 40 + k, hidden=hidden)
         feats = m.featurize(samples)
         full = m.predict_batch(feats).p_unstable
         got = {f"window {w}": (full[w], m.predict([f[w] for f in feats]))
-               for w in range(0, 64, 9)}
-        for name, rows, models.PREDICT_CHUNK in cases:
-            got[name] = (full[:rows], m.predict_batch([f[:rows] for f in feats]))
-        models.PREDICT_CHUNK = chunk
+               for w in (*range(0, 130, 9), 64, 71, 129)}
+        for rows in (*range(1, 66), 72):
+            got[f"B={rows}"] = (full[:rows], m.predict_batch([f[:rows] for f in feats]))
         for name, (want, pred) in got.items():
             n = int(np.sum(pred.p_unstable.view(np.int64) != want.view(np.int64)))
             if n:
@@ -323,8 +321,8 @@ print(json.dumps({"core": openblas_core_name(), "differ": differ}))
 @pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Sandybridge"])
 def test_predict_batch_bits_do_not_depend_on_the_batch(coretype, threads):
     """LstmColumns runs the cell on whole nn.COLUMN_BLOCKs of columns, so a
-    window gets the same bits alone, in any stack size, tails included, and
-    under any PREDICT_CHUNK, on every kernel set and thread count."""
+    window gets the same bits alone and in any stack size, tails and stacks
+    past 64 windows included, on every kernel set and thread count."""
     result = run_on_kernel_set(_BATCH_SWEEP, coretype, OPENBLAS_NUM_THREADS=threads)
     assert result["differ"] == [], result["core"]
 
