@@ -246,8 +246,7 @@ def cmd_eval(args) -> int:
         if args.dump_set is not None:
             geval.write_prediction_dump(
                 model, eval_sets[args.dump_set],
-                os.path.join(out, f"plotdata_{tag}_{name}.csv"),
-                args.window_len, args.channel, labels=args.labels,
+                os.path.join(out, f"plotdata_{tag}_{name}.csv"), args.channel, labels=args.labels,
             )
 
     csv_lines = ["variant,name,success_rate,ahead_drop_rate,window_success_rate,n_windows"]

@@ -129,7 +129,7 @@ class Recording:
         """Channel ``idx`` as a SensorTrace over a view of the sample matrix."""
         if not 0 <= idx < self.n_channels:
             raise ValueError(f"channel {idx} out of range (0..{self.n_channels - 1})")
-        return SensorTrace(self.samples[:, idx], self.freq_hz, idx, {"source": self.kind})
+        return SensorTrace(self.samples[:, idx], self.freq_hz, idx)
 
     def as_matrix(self) -> np.ndarray:
         """The stored (n_steps, channels) sample matrix; read-only."""
@@ -138,16 +138,11 @@ class Recording:
 
 @dataclass(frozen=True, eq=False)
 class LabeledWindow:
-    """A fixed-length slice of one channel with per-step stability labels.
-
-    ``labels`` holds stable=True booleans. ``start`` is the step of the
-    recording the window begins at (see ``window_batches``); windows
-    built by hand default to 0. Both arrays are read-only; writable input is copied.
-    """
+    """A fixed-length slice of one channel with per-step stable=True labels.
+    Both arrays are read-only; writable input is copied."""
 
     samples: np.ndarray
     labels: np.ndarray
-    start: int = 0
 
     def __post_init__(self):
         samples = readonly_float64(self.samples)
@@ -227,11 +222,10 @@ def window_batches(
     """Non-overlapping LabeledWindows over one channel of a Recording.
 
     The trailing remainder is dropped. Each window's samples are a view of
-    the recording's read-only matrix, and its ``start`` is the step it
-    begins at. labels="detect" runs detect_drop + the 20-step pre-drop
-    rule on the channel itself; labels="truth" takes the generator's
-    slip_onset from the set meta (synthetic sets only) and marks
-    [slip_onset, end) of a failure set.
+    the recording's read-only matrix. labels="detect" runs detect_drop +
+    the 20-step pre-drop rule on the channel itself; labels="truth" takes
+    the generator's slip_onset from the set meta (synthetic sets only) and
+    marks [slip_onset, end) of a failure set.
     """
     trace = rec.channel(channel)
     if labels == "truth":
@@ -250,8 +244,7 @@ def window_batches(
     if len(trace) < window_len:
         raise ValueError(f"trace shorter than window: {len(trace)} < {window_len}")
     return [
-        LabeledWindow(trace.samples[start : start + window_len],
-                      lab[start : start + window_len], start)
+        LabeledWindow(trace.samples[start : start + window_len], lab[start : start + window_len])
         for start in range(0, len(trace) - window_len + 1, window_len)
     ]
 
@@ -471,6 +464,11 @@ def _token_table() -> np.ndarray:
     return _frozen(table)
 
 
+def _unwritable(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` holds a finite value no trace file can hold: one outside [-2**63, 2**63)."""
+    return np.isfinite(values) & ((values < -(2.0**63)) | (values >= 2.0**63))
+
+
 def _trace_lines(values: np.ndarray) -> str:
     """The rows of an (n_steps, channels) sample matrix as newline-joined
     lines of space-separated integers."""
@@ -481,9 +479,9 @@ def _trace_lines(values: np.ndarray) -> str:
         tokens = _token_table().take(rounded.astype(np.intp), axis=0)
         tokens[:, -1, -1] = ord("\n")
         return tokens.tobytes().translate(None, b"\0")[:-1].decode("ascii")
-    fits = (rounded >= -(2.0**63)) & (rounded < 2.0**63)
-    if not fits.all():
-        step, ch = np.unravel_index(np.argmin(fits), fits.shape)
+    bad = _unwritable(rounded)
+    if bad.any():
+        step, ch = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(f"sample {float(values[step, ch])!r} at step {step}, channel {ch} "
                          "does not fit a 64-bit integer")
     ints = rounded.astype(np.int64)
@@ -557,7 +555,8 @@ def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
     # on may truncate 1.5 or nan to an integer with only that warning. The
     # float64 parser reads as float() does but rejects 1_000 and non-ASCII
     # digits, and both warn on a body with no data: those bodies take the
-    # per-line pass.
+    # per-line pass, as do bodies with a value the writer cannot write (int64
+    # reads 2**63 - 512 and up, which float64 holds as 2**63).
     body = lines[body_start:]
     if any(map(str.strip, body)):
         for dtype in (np.float64,) if "-" in "".join(body) else (np.int64, np.float64):
@@ -567,8 +566,9 @@ def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
                     rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=2)
             except (ValueError, DeprecationWarning):
                 continue
-            if rows.shape[0] and rows.shape[1] == n_channels:
-                return rows.astype(np.float64, copy=False)
+            rows = rows.astype(np.float64, copy=False)
+            if rows.shape[0] and rows.shape[1] == n_channels and not _unwritable(rows).any():
+                return rows
     # A bad or empty body: the per-line pass names its first bad line.
     rows = []
     for ln, raw in enumerate(body, start=body_start + 1):
@@ -581,9 +581,13 @@ def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
                 f"{path}:{ln}: expected {n_channels} channels, got {len(cells)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            row = np.array([float(c) for c in cells])
         except ValueError:
             raise ValueError(f"{path}:{ln}: non-numeric value in {stripped!r}") from None
+        if (bad := np.flatnonzero(_unwritable(row))).size:
+            raise ValueError(f"{path}:{ln}: sample {float(row[bad[0]])!r} at step {len(rows)}, "
+                             f"channel {bad[0]} does not fit a 64-bit integer")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty input")
     return np.asarray(rows, dtype=np.float64)

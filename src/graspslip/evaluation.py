@@ -337,16 +337,11 @@ def run_experiment(
     }
 
 
-def write_prediction_dump(model, grasp, path, window_len: int = 160, channel: int = 0,
-                          labels: str = "detect") -> None:
-    """Per-step plot data: step, force_mn, label, p_unstable, predicted."""
+def write_prediction_dump(model, grasp, path, channel: int = 0, labels: str = "detect") -> None:
+    """Per-step plot data of the whole set, scored as one stream by ``predict_samples``."""
+    (window,) = gdata.window_batches(grasp, grasp.n_steps, channel, labels=labels)
+    pred = model.predict_samples(window.samples)
     rows = ["step,force_mn,label_unstable,p_unstable,predicted_unstable"]
-    windows = gdata.window_batches(grasp, window_len, channel, labels=labels)
-    pred = model.predict_batch(model.featurize(np.stack([w.samples for w in windows])))
-    for w, p, flags in zip(windows, pred.p_unstable, pred.unstable):
-        for i in range(len(w)):
-            rows.append(
-                f"{w.start + i},{w.samples[i]:g},{int(w.unstable[i])},"
-                f"{p[i]:.9f},{int(flags[i])}"
-            )
+    rows += [f"{t},{x:g},{int(y)},{p:.9f},{int(f)}" for t, (x, y, p, f) in enumerate(
+        zip(window.samples, window.unstable, pred.p_unstable, pred.unstable))]
     atomic_write_text(path, "\n".join(rows) + "\n")

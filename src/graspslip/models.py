@@ -513,7 +513,7 @@ def save_checkpoint(model: GraspModel, path) -> None:
 
 
 def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspModel:
-    """Rebuild a GraspModel, rejecting any header field or array out of range."""
+    """Rebuild a GraspModel, rejecting any header field, array shape or non-finite value."""
 
     def checked(key, ok, want):
         value = header.get(key)
@@ -541,6 +541,10 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
     if got != expected:
         raise CheckpointError(f"arrays {got} do not match variant {variant.tag} at "
                               f"hidden_dim {hd}: expected {expected}")
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            idx = tuple(map(int, np.unravel_index(np.argmin(np.isfinite(a)), a.shape)))
+            raise CheckpointError(f"array {name!r} holds {float(a[idx])} at index {idx}")
     lstms = [
         LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
                                for w in "wb" for g in nn.GATE_NAMES})

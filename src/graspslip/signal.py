@@ -6,7 +6,7 @@ Everything here is a pure function over immutable inputs; all arithmetic is floa
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,12 @@ def readonly_float64(a) -> np.ndarray:
 class SensorTrace:
     """One channel's time-ordered readings plus sampling metadata.
 
-    Force traces are in mN, pressure traces in raw 16-bit counts. The
-    ``meta`` map carries provenance strings (object, direction, weight,
-    outcome, source).
+    Force traces are in mN, pressure traces in raw 16-bit counts.
     """
 
     samples: np.ndarray
     freq_hz: float
     channel_id: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         samples = readonly_float64(self.samples)
@@ -56,7 +53,6 @@ class SensorTrace:
         if not (0 < self.freq_hz < np.inf):
             raise ValueError("freq_hz must be finite and > 0")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "meta", dict(self.meta))
 
     def __len__(self) -> int:
         return int(self.samples.size)

@@ -474,7 +474,7 @@ def test_eval_dump_set_writes_plot_data(tmp_path, dataset_dir, trained_dir):
     ) == 0
     plot = (out / "plotdata_B_checkpoint.csv").read_text().splitlines()
     assert plot[0] == "step,force_mn,label_unstable,p_unstable,predicted_unstable"
-    assert len(plot) == 1 + 2 * 160
+    assert len(plot) == 1 + data.load_force_dataset(dataset_dir)[0].n_steps
 
 
 @pytest.mark.parametrize("index", ["6", "-1"])
@@ -520,6 +520,25 @@ def test_eval_checkpoint_without_variant_exits_1(tmp_path, dataset_dir, trained_
         "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
     ) == 1
     assert "variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("name, index, value", [
+    ("fc.b", (1,), -np.inf), ("lstm0.w_i", (2, 3), np.nan),
+], ids=["bias-minus-inf", "kernel-nan"])
+def test_checkpoint_with_non_finite_value_exits_1_and_writes_nothing(
+        tmp_path, dataset_dir, trained_dir, capsys, command, name, index, value):
+    # A -inf unstable bias gives p_unstable = 0 at every step, a NaN kernel
+    # entry flags every step; the digest of either file checks out.
+    header, arrays = models.read_blob(trained_dir / "checkpoint.gslp")
+    arrays[name][index] = value
+    ckpt = tmp_path / "bad.gslp"
+    models.write_blob(ckpt, header, sorted(arrays.items()))
+    out = tmp_path / "o"
+    assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+               "--out", str(out)) == 1
+    assert f"array {name!r} holds {value} at index {index}" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_eval_deeply_nested_checkpoint_header_exits_1(tmp_path, dataset_dir, capsys):

@@ -414,7 +414,7 @@ def test_write_prediction_dump(trained_c, synth_split, tmp_path):
     write_prediction_dump(trained_c, grasp, path, labels="truth")
     lines = path.read_text().splitlines()
     assert lines[0] == "step,force_mn,label_unstable,p_unstable,predicted_unstable"
-    assert len(lines) == 1 + 2 * 160
+    assert len(lines) == 1 + grasp.n_steps
     step, force, label, prob, flag = lines[1].split(",")
     assert step == "0"
     assert float(force) == grasp.channel(0).samples[0]
@@ -423,3 +423,30 @@ def test_write_prediction_dump(trained_c, synth_split, tmp_path):
     for line in lines[1:]:
         _, _, _, p, f = line.split(",")
         assert (float(p) >= trained_c.threshold) == (f == "1")
+
+
+@pytest.mark.parametrize("labels", ["truth", "detect"])
+@pytest.mark.parametrize("k, tag", enumerate("ABCD"))
+def test_prediction_dump_scores_the_whole_set_as_one_stream(k, tag, labels, tmp_path):
+    """Every step of the set, with predict_samples' probabilities and flags:
+    no restart at step 160, so its first 160 rows are the first window's
+    predict and its labels are the windowed labels."""
+    grasp = data.synth_force_dataset(1, seed=21 + k, failure_fraction=1.0)[0]
+    model = models.GraspModel.build(tag, models.TrainConfig(lstm_units=128), seed=20 + k)
+    model.stats = compute_norm_stats([grasp.channel(0)])
+    x = grasp.channel(0).samples
+    whole = model.predict_samples(x)
+    model.threshold = float(np.median(whole.p_unstable))  # both flags occur
+    whole = model.decide(whole.p_unstable)
+    path = tmp_path / "dump.csv"
+    write_prediction_dump(model, grasp, path, labels=labels)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == grasp.n_steps
+    assert [r[0] for r in rows] == [str(t) for t in range(grasp.n_steps)]
+    assert [r[1] for r in rows] == [f"{v:g}" for v in x]
+    assert [r[3] for r in rows] == [f"{p:.9f}" for p in whole.p_unstable]
+    assert [r[4] for r in rows] == [str(int(f)) for f in whole.unstable]
+    windows = data.window_batches(grasp, 160, labels=labels)
+    assert [r[2] for r in rows[:320]] == [str(int(u)) for w in windows for u in w.unstable]
+    first = model.predict(model.featurize(windows[0].samples))
+    assert [r[3] for r in rows[:160]] == [f"{p:.9f}" for p in first.p_unstable]

@@ -15,8 +15,10 @@ import io
 import itertools
 import json
 import math
+import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,26 @@ def test_checkpoint_header_values_raise_only_value_error(valid, scratch, name, d
     owner, key = drawn.draw(st.sampled_from(slots))
     owner[key] = drawn.draw(JSON_VALUES)
     read(name, scratch, checkpoint_bytes(header, body))
+
+
+@pytest.mark.parametrize("name", CHECKPOINTS)
+@FUZZ
+@given(drawn=st.data())
+def test_checkpoint_non_finite_array_value_is_refused(valid, scratch, name, drawn):
+    # One value of the re-sealed body becomes NaN or +-inf: the loader must
+    # refuse the file, naming the array and the value's index.
+    header, body, _ = header_slots(valid, scratch, name)
+    entries = header["arrays"]
+    i = drawn.draw(st.integers(0, len(entries) - 1))
+    flat = drawn.draw(st.integers(0, math.prod(entries[i]["shape"]) - 1))
+    value = drawn.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    pos = 8 * (sum(math.prod(e["shape"]) for e in entries[:i]) + flat)
+    body = body[:pos] + struct.pack("<d", value) + body[pos + 8 :]
+    scratch.write_bytes(checkpoint_bytes(header, body))
+    index = tuple(map(int, np.unravel_index(flat, entries[i]["shape"])))
+    want = f"array {entries[i]['name']!r} holds {value} at index {index}"
+    with pytest.raises(models.CheckpointError, match=re.escape(want)):
+        models.load_checkpoint(scratch)
 
 
 def test_valid_files_read_back(valid, scratch):

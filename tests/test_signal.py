@@ -75,13 +75,6 @@ def test_trace_copies_a_read_only_view_of_writable_memory():
     assert t.samples[0] == 0.0
 
 
-def test_trace_meta_is_copied():
-    meta = {"source": "force"}
-    t = trace([1.0], meta=meta)
-    meta["source"] = "pressure"
-    assert t.meta["source"] == "force"
-
-
 # -- stft_window -----------------------------------------------------------
 
 

@@ -33,7 +33,6 @@ def force_trace(samples, channel_id=0, freq_hz=16.7):
         samples=np.asarray(samples, dtype=float),
         freq_hz=freq_hz,
         channel_id=channel_id,
-        meta={"source": "force"},
     )
 
 

@@ -9,12 +9,15 @@ rounded values all lie in [0, 65536) by gathering each value's token
 from a table and stripping its NUL padding, and any other matrix with
 one ``%``. The oracles
 below are the per-token ``float()`` loop and the per-row ``str.join``
-that they replaced. On every drawn body the reader must return the same
-array, bit for bit, or raise ValueError with the same message; on every
-drawn matrix the writer must produce the same text. Runs are
+that they replaced; the loop also refuses, naming its line, a finite
+value outside [-2**63, 2**63), which the writer cannot write. On every
+drawn body the reader must return the same array, bit for bit, or raise
+ValueError with the same message; on every drawn matrix the writer must
+produce the same text. Runs are
 derandomized so every run sees the same examples.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -43,9 +46,14 @@ def parse_rows_oracle(path, lines, body_start, n_channels):
                 f"{path}:{ln}: expected {n_channels} channels, got {len(cells)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError:
             raise ValueError(f"{path}:{ln}: non-numeric value in {stripped!r}") from None
+        for ch, v in enumerate(row):
+            if math.isfinite(v) and not -(2.0**63) <= v < 2.0**63:
+                raise ValueError(f"{path}:{ln}: sample {v!r} at step {len(rows)}, channel {ch} "
+                                 "does not fit a 64-bit integer")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty input")
     return np.asarray(rows, dtype=np.float64)
