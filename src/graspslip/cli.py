@@ -21,7 +21,7 @@ default --out comes from $GRASPSLIP_OUT_DIR when set.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
@@ -33,7 +33,9 @@ from graspslip import evaluation as geval
 from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
-from graspslip.ioutil import atomic_write_text, blas_record, rng_for, sha256_bytes, sha256_file
+from graspslip.ioutil import (
+    atomic_write_json, atomic_write_text, blas_record, rng_for, sha256_bytes, sha256_file,
+)
 from graspslip.signal import DEFAULT_WINDOW_LEN, NormStats
 
 GRAD_TOLERANCE = 1e-4
@@ -103,10 +105,7 @@ def _write_run_manifest(out_dir, command: str, args, inputs: dict) -> None:
         "package_version": __version__,
         **blas_record(),
     }
-    atomic_write_text(
-        os.path.join(out_dir, "run_manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    atomic_write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
 def _train_config(args) -> gmodels.TrainConfig:
@@ -144,6 +143,8 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    if args.profile == "pressure" and args.failure_fraction is not None:
+        raise ValueError("--failure-fraction applies to the force profile only")
     min_steps = GEN_MIN_STEPS[args.profile]
     if args.steps < min_steps:
         raise ValueError(f"--steps must be >= {min_steps} for the {args.profile} profile, "
@@ -238,9 +239,7 @@ def cmd_eval(args) -> int:
         )
         tag = model.variant.tag
         name = os.path.splitext(os.path.basename(ckpt_path))[0]
-        atomic_write_text(
-            os.path.join(out, f"eval_{tag}_{name}.json"), report.to_json() + "\n"
-        )
+        atomic_write_json(os.path.join(out, f"eval_{tag}_{name}.json"), dataclasses.asdict(report))
         inputs[f"checkpoint:{tag}:{name}"] = sha256_file(ckpt_path)
         table_rows.append((tag, model.variant.name, report))
         if args.dump_set is not None:
@@ -277,10 +276,7 @@ def cmd_cross_eval(args) -> int:
         condition=args.condition, ratio=args.ratio,
         labels=args.labels, channel=args.channel,
     )
-    atomic_write_text(
-        os.path.join(out, "matrix.json"),
-        json.dumps(matrix, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    atomic_write_json(os.path.join(out, "matrix.json"), matrix)
     names = matrix["rows"]
     cells = {row: [f"{v:.4f}" if isinstance(v, float) else str(v)
                    for v in map(matrix["cells"][row].get, names)] for row in names}
@@ -310,10 +306,7 @@ def cmd_simulate(args) -> int:
     state = gstream.grip_controller(events)
     gstream.write_trajectory(state, os.path.join(out, "trajectory.csv"))
     report = gstream.latency_report(events)
-    atomic_write_text(
-        os.path.join(out, "latency.json"),
-        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    atomic_write_json(os.path.join(out, "latency.json"), report)
     _write_run_manifest(out, "simulate", args, inputs=inputs)
     print(
         f"{len(events)} events, {state.slip_events} slip event(s), "
@@ -384,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--freq-hz", type=_positive, default=None)
     p.add_argument("--failure-fraction", type=_number(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-                   default=0.5)
+                   default=None, help="share of failure sets (force profile; default 0.5)")
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
     p.set_defaults(func=cmd_gen_data)
@@ -467,6 +460,8 @@ def main(argv=None) -> int:
         args.steps = 400 if args.profile == "force" else 1600
     if args.command == "gen-data" and args.freq_hz is None:
         args.freq_hz = 16.7 if args.profile == "force" else 71.0
+    if args.command == "gen-data" and args.failure_fraction is None and args.profile == "force":
+        args.failure_fraction = 0.5
     try:
         return int(args.func(args) or 0)
     except nn.TrainingDiverged as exc:

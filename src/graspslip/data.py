@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from graspslip.ioutil import atomic_write_text, rng_for
+from graspslip.ioutil import atomic_write_json, atomic_write_text, rng_for
 from graspslip.signal import SensorTrace, readonly_float64
 
 TRACE_FORMAT = "graspslip-trace v1"
@@ -709,7 +709,7 @@ def save_force_dataset(sets, out_dir, kind: str = "force") -> str:
                             float(max(g.samples.max() for g in sets))] if sets else None,
         )
     manifest_path = os.path.join(out_dir, "manifest.json")
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_json(manifest_path, manifest)
     return manifest_path
 
 

@@ -9,12 +9,11 @@ a first unstable prediction exactly at the drop step does not count.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,9 +101,6 @@ class EvalReport:
         total = sum(self.confusion.get(k, 0) for k in ("tp", "fp", "tn", "fn"))
         if total != self.n_steps:
             raise ValueError("confusion counts inconsistent with n_steps")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def evaluate_model(

@@ -1,10 +1,11 @@
-"""Small file, RNG and BLAS-provenance helpers shared across the package."""
+"""Small file, JSON, RNG and BLAS-provenance helpers shared across the package."""
 
 from __future__ import annotations
 
 import ctypes
 import glob
 import hashlib
+import json
 import os
 import tempfile
 import zlib
@@ -30,6 +31,13 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` in the one JSON format of every run artifact: 2-space
+    indent, sorted keys, one trailing newline. A NaN or infinite float
+    raises ValueError before anything is written."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def sha256_bytes(data: bytes) -> str:

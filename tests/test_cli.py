@@ -166,6 +166,13 @@ def test_gen_data_pressure_honours_and_records_freq_hz(tmp_path, pressure_dir):
     assert json.loads((out / "run_manifest.json").read_text())["config"]["freq_hz"] == 50.0
 
 
+def test_gen_data_records_the_failure_fraction_used(dataset_dir, pressure_dir):
+    def config(d):
+        return json.loads((d / "run_manifest.json").read_text())["config"]
+    assert config(dataset_dir)["failure_fraction"] == 0.5
+    assert config(pressure_dir)["failure_fraction"] is None
+
+
 def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "neg"
     assert run("gen-data", "--out", str(out), "--sets", "-3") == 1
@@ -186,8 +193,13 @@ def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
      "argument --failure-fraction: must be in [0, 1], got '7'"),
     (["--profile", "pressure", "--failure-fraction", "-0.5"],
      "argument --failure-fraction: must be in [0, 1], got '-0.5'"),
+    (["--profile", "pressure", "--steps", "100", "--failure-fraction", "0"],
+     "--failure-fraction applies to the force profile only"),
+    (["--profile", "pressure", "--steps", "100", "--failure-fraction", "1"],
+     "--failure-fraction applies to the force profile only"),
 ], ids=["fraction-1.5", "fraction-nan", "force-steps", "pressure-steps", "zero-sets-fraction-1.5",
-        "zero-sets-fraction-nan", "pressure-fraction-7", "pressure-fraction-negative"])
+        "zero-sets-fraction-nan", "pressure-fraction-7", "pressure-fraction-negative",
+        "pressure-fraction-0", "pressure-fraction-1"])
 def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, capsys):
     out = tmp_path / "bad"
     assert run("gen-data", "--out", str(out), "--sets", "2", *flags) == 1
@@ -198,8 +210,10 @@ def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, 
 def test_gen_data_shortest_steps_per_profile(tmp_path):
     for profile, steps in cli.GEN_MIN_STEPS.items():
         out = tmp_path / profile
+        # every force set a failure, so each draws its latest drop
+        fraction = ["--failure-fraction", "1"] if profile == "force" else []
         assert run("gen-data", "--out", str(out), "--profile", profile, "--sets", "4",
-                   "--failure-fraction", "1", "--steps", str(steps)) == 0
+                   *fraction, "--steps", str(steps)) == 0
         recs = [data.read_recording(f) for f in data.dataset_files(str(out))[1]]
         assert [r.n_steps for r in recs] == [steps] * 4
 
@@ -670,6 +684,21 @@ def test_cross_eval_scoring_error_fills_rows_and_exits_0(tmp_path, short_top_set
     lines = (out / "matrix.txt").read_text().splitlines()
     assert [re.split(r" {2,}", line) for line in lines] == [
         ["train\\test", "back", "top"], ["back", error, error], ["top", error, error]]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def test_json_artifacts_are_strict_and_in_one_format(dataset_dir, trained_dir, pressure_dir,
+                                                      xeval_dir):
+    paths = sorted(p for d in (dataset_dir, trained_dir, pressure_dir, xeval_dir)
+                   for p in d.rglob("*.json"))
+    assert len(paths) == 7  # 4 run manifests, 2 dataset manifests, the matrix
+    for p in paths:
+        text = p.read_text()
+        obj = json.loads(text, parse_constant=_refuse_constant)
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n", p
 
 
 # -- simulate ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from graspslip import data, evaluation, models, nn
+from graspslip import data, evaluation, ioutil, models, nn
 from graspslip.evaluation import (
     EvalReport,
     ahead_drop_rate,
@@ -95,11 +95,12 @@ def report_kwargs(**over):
     return kw
 
 
-def test_eval_report_round_trip():
+def test_eval_report_round_trip(tmp_path):
     rep = EvalReport(**report_kwargs())
-    again = EvalReport(**json.loads(rep.to_json()))
+    ioutil.atomic_write_json(tmp_path / "eval.json", dataclasses.asdict(rep))
+    again = EvalReport(**json.loads((tmp_path / "eval.json").read_text()))
     assert again == rep
-    assert json.loads(rep.to_json())["success_rate"] == 0.9
+    assert json.loads((tmp_path / "eval.json").read_text())["success_rate"] == 0.9
 
 
 def test_eval_report_validation():
@@ -112,9 +113,18 @@ def test_eval_report_validation():
     EvalReport(**report_kwargs(ahead_drop_rate=None))  # success-only runs
 
 
-def test_eval_report_json_refuses_non_finite_values():
+def test_eval_report_json_refuses_non_finite_values(tmp_path):
+    rep = EvalReport(**report_kwargs(breakdown={"back": float("nan")}))
     with pytest.raises(ValueError, match="not JSON compliant"):
-        EvalReport(**report_kwargs(breakdown={"back": float("nan")})).to_json()
+        ioutil.atomic_write_json(tmp_path / "eval.json", dataclasses.asdict(rep))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_atomic_write_json_refuses_non_finite_before_writing(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ioutil.atomic_write_json(tmp_path / "out.json", {"a": [1.0, {"b": value}]})
+    assert os.listdir(tmp_path) == []  # neither the target nor a .tmp file
 
 
 # -- model evaluation --------------------------------------------------------------
@@ -220,7 +230,8 @@ def test_evaluate_model_equals_per_window_report(k, tag, labels, two_direction_s
     got = evaluate_model(model, sets, 60, labels=labels)
     assert seen == [firsts]
     assert got == ref
-    assert got.to_json() == ref.to_json()
+    assert (json.dumps(dataclasses.asdict(got), sort_keys=True)
+            == json.dumps(dataclasses.asdict(ref), sort_keys=True))
 
 
 # -- cross-condition matrix --------------------------------------------------------------
