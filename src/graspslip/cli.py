@@ -39,9 +39,11 @@ from graspslip.ioutil import (
 from graspslip.signal import DEFAULT_WINDOW_LEN, NormStats
 
 GRAD_TOLERANCE = 1e-4
-# Shortest --steps per profile: force fits every slip onset and drop the
-# generator draws; pressure needs a non-empty drop draw [steps // 2, steps - 10).
-GEN_MIN_STEPS = {"force": gdata.FORCE_MIN_STEPS, "pressure": 21}
+# gen-data per profile: default --steps, --freq-hz and --failure-fraction
+# (None: the profile takes none), then the shortest --steps. Force fits every
+# slip onset and drop the generator draws; pressure needs a non-empty drop
+# draw [steps // 2, steps - 10).
+GEN_PROFILES = {"force": (400, 16.7, 0.5, gdata.FORCE_MIN_STEPS), "pressure": (1600, 71.0, None, 21)}
 
 
 def _number(kind, ok, want: str):
@@ -94,13 +96,9 @@ def _digest_dataset(path) -> str:
 
 
 def _write_run_manifest(out_dir, command: str, args, inputs: dict) -> None:
-    skip = {"func", "out"}
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip
-    }
     manifest = {
         "command": command,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "out")},
         "inputs": inputs,
         "package_version": __version__,
         **blas_record(),
@@ -143,9 +141,12 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if args.profile == "pressure" and args.failure_fraction is not None:
+    steps, freq_hz, fraction, min_steps = GEN_PROFILES[args.profile]
+    if fraction is None and args.failure_fraction is not None:
         raise ValueError("--failure-fraction applies to the force profile only")
-    min_steps = GEN_MIN_STEPS[args.profile]
+    for name, value in (("steps", steps), ("freq_hz", freq_hz), ("failure_fraction", fraction)):
+        if getattr(args, name) is None:  # so that run_manifest.json records the value used
+            setattr(args, name, value)
     if args.steps < min_steps:
         raise ValueError(f"--steps must be >= {min_steps} for the {args.profile} profile, "
                          f"got {args.steps}")
@@ -456,12 +457,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "gen-data" and args.steps is None:
-        args.steps = 400 if args.profile == "force" else 1600
-    if args.command == "gen-data" and args.freq_hz is None:
-        args.freq_hz = 16.7 if args.profile == "force" else 71.0
-    if args.command == "gen-data" and args.failure_fraction is None and args.profile == "force":
-        args.failure_fraction = 0.5
     try:
         return int(args.func(args) or 0)
     except nn.TrainingDiverged as exc:

@@ -14,18 +14,20 @@ Trace file grammar (one grasp set per file, whitespace-separated):
     object 3
     weight 1
     force_level 2
-    slip_onset 192        # optional ground truth (synthetic sets)
-    drop_step 255         # optional ground truth
+    slip_onset 192        # optional ground truth (synthetic sets):
+    drop_step 255         #   0 <= slip_onset < drop_step < n_steps
     data
     1250 1190 ... 1303    # one row per time step, integer mN
     ...
 
 Pressure runs use ``kind pressure`` with ``channels 4`` and an
 ``initial`` header of the four zero-position counts instead of the
-grasp provenance keys. Either kind reads into one ``Recording``. Values
-are written as integers, so each must fit a 64-bit integer, and read as
-Python float() reads them; parsing is strict, a header key may appear
-once, and errors carry file and line.
+grasp provenance keys. Either kind reads into one ``Recording``.
+``HEADER_KEYS`` lists each kind's keys in file order for the writer and
+the reader, which refuses any other key and a key set twice. Values are
+written as integers, so each must fit a 64-bit integer, and read as
+Python float() reads them; parsing is strict and errors carry file and
+line.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import operator
 import os
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,9 +75,9 @@ class Recording:
     """One trace file: a read-only (n_steps, channels) sample matrix plus
     the header of its kind.
 
-    ``kind="force"``: 16 channels in mN and the grasp provenance (outcome,
-    direction, object_id, weight, force_level); ``meta`` carries the
-    generator's ground truth (slip_onset, drop_step) for synthetic sets.
+    ``kind="force"``: 16 channels in mN, the grasp provenance (outcome,
+    direction, object_id, weight, force_level) and the synthetic sets'
+    ground truth, 0 <= slip_onset < drop_step < n_steps (each may be None).
     ``kind="pressure"``: 4 channels of raw counts in [0, 65535] and
     ``initial``, the four zero-position counts.
     """
@@ -87,7 +92,8 @@ class Recording:
     force_level: int = 0
     initial: tuple | None = None
     set_id: str = ""
-    meta: dict = field(default_factory=dict)
+    slip_onset: int | None = None
+    drop_step: int | None = None
 
     def __post_init__(self):
         if self.kind not in CHANNELS:
@@ -102,12 +108,19 @@ class Recording:
             raise ValueError("non-finite sample value")
         if not (0 < self.freq_hz < np.inf):
             raise ValueError("freq_hz must be finite and > 0")
+        truth = [v for v in (self.slip_onset, self.drop_step) if v is not None]
+        steps = [-1, *map(operator.index, truth), samples.shape[0]]
+        if any(a >= b for a, b in zip(steps, steps[1:])):
+            raise ValueError(f"need 0 <= slip_onset < drop_step < n_steps, got slip_onset "
+                             f"{self.slip_onset}, drop_step {self.drop_step}, n_steps {steps[-1]}")
         if self.kind == "force":
             if self.outcome not in OUTCOMES:
                 raise ValueError(f"outcome must be success|failure, got {self.outcome!r}")
             if self.direction not in DIRECTIONS:
                 raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         else:
+            if truth:
+                raise ValueError("slip_onset and drop_step are force ground truth")
             initial = tuple(float(v) for v in self.initial or ())
             if len(initial) != n_channels:
                 raise ValueError("one initial value required per channel")
@@ -115,7 +128,6 @@ class Recording:
                 raise ValueError(f"pressure sample outside [0, {PRESSURE_MAX:g}]")
             object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n_steps(self) -> int:
@@ -205,9 +217,7 @@ def label_slip(trace, drop_step: int | None) -> np.ndarray:
 def drop_step(rec: Recording, channel: int = 0) -> int | None:
     """The step a recording's grasp drops at: the generator's ground truth
     when it recorded one, else ``detect_drop`` on ``channel``."""
-    if "drop_step" in rec.meta:
-        return int(rec.meta["drop_step"])
-    return detect_drop(rec.channel(channel))
+    return detect_drop(rec.channel(channel)) if rec.drop_step is None else rec.drop_step
 
 
 # -- windowing ------------------------------------------------------------
@@ -224,17 +234,16 @@ def window_batches(
     The trailing remainder is dropped. Each window's samples are a view of
     the recording's read-only matrix. labels="detect" runs detect_drop +
     the 20-step pre-drop rule on the channel itself; labels="truth" takes
-    the generator's slip_onset from the set meta (synthetic sets only) and
-    marks [slip_onset, end) of a failure set.
+    the recording's slip_onset (synthetic sets only) and marks
+    [slip_onset, end) of a failure set.
     """
     trace = rec.channel(channel)
     if labels == "truth":
         lab = np.ones(len(trace), dtype=bool)
         if rec.outcome == "failure":
-            onset = rec.meta.get("slip_onset")
-            if onset is None:
-                raise ValueError("truth labels need slip_onset in set meta")
-            lab[int(onset):] = False
+            if rec.slip_onset is None:
+                raise ValueError("truth labels need slip_onset (synthetic sets only)")
+            lab[rec.slip_onset:] = False
     elif labels == "detect":
         lab = label_slip(trace, detect_drop(trace))
     else:
@@ -349,18 +358,14 @@ def synth_grasp(seed: int, params: SynthParams = SynthParams()) -> Recording:
     """One deterministic synthetic force Recording with exact ground truth.
 
     Channels are gain-scaled copies (0.8-1.2) of a shared profile with
-    independent noise; channel 0 carries gain closest to 1. Ground truth
-    (slip_onset, drop_step) rides in the set meta; unstable = [slip_onset,
-    end) for failure sets.
+    independent noise; channel 0 carries gain closest to 1. A failure set
+    records its ground truth (slip_onset, drop_step); unstable =
+    [slip_onset, end).
     """
     rng = rng_for(seed, "synth-grasp")
     gains = rng.uniform(0.8, 1.2, size=FORCE_CHANNELS)
     gains[0] = 1.0
     failure = params.slip_onset is not None
-    meta = {"seed": seed, "synthetic": True}
-    if failure:
-        meta["slip_onset"] = int(params.slip_onset)
-        meta["drop_step"] = int(params.drop_step)
     return Recording(
         samples=_frozen(_synth_channels(params, gains, rng)).T,
         freq_hz=params.freq_hz,
@@ -370,7 +375,8 @@ def synth_grasp(seed: int, params: SynthParams = SynthParams()) -> Recording:
         weight=int(rng.integers(0, 3)),
         force_level=int(rng.integers(0, 3)),
         set_id=f"synth-{seed:06d}",
-        meta=meta,
+        slip_onset=params.slip_onset,
+        drop_step=params.drop_step if failure else None,
     )
 
 
@@ -489,31 +495,62 @@ def _trace_lines(values: np.ndarray) -> str:
     return "\n".join([row] * ints.shape[0]) % tuple(ints.ravel().tolist())
 
 
-def _number(value: float) -> str:
-    """Header number text that float() reads back as ``value``."""
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """A header key's Recording attribute, parser, expected value, check on
+    the parsed value, and value when absent (_REQUIRED: it must be given)."""
+
+    attr: str
+    parse: Callable
+    want: str
+    ok: Callable = lambda v: True
+    default: object = _REQUIRED
+
+
+# Each kind's header keys in the order written; a None value is not written.
+# The reader takes these keys, in any order, and refuses any other.
+HEADER_KEYS = {
+    kind: {
+        "kind": _Key("kind", str, f"one of {tuple(CHANNELS)}", CHANNELS.__contains__, "force"),
+        "freq_hz": _Key("freq_hz", float, "finite and > 0", lambda f: 0 < f < np.inf),
+        "channels": _Key("n_channels", int, str(CHANNELS[kind]), CHANNELS[kind].__eq__),
+        **keys,
+    }
+    for kind, keys in [
+        ("force", {
+            "outcome": _Key("outcome", str, f"one of {OUTCOMES}", OUTCOMES.__contains__),
+            "direction": _Key("direction", str, f"one of {DIRECTIONS}", DIRECTIONS.__contains__),
+            "object": _Key("object_id", int, "an integer"),
+            "weight": _Key("weight", int, "an integer", default=0),
+            "force_level": _Key("force_level", int, "an integer", default=0),
+            "slip_onset": _Key("slip_onset", int, "an integer", default=None),
+            "drop_step": _Key("drop_step", int, "an integer", default=None),
+        }),
+        ("pressure", {
+            "initial": _Key("initial", lambda t: tuple(map(float, t.split())),
+                            f"{PRESSURE_CHANNELS} numbers", lambda v: len(v) == PRESSURE_CHANNELS),
+        }),
+    ]
+}
+
+
+def _text(value) -> str:
+    """Header value text that the key's parser reads back as ``value``."""
+    if isinstance(value, tuple):
+        return " ".join(map(_text, value))
+    if not isinstance(value, (float, np.floating)):
+        return str(value)
     text = f"{value:g}"
     return text if float(text) == value else repr(float(value))
 
 
 def _recording_text(rec: Recording) -> str:
-    lines = [
-        TRACE_FORMAT,
-        f"kind {rec.kind}",
-        f"freq_hz {_number(rec.freq_hz)}",
-        f"channels {rec.n_channels}",
-    ]
-    if rec.kind == "force":
-        lines += [
-            f"outcome {rec.outcome}",
-            f"direction {rec.direction}",
-            f"object {rec.object_id}",
-            f"weight {rec.weight}",
-            f"force_level {rec.force_level}",
-        ]
-        lines += [f"{key} {int(rec.meta[key])}" for key in ("slip_onset", "drop_step")
-                  if key in rec.meta]
-    else:
-        lines.append("initial " + " ".join(map(_number, rec.initial)))
+    lines = [TRACE_FORMAT]
+    for key, spec in HEADER_KEYS[rec.kind].items():
+        if (value := getattr(rec, spec.attr)) is not None:
+            lines.append(f"{key} {_text(value)}")
     lines += ["data", _trace_lines(rec.samples)]
     return "\n".join(lines) + "\n"
 
@@ -593,33 +630,22 @@ def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-_REQUIRED = object()
-
-
-def _field(path, header: dict, key: str, parse, want: str, ok=lambda v: True, default=_REQUIRED):
-    """Header ``key`` through ``parse``; ``ok`` must accept the result.
-
-    A missing key raises ValueError naming the file unless a default is
-    given; a bad value raises ValueError naming the file and line.
-    """
+def _field(path, header: dict, key: str, spec: _Key):
+    """Header ``key`` parsed and checked by ``spec``. A missing required key
+    raises ValueError naming the file; a bad value names file and line."""
     if key not in header:
-        if default is _REQUIRED:
+        if spec.default is _REQUIRED:
             raise ValueError(f"{path}: missing header key {key!r}")
-        return default
+        return spec.default
     ln, text = header[key]
     try:
-        value = parse(text)
+        value = spec.parse(text)
     except ValueError:
         pass
     else:
-        if ok(value):
+        if spec.ok(value):
             return value
-    raise ValueError(f"{path}:{ln}: {key} must be {want}, got {text!r}")
-
-
-def _channels_and_freq(path, header: dict, n_channels: int) -> float:
-    _field(path, header, "channels", int, str(n_channels), lambda n: n == n_channels)
-    return _field(path, header, "freq_hz", float, "finite and > 0", lambda f: 0 < f < np.inf)
+    raise ValueError(f"{path}:{ln}: {key} must be {spec.want}, got {text!r}")
 
 
 def read_recording(path) -> Recording:
@@ -627,33 +653,16 @@ def read_recording(path) -> Recording:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, body_start = _parse_header(path, lines)
-    kind = _field(path, header, "kind", str, f"one of {tuple(CHANNELS)}",
-                  lambda v: v in CHANNELS, default="force")
-    freq_hz = _channels_and_freq(path, header, CHANNELS[kind])
-
-    def integer(key, default=_REQUIRED):
-        return _field(path, header, key, int, "an integer", default=default)
-
-    def choice(key, options):
-        return _field(path, header, key, str, f"one of {options}", lambda v: v in options)
-
-    if kind == "force":
-        fields = dict(
-            outcome=choice("outcome", OUTCOMES),
-            object_id=integer("object"),
-            direction=choice("direction", DIRECTIONS),
-            weight=integer("weight", 0),
-            force_level=integer("force_level", 0),
-            meta={key: integer(key) for key in ("slip_onset", "drop_step") if key in header},
-        )
-    else:
-        fields = dict(initial=_field(
-            path, header, "initial", lambda t: tuple(map(float, t.split())),
-            f"{PRESSURE_CHANNELS} numbers", lambda v: len(v) == PRESSURE_CHANNELS))
-    samples = _frozen(_parse_rows(path, lines, body_start, CHANNELS[kind]))
+    kind = _field(path, header, "kind", HEADER_KEYS["force"]["kind"])
+    keys = HEADER_KEYS[kind]
+    fields = {spec.attr: _field(path, header, key, spec) for key, spec in keys.items()}
+    for key, (ln, _) in header.items():
+        if key not in keys:
+            raise ValueError(f"{path}:{ln}: {key!r} is not a {kind} header key")
+    samples = _frozen(_parse_rows(path, lines, body_start, fields.pop("n_channels")))
     try:
-        return Recording(samples, freq_hz, kind,
-                         set_id=os.path.splitext(os.path.basename(str(path)))[0], **fields)
+        return Recording(samples, set_id=os.path.splitext(os.path.basename(str(path)))[0],
+                         **fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -696,14 +705,9 @@ def save_force_dataset(sets, out_dir, kind: str = "force") -> str:
         "n_steps": sets[0].n_steps if sets else None,
     }
     if kind == "force":
-        outcomes: dict[str, int] = {}
-        directions: dict[str, int] = {}
-        for g in sets:
-            outcomes[g.outcome] = outcomes.get(g.outcome, 0) + 1
-            directions[g.direction] = directions.get(g.direction, 0) + 1
         manifest.update(
-            outcomes=outcomes,
-            directions=directions,
+            outcomes=Counter(g.outcome for g in sets),
+            directions=Counter(g.direction for g in sets),
             # per-set bounds: pooling the samples would copy every transposed matrix
             force_range_mn=[float(min(g.samples.min() for g in sets)),
                             float(max(g.samples.max() for g in sets))] if sets else None,

@@ -434,9 +434,9 @@ class CheckpointError(ValueError):
 def write_blob(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     manifest = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
     header = dict(header, arrays=manifest)
-    meta = json.dumps(header, sort_keys=True).encode("utf-8")
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
     body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
-    payload = CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(meta)) + meta + body
+    payload = CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(head)) + head + body
     digest = sha256_bytes(payload).encode("ascii")
     atomic_write_bytes(path, payload + digest)
 
@@ -455,14 +455,14 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
     if sha256_bytes(payload).encode("ascii") != digest:
         raise CheckpointError("digest mismatch: checkpoint corrupted")
     off = len(CKPT_MAGIC)
-    version, meta_len = struct.unpack_from("<II", payload, off)
+    version, head_len = struct.unpack_from("<II", payload, off)
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
     off += 8
-    if off + meta_len > len(payload):
+    if off + head_len > len(payload):
         raise CheckpointError("header length exceeds the file")
     try:
-        header = json.loads(payload[off : off + meta_len].decode("utf-8"))
+        header = json.loads(payload[off : off + head_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CheckpointError(f"unreadable header: {exc}") from None
     if not isinstance(header, dict) or not isinstance(header.get("kind"), str):
@@ -470,7 +470,7 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
     manifest = header.get("arrays")
     if not isinstance(manifest, list):
         raise CheckpointError("header lacks an 'arrays' list")
-    off += meta_len
+    off += head_len
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)

@@ -33,7 +33,7 @@ def readonly_float64(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SensorTrace:
-    """One channel's time-ordered readings plus sampling metadata.
+    """One channel's time-ordered readings plus its sample rate and channel id.
 
     Force traces are in mN, pressure traces in raw 16-bit counts.
     """

@@ -29,7 +29,7 @@ STATS = NormStats(200.0, 3800.0)
 def golden_traces() -> list[np.ndarray]:
     """A synthetic failure grasp, out-of-range noise, and a stepped sine."""
     grasp = next(g for g in data.synth_force_dataset(2, seed=11) if g.outcome == "failure")
-    start = int(grasp.meta["slip_onset"]) - N_STEPS // 2
+    start = grasp.slip_onset - N_STEPS // 2
     rng = np.random.default_rng(5)
     t = np.arange(N_STEPS)
     return [

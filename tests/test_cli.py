@@ -208,7 +208,7 @@ def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, 
 
 
 def test_gen_data_shortest_steps_per_profile(tmp_path):
-    for profile, steps in cli.GEN_MIN_STEPS.items():
+    for profile, (*_, steps) in cli.GEN_PROFILES.items():
         out = tmp_path / profile
         # every force set a failure, so each draws its latest drop
         fraction = ["--failure-fraction", "1"] if profile == "force" else []
@@ -502,6 +502,24 @@ def test_eval_dump_set_out_of_range_fails_before_any_output(tmp_path, dataset_di
     ) == 1
     assert f"--dump-set {index} out of range (0..5)" in capsys.readouterr().err
     assert not list(out.glob("eval_*.json")) and not list(out.glob("plotdata_*"))
+
+
+@pytest.mark.parametrize("key, value", [("slip_onset", "450"), ("drop_step", "-3")])
+def test_eval_truth_on_bad_ground_truth_exits_1_and_writes_nothing(tmp_path, dataset_dir,
+                                                                  trained_dir, key, value, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for f in dataset_dir.iterdir():
+        text = f.read_text()
+        if f.name == "set_0000.txt":  # a failure set: it records both keys
+            assert f"\n{key} " in text
+            text = re.sub(rf"\n{key} -?\d+\n", f"\n{key} {value}\n", text)
+        (bad / f.name).write_text(text)
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"), "--data", str(bad),
+               "--out", str(out), "--labels", "truth") == 1
+    assert "set_0000.txt: need 0 <= slip_onset < drop_step < n_steps" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_eval_rejects_baseline_checkpoint(tmp_path, dataset_dir, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,26 @@ def test_recording_rejects_bad_kind_values_and_rate():
         Recording(bad, 16.7, outcome="success", direction="back")
     with pytest.raises(ValueError, match="freq_hz must be finite"):
         Recording(np.ones((10, 16)), float("nan"), outcome="success", direction="back")
+
+
+@pytest.mark.parametrize("truth", [
+    dict(slip_onset=-5), dict(slip_onset=50), dict(drop_step=-3), dict(drop_step=50),
+    dict(slip_onset=30, drop_step=30), dict(slip_onset=40, drop_step=30),
+    dict(slip_onset=-1, drop_step=30),
+])
+def test_recording_refuses_ground_truth_out_of_range_or_order(truth):
+    with pytest.raises(ValueError, match="need 0 <= slip_onset < drop_step < n_steps"):
+        make_set(n_steps=50, outcome="failure", **truth)
+
+
+def test_recording_keeps_ground_truth_in_range_and_only_for_force():
+    for truth in (dict(slip_onset=0), dict(drop_step=49), dict(slip_onset=0, drop_step=49)):
+        rec = make_set(n_steps=50, outcome="failure", **truth)
+        assert (rec.slip_onset, rec.drop_step) == (truth.get("slip_onset"), truth.get("drop_step"))
+    with pytest.raises(TypeError):
+        make_set(n_steps=50, outcome="failure", slip_onset=20.0)
+    with pytest.raises(ValueError, match="slip_onset and drop_step are force ground truth"):
+        Recording(np.full((10, 4), 20000.0), 71.0, "pressure", initial=(1, 2, 3, 4), drop_step=5)
 
 
 def test_grasp_set_matrix_shape():
@@ -319,7 +340,7 @@ def test_window_batches_detect_mode():
 def test_window_batches_truth_mode():
     sets = synth_force_dataset(2, seed=12, failure_fraction=1.0)
     grasp = sets[0]
-    onset = grasp.meta["slip_onset"]
+    onset = grasp.slip_onset
     wins = window_batches(grasp, window_len=160, channel=0, labels="truth")
     flat = np.concatenate([w.labels for w in wins])
     assert flat[:onset].all()
@@ -328,7 +349,7 @@ def test_window_batches_truth_mode():
 
 
 def test_window_batches_truth_needs_onset():
-    grasp = make_set(outcome="failure")  # no slip_onset in meta
+    grasp = make_set(outcome="failure")  # no slip_onset
     with pytest.raises(ValueError, match="truth labels need slip_onset"):
         window_batches(grasp, labels="truth")
 
@@ -346,7 +367,7 @@ def test_drop_step_prefers_recorded_truth_else_detects_on_the_channel():
     assert data.drop_step(grasp) is None
     assert data.drop_step(grasp, channel=2) == 200
     assert data.drop_step(grasp, channel=5) == 120
-    truth = make_set(300, outcome="failure", samples=samples, meta={"drop_step": 260})
+    truth = make_set(300, outcome="failure", samples=samples, drop_step=260)
     assert data.drop_step(truth, channel=2) == 260
     synth = synth_grasp(3, SynthParams(slip_onset=200, drop_step=280))
     assert data.drop_step(synth) == 280
@@ -416,7 +437,7 @@ def test_synth_grasp_channel0_unit_gain():
 def test_synth_success_set_holds():
     g = synth_grasp(9, SynthParams(slip_onset=None, drop_step=None))
     assert g.outcome == "success"
-    assert "slip_onset" not in g.meta
+    assert g.slip_onset is None and g.drop_step is None
     for ch in range(16):
         assert detect_drop(g.channel(ch)) is None
 
@@ -425,7 +446,7 @@ def test_synth_failure_set_drops_where_declared():
     p = SynthParams(slip_onset=200, drop_step=260)
     g = synth_grasp(5, p)
     assert g.outcome == "failure"
-    assert g.meta["slip_onset"] == 200 and g.meta["drop_step"] == 260
+    assert g.slip_onset == 200 and g.drop_step == 260
     for ch in range(16):
         d = detect_drop(g.channel(ch))
         assert d is not None
@@ -463,7 +484,7 @@ def test_synth_dataset_balance_and_ranges():
     sets = synth_force_dataset(6, seed=0, failure_fraction=0.5)
     assert [s.outcome for s in sets] == ["failure"] * 3 + ["success"] * 3
     for s in sets[:3]:
-        onset, drop = s.meta["slip_onset"], s.meta["drop_step"]
+        onset, drop = s.slip_onset, s.drop_step
         assert 180 <= onset <= 240
         assert 50 <= drop - onset <= 90
     with pytest.raises(ValueError, match="n_sets must be >= 1"):
@@ -494,14 +515,19 @@ def synth_digest(sets) -> str:
     """sha256 over each set's sample bytes and every field the generator sets.
 
     The digests were recorded when each channel also carried the constant
-    provenance map {"source": "force"}; it is hashed as it was then."""
+    provenance map {"source": "force"}, and when the ground truth rode in a
+    dict with the generator's seed and a synthetic flag; both are hashed as
+    they were then, the seed taken back from the set id (synth-NNNNNN)."""
     h = hashlib.sha256()
     for g in sets:
         h.update(g.as_matrix().tobytes())
         h.update(json.dumps(
             [g.outcome, g.object_id, g.direction, g.weight, g.force_level, g.set_id,
              g.freq_hz, [g.channel(i).channel_id for i in range(16)],
-             [{"source": "force"}] * 16, g.meta],
+             [{"source": "force"}] * 16, {
+                 "seed": int(g.set_id.removeprefix("synth-")), "synthetic": True,
+                 **({} if g.slip_onset is None
+                    else {"slip_onset": g.slip_onset, "drop_step": g.drop_step})}],
             sort_keys=True).encode())
     return h.hexdigest()
 
@@ -685,6 +711,45 @@ def test_read_names_both_lines_of_a_repeated_header_key(tmp_path):
         read_recording(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("slip_onset", "-5"), ("slip_onset", "450"), ("drop_step", "-3"), ("drop_step", "1000000"),
+    ("slip_onset", "260"), ("slip_onset", "300"), ("drop_step", "200"),
+])
+def test_read_refuses_ground_truth_out_of_range_or_order(tmp_path, key, value):
+    # a 400-step failure set with slip_onset 200 and drop_step 260
+    path = tmp_path / "g.txt"
+    write_recording(synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)), path)
+    _with_header_value(path, key, value)
+    with pytest.raises(ValueError, match=r"g\.txt: need 0 <= slip_onset < drop_step < n_steps"):
+        read_recording(path)
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("force", "drop-step 250"), ("force", "initial 1 2 3 4"), ("pressure", "outcome failure"),
+    ("pressure", "slip_onset 10"),
+])
+def test_read_refuses_a_key_not_of_the_files_kind(tmp_path, kind, line):
+    path = tmp_path / "t.txt"
+    rec = synth_grasp(21) if kind == "force" else synth_pressure_run(0, n_steps=100)
+    write_recording(rec, path)
+    lines = path.read_text().splitlines()
+    ln = lines.index("data") + 1
+    lines.insert(ln - 1, line)
+    path.write_text("\n".join(lines) + "\n")
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=rf"t\.txt:{ln}: '{key}' is not a {kind} header key"):
+        read_recording(path)
+
+
+def test_readme_trace_example_lists_the_force_header_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("**Trace file**", 1)[1].split("```\n", 2)[1]
+    lines = block.splitlines()
+    assert lines[0] == data.TRACE_FORMAT
+    keys = [line.split()[0] for line in lines[1 : lines.index("data")]]
+    assert keys == list(data.HEADER_KEYS["force"])
+
+
 # -- trace files ------------------------------------------------------------------------
 
 
@@ -697,10 +762,32 @@ def test_grasp_file_round_trip(tmp_path):
     assert again.outcome == g.outcome
     assert again.direction == g.direction
     assert again.object_id == g.object_id
-    assert again.meta["slip_onset"] == 200
-    assert again.meta["drop_step"] == 260
+    assert again.slip_onset == 200
+    assert again.drop_step == 260
     assert again.freq_hz == g.freq_hz
     assert again.set_id == "g"
+
+
+FIELDS = ("kind", "freq_hz", "outcome", "direction", "object_id", "weight", "force_level",
+          "initial", "slip_onset", "drop_step")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)),
+    lambda: synth_grasp(22, SynthParams(slip_onset=None, drop_step=None)),
+    lambda: make_set(50, outcome="failure", slip_onset=10, weight=2, force_level=1),
+    lambda: make_set(50, outcome="success", drop_step=0, force_level=2),
+    lambda: synth_pressure_run(3, n_steps=100, drop_step=60),
+], ids=["force-truth", "force-no-truth", "force-onset-only", "force-drop-only", "pressure"])
+def test_recording_round_trips_every_header_field(tmp_path, make):
+    rec = make()
+    path = tmp_path / "r.txt"
+    write_recording(rec, path)
+    again = read_recording(path)
+    assert [getattr(again, f) for f in FIELDS] == [getattr(rec, f) for f in FIELDS]
+    np.testing.assert_array_equal(again.as_matrix(), rec.as_matrix())
+    write_recording(again, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_grasp_file_matches_independent_parser(tmp_path):

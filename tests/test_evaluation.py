@@ -203,7 +203,7 @@ def two_direction_sets():
     drop goes undetected: 72 windows of 60 steps, a stack past 64 windows."""
     sets = with_directions(data.synth_force_dataset(11, seed=11), ["back", "top"])
     stable = next(s for s in sets if s.outcome == "success")
-    undetected = dataclasses.replace(stable, outcome="failure", meta={"slip_onset": 200})
+    undetected = dataclasses.replace(stable, outcome="failure", slip_onset=200)
     assert data.drop_step(undetected) is None
     return [*sets, undetected]
 

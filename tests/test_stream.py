@@ -255,7 +255,7 @@ def test_replay_fires_within_slip_window(trained_c, synth_split):
             continue
         events = replay(grasp.channel(0), trained_c, timing=False)
         first = next((e.step for e in events if e.unstable), None)
-        onset = grasp.meta["slip_onset"]
+        onset = grasp.slip_onset
         assert first is not None
         assert onset <= first <= onset + 20
 
