@@ -23,11 +23,11 @@ Trace file grammar (one grasp set per file, whitespace-separated):
 Pressure runs use ``kind pressure`` with ``channels 4`` and an
 ``initial`` header of the four zero-position counts instead of the
 grasp provenance keys. Either kind reads into one ``Recording``.
-``HEADER_KEYS`` lists each kind's keys in file order for the writer and
-the reader, which refuses any other key and a key set twice. Values are
-written as integers, so each must fit a 64-bit integer, and read as
-Python float() reads them; parsing is strict and errors carry file and
-line.
+``HEADER_KEYS`` lists each kind's keys in the order written, each with
+one rule that the reader and the ``Recording`` constructor both apply
+(to the parsed text and to the field); both refuse the other kind's
+keys. Samples are written as integers that fit 64 bits and read as
+Python float() reads them; parsing is strict and errors carry file and line.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import operator
 import os
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -73,13 +73,13 @@ LABEL_LEAD_STEPS = 20
 @dataclass(frozen=True, eq=False)
 class Recording:
     """One trace file: a read-only (n_steps, channels) sample matrix plus
-    the header of its kind.
+    the header of its kind, each field checked by its ``HEADER_KEYS`` rule.
 
     ``kind="force"``: 16 channels in mN, the grasp provenance (outcome,
     direction, object_id, weight, force_level) and the synthetic sets'
     ground truth, 0 <= slip_onset < drop_step < n_steps (each may be None).
     ``kind="pressure"``: 4 channels of raw counts in [0, 65535] and
-    ``initial``, the four zero-position counts.
+    ``initial``, four finite zero-position counts; force fields keep defaults.
     """
 
     samples: np.ndarray
@@ -96,38 +96,31 @@ class Recording:
     drop_step: int | None = None
 
     def __post_init__(self):
-        if self.kind not in CHANNELS:
-            raise ValueError(f"kind must be one of {tuple(CHANNELS)}, got {self.kind!r}")
         samples = readonly_float64(self.samples)
-        n_channels = CHANNELS[self.kind]
-        if samples.ndim != 2 or samples.shape[1] != n_channels:
-            raise ValueError(f"expected {n_channels} channels, got shape {samples.shape}")
+        if samples.ndim != 2:
+            raise ValueError(f"expected an (n_steps, channels) matrix, got shape {samples.shape}")
+        object.__setattr__(self, "samples", samples)
+        keys = HEADER_KEYS.get(self.kind, HEADER_KEYS["force"])  # an unknown kind fails "kind"
+        for key, spec in {**HEADER_KEYS["force"], **HEADER_KEYS["pressure"], **keys}.items():
+            value = getattr(self, spec.attr)
+            if key not in keys:  # a field of the other kind must hold its default
+                default = getattr(Recording, spec.attr)
+                if (type(value), value) != (type(default), default):
+                    raise ValueError(f"{key!r} is not a {self.kind} header key, got {value!r}")
+            elif (value is not None or spec.default is not None) and not spec.ok(value):
+                raise ValueError(f"{key} must be {spec.want}, got {value!r}")
         if samples.shape[0] == 0:
             raise ValueError("empty input")
         if not np.all(np.isfinite(samples)):
             raise ValueError("non-finite sample value")
-        if not (0 < self.freq_hz < np.inf):
-            raise ValueError("freq_hz must be finite and > 0")
-        truth = [v for v in (self.slip_onset, self.drop_step) if v is not None]
-        steps = [-1, *map(operator.index, truth), samples.shape[0]]
+        if self.kind == "pressure" and (samples.min() < 0 or samples.max() > PRESSURE_MAX):
+            raise ValueError(f"pressure sample outside [0, {PRESSURE_MAX:g}]")
+        steps = [-1, *(v for v in (self.slip_onset, self.drop_step) if v is not None), len(samples)]
         if any(a >= b for a, b in zip(steps, steps[1:])):
             raise ValueError(f"need 0 <= slip_onset < drop_step < n_steps, got slip_onset "
                              f"{self.slip_onset}, drop_step {self.drop_step}, n_steps {steps[-1]}")
-        if self.kind == "force":
-            if self.outcome not in OUTCOMES:
-                raise ValueError(f"outcome must be success|failure, got {self.outcome!r}")
-            if self.direction not in DIRECTIONS:
-                raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        else:
-            if truth:
-                raise ValueError("slip_onset and drop_step are force ground truth")
-            initial = tuple(float(v) for v in self.initial or ())
-            if len(initial) != n_channels:
-                raise ValueError("one initial value required per channel")
-            if samples.min() < 0 or samples.max() > PRESSURE_MAX:
-                raise ValueError(f"pressure sample outside [0, {PRESSURE_MAX:g}]")
-            object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "freq_hz", float(self.freq_hz))  # as the file reads it back
+        object.__setattr__(self, "initial", self.initial and tuple(map(float, self.initial)))
 
     @property
     def n_steps(self) -> int:
@@ -499,14 +492,24 @@ _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """A header key's Recording attribute, parser, expected value, check on
-    the parsed value, and value when absent (_REQUIRED: it must be given)."""
+    """A header key's Recording attribute, parser, expected value, rule on
+    the parsed or given value, and value when absent (_REQUIRED: it must be given)."""
 
     attr: str
     parse: Callable
     want: str
-    ok: Callable = lambda v: True
+    ok: Callable
     default: object = _REQUIRED
+
+
+def _integer(v) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    """A Python or numpy integer or float, not a bool, whose float64 value is finite."""
+    return (_integer(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
 
 
 # Each kind's header keys in the order written; a None value is not written.
@@ -514,7 +517,7 @@ class _Key(NamedTuple):
 HEADER_KEYS = {
     kind: {
         "kind": _Key("kind", str, f"one of {tuple(CHANNELS)}", CHANNELS.__contains__, "force"),
-        "freq_hz": _Key("freq_hz", float, "finite and > 0", lambda f: 0 < f < np.inf),
+        "freq_hz": _Key("freq_hz", float, "finite and > 0", lambda f: _finite(f) and f > 0),
         "channels": _Key("n_channels", int, str(CHANNELS[kind]), CHANNELS[kind].__eq__),
         **keys,
     }
@@ -522,15 +525,16 @@ HEADER_KEYS = {
         ("force", {
             "outcome": _Key("outcome", str, f"one of {OUTCOMES}", OUTCOMES.__contains__),
             "direction": _Key("direction", str, f"one of {DIRECTIONS}", DIRECTIONS.__contains__),
-            "object": _Key("object_id", int, "an integer"),
-            "weight": _Key("weight", int, "an integer", default=0),
-            "force_level": _Key("force_level", int, "an integer", default=0),
-            "slip_onset": _Key("slip_onset", int, "an integer", default=None),
-            "drop_step": _Key("drop_step", int, "an integer", default=None),
+            "object": _Key("object_id", int, "an integer", _integer),
+            "weight": _Key("weight", int, "an integer", _integer, 0),
+            "force_level": _Key("force_level", int, "an integer", _integer, 0),
+            "slip_onset": _Key("slip_onset", int, "an integer", _integer, None),
+            "drop_step": _Key("drop_step", int, "an integer", _integer, None),
         }),
         ("pressure", {
             "initial": _Key("initial", lambda t: tuple(map(float, t.split())),
-                            f"{PRESSURE_CHANNELS} numbers", lambda v: len(v) == PRESSURE_CHANNELS),
+                            f"{PRESSURE_CHANNELS} finite numbers", lambda v: isinstance(v, tuple)
+                            and len(v) == PRESSURE_CHANNELS and all(map(_finite, v))),
         }),
     ]
 }
@@ -540,7 +544,7 @@ def _text(value) -> str:
     """Header value text that the key's parser reads back as ``value``."""
     if isinstance(value, tuple):
         return " ".join(map(_text, value))
-    if not isinstance(value, (float, np.floating)):
+    if not isinstance(value, float):
         return str(value)
     text = f"{value:g}"
     return text if float(text) == value else repr(float(value))
@@ -639,12 +643,10 @@ def _field(path, header: dict, key: str, spec: _Key):
         return spec.default
     ln, text = header[key]
     try:
-        value = spec.parse(text)
+        if spec.ok(value := spec.parse(text)):
+            return value
     except ValueError:
         pass
-    else:
-        if spec.ok(value):
-            return value
     raise ValueError(f"{path}:{ln}: {key} must be {spec.want}, got {text!r}")
 
 
@@ -665,13 +667,6 @@ def read_recording(path) -> Recording:
                          **fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_force(path) -> Recording:
-    rec = read_recording(path)
-    if rec.kind != "force":
-        raise ValueError(f"{path}: not a force trace file (kind {rec.kind!r})")
-    return rec
 
 
 # -- dataset directory layout -----------------------------------------------
@@ -754,7 +749,12 @@ def dataset_files(path) -> tuple[str | None, list[str]]:
 def load_force_dataset(path) -> list[Recording]:
     """Read every set file of a dataset (see ``dataset_files``), in order.
     Every file must be of kind force."""
-    return [_read_force(p) for p in dataset_files(path)[1]]
+    sets = []
+    for p in dataset_files(path)[1]:
+        if (rec := read_recording(p)).kind != "force":
+            raise ValueError(f"{p}: not a force trace file (kind {rec.kind!r})")
+        sets.append(rec)
+    return sets
 
 
 # -- foreign format conversion -----------------------------------------------

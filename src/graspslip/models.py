@@ -527,6 +527,10 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
         fixed = getattr(GraspModel, key)
         checked(key, lambda v: type(v) is type(fixed) and v == fixed, repr(fixed))
     threshold = checked("threshold", lambda v: _is_int(v) or isinstance(v, float), "a number")
+    stats = checked("norm_stats", lambda v: v is None or (
+        isinstance(v, dict) and v.keys() == {"min", "max"}
+        and all(_is_int(x) or isinstance(x, float) for x in v.values())),
+        'null or {"min": number, "max": number}')
     try:
         variant = get_variant(variant)
     except ValueError as exc:
@@ -550,7 +554,6 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
                                for w in "wb" for g in nn.GATE_NAMES})
         for idx in range(variant.n_streams)
     ]
-    stats = header.get("norm_stats")
     try:  # the constructors check the stats and threshold ranges
         return GraspModel(
             variant=variant,
@@ -559,7 +562,7 @@ def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspMo
             stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
             threshold=threshold,
         )
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
 

@@ -573,6 +573,25 @@ def test_checkpoint_with_non_finite_value_exits_1_and_writes_nothing(
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("stats", [
+    {"min": "0", "max": "4000"}, {"min": False, "max": True},
+    {"min": 0.0, "max": 4000.0, "mean": 1000.0},
+], ids=["strings", "bools", "extra-key"])
+def test_checkpoint_with_malformed_norm_stats_exits_1_and_writes_nothing(
+        tmp_path, dataset_dir, trained_dir, capsys, command, stats):
+    # The digest checks out; "0".."4000" and false..true used to load as numbers.
+    header, arrays = models.read_blob(trained_dir / "checkpoint.gslp")
+    header["norm_stats"] = stats
+    ckpt = tmp_path / "bad.gslp"
+    models.write_blob(ckpt, header, sorted(arrays.items()))
+    out = tmp_path / "o"
+    assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+               "--out", str(out)) == 1
+    assert "checkpoint 'norm_stats' must be null or" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_eval_deeply_nested_checkpoint_header_exits_1(tmp_path, dataset_dir, capsys):
     # The digest checks out, but decoding the header overflows the stack.
     meta = b"[" * 200_000

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -54,9 +55,9 @@ def pressure_run(samples=None, initial=(6458.0, 6263.0, 6357.0, 6458.0)):
 
 
 def test_grasp_set_requires_16_channels():
-    with pytest.raises(ValueError, match=r"expected 16 channels, got shape \(10, 4\)"):
+    with pytest.raises(ValueError, match="channels must be 16, got 4"):
         Recording(np.ones((10, 4)), 16.7, outcome="success", direction="back")
-    with pytest.raises(ValueError, match=r"expected 16 channels, got shape \(160,\)"):
+    with pytest.raises(ValueError, match=r"expected an \(n_steps, channels\) matrix, got shape \(160,\)"):
         Recording(np.ones(160), 16.7, outcome="success", direction="back")
 
 
@@ -100,10 +101,30 @@ def test_recording_keeps_ground_truth_in_range_and_only_for_force():
     for truth in (dict(slip_onset=0), dict(drop_step=49), dict(slip_onset=0, drop_step=49)):
         rec = make_set(n_steps=50, outcome="failure", **truth)
         assert (rec.slip_onset, rec.drop_step) == (truth.get("slip_onset"), truth.get("drop_step"))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="slip_onset must be an integer, got 20.0"):
         make_set(n_steps=50, outcome="failure", slip_onset=20.0)
-    with pytest.raises(ValueError, match="slip_onset and drop_step are force ground truth"):
+    with pytest.raises(ValueError, match="'drop_step' is not a pressure header key, got 5"):
         Recording(np.full((10, 4), 20000.0), 71.0, "pressure", initial=(1, 2, 3, 4), drop_step=5)
+
+
+@pytest.mark.parametrize("kind, field, value, want", [
+    ("force", "object_id", 2.5, "object must be an integer, got 2.5"),
+    ("force", "object_id", True, "object must be an integer, got True"),
+    ("force", "slip_onset", True, "slip_onset must be an integer, got True"),
+    ("force", "freq_hz", True, "freq_hz must be finite and > 0, got True"),
+    ("force", "initial", (1, 2, 3, 4), "'initial' is not a force header key"),
+    ("pressure", "outcome", "success", "'outcome' is not a pressure header key"),
+    ("pressure", "direction", "top", "'direction' is not a pressure header key"),
+    ("pressure", "object_id", 3, "'object' is not a pressure header key"),
+    ("pressure", "weight", 2, "'weight' is not a pressure header key"),
+    ("pressure", "slip_onset", 5, "'slip_onset' is not a pressure header key"),
+])
+def test_recording_refuses_a_field_its_key_refuses_or_of_the_other_kind(kind, field, value, want):
+    # Each of these used to construct and then write a file that the reader
+    # refuses, or that drops the field.
+    rec = make_set(n_steps=50) if kind == "force" else pressure_run()
+    with pytest.raises(ValueError, match=re.escape(want)):
+        dataclasses.replace(rec, **{field: value})
 
 
 def test_grasp_set_matrix_shape():
@@ -149,11 +170,11 @@ def test_recording_channel_index_out_of_range():
 
 def test_pressure_recording_checks_channels_initial_and_range():
     assert pressure_run().initial == (6458.0, 6263.0, 6357.0, 6458.0)
-    with pytest.raises(ValueError, match=r"expected 4 channels, got shape \(10, 16\)"):
+    with pytest.raises(ValueError, match="channels must be 4, got 16"):
         pressure_run(np.full((10, 16), 20000.0))
-    with pytest.raises(ValueError, match="one initial value required per channel"):
+    with pytest.raises(ValueError, match=r"initial must be 4 finite numbers, got \(1.0, 2.0, 3.0\)"):
         pressure_run(initial=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="one initial value required per channel"):
+    with pytest.raises(ValueError, match="initial must be 4 finite numbers, got None"):
         pressure_run(initial=None)
     for bad in (-1.0, 65536.0):
         samples = np.full((10, 4), 20000.0)
@@ -161,6 +182,12 @@ def test_pressure_recording_checks_channels_initial_and_range():
         with pytest.raises(ValueError, match=r"pressure sample outside \[0, 65535\]"):
             pressure_run(samples)
     pressure_run(np.array([[0.0, 65535.0, 1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pressure_recording_refuses_a_non_finite_initial(bad):
+    with pytest.raises(ValueError, match="initial must be 4 finite numbers"):
+        pressure_run(initial=(bad, 1.0, 2.0, 3.0))
 
 
 # -- drop detection ----------------------------------------------------------
@@ -688,7 +715,7 @@ def test_read_grasp_set_names_line_of_bad_header_value(tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("freq_hz", "abc"), ("freq_hz", "inf"), ("channels", "16"), ("initial", "1 2 x 4"),
-    ("initial", "1 2 3"),
+    ("initial", "1 2 3"), ("initial", "nan inf -inf 1e999"), ("initial", "6458 6263 6357 nan"),
 ])
 def test_read_pressure_run_names_line_of_bad_header_value(tmp_path, key, value):
     path = tmp_path / "p.txt"
@@ -743,11 +770,12 @@ def test_read_refuses_a_key_not_of_the_files_kind(tmp_path, kind, line):
 
 def test_readme_trace_example_lists_the_force_header_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("**Trace file**", 1)[1].split("```\n", 2)[1]
-    lines = block.splitlines()
-    assert lines[0] == data.TRACE_FORMAT
-    keys = [line.split()[0] for line in lines[1 : lines.index("data")]]
-    assert keys == list(data.HEADER_KEYS["force"])
+    for label, kind in (("**Trace file**", "force"), ("**Pressure trace file**", "pressure")):
+        block = readme.split(label, 1)[1].split("```\n", 2)[1]
+        lines = block.splitlines()
+        assert lines[0] == data.TRACE_FORMAT
+        keys = [line.split()[0] for line in lines[1 : lines.index("data")]]
+        assert keys == list(data.HEADER_KEYS[kind])
 
 
 # -- trace files ------------------------------------------------------------------------

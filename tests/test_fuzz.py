@@ -53,7 +53,8 @@ JSON_VALUES = st.recursive(
 
 # Values that most often break numeric code; json writes float("inf") as
 # Infinity and reads it back. Every header slot is tried with each.
-EDGE_VALUES = [float("inf"), float("-inf"), float("nan"), 0, -1, 2**64, True, "", None, [], {}]
+EDGE_VALUES = [float("inf"), float("-inf"), float("nan"), 0, -1, 2**64, 10**400, True, False, "",
+               "0", None, [], {}]
 
 
 def mutate(raw: bytes, edits) -> bytes:
@@ -136,13 +137,15 @@ def test_mutated_valid_file_raises_only_value_error(valid, scratch, name, edits)
 
 def header_slots(valid, scratch, name):
     """A checkpoint's header, its body bytes, and every (container, key)
-    slot of the header: top-level fields, array entries, shape dimensions.
+    slot of the header: top-level fields, norm_stats bounds, array entries,
+    shape dimensions.
     """
     scratch.write_bytes(valid[name])
     header, arrays = models.read_blob(scratch)
     body = valid[name][-64 - 8 * sum(a.size for a in arrays.values()) : -64]
     entries = header["arrays"]
     slots = ([(header, k) for k in sorted(header)]
+             + [(header["norm_stats"], k) for k in ("min", "max")]
              + [(e, k) for e in entries for k in ("name", "shape")]
              + [(e["shape"], j) for e in entries for j in range(len(e["shape"]))])
     return header, body, slots

@@ -688,6 +688,9 @@ def saved_blob(tmp_path, tag="D"):
     ("loss_mode", "every-step"), ("loss_mode", None),
     ("threshold", float("nan")), ("threshold", 1.0), ("threshold", "0.5"), ("threshold", None),
     ("norm_stats", {"min": 5.0, "max": 1.0}), ("norm_stats", {"min": 0.0}), ("norm_stats", [0, 1]),
+    ("norm_stats", {"min": "0", "max": "4000"}), ("norm_stats", {"min": False, "max": True}),
+    ("norm_stats", {"min": 0.0, "max": 1.0, "mean": 0.5}), ("norm_stats", {"min": 0, "max": 10**400}),
+    ("threshold", 10**400),
     ("kind", None), ("kind", 7),
     ("stft_window", 32), ("band_count", 8), ("loss_mode", "last-step"),
 ])

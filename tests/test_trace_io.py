@@ -13,7 +13,9 @@ that they replaced; the loop also refuses, naming its line, a finite
 value outside [-2**63, 2**63), which the writer cannot write. On every
 drawn body the reader must return the same array, bit for bit, or raise
 ValueError with the same message; on every drawn matrix the writer must
-produce the same text. Runs are
+produce the same text. A last property draws header field values: a
+``Recording`` either refuses them with ValueError, or writes a file that
+reads back equal and rewrites to the same bytes. Runs are
 derandomized so every run sees the same examples.
 """
 
@@ -265,3 +267,68 @@ def test_trace_lines_match_str_join_on_token_table_floats(matrix):
 def test_trace_lines_match_str_join_at_token_table_edges(matrix):
     matrix = np.array(matrix)
     assert data._trace_lines(matrix) == trace_lines_oracle(matrix)
+
+
+# -- header fields: the constructor's rules against the writer and the reader ----------
+
+FIELDS = ("kind", "freq_hz", "outcome", "direction", "object_id", "weight", "force_level",
+          "initial", "slip_onset", "drop_step")
+OMIT = object()  # the field is not passed: it keeps its dataclass default
+SCALARS = st.one_of(
+    st.integers(), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([2.5, 20.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 2.0**64 + 2**12]),
+    st.sampled_from([*data.CHANNELS, *data.OUTCOMES, *data.DIRECTIONS, "torque", "Back", " top"]),
+    st.text(max_size=4),
+)
+ANY = SCALARS | st.lists(SCALARS, max_size=5).map(tuple)
+STEP = st.integers(-2, 42)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+# Values the drawn kind accepts for each field (bar the order of the ground truth).
+VALID = {
+    "force": {
+        "freq_hz": st.floats(1e-3, 1e6) | st.integers(1, 2**70), "outcome": st.sampled_from(data.OUTCOMES),
+        "direction": st.sampled_from(data.DIRECTIONS), "object_id": st.integers() | st.just(OMIT),
+        "weight": st.integers() | st.just(OMIT), "force_level": st.integers() | st.just(OMIT),
+        "initial": st.just(OMIT), "slip_onset": STEP | st.just(OMIT), "drop_step": STEP | st.just(OMIT),
+    },
+    "pressure": {
+        "freq_hz": st.floats(1e-3, 1e6) | st.integers(1, 2**70),
+        "initial": st.tuples(FINITE, FINITE, FINITE, FINITE),
+    },
+}
+
+
+@st.composite
+def recording_fields(draw):
+    """A kind and a value for every header field: valid for the kind, but
+    with up to three fields (the kind among them) set to an arbitrary value."""
+    kind = draw(st.sampled_from(list(VALID)))
+    fields = {"kind": kind, **{f: draw(VALID[kind].get(f, st.just(OMIT))) for f in FIELDS[1:]}}
+    for f in draw(st.sets(st.sampled_from(FIELDS), max_size=3)):
+        fields[f] = draw(ANY)
+    return {f: v for f, v in fields.items() if v is not OMIT}
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+@DIFF
+@given(fields=recording_fields())
+def test_every_recording_that_constructs_reads_back_equal(trace_dir, fields):
+    kind = fields["kind"]
+    n_channels = data.CHANNELS[kind] if kind in data.CHANNELS else data.FORCE_CHANNELS
+    samples = np.arange(40 * n_channels, dtype=np.float64).reshape(40, n_channels) * 37.0
+    try:
+        rec = data.Recording(samples, **fields)
+    except ValueError:
+        return  # TypeError is no answer either: every drawn value is of a writable type
+    path, again_path = trace_dir / "r.txt", trace_dir / "again.txt"
+    data.write_recording(rec, path)
+    again = data.read_recording(path)
+    assert [getattr(again, f) for f in FIELDS] == [getattr(rec, f) for f in FIELDS]
+    np.testing.assert_array_equal(again.as_matrix(), rec.as_matrix())
+    data.write_recording(again, again_path)
+    assert again_path.read_bytes() == path.read_bytes()
