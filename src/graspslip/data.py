@@ -14,19 +14,21 @@ Trace file grammar (one grasp set per file, whitespace-separated):
     object 3
     weight 1
     force_level 2
-    slip_onset 192        # optional ground truth (synthetic sets):
-    drop_step 255         #   0 <= slip_onset < drop_step < n_steps
+    slip_onset 192
+    drop_step 255
     data
-    1250 1190 ... 1303    # one row per time step, integer mN
+    1250 1190 ... 1303
     ...
 
+Rows are time steps in integer mN; ``slip_onset``/``drop_step`` are optional
+ground truth. Blank and ``#`` header lines are skipped; no inline comments.
 Pressure runs use ``kind pressure`` with ``channels 4`` and an
 ``initial`` header of the four zero-position counts instead of the
 grasp provenance keys. Either kind reads into one ``Recording``.
 ``HEADER_KEYS`` lists each kind's keys in the order written, each with
 one rule that the reader and the ``Recording`` constructor both apply
 (to the parsed text and to the field); both refuse the other kind's
-keys. Samples are written as integers that fit 64 bits and read as
+keys. Samples and integer header values fit 64 bits; samples read as
 Python float() reads them; parsing is strict and errors carry file and line.
 """
 
@@ -106,9 +108,9 @@ class Recording:
             if key not in keys:  # a field of the other kind must hold its default
                 default = getattr(Recording, spec.attr)
                 if (type(value), value) != (type(default), default):
-                    raise ValueError(f"{key!r} is not a {self.kind} header key, got {value!r}")
+                    raise ValueError(f"{key!r} is not a {self.kind} header key, got {_repr(value)}")
             elif (value is not None or spec.default is not None) and not spec.ok(value):
-                raise ValueError(f"{key} must be {spec.want}, got {value!r}")
+                raise ValueError(f"{key} must be {spec.want}, got {_repr(value)}")
         if samples.shape[0] == 0:
             raise ValueError("empty input")
         if not np.all(np.isfinite(samples)):
@@ -159,9 +161,6 @@ class LabeledWindow:
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
 
     @property
     def unstable(self) -> np.ndarray:
@@ -258,8 +257,8 @@ def split(dataset, ratio: float = 0.8, seed: int = 0):
     """Seeded set-level split into (train, test), stratified by outcome.
 
     Windows of one grasp never straddle the split because whole recordings
-    are assigned. Per outcome the train share is floor(ratio * n); if that
-    leaves either side empty overall, one set moves across.
+    are assigned. Per outcome the train share is floor(ratio * n) < n, so each
+    outcome keeps a test set; if none is left to train on, one moves across.
     """
     sets = list(dataset)
     if len(sets) < 2:
@@ -281,8 +280,6 @@ def split(dataset, ratio: float = 0.8, seed: int = 0):
         test_idx.extend(idxs[order[n_train:]].tolist())
     if not train_idx:
         train_idx.append(test_idx.pop(0))
-    if not test_idx:
-        test_idx.append(train_idx.pop(0))
     train_idx.sort()
     test_idx.sort()
     return [sets[i] for i in train_idx], [sets[i] for i in test_idx]
@@ -503,13 +500,22 @@ class _Key(NamedTuple):
 
 
 def _integer(v) -> bool:
-    """A Python or numpy integer that is not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    """A Python or numpy integer, not a bool, in [-2**63, 2**63) as samples (``_unwritable``)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+
+
+def _repr(value) -> str:
+    """repr(value), or the size of an int too long for repr (over 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {value.bit_length()}-bit integer"
 
 
 def _finite(v) -> bool:
     """A Python or numpy integer or float, not a bool, whose float64 value is finite."""
-    return (_integer(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
+    return (isinstance(v, (int, np.integer, float, np.floating)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 # Each kind's header keys in the order written; a None value is not written.
@@ -525,11 +531,11 @@ HEADER_KEYS = {
         ("force", {
             "outcome": _Key("outcome", str, f"one of {OUTCOMES}", OUTCOMES.__contains__),
             "direction": _Key("direction", str, f"one of {DIRECTIONS}", DIRECTIONS.__contains__),
-            "object": _Key("object_id", int, "an integer", _integer),
-            "weight": _Key("weight", int, "an integer", _integer, 0),
-            "force_level": _Key("force_level", int, "an integer", _integer, 0),
-            "slip_onset": _Key("slip_onset", int, "an integer", _integer, None),
-            "drop_step": _Key("drop_step", int, "an integer", _integer, None),
+            "object": _Key("object_id", int, "a 64-bit integer", _integer),
+            "weight": _Key("weight", int, "a 64-bit integer", _integer, 0),
+            "force_level": _Key("force_level", int, "a 64-bit integer", _integer, 0),
+            "slip_onset": _Key("slip_onset", int, "a 64-bit integer", _integer, None),
+            "drop_step": _Key("drop_step", int, "a 64-bit integer", _integer, None),
         }),
         ("pressure", {
             "initial": _Key("initial", lambda t: tuple(map(float, t.split())),

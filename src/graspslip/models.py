@@ -102,16 +102,18 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for key in ("window_len", "lstm_units", "epochs", "seed"):
+            if not isinstance(v := getattr(self, key), (int, np.integer)) or isinstance(v, bool):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
         if self.window_len <= DEFAULT_WINDOW_LEN:
             raise ValueError("window_len must exceed the STFT window")
-        if not (self.lr > 0):
-            raise ValueError("lr must be > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.lstm_units < 1:
             raise ValueError("lstm_units must be >= 1")
-        if self.clip_norm is None or not (0 < self.clip_norm < math.inf):
-            raise ValueError("clip_norm must be a finite number > 0")
+        for key in ("lr", "clip_norm"):
+            if getattr(self, key) is None or not (0 < getattr(self, key) < math.inf):
+                raise ValueError(f"{key} must be a finite number > 0")
         _check_threshold(self.threshold)
 
 
@@ -445,7 +447,9 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of a checkpoint file, checked against its digest.
 
     A matching digest only proves the file is intact, not that a trusted
-    writer made it, so the header and array manifest are validated too.
+    writer made it. So every header field is checked, the manifest must be
+    ``_manifest`` of the header's variant and hidden_dim, and the body must
+    hold exactly those arrays, all finite; none is read before both match.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -467,32 +471,59 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"unreadable header: {exc}") from None
     if not isinstance(header, dict) or not isinstance(header.get("kind"), str):
         raise CheckpointError("header must be an object with a string 'kind'")
-    manifest = header.get("arrays")
-    if not isinstance(manifest, list):
-        raise CheckpointError("header lacks an 'arrays' list")
+    if header["kind"] != "variant":
+        raise CheckpointError(f"unknown checkpoint kind {header['kind']!r}")
+
+    def checked(key, ok, want):
+        value = header.get(key)
+        if not ok(value):
+            raise CheckpointError(f"checkpoint '{key}' must be {want}, got {value!r}")
+        return value
+
+    variant = checked("variant", lambda v: isinstance(v, str), "a variant tag or name")
+    hd = checked("hidden_dim", lambda v: type(v) is int and v >= 1, "an integer >= 1")
+    for key in ("stft_window", "band_count", "loss_mode"):
+        fixed = getattr(GraspModel, key)
+        checked(key, lambda v: type(v) is type(fixed) and v == fixed, repr(fixed))
+    checked("threshold", lambda v: type(v) in (int, float), "a number")
+    checked("norm_stats", lambda v: v is None or (
+        isinstance(v, dict) and v.keys() == {"min", "max"}
+        and all(type(x) in (int, float) for x in v.values())),
+        'null or {"min": number, "max": number}')
+    try:
+        variant = get_variant(variant)
+    except ValueError as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from None
+
+    manifest = _manifest(variant, hd)
+    expected = [{"name": name, "shape": shape} for name, shape in manifest]
+    if json.dumps(header.get("arrays"), sort_keys=True) != json.dumps(expected, sort_keys=True):
+        raise CheckpointError(f"arrays {header.get('arrays')!r} do not match variant "
+                              f"{variant.tag} at hidden_dim {hd}: expected {expected}")
     off += head_len
+    size = 8 * sum(math.prod(shape) for _, shape in manifest)
+    if len(payload) - off != size:
+        raise CheckpointError(f"parameter data holds {len(payload) - off} bytes, not {size}")
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(_is_int(d) and d >= 0 for d in entry["shape"])):
-            raise CheckpointError(f"malformed array entry {entry!r}")
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name in arrays:
-            raise CheckpointError(f"duplicate array {name!r}")
-        count = math.prod(shape)
-        if count * 8 > len(payload) - off:
-            raise CheckpointError(f"array {name!r} of shape {shape} exceeds the file")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-        off += count * 8
-    if off != len(payload):
-        raise CheckpointError("trailing bytes after parameter data")
+    for name, shape in manifest:
+        a = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=off)
+        arrays[name] = a = a.reshape(shape).astype(np.float64)
+        if not np.isfinite(a).all():
+            idx = tuple(map(int, np.unravel_index(np.argmin(np.isfinite(a)), a.shape)))
+            raise CheckpointError(f"array {name!r} holds {float(a[idx])} at index {idx}")
+        off += a.nbytes
     return header, arrays
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _manifest(variant: ModelVariant, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The sorted (name, shape) list of a checkpoint's arrays: the order
+    save_checkpoint writes them in, and the one manifest read_blob accepts."""
+    shapes = {"fc.w": (2, hidden_dim * variant.n_streams), "fc.b": (2,)}
+    for idx, dim in enumerate(variant.stream_dims):
+        for g in nn.GATE_NAMES:
+            shapes[f"lstm{idx}.w_{g}"] = (hidden_dim, dim + hidden_dim)
+            shapes[f"lstm{idx}.b_{g}"] = (hidden_dim,)
+    return sorted(shapes.items())
 
 
 def save_checkpoint(model: GraspModel, path) -> None:
@@ -509,65 +540,25 @@ def save_checkpoint(model: GraspModel, path) -> None:
         if model.stats is None
         else {"min": model.stats.min_value, "max": model.stats.max_value},
     }
-    write_blob(path, header, sorted(model.param_dict().items()))
+    params = model.param_dict()
+    write_blob(path, header, [(name, params[name])
+                              for name, _ in _manifest(model.variant, model.hidden_dim)])
 
 
-def _variant_from_header(header: dict, arrays: dict[str, np.ndarray]) -> GraspModel:
-    """Rebuild a GraspModel, rejecting any header field, array shape or non-finite value."""
-
-    def checked(key, ok, want):
-        value = header.get(key)
-        if not ok(value):
-            raise CheckpointError(f"checkpoint '{key}' must be {want}, got {value!r}")
-        return value
-
-    variant = checked("variant", lambda v: isinstance(v, str), "a variant tag or name")
-    hd = checked("hidden_dim", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-    for key in ("stft_window", "band_count", "loss_mode"):
-        fixed = getattr(GraspModel, key)
-        checked(key, lambda v: type(v) is type(fixed) and v == fixed, repr(fixed))
-    threshold = checked("threshold", lambda v: _is_int(v) or isinstance(v, float), "a number")
-    stats = checked("norm_stats", lambda v: v is None or (
-        isinstance(v, dict) and v.keys() == {"min", "max"}
-        and all(_is_int(x) or isinstance(x, float) for x in v.values())),
-        'null or {"min": number, "max": number}')
+def load_checkpoint(path) -> GraspModel:
+    """The model a checkpoint holds; the constructors check the stats and threshold ranges."""
+    header, arrays = read_blob(path)
+    variant, stats = get_variant(header["variant"]), header["norm_stats"]
+    lstms = [LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
+                                    for w in "wb" for g in nn.GATE_NAMES})
+             for idx in range(variant.n_streams)]
     try:
-        variant = get_variant(variant)
-    except ValueError as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from None
-
-    expected = {"fc.w": (2, hd * variant.n_streams), "fc.b": (2,)}
-    for idx, dim in enumerate(variant.stream_dims):
-        for g in nn.GATE_NAMES:
-            expected[f"lstm{idx}.w_{g}"] = (hd, dim + hd)
-            expected[f"lstm{idx}.b_{g}"] = (hd,)
-    got = {name: a.shape for name, a in arrays.items()}
-    if got != expected:
-        raise CheckpointError(f"arrays {got} do not match variant {variant.tag} at "
-                              f"hidden_dim {hd}: expected {expected}")
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            idx = tuple(map(int, np.unravel_index(np.argmin(np.isfinite(a)), a.shape)))
-            raise CheckpointError(f"array {name!r} holds {float(a[idx])} at index {idx}")
-    lstms = [
-        LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
-                               for w in "wb" for g in nn.GATE_NAMES})
-        for idx in range(variant.n_streams)
-    ]
-    try:  # the constructors check the stats and threshold ranges
         return GraspModel(
             variant=variant,
             lstms=lstms,
             head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
             stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
-            threshold=threshold,
+            threshold=header["threshold"],
         )
     except (ValueError, OverflowError) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
-
-
-def load_checkpoint(path) -> GraspModel:
-    header, arrays = read_blob(path)
-    if header["kind"] != "variant":
-        raise CheckpointError(f"unknown checkpoint kind {header['kind']!r}")
-    return _variant_from_header(header, arrays)

@@ -249,6 +249,8 @@ def write_event_log(events, path) -> None:
 
 
 def read_event_log(path) -> list[StepEvent]:
+    """A log's events. A value its writer never writes (a step or channel < 0, a label not 0/1,
+    latency_us < 0 or not finite, probability not NaN or in [0, 1]) names path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _LOG_HEADER:
@@ -261,17 +263,17 @@ def read_event_log(path) -> list[StepEvent]:
         if len(cells) != 5:
             raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(cells)}")
         try:
-            events.append(
-                StepEvent(
-                    step=int(cells[0]),
-                    channel=int(cells[1]),
-                    probability=float(cells[2]),
-                    unstable=bool(int(cells[3])),
-                    latency_us=float(cells[4]),
-                )
-            )
+            step, channel, label = int(cells[0]), int(cells[1]), int(cells[3])
+            probability, latency_us = float(cells[2]), float(cells[4])
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
+        ok = (step >= 0, channel >= 0, not (probability < 0 or probability > 1),
+              label in (0, 1), 0 <= latency_us < np.inf)
+        if not all(ok):
+            bad = ok.index(False)
+            raise ValueError(f"{path}:{ln}: {_LOG_HEADER.split(',')[bad]} out of range, "
+                             f"got {cells[bad]!r}")
+        events.append(StepEvent(step, channel, probability, label == 1, latency_us))
     return events
 
 

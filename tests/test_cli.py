@@ -651,7 +651,7 @@ def test_eval_bad_header_value_exits_1_naming_the_file(tmp_path, dataset_dir, tr
         "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
         "--data", str(ds), "--out", str(tmp_path / "o"),
     ) == 1
-    assert f"set_0000.txt:{ln}: object must be an integer, got 'x'" in capsys.readouterr().err
+    assert f"set_0000.txt:{ln}: object must be a 64-bit integer, got 'x'" in capsys.readouterr().err
 
 
 def test_eval_holdout_out_of_range_exits_1(tmp_path, dataset_dir, trained_dir, capsys):

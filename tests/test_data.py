@@ -101,16 +101,16 @@ def test_recording_keeps_ground_truth_in_range_and_only_for_force():
     for truth in (dict(slip_onset=0), dict(drop_step=49), dict(slip_onset=0, drop_step=49)):
         rec = make_set(n_steps=50, outcome="failure", **truth)
         assert (rec.slip_onset, rec.drop_step) == (truth.get("slip_onset"), truth.get("drop_step"))
-    with pytest.raises(ValueError, match="slip_onset must be an integer, got 20.0"):
+    with pytest.raises(ValueError, match="slip_onset must be a 64-bit integer, got 20.0"):
         make_set(n_steps=50, outcome="failure", slip_onset=20.0)
     with pytest.raises(ValueError, match="'drop_step' is not a pressure header key, got 5"):
         Recording(np.full((10, 4), 20000.0), 71.0, "pressure", initial=(1, 2, 3, 4), drop_step=5)
 
 
 @pytest.mark.parametrize("kind, field, value, want", [
-    ("force", "object_id", 2.5, "object must be an integer, got 2.5"),
-    ("force", "object_id", True, "object must be an integer, got True"),
-    ("force", "slip_onset", True, "slip_onset must be an integer, got True"),
+    ("force", "object_id", 2.5, "object must be a 64-bit integer, got 2.5"),
+    ("force", "object_id", True, "object must be a 64-bit integer, got True"),
+    ("force", "slip_onset", True, "slip_onset must be a 64-bit integer, got True"),
     ("force", "freq_hz", True, "freq_hz must be finite and > 0, got True"),
     ("force", "initial", (1, 2, 3, 4), "'initial' is not a force header key"),
     ("pressure", "outcome", "success", "'outcome' is not a pressure header key"),
@@ -125,6 +125,23 @@ def test_recording_refuses_a_field_its_key_refuses_or_of_the_other_kind(kind, fi
     rec = make_set(n_steps=50) if kind == "force" else pressure_run()
     with pytest.raises(ValueError, match=re.escape(want)):
         dataclasses.replace(rec, **{field: value})
+
+
+@pytest.mark.parametrize("field, key", [
+    ("object_id", "object"), ("weight", "weight"), ("force_level", "force_level"),
+])
+def test_recording_refuses_an_integer_field_outside_64_bits(tmp_path, field, key):
+    # Samples are written as integers in [-2**63, 2**63), and so are these
+    # fields; 10**5000 used to construct, then fail to write (over Python's
+    # 4,300-digit int-to-str limit).
+    rec = make_set(n_steps=5)
+    for value, shown in ((10**5000, "a 16610-bit integer"), (2**63, str(2**63)),
+                         (-(2**63) - 1, str(-(2**63) - 1))):
+        with pytest.raises(ValueError, match=f"{key} must be a 64-bit integer, got {shown}"):
+            dataclasses.replace(rec, **{field: value})
+    for value in (2**63 - 1, -(2**63)):
+        write_recording(dataclasses.replace(rec, **{field: value}), tmp_path / "g.txt")
+        assert getattr(read_recording(tmp_path / "g.txt"), field) == value
 
 
 def test_grasp_set_matrix_shape():
@@ -838,6 +855,28 @@ def test_read_reports_malformed_header_line(tmp_path):
     path.write_text("graspslip-trace v1\nkind\ndata\n1\n")
     with pytest.raises(ValueError, match=r"bad\.txt:2: malformed header line"):
         read_recording(path)
+
+
+@pytest.mark.parametrize("key", ["object", "weight", "force_level", "slip_onset", "drop_step"])
+def test_read_refuses_an_integer_header_value_outside_64_bits(tmp_path, key):
+    path = tmp_path / "g.txt"
+    write_recording(synth_grasp(21, SynthParams(slip_onset=200, drop_step=260)), path)
+    ln = _with_header_value(path, key, 2**63)
+    with pytest.raises(ValueError, match=rf"g\.txt:{ln}: {key} must be a 64-bit integer, "
+                                         rf"got '{2**63}'"):
+        read_recording(path)
+
+
+def test_read_skips_blank_and_comment_header_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    rec = synth_grasp(21, SynthParams(slip_onset=200, drop_step=260))
+    write_recording(rec, path)
+    lines = path.read_text().splitlines()
+    lines[1:1] = ["", "# a full-line comment", "   ", "  # an indented one"]
+    path.write_text("\n".join(lines) + "\n")
+    again = read_recording(path)
+    np.testing.assert_array_equal(again.samples, rec.samples)
+    assert (again.slip_onset, again.drop_step, again.object_id) == (200, 260, rec.object_id)
 
 
 def test_read_requires_data_section(tmp_path):

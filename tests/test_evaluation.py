@@ -294,7 +294,9 @@ def test_cross_matrix_divergence_propagates_from_workers(monkeypatch):
     # pooled row reaches the caller, so cross-eval exits 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sets = with_directions(data.synth_force_dataset(8, seed=36), ["back", "top"])
-    config = models.TrainConfig(epochs=1, lstm_units=8, lr=float("inf"))
+    # lr=1e308 is finite, so the config constructs; the first Adam steps
+    # push the weights near the float64 limit and the loss turns NaN
+    config = models.TrainConfig(epochs=1, lstm_units=8, lr=1e308)
     with pytest.raises(nn.TrainingDiverged, match="diverged"):
         cross_condition_matrix(sets, "B", config, labels="truth")
 

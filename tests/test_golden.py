@@ -37,6 +37,13 @@ def assert_close(got, ref):
 
 
 @pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
+def test_golden_checkpoint_resaves_byte_identically(tag, tmp_path):
+    # The writer's order and the reader's manifest agree on the committed files.
+    models.save_checkpoint(load(tag), tmp_path / "again.gslp")
+    assert (tmp_path / "again.gslp").read_bytes() == (GOLDEN / f"{tag}.gslp").read_bytes()
+
+
+@pytest.mark.parametrize("tag", ["A", "B", "C", "D"])
 def test_golden_offline_predict(tag, expected):
     traces, ref = expected
     model = load(tag)

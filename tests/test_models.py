@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -68,6 +69,22 @@ def test_config_rejects_bad_modes():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=-1)
+
+
+@pytest.mark.parametrize("lr", [np.inf, -np.inf, np.nan, None])
+def test_config_rejects_lr_that_is_not_finite_positive(lr):
+    # lr=inf used to construct, and training then diverged as a numeric failure
+    with pytest.raises(ValueError, match="lr must be a finite number > 0"):
+        TrainConfig(lr=lr)
+
+
+@pytest.mark.parametrize("key", ["window_len", "lstm_units", "epochs", "seed"])
+@pytest.mark.parametrize("value", [2.5, 160.0, True, "3", None])
+def test_config_rejects_a_count_that_is_not_an_integer(key, value):
+    # epochs=2.5 used to construct, and training then failed inside range()
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got {re.escape(repr(value))}"):
+        TrainConfig(**{key: value})
+    assert getattr(TrainConfig(**{key: np.int64(100)}), key) == 100
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, 1.0, -0.2, 1.5])
@@ -721,7 +738,7 @@ def test_checkpoint_rejects_wrong_array_set(tmp_path, change):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("manifest, body, match", [
+@pytest.mark.parametrize("manifest, body, fault", [
     ([{"name": "w", "shape": [4, 1 << 40]}], b"\0" * 64, "exceeds the file"),
     ([{"name": "w", "shape": [9]}], b"\0" * 64, "exceeds the file"),
     ([{"name": "w", "shape": [-1, 4]}], b"", "malformed array entry"),
@@ -731,13 +748,30 @@ def test_checkpoint_rejects_wrong_array_set(tmp_path, change):
     ({"name": "w", "shape": [1]}, b"\0" * 8, "'arrays' list"),
     (None, b"", "'arrays' list"),
 ])
-def test_read_blob_rejects_bad_manifest(tmp_path, manifest, body, match):
-    path = tmp_path / "model.gslp"
-    header = {"kind": "svm"}
+def test_read_blob_rejects_bad_manifest(tmp_path, manifest, body, fault):
+    # Each manifest has one fault; on a valid D header it is refused as not
+    # the one manifest that header implies, before any array is read.
+    path, header, _ = saved_blob(tmp_path)
+    del header["arrays"]
     if manifest is not None:
         header["arrays"] = manifest
     write_raw_blob(path, header, body)
-    with pytest.raises(models.CheckpointError, match=match):
+    with pytest.raises(models.CheckpointError, match="do not match variant D at hidden_dim 6"):
+        models.read_blob(path)
+
+
+@pytest.mark.parametrize("hidden_dim", [7, 10**12])
+def test_read_blob_checks_the_body_length_before_reading_an_array(tmp_path, hidden_dim):
+    # The manifest is the one the header implies, but the body holds D's
+    # arrays at hidden_dim 6; 10**12 would need 8e24 bytes, so the file is
+    # refused before any array is allocated.
+    path, header, arrays = saved_blob(tmp_path)
+    header["hidden_dim"] = hidden_dim
+    header["arrays"] = [{"name": n, "shape": list(s)}
+                        for n, s in models._manifest(get_variant("D"), hidden_dim)]
+    body = b"".join(arrays[n].astype("<f8").tobytes() for n in sorted(arrays))
+    write_raw_blob(path, header, body)
+    with pytest.raises(models.CheckpointError, match=f"parameter data holds {len(body)} bytes"):
         models.read_blob(path)
 
 

@@ -474,6 +474,30 @@ def test_event_log_rejects_bad_header(tmp_path):
         read_event_log(path)
 
 
+@pytest.mark.parametrize("row, field", [
+    ("0,0,0.5,7,1.0", "label"), ("0,0,0.5,-1,1.0", "label"),
+    ("-1,0,0.5,1,1.0", "step"), ("0,-2,0.5,1,1.0", "channel"),
+    ("0,0,0.5,1,-1.0", "latency_us"), ("0,0,0.5,1,nan", "latency_us"),
+    ("0,0,0.5,1,inf", "latency_us"),
+    ("0,0,1.5,1,1.0", "probability"), ("0,0,-0.1,1,1.0", "probability"),
+    ("0,0,inf,1,1.0", "probability"),
+])
+def test_event_log_refuses_a_value_the_writer_never_writes(tmp_path, row, field):
+    # a label 7 used to read as unstable, and a nan latency gave latency_report a NaN p95
+    path = tmp_path / "events.csv"
+    path.write_text(f"step,channel,probability,label,latency_us\n0,0,0.25,0,3.5\n{row}\n")
+    with pytest.raises(ValueError, match=rf"events\.csv:3: {field} out of range"):
+        read_event_log(path)
+
+
+def test_event_log_reads_nan_probability_and_zero_latency(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("step,channel,probability,label,latency_us\n0,0,nan,1,0.000\n2,1,1,0,0\n")
+    first, second = read_event_log(path)
+    assert np.isnan(first.probability) and first.unstable and first.latency_us == 0.0
+    assert (second.step, second.channel, second.probability, second.unstable) == (2, 1, 1.0, False)
+
+
 def test_event_log_reports_bad_line(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("step,channel,probability,label,latency_us\n1,2,0.5\n")
