@@ -36,7 +36,7 @@ from graspslip import stream as gstream
 from graspslip.ioutil import (
     atomic_write_json, atomic_write_text, blas_record, rng_for, sha256_bytes, sha256_file,
 )
-from graspslip.signal import DEFAULT_WINDOW_LEN, NormStats
+from graspslip.signal import NormStats
 
 GRAD_TOLERANCE = 1e-4
 # gen-data per profile: default --steps, --freq-hz and --failure-fraction
@@ -62,8 +62,6 @@ _natural = _number(int, lambda v: v >= 0, ">= 0")
 _positive = _number(float, lambda v: v > 0, "> 0")
 _fraction = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
 _holdout = _number(float, lambda v: 0 <= v < 1, "in [0, 1)")
-_window_len = _number(int, lambda v: v > DEFAULT_WINDOW_LEN,
-                      f"> {DEFAULT_WINDOW_LEN} (the STFT window)")
 _channel = _number(int, lambda v: 0 <= v < gdata.FORCE_CHANNELS,
                    f"in 0..{gdata.FORCE_CHANNELS - 1}")
 _channels = _number(int, lambda v: 1 <= v <= gdata.FORCE_CHANNELS,
@@ -107,33 +105,28 @@ def _write_run_manifest(out_dir, command: str, args, inputs: dict) -> None:
 
 
 def _train_config(args) -> gmodels.TrainConfig:
-    return gmodels.TrainConfig(
-        window_len=args.window_len,
-        lstm_units=args.units,
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        clip_norm=args.clip_norm,
-        threshold=args.threshold,
-    )
+    return gmodels.TrainConfig(**{f: getattr(args, s.flag[2:].replace("-", "_"))
+                                  for f, s in gmodels.TRAIN_SETTINGS.items()})
+
+
+def _add_setting(p: argparse.ArgumentParser, field: str, **kwargs) -> None:
+    """TrainConfig ``field``'s flag: its rule types the text, its default is the field's."""
+    s = gmodels.TRAIN_SETTINGS[field]
+    p.add_argument(s.flag, type=_number(s.kind, s.rule, s.want),
+                   default=getattr(gmodels.TrainConfig, field), **kwargs)
 
 
 def _add_window_knobs(p: argparse.ArgumentParser) -> None:
     """How sets become labeled windows: length, label source, channel."""
-    p.add_argument("--window-len", type=_window_len, default=160)
+    _add_setting(p, "window_len")
     p.add_argument("--labels", choices=("detect", "truth"), default="detect",
                    help="label source: drop detection or synthetic ground truth")
     p.add_argument("--channel", type=_channel, default=0)
 
 
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--epochs", type=_natural, default=50)
-    p.add_argument("--lr", type=_positive, default=0.0006)
-    p.add_argument("--units", type=_count, default=128)
-    p.add_argument("--clip-norm", type=_positive, default=5.0,
-                   help="global gradient norm cap")
-    p.add_argument("--threshold", type=_fraction, default=0.5)
+    for field in ("seed", "epochs", "lr", "lstm_units", "clip_norm", "threshold"):
+        _add_setting(p, field, help="global gradient norm cap" if field == "clip_norm" else None)
     _add_window_knobs(p)
 
 
@@ -323,17 +316,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _gradcheck_model(tag: str, hidden: int, seed: int) -> gmodels.GraspModel:
-    variant = gmodels.get_variant(tag)
+def _gradcheck_model(variant: gmodels.ModelVariant, hidden: int, seed: int) -> gmodels.GraspModel:
     rng = np.random.default_rng(seed)
-    lstms = [
-        nn.LstmParams.init(dim, hidden, rng, scale=0.3)
-        for dim in variant.stream_dims
-    ]
+    lstms = [nn.LstmParams.init(dim, hidden, rng, scale=0.3) for dim in variant.stream_dims]
     head = nn.FcHead.init(hidden * variant.n_streams, rng, scale=0.3)
-    return gmodels.GraspModel(
-        variant=variant, lstms=lstms, head=head, stats=NormStats(0.0, 1.0)
-    )
+    return gmodels.GraspModel(variant, lstms, head, stats=NormStats(0.0, 1.0))
 
 
 def cmd_grad_check(args) -> int:
@@ -346,12 +333,9 @@ def cmd_grad_check(args) -> int:
         worst = 0.0
         for inst in range(args.instances):
             seed = args.seed + 1000 * inst
-            model = _gradcheck_model(variant.tag, args.hidden, seed)
+            model = _gradcheck_model(variant, args.hidden, seed)
             rng = np.random.default_rng(seed + 1)
-            feats = [
-                rng.normal(0.0, 1.0, size=(args.steps, dim))
-                for dim in variant.stream_dims
-            ]
+            feats = [rng.normal(0.0, 1.0, size=(args.steps, dim)) for dim in variant.stream_dims]
             labels = rng.integers(0, 2, size=args.steps)
             worst = max(worst, nn.grad_check(model, feats, labels))
         verdict = "ok" if worst < args.tolerance else "FAIL"
@@ -410,8 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--holdout", type=_holdout, default=0.0,
                    help="evaluate the held-out side of train's seeded split (0: all sets)")
-    p.add_argument("--seed", type=_natural, default=0,
-                   help="split seed; must match the train run to stay disjoint")
+    _add_setting(p, "seed", help="split seed; must match the train run to stay disjoint")
     _add_window_knobs(p)
     p.add_argument("--dump-set", type=int, default=None,
                    help="also write per-step plot data for this set index")

@@ -17,6 +17,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,9 +90,46 @@ def get_variant(key: str) -> ModelVariant:
 EARLY_STOP_PATIENCE = 10
 
 
+class Setting(NamedTuple):
+    """A TrainConfig field's rule on a value of its ``kind`` (int: an integer;
+    float: a finite number; a bool is neither), the words for what the rule
+    wants, and the field's CLI flag."""
+
+    kind: type
+    rule: Callable
+    want: str
+    flag: str
+
+
+# Each TrainConfig field's rule, in field order. Past 1, a threshold flags no step unstable.
+TRAIN_SETTINGS = {
+    "window_len": Setting(int, lambda v: v > DEFAULT_WINDOW_LEN,
+                          f"> {DEFAULT_WINDOW_LEN} (the STFT window)", "--window-len"),
+    "lstm_units": Setting(int, lambda v: v >= 1, ">= 1", "--units"),
+    "lr": Setting(float, lambda v: v > 0, "> 0", "--lr"),
+    "epochs": Setting(int, lambda v: v >= 0, ">= 0", "--epochs"),
+    "seed": Setting(int, lambda v: v >= 0, ">= 0", "--seed"),
+    "clip_norm": Setting(float, lambda v: v > 0, "> 0", "--clip-norm"),
+    "threshold": Setting(float, lambda v: 0 < v < 1, "in (0, 1)", "--threshold"),
+}
+
+
+def check_setting(field: str, value):
+    """``value`` if it is of its ``TRAIN_SETTINGS`` kind and its rule takes it;
+    else a ValueError naming the field and the value."""
+    s = TRAIN_SETTINGS[field]
+    kinds = (int, np.integer) if s.kind is int else (int, float, np.integer, np.floating)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (s.kind is int or -math.inf < value < math.inf) or not s.rule(value)):
+        kind = "an integer" if s.kind is int else "a finite number"
+        raise ValueError(f"{field} must be {kind} {s.want}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training-loop knobs. One optimizer step consumes one window."""
+    """Training-loop knobs, each checked by its ``TRAIN_SETTINGS`` rule.
+    One optimizer step consumes one window."""
 
     window_len: int = 160
     lstm_units: int = 128
@@ -102,31 +140,8 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        for key in ("window_len", "lstm_units", "epochs", "seed"):
-            if not isinstance(v := getattr(self, key), (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
-        if self.window_len <= DEFAULT_WINDOW_LEN:
-            raise ValueError("window_len must exceed the STFT window")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lstm_units < 1:
-            raise ValueError("lstm_units must be >= 1")
-        for key in ("lr", "clip_norm"):
-            if getattr(self, key) is None or not (0 < getattr(self, key) < math.inf):
-                raise ValueError(f"{key} must be a finite number > 0")
-        _check_threshold(self.threshold)
-
-
-def _check_threshold(threshold) -> float:
-    """The decision threshold as a float; it must be finite and in (0, 1).
-
-    A NaN threshold would compare false against every probability, so
-    the model could never report unstable.
-    """
-    t = float(threshold)
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"threshold must be a finite number in (0, 1), got {threshold!r}")
-    return t
+        for field in TRAIN_SETTINGS:
+            check_setting(field, getattr(self, field))
 
 
 @dataclass
@@ -175,7 +190,7 @@ class GraspModel:
         self.lstms = lstms
         self.head = head
         self.stats = stats
-        self.threshold = _check_threshold(threshold)
+        self.threshold = float(check_setting("threshold", threshold))
 
     # -- construction -------------------------------------------------
 
@@ -485,13 +500,13 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
     for key in ("stft_window", "band_count", "loss_mode"):
         fixed = getattr(GraspModel, key)
         checked(key, lambda v: type(v) is type(fixed) and v == fixed, repr(fixed))
-    checked("threshold", lambda v: type(v) in (int, float), "a number")
     checked("norm_stats", lambda v: v is None or (
         isinstance(v, dict) and v.keys() == {"min", "max"}
         and all(type(x) in (int, float) for x in v.values())),
         'null or {"min": number, "max": number}')
     try:
         variant = get_variant(variant)
+        check_setting("threshold", header.get("threshold"))
     except ValueError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
@@ -546,7 +561,7 @@ def save_checkpoint(model: GraspModel, path) -> None:
 
 
 def load_checkpoint(path) -> GraspModel:
-    """The model a checkpoint holds; the constructors check the stats and threshold ranges."""
+    """The model a checkpoint holds; the constructors check the stats range."""
     header, arrays = read_blob(path)
     variant, stats = get_variant(header["variant"]), header["norm_stats"]
     lstms = [LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]

@@ -396,6 +396,62 @@ def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, nam
     assert not out.exists()
 
 
+# Each TrainConfig field's flag over these texts: a text the flag's kind
+# cannot parse reaches TrainConfig as the text itself.
+SETTING_TEXTS = ["-1", "0", "0.5", "1", "2.5", "20", "21", "nan", "inf", "1e308", "True"]
+
+
+@pytest.mark.parametrize("field", list(models.TRAIN_SETTINGS))
+@pytest.mark.parametrize("text", SETTING_TEXTS)
+def test_train_flag_takes_a_text_exactly_when_train_config_takes_its_value(
+        field, text, tmp_path, dataset_dir, capsys):
+    setting = models.TRAIN_SETTINGS[field]
+    try:
+        value = setting.kind(text)
+    except ValueError:
+        value = text
+    try:
+        models.TrainConfig(**{field: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"{field} must be ") and str(exc).endswith(f"got {value!r}")
+        taken = False
+    else:
+        taken = True
+    fit = ["train", "--data", str(dataset_dir), "--variant", "A"]
+    if taken:
+        args = cli.build_parser().parse_args([*fit, setting.flag, text])
+        assert getattr(cli._train_config(args), field) == value
+    else:
+        out = tmp_path / "o"
+        assert run(*fit, "--out", str(out), setting.flag, text) == 1
+        assert f"argument {setting.flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_manifest_config_keeps_each_flag_name_and_value(tmp_path, dataset_dir, trained_dir,
+                                                           xeval_dir):
+    # Keys are argparse dests (--units records "units"), values as parsed.
+    ckpt = str(trained_dir / "checkpoint.gslp")
+    assert run("eval", "--checkpoint", ckpt, "--data", str(dataset_dir),
+               "--out", str(tmp_path / "eval"), "--labels", "truth", "--holdout", "0.34") == 0
+    want = {
+        trained_dir: {
+            "channel": 0, "clip_norm": 5.0, "command": "train", "data": str(dataset_dir),
+            "epochs": 2, "holdout": 0.0, "labels": "truth", "lr": 0.0006, "seed": 0,
+            "threshold": 0.5, "units": 8, "variant": "B", "window_len": 160},
+        tmp_path / "eval": {
+            "channel": 0, "checkpoint": [ckpt], "command": "eval", "data": str(dataset_dir),
+            "dump_set": None, "holdout": 0.34, "labels": "truth", "seed": 0, "window_len": 160},
+        xeval_dir: {
+            "channel": 0, "clip_norm": 5.0, "command": "cross-eval", "condition": "outcome",
+            "data": str(dataset_dir), "epochs": 1, "labels": "truth", "lr": 0.0006, "ratio": 0.8,
+            "seed": 0, "threshold": 0.5, "units": 4, "variant": "B", "window_len": 160},
+    }
+    for run_dir, config in want.items():
+        got = json.loads((run_dir / "run_manifest.json").read_text())["config"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(config, sort_keys=True)
+
+
 def test_run_manifest_refuses_a_non_finite_value(tmp_path):
     args = cli.build_parser().parse_args(["grad-check"])
     args.tolerance = float("nan")

@@ -231,9 +231,21 @@ def flags(**strategies):
     return st.fixed_dictionaries({}, optional=strategies).map(tokens)
 
 
+def setting_edges(setting):
+    """Each bound written in a TrainConfig setting's words and the nearest
+    value of its kind on either side, as flag texts."""
+    bounds = [float(b) for b in re.findall(r"-?\d+(?:\.\d+)?", setting.want)]
+    if setting.kind is int:
+        return [str(int(b) + d) for b in bounds for d in (-1, 0, 1)]
+    return [repr(x) for b in bounds
+            for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+
+
+# Every TrainConfig setting's flag, its size capped as above.
+SIZE_CAPS = {"epochs": 2, "lstm_units": 8, "window_len": 300}
 TRAIN_KNOBS = dict(
-    seed=numbers(), epochs=numbers(hi=2), lr=numbers(), units=numbers(hi=8),
-    window_len=numbers(hi=300), clip_norm=numbers(), threshold=numbers(),
+    **{s.flag[2:].replace("-", "_"): numbers(hi=SIZE_CAPS.get(f, 8))
+       | st.sampled_from(setting_edges(s)) for f, s in models.TRAIN_SETTINGS.items()},
     labels=st.sampled_from(["detect", "truth"]), channel=numbers(hi=16),
 )
 

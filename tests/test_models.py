@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -60,7 +61,7 @@ def test_get_variant_unknown():
 
 
 def test_config_rejects_short_window():
-    with pytest.raises(ValueError, match="window_len must exceed"):
+    with pytest.raises(ValueError, match=r"window_len must be an integer > 20 \(the STFT window\), got 20"):
         TrainConfig(window_len=20)
 
 
@@ -78,13 +79,39 @@ def test_config_rejects_lr_that_is_not_finite_positive(lr):
         TrainConfig(lr=lr)
 
 
+COUNT_RANGES = {"window_len": "> 20 (the STFT window)", "lstm_units": ">= 1", "epochs": ">= 0",
+                "seed": ">= 0"}
+
+
 @pytest.mark.parametrize("key", ["window_len", "lstm_units", "epochs", "seed"])
 @pytest.mark.parametrize("value", [2.5, 160.0, True, "3", None])
 def test_config_rejects_a_count_that_is_not_an_integer(key, value):
     # epochs=2.5 used to construct, and training then failed inside range()
-    with pytest.raises(ValueError, match=f"{key} must be an integer, got {re.escape(repr(value))}"):
+    want = re.escape(f"{key} must be an integer {COUNT_RANGES[key]}, got {value!r}")
+    with pytest.raises(ValueError, match=want):
         TrainConfig(**{key: value})
     assert getattr(TrainConfig(**{key: np.int64(100)}), key) == 100
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("lr", "0.1", "lr must be a finite number > 0, got '0.1'"),
+    ("clip_norm", "1", "clip_norm must be a finite number > 0, got '1'"),
+    ("threshold", "0.5", "threshold must be a finite number in (0, 1), got '0.5'"),
+    ("lr", True, "lr must be a finite number > 0, got True"),
+], ids=["seed-negative", "lr-text", "clip_norm-text", "threshold-text", "lr-bool"])
+def test_config_refuses_what_the_cli_refuses_naming_field_and_value(key, value, want):
+    # seed=-1 and threshold="0.5" used to construct, lr=True too, and a text
+    # lr or clip_norm raised TypeError; the CLI refused all four.
+    with pytest.raises(ValueError, match=re.escape(want)):
+        TrainConfig(**{key: value})
+
+
+def test_every_train_config_field_has_one_setting_that_takes_its_default():
+    fields = dataclasses.fields(TrainConfig)
+    assert list(models.TRAIN_SETTINGS) == [f.name for f in fields]
+    for f in fields:
+        assert models.check_setting(f.name, f.default) == f.default
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, 1.0, -0.2, 1.5])
@@ -598,6 +625,15 @@ def test_model_rejects_threshold_and_loss_mode_out_of_range(over, match):
     m = small_model("B")
     with pytest.raises(ValueError, match=match):
         GraspModel(m.variant, m.lstms, m.head, m.stats, **over)
+
+
+@pytest.mark.parametrize("threshold", ["0.5", True, None])
+def test_model_refuses_a_threshold_that_is_not_a_number(threshold):
+    # float("0.5") used to let a text threshold through
+    m = small_model("B")
+    with pytest.raises(ValueError, match=re.escape(
+            f"threshold must be a finite number in (0, 1), got {threshold!r}")):
+        GraspModel(m.variant, m.lstms, m.head, m.stats, threshold=threshold)
 
 
 # -- checkpoints -----------------------------------------------------------------

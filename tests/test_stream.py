@@ -419,6 +419,16 @@ def test_latency_report_nearest_rank_percentiles():
     assert report["pass"] is True
 
 
+def test_latency_report_percentiles_take_the_ceiling_rank():
+    # n = 31: 0.95 * 31 = 29.45 and 0.5 * 31 = 15.5, so p95 is the 30th
+    # smallest value and p50 the 16th; a floor rank would give the 29th and 15th.
+    lat = [float(v) for v in range(31, 0, -1)]  # 31..1 us, largest first
+    report = latency_report(fake_events(lat))
+    for part in ("per_sensor_ms", "per_frame_ms"):  # one sensor: a frame is one event
+        assert report[part]["p95"] == 30 / 1e3
+        assert report[part]["p50"] == 16 / 1e3
+
+
 def test_latency_report_verdict_boundary():
     # p95 exactly at the budget must fail the strict < check
     events = fake_events([4000.0] * 100)
