@@ -34,9 +34,10 @@ from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
 from graspslip.ioutil import (
-    atomic_write_json, atomic_write_text, blas_record, rng_for, sha256_bytes, sha256_file,
+    INTEGER, Rule, atomic_write_json, atomic_write_text, blas_record, rng_for, sha256_bytes,
+    sha256_file,
 )
-from graspslip.signal import NormStats
+from graspslip.signal import FREQ_HZ, NormStats
 
 GRAD_TOLERANCE = 1e-4
 # gen-data per profile: default --steps, --freq-hz and --failure-fraction
@@ -46,26 +47,15 @@ GRAD_TOLERANCE = 1e-4
 GEN_PROFILES = {"force": (400, 16.7, 0.5, gdata.FORCE_MIN_STEPS), "pressure": (1600, 71.0, None, 21)}
 
 
-def _number(kind, ok, want: str):
-    """argparse type: a finite ``kind`` value that ``ok`` accepts."""
-    def parse(text):
-        value = kind(text)
-        if not (np.isfinite(value) and ok(value)):
-            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
-        return value
-    parse.__name__ = kind.__name__
-    return parse
-
-
-_count = _number(int, lambda v: v >= 1, ">= 1")
-_natural = _number(int, lambda v: v >= 0, ">= 0")
-_positive = _number(float, lambda v: v > 0, "> 0")
-_fraction = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
-_holdout = _number(float, lambda v: 0 <= v < 1, "in [0, 1)")
-_channel = _number(int, lambda v: 0 <= v < gdata.FORCE_CHANNELS,
-                   f"in 0..{gdata.FORCE_CHANNELS - 1}")
-_channels = _number(int, lambda v: 1 <= v <= gdata.FORCE_CHANNELS,
-                    f"in 1..{gdata.FORCE_CHANNELS}")
+# argparse types of the numeric flags that set no TrainConfig field, each from its Rule.
+_count = Rule(int, lambda v: v >= 1, ">= 1").parse
+_natural = Rule(int, lambda v: v >= 0, ">= 0").parse
+_positive = Rule(float, lambda v: v > 0, "> 0").parse
+_holdout = Rule(float, lambda v: 0 <= v < 1, "in [0, 1)").parse
+_channel = Rule(int, lambda v: 0 <= v < gdata.FORCE_CHANNELS,
+                f"in 0..{gdata.FORCE_CHANNELS - 1}").parse
+_channels = Rule(int, lambda v: 1 <= v <= gdata.FORCE_CHANNELS,
+                 f"in 1..{gdata.FORCE_CHANNELS}").parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +102,7 @@ def _train_config(args) -> gmodels.TrainConfig:
 def _add_setting(p: argparse.ArgumentParser, field: str, **kwargs) -> None:
     """TrainConfig ``field``'s flag: its rule types the text, its default is the field's."""
     s = gmodels.TRAIN_SETTINGS[field]
-    p.add_argument(s.flag, type=_number(s.kind, s.rule, s.want),
+    p.add_argument(s.flag, type=s.rule.parse,
                    default=getattr(gmodels.TrainConfig, field), **kwargs)
 
 
@@ -140,9 +130,8 @@ def cmd_gen_data(args) -> int:
     for name, value in (("steps", steps), ("freq_hz", freq_hz), ("failure_fraction", fraction)):
         if getattr(args, name) is None:  # so that run_manifest.json records the value used
             setattr(args, name, value)
-    if args.steps < min_steps:
-        raise ValueError(f"--steps must be >= {min_steps} for the {args.profile} profile, "
-                         f"got {args.steps}")
+    Rule(int, lambda n: n >= min_steps, f">= {min_steps} for the {args.profile} profile").check(
+        "--steps", args.steps)
     if args.profile == "force":
         recs = gdata.synth_force_dataset(
             args.sets, seed=args.seed,
@@ -359,9 +348,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--sets", type=_natural, default=40)
     p.add_argument("--profile", choices=("force", "pressure"), default="force")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--freq-hz", type=_positive, default=None)
-    p.add_argument("--failure-fraction", type=_number(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    p.add_argument("--steps", type=INTEGER.parse, default=None)
+    p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=None)
+    p.add_argument("--failure-fraction", type=gdata.FAILURE_FRACTION.parse,
                    default=None, help="share of failure sets (force profile; default 0.5)")
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
@@ -370,7 +359,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("convert", help="CSV -> trace file")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    p.add_argument("--freq-hz", type=_positive, default=16.7)
+    p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=16.7)
     p.add_argument("--outcome", choices=("success", "failure"), default="failure")
     p.add_argument("--direction", choices=gdata.DIRECTIONS, default="back")
     p.add_argument("--object", type=_natural, default=0)
@@ -396,7 +385,7 @@ def build_parser() -> _Parser:
                    help="evaluate the held-out side of train's seeded split (0: all sets)")
     _add_setting(p, "seed", help="split seed; must match the train run to stay disjoint")
     _add_window_knobs(p)
-    p.add_argument("--dump-set", type=int, default=None,
+    p.add_argument("--dump-set", type=INTEGER.parse, default=None,
                    help="also write per-step plot data for this set index")
     p.set_defaults(func=cmd_eval)
 
@@ -405,14 +394,14 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--condition", choices=("direction", "outcome"), default="direction")
-    p.add_argument("--ratio", type=_fraction, default=0.8)
+    p.add_argument("--ratio", type=gdata.RATIO.parse, default=0.8)
     _add_train_knobs(p)
     p.set_defaults(func=cmd_cross_eval)
 
     p = sub.add_parser("simulate", help="streamed replay with grip controller")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset dir (with --set) or one trace file")
-    p.add_argument("--set", type=int, default=0)
+    p.add_argument("--set", type=INTEGER.parse, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--channels", type=_channels, default=1)
     p.add_argument("--strict-latency", action="store_true",

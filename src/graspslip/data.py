@@ -38,7 +38,6 @@ import csv
 import functools
 import json
 import os
-import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -46,8 +45,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from graspslip.ioutil import atomic_write_json, atomic_write_text, rng_for
-from graspslip.signal import SensorTrace, readonly_float64
+from graspslip.ioutil import (
+    FINITE, INTEGER, Rule, _repr, atomic_write_json, atomic_write_text, one_of, rng_for,
+)
+from graspslip.signal import FREQ_HZ, SensorTrace, readonly_float64
 
 TRACE_FORMAT = "graspslip-trace v1"
 OUTCOMES = ("success", "failure")
@@ -70,6 +71,11 @@ DROP_SUSTAIN = 3
 # Pre-drop labeling horizon: the window of steps before a detected drop
 # that is labeled unstable.
 LABEL_LEAD_STEPS = 20
+
+# The share of failure sets a synthetic dataset holds, and a split's train
+# share; gen-data's --failure-fraction and cross-eval's --ratio read them.
+FAILURE_FRACTION = Rule(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+RATIO = Rule(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +115,8 @@ class Recording:
                 default = getattr(Recording, spec.attr)
                 if (type(value), value) != (type(default), default):
                     raise ValueError(f"{key!r} is not a {self.kind} header key, got {_repr(value)}")
-            elif (value is not None or spec.default is not None) and not spec.ok(value):
-                raise ValueError(f"{key} must be {spec.want}, got {_repr(value)}")
+            elif value is not None or spec.default is not None:
+                spec.rule.check(key, value)
         if samples.shape[0] == 0:
             raise ValueError("empty input")
         if not np.all(np.isfinite(samples)):
@@ -263,8 +269,7 @@ def split(dataset, ratio: float = 0.8, seed: int = 0):
     sets = list(dataset)
     if len(sets) < 2:
         raise ValueError("need at least 2 sets to split")
-    if not (0.0 < ratio < 1.0):
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    RATIO.check("ratio", ratio)
 
     groups: dict[str, list] = {}
     for idx, s in enumerate(sets):
@@ -390,8 +395,7 @@ def synth_force_dataset(
     """
     if n_sets < 1:
         raise ValueError("n_sets must be >= 1")
-    if not (0.0 <= failure_fraction <= 1.0):
-        raise ValueError(f"failure_fraction must lie in [0, 1], got {failure_fraction!r}")
+    FAILURE_FRACTION.check("failure_fraction", failure_fraction)
     rng = rng_for(seed, "synth-dataset")
     n_failure = int(round(n_sets * failure_fraction))
     sets = []
@@ -489,58 +493,39 @@ _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """A header key's Recording attribute, parser, expected value, rule on
-    the parsed or given value, and value when absent (_REQUIRED: it must be given)."""
+    """A header key's Recording attribute, its rule, its value when absent
+    (_REQUIRED: it must be given) and its text parser when not the rule's kind."""
 
     attr: str
-    parse: Callable
-    want: str
-    ok: Callable
+    rule: Rule
     default: object = _REQUIRED
-
-
-def _integer(v) -> bool:
-    """A Python or numpy integer, not a bool, in [-2**63, 2**63) as samples (``_unwritable``)."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and -(2**63) <= v < 2**63
-
-
-def _repr(value) -> str:
-    """repr(value), or the size of an int too long for repr (over 4,300 digits)."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"a {value.bit_length()}-bit integer"
-
-
-def _finite(v) -> bool:
-    """A Python or numpy integer or float, not a bool, whose float64 value is finite."""
-    return (isinstance(v, (int, np.integer, float, np.floating)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
+    parse: Callable | None = None
 
 
 # Each kind's header keys in the order written; a None value is not written.
 # The reader takes these keys, in any order, and refuses any other.
 HEADER_KEYS = {
     kind: {
-        "kind": _Key("kind", str, f"one of {tuple(CHANNELS)}", CHANNELS.__contains__, "force"),
-        "freq_hz": _Key("freq_hz", float, "finite and > 0", lambda f: _finite(f) and f > 0),
-        "channels": _Key("n_channels", int, str(CHANNELS[kind]), CHANNELS[kind].__eq__),
+        "kind": _Key("kind", one_of(*CHANNELS), "force"),
+        "freq_hz": _Key("freq_hz", FREQ_HZ),
+        "channels": _Key("n_channels", one_of(CHANNELS[kind])),
         **keys,
     }
     for kind, keys in [
         ("force", {
-            "outcome": _Key("outcome", str, f"one of {OUTCOMES}", OUTCOMES.__contains__),
-            "direction": _Key("direction", str, f"one of {DIRECTIONS}", DIRECTIONS.__contains__),
-            "object": _Key("object_id", int, "a 64-bit integer", _integer),
-            "weight": _Key("weight", int, "a 64-bit integer", _integer, 0),
-            "force_level": _Key("force_level", int, "a 64-bit integer", _integer, 0),
-            "slip_onset": _Key("slip_onset", int, "a 64-bit integer", _integer, None),
-            "drop_step": _Key("drop_step", int, "a 64-bit integer", _integer, None),
+            "outcome": _Key("outcome", one_of(*OUTCOMES)),
+            "direction": _Key("direction", one_of(*DIRECTIONS)),
+            "object": _Key("object_id", INTEGER),
+            "weight": _Key("weight", INTEGER, 0),
+            "force_level": _Key("force_level", INTEGER, 0),
+            "slip_onset": _Key("slip_onset", INTEGER, None),
+            "drop_step": _Key("drop_step", INTEGER, None),
         }),
         ("pressure", {
-            "initial": _Key("initial", lambda t: tuple(map(float, t.split())),
-                            f"{PRESSURE_CHANNELS} finite numbers", lambda v: isinstance(v, tuple)
-                            and len(v) == PRESSURE_CHANNELS and all(map(_finite, v))),
+            "initial": _Key("initial", Rule(tuple, lambda v: len(v) == PRESSURE_CHANNELS
+                                            and all(map(FINITE.takes, v)),
+                                            f"{PRESSURE_CHANNELS} finite numbers"),
+                            parse=lambda t: tuple(map(float, t.split()))),
         }),
     ]
 }
@@ -649,11 +634,11 @@ def _field(path, header: dict, key: str, spec: _Key):
         return spec.default
     ln, text = header[key]
     try:
-        if spec.ok(value := spec.parse(text)):
+        if spec.rule.takes(value := (spec.parse or spec.rule.kind)(text)):
             return value
     except ValueError:
         pass
-    raise ValueError(f"{path}:{ln}: {key} must be {spec.want}, got {text!r}")
+    raise ValueError(f"{path}:{ln}: {key} must be {spec.rule.words}, got {text!r}")
 
 
 def read_recording(path) -> Recording:
@@ -687,8 +672,7 @@ def save_force_dataset(sets, out_dir, kind: str = "force") -> str:
     An empty collection writes a manifest only (zero-set dataset).
     """
     sets = list(sets)
-    if kind not in CHANNELS:
-        raise ValueError(f"kind must be one of {tuple(CHANNELS)}, got {kind!r}")
+    HEADER_KEYS["force"]["kind"].rule.check("kind", kind)
     kinds = {kind, *(rec.kind for rec in sets)}
     if len(kinds) > 1:
         raise ValueError(f"a dataset holds one kind of recording, got {sorted(kinds)}")

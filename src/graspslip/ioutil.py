@@ -1,17 +1,84 @@
-"""Small file, JSON, RNG and BLAS-provenance helpers shared across the package."""
+"""Small file, JSON, RNG and BLAS-provenance helpers shared across the
+package, and the ``Rule`` that every value from outside is checked by."""
 
 from __future__ import annotations
 
+import argparse
 import ctypes
 import glob
 import hashlib
 import json
+import math
 import os
 import tempfile
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+# Each numeric kind's Python and numpy types, its test of a value of those
+# types, and its words. math.isfinite reads a numpy scalar through float()
+# and raises OverflowError for an int past the largest float64.
+_KINDS = {int: ((int, np.integer), lambda v: -(2**63) <= int(v) < 2**63, "a 64-bit integer"),
+          float: ((int, float, np.integer, np.floating), math.isfinite, "a finite number")}
+
+
+def _repr(value) -> str:
+    """repr(value), or the size of an int too long for repr (over 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {value.bit_length()}-bit integer"
+
+
+class Rule(NamedTuple):
+    """What a value from outside must be: of ``kind`` and taken by ``ok``, in
+    the words ``want``. An int is an integer in [-2**63, 2**63), a float a
+    number whose float64 value is finite, any other kind an instance of it;
+    a bool is of no kind, a numpy scalar is of its Python kind, and an ``ok``
+    that raises ValueError refuses."""
+
+    kind: type
+    ok: Callable = lambda value: True
+    want: str = ""
+
+    @property
+    def words(self) -> str:
+        return " ".join(filter(None, (_KINDS.get(self.kind, (None, None, ""))[2], self.want)))
+
+    def takes(self, value) -> bool:
+        types, fits, _ = _KINDS.get(self.kind, (self.kind, lambda v: True, ""))
+        try:
+            return (not isinstance(value, bool) and isinstance(value, types) and fits(value)
+                    and bool(self.ok(value)))
+        except (ValueError, OverflowError):
+            return False
+
+    def check(self, name: str, value, error=ValueError):
+        """``value`` if this rule takes it, else ``error`` naming ``name``, rule and value."""
+        if not self.takes(value):
+            raise error(f"{name} must be {self.words}, got {_repr(value)}")
+        return value
+
+    def parse(self, text: str):
+        """argparse type: ``text`` read as ``kind``, if this rule takes the value."""
+        try:
+            if self.takes(value := self.kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {self.words}, got {text!r}")
+
+
+def one_of(*values) -> Rule:
+    """The rule that takes nothing but ``values``, all of one type."""
+    return Rule(type(values[0]), values.__contains__,
+                f"equal to {values[0]!r}" if len(values) == 1 else f"one of {values}")
+
+
+INTEGER = Rule(int)
+FINITE = Rule(float)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -17,12 +17,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from graspslip import nn
-from graspslip.ioutil import atomic_write_bytes, sha256_bytes
+from graspslip.ioutil import Rule, atomic_write_bytes, one_of, sha256_bytes
 from graspslip.nn import AdamState, FcHead, LstmParams, TrainingDiverged
 from graspslip.signal import (
     DEFAULT_BAND_COUNT,
@@ -91,39 +91,31 @@ EARLY_STOP_PATIENCE = 10
 
 
 class Setting(NamedTuple):
-    """A TrainConfig field's rule on a value of its ``kind`` (int: an integer;
-    float: a finite number; a bool is neither), the words for what the rule
-    wants, and the field's CLI flag."""
+    """A TrainConfig field's rule and CLI flag."""
 
-    kind: type
-    rule: Callable
-    want: str
+    rule: Rule
     flag: str
+    kind = property(lambda self: self.rule.kind)
+    want = property(lambda self: self.rule.want)
 
 
 # Each TrainConfig field's rule, in field order. Past 1, a threshold flags no step unstable.
 TRAIN_SETTINGS = {
-    "window_len": Setting(int, lambda v: v > DEFAULT_WINDOW_LEN,
-                          f"> {DEFAULT_WINDOW_LEN} (the STFT window)", "--window-len"),
-    "lstm_units": Setting(int, lambda v: v >= 1, ">= 1", "--units"),
-    "lr": Setting(float, lambda v: v > 0, "> 0", "--lr"),
-    "epochs": Setting(int, lambda v: v >= 0, ">= 0", "--epochs"),
-    "seed": Setting(int, lambda v: v >= 0, ">= 0", "--seed"),
-    "clip_norm": Setting(float, lambda v: v > 0, "> 0", "--clip-norm"),
-    "threshold": Setting(float, lambda v: 0 < v < 1, "in (0, 1)", "--threshold"),
+    "window_len": Setting(Rule(int, lambda v: v > DEFAULT_WINDOW_LEN,
+                               f"> {DEFAULT_WINDOW_LEN} (the STFT window)"), "--window-len"),
+    "lstm_units": Setting(Rule(int, lambda v: v >= 1, ">= 1"), "--units"),
+    "lr": Setting(Rule(float, lambda v: v > 0, "> 0"), "--lr"),
+    "epochs": Setting(Rule(int, lambda v: v >= 0, ">= 0"), "--epochs"),
+    "seed": Setting(Rule(int, lambda v: v >= 0, ">= 0"), "--seed"),
+    "clip_norm": Setting(Rule(float, lambda v: v > 0, "> 0"), "--clip-norm"),
+    "threshold": Setting(Rule(float, lambda v: 0 < v < 1, "in (0, 1)"), "--threshold"),
 }
 
 
 def check_setting(field: str, value):
-    """``value`` if it is of its ``TRAIN_SETTINGS`` kind and its rule takes it;
-    else a ValueError naming the field and the value."""
-    s = TRAIN_SETTINGS[field]
-    kinds = (int, np.integer) if s.kind is int else (int, float, np.integer, np.floating)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not (s.kind is int or -math.inf < value < math.inf) or not s.rule(value)):
-        kind = "an integer" if s.kind is int else "a finite number"
-        raise ValueError(f"{field} must be {kind} {s.want}, got {value!r}")
-    return value
+    """``value`` if its ``TRAIN_SETTINGS`` rule takes it; else a ValueError
+    naming the field, the rule and the value."""
+    return TRAIN_SETTINGS[field].rule.check(field, value)
 
 
 @dataclass(frozen=True)
@@ -443,6 +435,20 @@ def train(
 CKPT_MAGIC = b"GSLPCKPT"
 CKPT_VERSION = 1
 
+# Each checkpoint header key's rule, in the order read_blob checks them; it
+# refuses any other key. A norm_stats object must make a NormStats.
+CHECKPOINT_KEYS = {
+    "kind": one_of("variant"),
+    "variant": Rule(str, get_variant, "a variant tag or name"),
+    "hidden_dim": TRAIN_SETTINGS["lstm_units"].rule,
+    **{k: one_of(getattr(GraspModel, k)) for k in ("stft_window", "band_count", "loss_mode")},
+    "threshold": TRAIN_SETTINGS["threshold"].rule,
+    "norm_stats": Rule(object, lambda v: v is None or (
+        isinstance(v, dict) and v.keys() == {"min", "max"} and NormStats(v["min"], v["max"])),
+        'null or {"min": a finite number, "max": a larger finite number}'),
+    "arrays": Rule(list, bool, "the manifest of its variant and hidden_dim"),
+}
+
 
 class CheckpointError(ValueError):
     pass
@@ -462,9 +468,10 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of a checkpoint file, checked against its digest.
 
     A matching digest only proves the file is intact, not that a trusted
-    writer made it. So every header field is checked, the manifest must be
-    ``_manifest`` of the header's variant and hidden_dim, and the body must
-    hold exactly those arrays, all finite; none is read before both match.
+    writer made it. So the header must hold exactly the ``CHECKPOINT_KEYS``,
+    each taken by its rule, ``arrays`` must be ``_manifest`` of the header's
+    variant and hidden_dim, and the body must hold exactly those arrays, all
+    finite; none is read before both match.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -484,32 +491,15 @@ def read_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(payload[off : off + head_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CheckpointError(f"unreadable header: {exc}") from None
-    if not isinstance(header, dict) or not isinstance(header.get("kind"), str):
+    if not isinstance(header, dict):
         raise CheckpointError("header must be an object with a string 'kind'")
-    if header["kind"] != "variant":
-        raise CheckpointError(f"unknown checkpoint kind {header['kind']!r}")
+    for key, rule in CHECKPOINT_KEYS.items():
+        if key != "arrays":  # compared with the manifest below
+            rule.check(f"checkpoint '{key}'", header.get(key), CheckpointError)
+    if extra := sorted(header.keys() - CHECKPOINT_KEYS.keys()):
+        raise CheckpointError(f"{extra[0]!r} is not a checkpoint header key")
 
-    def checked(key, ok, want):
-        value = header.get(key)
-        if not ok(value):
-            raise CheckpointError(f"checkpoint '{key}' must be {want}, got {value!r}")
-        return value
-
-    variant = checked("variant", lambda v: isinstance(v, str), "a variant tag or name")
-    hd = checked("hidden_dim", lambda v: type(v) is int and v >= 1, "an integer >= 1")
-    for key in ("stft_window", "band_count", "loss_mode"):
-        fixed = getattr(GraspModel, key)
-        checked(key, lambda v: type(v) is type(fixed) and v == fixed, repr(fixed))
-    checked("norm_stats", lambda v: v is None or (
-        isinstance(v, dict) and v.keys() == {"min", "max"}
-        and all(type(x) in (int, float) for x in v.values())),
-        'null or {"min": number, "max": number}')
-    try:
-        variant = get_variant(variant)
-        check_setting("threshold", header.get("threshold"))
-    except ValueError as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from None
-
+    variant, hd = get_variant(header["variant"]), header["hidden_dim"]
     manifest = _manifest(variant, hd)
     expected = [{"name": name, "shape": shape} for name, shape in manifest]
     if json.dumps(header.get("arrays"), sort_keys=True) != json.dumps(expected, sort_keys=True):
@@ -561,19 +551,16 @@ def save_checkpoint(model: GraspModel, path) -> None:
 
 
 def load_checkpoint(path) -> GraspModel:
-    """The model a checkpoint holds; the constructors check the stats range."""
+    """The model a checkpoint holds, whose header read_blob has checked."""
     header, arrays = read_blob(path)
     variant, stats = get_variant(header["variant"]), header["norm_stats"]
     lstms = [LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
                                     for w in "wb" for g in nn.GATE_NAMES})
              for idx in range(variant.n_streams)]
-    try:
-        return GraspModel(
-            variant=variant,
-            lstms=lstms,
-            head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
-            stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
-            threshold=header["threshold"],
-        )
-    except (ValueError, OverflowError) as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from None
+    return GraspModel(
+        variant=variant,
+        lstms=lstms,
+        head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
+        stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
+        threshold=header["threshold"],
+    )

@@ -10,8 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from graspslip.ioutil import FINITE, Rule
+
 DEFAULT_WINDOW_LEN = 20
 DEFAULT_BAND_COUNT = 10
+# A trace's sample rate, as the trace header, the CLI and SensorTrace check it.
+FREQ_HZ = Rule(float, lambda f: f > 0, "> 0")
 
 
 def readonly_float64(a) -> np.ndarray:
@@ -50,8 +54,7 @@ class SensorTrace:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("non-finite sample value")
-        if not (0 < self.freq_hz < np.inf):
-            raise ValueError("freq_hz must be finite and > 0")
+        FREQ_HZ.check("freq_hz", self.freq_hz)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -66,8 +69,8 @@ class NormStats:
     max_value: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.min_value) and np.isfinite(self.max_value)):
-            raise ValueError("degenerate channel: non-finite stats")
+        FINITE.check("min_value", self.min_value)
+        FINITE.check("max_value", self.max_value)
         if not (self.max_value > self.min_value):
             raise ValueError("degenerate channel")
 

@@ -176,23 +176,24 @@ def test_gen_data_records_the_failure_fraction_used(dataset_dir, pressure_dir):
 def test_gen_data_negative_sets_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "neg"
     assert run("gen-data", "--out", str(out), "--sets", "-3") == 1
-    assert "argument --sets: must be >= 0, got '-3'" in capsys.readouterr().err
+    assert "argument --sets: must be a 64-bit integer >= 0, got '-3'" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--failure-fraction", "1.5"], "argument --failure-fraction: must be in [0, 1]"),
-    (["--failure-fraction", "nan"], "argument --failure-fraction: must be in [0, 1]"),
-    (["--steps", "100"], "--steps must be >= 242 for the force profile"),
-    (["--profile", "pressure", "--steps", "12"], "--steps must be >= 21 for the pressure profile"),
+    (["--failure-fraction", "1.5"], "argument --failure-fraction: must be a finite number in [0, 1]"),
+    (["--failure-fraction", "nan"], "argument --failure-fraction: must be a finite number in [0, 1]"),
+    (["--steps", "100"], "--steps must be a 64-bit integer >= 242 for the force profile"),
+    (["--profile", "pressure", "--steps", "12"],
+     "--steps must be a 64-bit integer >= 21 for the pressure profile"),
     (["--sets", "0", "--failure-fraction", "1.5"],
-     "argument --failure-fraction: must be in [0, 1], got '1.5'"),
+     "argument --failure-fraction: must be a finite number in [0, 1], got '1.5'"),
     (["--sets", "0", "--failure-fraction", "nan"],
-     "argument --failure-fraction: must be in [0, 1], got 'nan'"),
+     "argument --failure-fraction: must be a finite number in [0, 1], got 'nan'"),
     (["--profile", "pressure", "--sets", "1", "--steps", "30", "--failure-fraction", "7"],
-     "argument --failure-fraction: must be in [0, 1], got '7'"),
+     "argument --failure-fraction: must be a finite number in [0, 1], got '7'"),
     (["--profile", "pressure", "--failure-fraction", "-0.5"],
-     "argument --failure-fraction: must be in [0, 1], got '-0.5'"),
+     "argument --failure-fraction: must be a finite number in [0, 1], got '-0.5'"),
     (["--profile", "pressure", "--steps", "100", "--failure-fraction", "0"],
      "--failure-fraction applies to the force profile only"),
     (["--profile", "pressure", "--steps", "100", "--failure-fraction", "1"],
@@ -261,7 +262,7 @@ def test_convert_freq_hz_out_of_range_exits_1_and_writes_nothing(freq, tmp_path,
     src.write_text(",".join(["5"] * 16) + "\n")
     dst = tmp_path / "trace.txt"
     assert run("convert", "--src", str(src), "--dst", str(dst), "--freq-hz", freq) == 1
-    assert f"argument --freq-hz: must be > 0, got '{freq}'" in capsys.readouterr().err
+    assert f"argument --freq-hz: must be a finite number > 0, got '{freq}'" in capsys.readouterr().err
     assert not dst.exists()
 
 
@@ -327,13 +328,13 @@ def test_train_rejects_nan_threshold(tmp_path, dataset_dir, capsys):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--clip-norm", "nan"], "argument --clip-norm: must be > 0, got 'nan'"),
-    (["--clip-norm", "inf"], "argument --clip-norm: must be > 0, got 'inf'"),
-    (["--clip-norm", "0"], "argument --clip-norm: must be > 0, got '0'"),
-    (["--clip-norm", "-1"], "argument --clip-norm: must be > 0, got '-1'"),
-    (["--holdout", "1.5"], "argument --holdout: must be in [0, 1), got '1.5'"),
-    (["--holdout", "1"], "argument --holdout: must be in [0, 1), got '1'"),
-    (["--holdout", "-0.2"], "argument --holdout: must be in [0, 1), got '-0.2'"),
+    (["--clip-norm", "nan"], "argument --clip-norm: must be a finite number > 0, got 'nan'"),
+    (["--clip-norm", "inf"], "argument --clip-norm: must be a finite number > 0, got 'inf'"),
+    (["--clip-norm", "0"], "argument --clip-norm: must be a finite number > 0, got '0'"),
+    (["--clip-norm", "-1"], "argument --clip-norm: must be a finite number > 0, got '-1'"),
+    (["--holdout", "1.5"], "argument --holdout: must be a finite number in [0, 1), got '1.5'"),
+    (["--holdout", "1"], "argument --holdout: must be a finite number in [0, 1), got '1'"),
+    (["--holdout", "-0.2"], "argument --holdout: must be a finite number in [0, 1), got '-0.2'"),
 ], ids=["clip-nan", "clip-inf", "clip-0", "clip-negative", "holdout-1.5", "holdout-1", "holdout-negative"])
 def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_path,
                                                              dataset_dir, capsys):
@@ -345,37 +346,43 @@ def test_train_rejects_out_of_range_values_before_any_output(flags, named, tmp_p
 
 
 @pytest.mark.parametrize("command, flags, named", [
-    ("train", ["--epochs", "-1"], "argument --epochs: must be >= 0, got '-1'"),
-    ("train", ["--units", "0"], "argument --units: must be >= 1, got '0'"),
-    ("train", ["--lr", "0"], "argument --lr: must be > 0, got '0'"),
-    ("train", ["--lr", "inf"], "argument --lr: must be > 0, got 'inf'"),
-    ("train", ["--lr", "nan"], "argument --lr: must be > 0, got 'nan'"),
-    ("train", ["--window-len", "20"], "argument --window-len: must be > 20 (the STFT window), "
-                                      "got '20'"),
-    ("train", ["--channel", "16"], "argument --channel: must be in 0..15, got '16'"),
-    ("train", ["--channel", "-1"], "argument --channel: must be in 0..15, got '-1'"),
-    ("train", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
-    ("train", ["--threshold", "1"], "argument --threshold: must be in (0, 1), got '1'"),
-    ("train", ["--threshold", "0"], "argument --threshold: must be in (0, 1), got '0'"),
-    ("cross-eval", ["--window-len", "10"], "argument --window-len: must be > 20"),
-    ("cross-eval", ["--epochs", "-2"], "argument --epochs: must be >= 0, got '-2'"),
-    ("eval", ["--window-len", "10"], "argument --window-len: must be > 20 (the STFT window), "
-                                     "got '10'"),
-    ("eval", ["--channel", "16"], "argument --channel: must be in 0..15, got '16'"),
-    ("eval", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
-    ("simulate", ["--channels", "17"], "argument --channels: must be in 1..16, got '17'"),
-    ("simulate", ["--channels", "0"], "argument --channels: must be in 1..16, got '0'"),
-    ("gen-data", ["--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
-    *(("gen-data", ["--freq-hz", f], f"argument --freq-hz: must be > 0, got '{f}'")
+    ("train", ["--epochs", "-1"], "argument --epochs: must be a 64-bit integer >= 0, got '-1'"),
+    ("train", ["--units", "0"], "argument --units: must be a 64-bit integer >= 1, got '0'"),
+    ("train", ["--lr", "0"], "argument --lr: must be a finite number > 0, got '0'"),
+    ("train", ["--lr", "inf"], "argument --lr: must be a finite number > 0, got 'inf'"),
+    ("train", ["--lr", "nan"], "argument --lr: must be a finite number > 0, got 'nan'"),
+    ("train", ["--window-len", "20"], "argument --window-len: must be a 64-bit integer > 20 "
+                                      "(the STFT window), got '20'"),
+    ("train", ["--channel", "16"], "argument --channel: must be a 64-bit integer in 0..15, got '16'"),
+    ("train", ["--channel", "-1"], "argument --channel: must be a 64-bit integer in 0..15, got '-1'"),
+    ("train", ["--seed", "-1"], "argument --seed: must be a 64-bit integer >= 0, got '-1'"),
+    ("train", ["--threshold", "1"], "argument --threshold: must be a finite number in (0, 1), got '1'"),
+    ("train", ["--threshold", "0"], "argument --threshold: must be a finite number in (0, 1), got '0'"),
+    ("cross-eval", ["--window-len", "10"], "argument --window-len: must be a 64-bit integer > 20"),
+    ("cross-eval", ["--epochs", "-2"], "argument --epochs: must be a 64-bit integer >= 0, got '-2'"),
+    ("eval", ["--window-len", "10"], "argument --window-len: must be a 64-bit integer > 20 "
+                                     "(the STFT window), got '10'"),
+    ("eval", ["--channel", "16"], "argument --channel: must be a 64-bit integer in 0..15, got '16'"),
+    ("eval", ["--seed", "-1"], "argument --seed: must be a 64-bit integer >= 0, got '-1'"),
+    ("simulate", ["--channels", "17"],
+     "argument --channels: must be a 64-bit integer in 1..16, got '17'"),
+    ("simulate", ["--channels", "0"], "argument --channels: must be a 64-bit integer in 1..16, got '0'"),
+    ("gen-data", ["--seed", "-1"], "argument --seed: must be a 64-bit integer >= 0, got '-1'"),
+    *(("gen-data", ["--freq-hz", f], f"argument --freq-hz: must be a finite number > 0, got '{f}'")
       for f in ("nan", "inf", "0", "-3")),
-    *(("convert", [flag, "-1"], f"argument {flag}: must be >= 0, got '-1'")
+    *(("convert", [flag, "-1"], f"argument {flag}: must be a 64-bit integer >= 0, got '-1'")
       for flag in ("--object", "--weight", "--force-level")),
+    ("train", ["--seed", "18446744073709551616"],
+     "argument --seed: must be a 64-bit integer >= 0, got '18446744073709551616'"),
+    ("eval", ["--window-len", "100000000000000000000"], "argument --window-len: must be a 64-bit "
+                                                        "integer > 20 (the STFT window), got "
+                                                        "'100000000000000000000'"),
 ], ids=["epochs-negative", "units-0", "lr-0", "lr-inf", "lr-nan", "window-len-20", "channel-16",
         "channel-negative", "seed-negative", "threshold-1", "threshold-0", "cross-window-len-10",
         "cross-epochs-negative", "eval-window-len-10", "eval-channel-16", "eval-seed-negative",
         "channels-17", "channels-0", "gen-seed-negative", "gen-freq-nan", "gen-freq-inf",
         "gen-freq-0", "gen-freq-negative", "convert-object-negative", "convert-weight-negative",
-        "convert-force-level-negative"])
+        "convert-force-level-negative", "seed-2**64", "eval-window-len-10**20"])
 def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, named, tmp_path,
                                                              dataset_dir, trained_dir, capsys):
     checkpoint = str(trained_dir / "checkpoint.gslp")
@@ -398,7 +405,9 @@ def test_numeric_flags_out_of_range_exit_1_before_any_output(command, flags, nam
 
 # Each TrainConfig field's flag over these texts: a text the flag's kind
 # cannot parse reaches TrainConfig as the text itself.
-SETTING_TEXTS = ["-1", "0", "0.5", "1", "2.5", "20", "21", "nan", "inf", "1e308", "True"]
+SETTING_TEXTS = ["-1", "0", "0.5", "1", "2.5", "20", "21", "nan", "inf", "1e308", "True",
+                 "9223372036854775807", "9223372036854775808", "18446744073709551616",
+                 "100000000000000000000"]
 
 
 @pytest.mark.parametrize("field", list(models.TRAIN_SETTINGS))
@@ -588,7 +597,23 @@ def test_eval_rejects_baseline_checkpoint(tmp_path, dataset_dir, capsys):
         "eval", "--checkpoint", str(path), "--data", str(dataset_dir),
         "--out", str(tmp_path / "o"),
     ) == 1
-    assert "unknown checkpoint kind 'nb'" in capsys.readouterr().err
+    assert "checkpoint 'kind' must be equal to 'variant', got 'nb'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_checkpoint_with_an_added_header_key_exits_1_and_writes_nothing(
+        tmp_path, dataset_dir, capsys, command):
+    # The golden C checkpoint, re-sealed with one key its reader does not list.
+    golden = os.path.join(os.path.dirname(__file__), "golden", "C.gslp")
+    header, arrays = models.read_blob(golden)
+    header["freq_hz"] = 71.0
+    ckpt = tmp_path / "added.gslp"
+    models.write_blob(ckpt, header, sorted(arrays.items()))
+    out = tmp_path / "o"
+    assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+               "--out", str(out)) == 1
+    assert "'freq_hz' is not a checkpoint header key" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_eval_missing_checkpoint(tmp_path, dataset_dir, capsys):
@@ -690,7 +715,7 @@ def test_eval_nonfinite_freq_dataset_exits_1(tmp_path, dataset_dir, trained_dir,
         "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
         "--data", str(ds), "--out", str(tmp_path / "o"),
     ) == 1
-    assert "freq_hz must be finite" in capsys.readouterr().err
+    assert "freq_hz must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_eval_bad_header_value_exits_1_naming_the_file(tmp_path, dataset_dir, trained_dir,
@@ -714,7 +739,7 @@ def test_eval_holdout_out_of_range_exits_1(tmp_path, dataset_dir, trained_dir, c
     out = tmp_path / "o"
     assert run("eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
                "--data", str(dataset_dir), "--out", str(out), "--holdout", "1") == 1
-    assert "argument --holdout: must be in [0, 1), got '1'" in capsys.readouterr().err
+    assert "argument --holdout: must be a finite number in [0, 1), got '1'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -726,7 +751,8 @@ def test_cross_eval_ratio_out_of_range_exits_1(ratio, tmp_path, dataset_dir, cap
     out = tmp_path / "o"
     assert run("cross-eval", "--data", str(dataset_dir), "--variant", "B",
                "--out", str(out), "--ratio", ratio) == 1
-    assert f"argument --ratio: must be in (0, 1), got '{ratio}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --ratio: must be a finite number in (0, 1), got '{ratio}'" in err
     assert not out.exists()
 
 
@@ -893,14 +919,14 @@ def test_grad_check_impossible_tolerance(capsys):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--tolerance", "nan"], "argument --tolerance: must be > 0, got 'nan'"),
-    (["--tolerance", "inf"], "argument --tolerance: must be > 0, got 'inf'"),
-    (["--tolerance", "0"], "argument --tolerance: must be > 0, got '0'"),
-    (["--tolerance", "-0.001"], "argument --tolerance: must be > 0, got '-0.001'"),
-    (["--instances", "0"], "argument --instances: must be >= 1, got '0'"),
-    (["--steps", "0"], "argument --steps: must be >= 1, got '0'"),
-    (["--hidden", "0"], "argument --hidden: must be >= 1, got '0'"),
-    (["--hidden", "-2"], "argument --hidden: must be >= 1, got '-2'"),
+    (["--tolerance", "nan"], "argument --tolerance: must be a finite number > 0, got 'nan'"),
+    (["--tolerance", "inf"], "argument --tolerance: must be a finite number > 0, got 'inf'"),
+    (["--tolerance", "0"], "argument --tolerance: must be a finite number > 0, got '0'"),
+    (["--tolerance", "-0.001"], "argument --tolerance: must be a finite number > 0, got '-0.001'"),
+    (["--instances", "0"], "argument --instances: must be a 64-bit integer >= 1, got '0'"),
+    (["--steps", "0"], "argument --steps: must be a 64-bit integer >= 1, got '0'"),
+    (["--hidden", "0"], "argument --hidden: must be a 64-bit integer >= 1, got '0'"),
+    (["--hidden", "-2"], "argument --hidden: must be a 64-bit integer >= 1, got '-2'"),
     (["--variants", ""], "--variants must name at least one variant"),
 ], ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "instances-0", "steps-0",
         "hidden-0", "hidden-negative", "no-variants"])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ def pressure_run(samples=None, initial=(6458.0, 6263.0, 6357.0, 6458.0)):
 
 
 def test_grasp_set_requires_16_channels():
-    with pytest.raises(ValueError, match="channels must be 16, got 4"):
+    with pytest.raises(ValueError, match="channels must be a 64-bit integer equal to 16, got 4"):
         Recording(np.ones((10, 4)), 16.7, outcome="success", direction="back")
     with pytest.raises(ValueError, match=r"expected an \(n_steps, channels\) matrix, got shape \(160,\)"):
         Recording(np.ones(160), 16.7, outcome="success", direction="back")
@@ -83,7 +84,7 @@ def test_recording_rejects_bad_kind_values_and_rate():
     bad[3, 5] = np.inf
     with pytest.raises(ValueError, match="non-finite sample value"):
         Recording(bad, 16.7, outcome="success", direction="back")
-    with pytest.raises(ValueError, match="freq_hz must be finite"):
+    with pytest.raises(ValueError, match="freq_hz must be a finite number > 0"):
         Recording(np.ones((10, 16)), float("nan"), outcome="success", direction="back")
 
 
@@ -111,7 +112,7 @@ def test_recording_keeps_ground_truth_in_range_and_only_for_force():
     ("force", "object_id", 2.5, "object must be a 64-bit integer, got 2.5"),
     ("force", "object_id", True, "object must be a 64-bit integer, got True"),
     ("force", "slip_onset", True, "slip_onset must be a 64-bit integer, got True"),
-    ("force", "freq_hz", True, "freq_hz must be finite and > 0, got True"),
+    ("force", "freq_hz", True, "freq_hz must be a finite number > 0, got True"),
     ("force", "initial", (1, 2, 3, 4), "'initial' is not a force header key"),
     ("pressure", "outcome", "success", "'outcome' is not a pressure header key"),
     ("pressure", "direction", "top", "'direction' is not a pressure header key"),
@@ -125,6 +126,18 @@ def test_recording_refuses_a_field_its_key_refuses_or_of_the_other_kind(kind, fi
     rec = make_set(n_steps=50) if kind == "force" else pressure_run()
     with pytest.raises(ValueError, match=re.escape(want)):
         dataclasses.replace(rec, **{field: value})
+
+
+def test_recording_takes_numpy_float32_fields_without_a_warning():
+    # The finiteness test used to compare a float32 with the largest float64,
+    # which numpy casts to float32 with an overflow RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = make_set(n_steps=5)
+        assert dataclasses.replace(rec, freq_hz=np.float32(16.7)).freq_hz == float(np.float32(16.7))
+        run = pressure_run(initial=tuple(np.float32([6458.0, 6263.0, 6357.0, 6458.0])))
+        assert run.initial == (6458.0, 6263.0, 6357.0, 6458.0)
+        assert all(type(v) is float for v in run.initial)
 
 
 @pytest.mark.parametrize("field, key", [
@@ -187,7 +200,7 @@ def test_recording_channel_index_out_of_range():
 
 def test_pressure_recording_checks_channels_initial_and_range():
     assert pressure_run().initial == (6458.0, 6263.0, 6357.0, 6458.0)
-    with pytest.raises(ValueError, match="channels must be 4, got 16"):
+    with pytest.raises(ValueError, match="channels must be a 64-bit integer equal to 4, got 16"):
         pressure_run(np.full((10, 16), 20000.0))
     with pytest.raises(ValueError, match=r"initial must be 4 finite numbers, got \(1.0, 2.0, 3.0\)"):
         pressure_run(initial=(1.0, 2.0, 3.0))
@@ -448,7 +461,7 @@ def test_split_stratifies_outcomes():
 
 def test_split_validation():
     sets = synth_force_dataset(4, seed=3)
-    with pytest.raises(ValueError, match="ratio must be in"):
+    with pytest.raises(ValueError, match=r"ratio must be a finite number in \(0, 1\), got 1.0"):
         split(sets, ratio=1.0)
     with pytest.raises(ValueError, match="need at least 2 sets"):
         split(sets[:1])
@@ -537,7 +550,7 @@ def test_synth_dataset_balance_and_ranges():
 
 @pytest.mark.parametrize("fraction", [-0.25, 1.5, float("nan")])
 def test_synth_dataset_rejects_failure_fraction_outside_unit_interval(fraction):
-    with pytest.raises(ValueError, match=r"failure_fraction must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"failure_fraction must be a finite number in \[0, 1\]"):
         synth_force_dataset(4, failure_fraction=fraction)
 
 
@@ -684,7 +697,8 @@ def test_read_pressure_rejects_force_file(tmp_path):
     path = tmp_path / "f.txt"
     write_recording(g, path)
     ln = _with_header_value(path, "kind", "pressure")
-    with pytest.raises(ValueError, match=rf"f\.txt:{ln + 2}: channels must be 4, got '16'"):
+    with pytest.raises(ValueError, match=rf"f\.txt:{ln + 2}: channels must be a 64-bit integer "
+                                         "equal to 4, got '16'"):
         read_recording(path)
 
 
@@ -703,7 +717,7 @@ def test_read_rejects_nonfinite_freq(tmp_path, freq):
     for name, rate in (("g.txt", "16.7"), ("p.txt", "71")):
         path = tmp_path / name
         path.write_text(path.read_text().replace(f"\nfreq_hz {rate}\n", f"\nfreq_hz {freq}\n", 1))
-        with pytest.raises(ValueError, match="freq_hz must be finite"):
+        with pytest.raises(ValueError, match="freq_hz must be a finite number > 0"):
             read_recording(path)
 
 

@@ -137,14 +137,14 @@ def test_mutated_valid_file_raises_only_value_error(valid, scratch, name, edits)
 
 def header_slots(valid, scratch, name):
     """A checkpoint's header, its body bytes, and every (container, key)
-    slot of the header: top-level fields, norm_stats bounds, array entries,
-    shape dimensions.
+    slot of the header: top-level fields, one added key, norm_stats bounds,
+    array entries, shape dimensions.
     """
     scratch.write_bytes(valid[name])
     header, arrays = models.read_blob(scratch)
     body = valid[name][-64 - 8 * sum(a.size for a in arrays.values()) : -64]
     entries = header["arrays"]
-    slots = ([(header, k) for k in sorted(header)]
+    slots = ([(header, k) for k in sorted(header)] + [(header, "added")]
              + [(header["norm_stats"], k) for k in ("min", "max")]
              + [(e, k) for e in entries for k in ("name", "shape")]
              + [(e["shape"], j) for e in entries for j in range(len(e["shape"]))])

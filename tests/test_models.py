@@ -3,6 +3,8 @@ import hashlib
 import json
 import re
 import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +63,8 @@ def test_get_variant_unknown():
 
 
 def test_config_rejects_short_window():
-    with pytest.raises(ValueError, match=r"window_len must be an integer > 20 \(the STFT window\), got 20"):
+    with pytest.raises(ValueError, match=r"window_len must be a 64-bit integer > 20 "
+                                         r"\(the STFT window\), got 20"):
         TrainConfig(window_len=20)
 
 
@@ -87,14 +90,14 @@ COUNT_RANGES = {"window_len": "> 20 (the STFT window)", "lstm_units": ">= 1", "e
 @pytest.mark.parametrize("value", [2.5, 160.0, True, "3", None])
 def test_config_rejects_a_count_that_is_not_an_integer(key, value):
     # epochs=2.5 used to construct, and training then failed inside range()
-    want = re.escape(f"{key} must be an integer {COUNT_RANGES[key]}, got {value!r}")
+    want = re.escape(f"{key} must be a 64-bit integer {COUNT_RANGES[key]}, got {value!r}")
     with pytest.raises(ValueError, match=want):
         TrainConfig(**{key: value})
     assert getattr(TrainConfig(**{key: np.int64(100)}), key) == 100
 
 
 @pytest.mark.parametrize("key, value, want", [
-    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("seed", -1, "seed must be a 64-bit integer >= 0, got -1"),
     ("lr", "0.1", "lr must be a finite number > 0, got '0.1'"),
     ("clip_norm", "1", "clip_norm must be a finite number > 0, got '1'"),
     ("threshold", "0.5", "threshold must be a finite number in (0, 1), got '0.5'"),
@@ -105,6 +108,24 @@ def test_config_refuses_what_the_cli_refuses_naming_field_and_value(key, value, 
     # lr or clip_norm raised TypeError; the CLI refused all four.
     with pytest.raises(ValueError, match=re.escape(want)):
         TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["window_len", "lstm_units", "epochs", "seed"])
+def test_config_refuses_an_integer_setting_outside_64_bits(key):
+    # 2**63 and 10**20 used to construct; no numpy integer holds them.
+    for value, shown in ((2**63, str(2**63)), (10**20, str(10**20)),
+                         (10**5000, "a 16610-bit integer")):
+        want = f"{key} must be a 64-bit integer {COUNT_RANGES[key]}, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            TrainConfig(**{key: value})
+    assert getattr(TrainConfig(**{key: 2**63 - 1}), key) == 2**63 - 1
+
+
+def test_config_takes_a_numpy_float32_setting_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TrainConfig(lr=np.float32(1e-3)).lr == np.float32(1e-3)
+        assert TrainConfig(threshold=np.float32(0.25)).threshold == 0.25
 
 
 def test_every_train_config_field_has_one_setting_that_takes_its_default():
@@ -757,6 +778,45 @@ def test_checkpoint_rejects_bad_header_field(tmp_path, key, value):
     models.write_blob(path, header, sorted(arrays.items()))
     with pytest.raises(models.CheckpointError):
         load_checkpoint(path)
+
+
+GOLDEN_C = Path(__file__).parent / "golden" / "C.gslp"
+HEADER_VALUES = [True, 0, -1, 2**63, 1e308, "1", None, [], {}]
+
+
+def golden_c_header_and_body():
+    raw = GOLDEN_C.read_bytes()
+    header, arrays = models.read_blob(GOLDEN_C)
+    return header, raw[-64 - 8 * sum(a.size for a in arrays.values()) : -64]
+
+
+@pytest.mark.parametrize("key", list(models.CHECKPOINT_KEYS))
+def test_read_blob_refuses_a_header_value_exactly_when_its_rule_does(tmp_path, key):
+    path = tmp_path / "C.gslp"
+    rule = models.CHECKPOINT_KEYS[key]
+    for value in HEADER_VALUES:
+        header, body = golden_c_header_and_body()
+        header[key] = value
+        write_raw_blob(path, header, body)
+        try:
+            models.read_blob(path)
+        except models.CheckpointError as exc:
+            assert not rule.takes(value), (key, value, exc)
+            named = "do not match variant C" if key == "arrays" else f"checkpoint '{key}' must be "
+            assert named in str(exc)
+        else:
+            assert rule.takes(value), (key, value)
+
+
+def test_read_blob_refuses_a_header_key_not_in_its_table(tmp_path):
+    # An added key used to load silently; a later format's key must not.
+    path = tmp_path / "C.gslp"
+    for key, value in (("freq_hz", 71.0), ("whatever", [1, 2])):
+        header, body = golden_c_header_and_body()
+        header[key] = value
+        write_raw_blob(path, header, body)
+        with pytest.raises(models.CheckpointError, match=f"'{key}' is not a checkpoint header key"):
+            models.read_blob(path)
 
 
 @pytest.mark.parametrize("change", ["drop", "extra", "reshape"])

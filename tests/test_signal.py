@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,8 +40,20 @@ def test_trace_rejects_bad_freq():
 
 @pytest.mark.parametrize("freq", [np.inf, -np.inf, np.nan])
 def test_trace_rejects_nonfinite_freq(freq):
-    with pytest.raises(ValueError, match="freq_hz must be finite"):
+    with pytest.raises(ValueError, match="freq_hz must be a finite number > 0"):
         trace([1.0], freq=freq)
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: trace([1.0], freq=True), "freq_hz must be a finite number > 0, got True"),
+    (lambda: trace([1.0], freq="1"), "freq_hz must be a finite number > 0, got '1'"),
+    (lambda: NormStats(True, 2.0), "min_value must be a finite number, got True"),
+    (lambda: NormStats("0", 1.0), "min_value must be a finite number, got '0'"),
+], ids=["rate-bool", "rate-text", "stats-bool", "stats-text"])
+def test_a_bool_or_text_rate_or_stat_raises_value_error(make, want):
+    # A bool rate used to construct, and a text one raised TypeError.
+    with pytest.raises(ValueError, match=re.escape(want)):
+        make()
 
 
 def test_trace_samples_read_only():
