@@ -2,7 +2,7 @@
 
 Subcommands:
     gen-data    synthesize a force or pressure dataset directory
-    convert     CSV (one row per step, 16 columns) -> trace file
+    convert     CSV (one row per step, one column per force channel) -> trace file
     train       fit one variant on a dataset, write checkpoint + history
     eval        evaluate checkpoint(s), write report JSON + tables
     cross-eval  train-per-condition / test-per-condition matrix
@@ -34,17 +34,11 @@ from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
 from graspslip.ioutil import (
-    INTEGER, Rule, atomic_write_json, atomic_write_text, blas_record, rng_for, sha256_bytes,
-    sha256_file,
+    INTEGER, Rule, atomic_write_json, atomic_write_text, blas_record, sha256_bytes, sha256_file,
 )
 from graspslip.signal import FREQ_HZ, NormStats
 
 GRAD_TOLERANCE = 1e-4
-# gen-data per profile: default --steps, --freq-hz and --failure-fraction
-# (None: the profile takes none), then the shortest --steps. Force fits every
-# slip onset and drop the generator draws; pressure needs a non-empty drop
-# draw [steps // 2, steps - 10).
-GEN_PROFILES = {"force": (400, 16.7, 0.5, gdata.FORCE_MIN_STEPS), "pressure": (1600, 71.0, None, 21)}
 
 
 # argparse types of the numeric flags that set no TrainConfig field, each from its Rule.
@@ -109,7 +103,7 @@ def _add_setting(p: argparse.ArgumentParser, field: str, **kwargs) -> None:
 def _add_window_knobs(p: argparse.ArgumentParser) -> None:
     """How sets become labeled windows: length, label source, channel."""
     _add_setting(p, "window_len")
-    p.add_argument("--labels", choices=("detect", "truth"), default="detect",
+    p.add_argument("--labels", choices=gdata.LABELS, default="detect",
                    help="label source: drop detection or synthetic ground truth")
     p.add_argument("--channel", type=_channel, default=0)
 
@@ -124,31 +118,15 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    steps, freq_hz, fraction, min_steps = GEN_PROFILES[args.profile]
-    if fraction is None and args.failure_fraction is not None:
+    profile = gdata.PROFILES[args.profile]
+    if args.failure_fraction is not None and "failure_fraction" not in profile:
         raise ValueError("--failure-fraction applies to the force profile only")
-    for name, value in (("steps", steps), ("freq_hz", freq_hz), ("failure_fraction", fraction)):
-        if getattr(args, name) is None:  # so that run_manifest.json records the value used
-            setattr(args, name, value)
-    Rule(int, lambda n: n >= min_steps, f">= {min_steps} for the {args.profile} profile").check(
-        "--steps", args.steps)
-    if args.profile == "force":
-        recs = gdata.synth_force_dataset(
-            args.sets, seed=args.seed,
-            failure_fraction=args.failure_fraction,
-            freq_hz=args.freq_hz, n_steps=args.steps,
-        ) if args.sets > 0 else []
-    else:
-        rng = rng_for(args.seed, "gen-pressure")
-        recs = []
-        for i in range(args.sets):
-            drop = None
-            if i % 2 == 1:  # alternate stable / dropping runs
-                drop = int(rng.integers(args.steps // 2, args.steps - 10))
-            recs.append(gdata.synth_pressure_run(
-                seed=int(rng.integers(0, 2**31)),
-                n_steps=args.steps, freq_hz=args.freq_hz, drop_step=drop,
-            ))
+    given = {"n_steps": args.steps, "freq_hz": args.freq_hz, "failure_fraction": args.failure_fraction}
+    shape = {key: default if given[key] is None else given[key] for key, default in profile.items()}
+    # so that run_manifest.json records the values used
+    args.steps, args.freq_hz, args.failure_fraction = map(shape.get, given)
+    gdata.SET_LENGTH[args.profile].check("--steps", args.steps)
+    recs = gdata.GENERATORS[args.profile](args.sets, args.seed, **shape) if args.sets > 0 else []
     out = _out_dir(args)
     existing = [f for f in os.listdir(out) if not f.startswith(".")]
     if existing and not args.force:
@@ -213,15 +191,20 @@ def cmd_eval(args) -> int:
         raise ValueError("no sets to evaluate")
     if args.dump_set is not None and not (0 <= args.dump_set < len(eval_sets)):
         raise ValueError(f"--dump-set {args.dump_set} out of range (0..{len(eval_sets) - 1})")
+    checkpoints = {}  # (variant tag, file name), which name a checkpoint's outputs -> (path, model)
+    for path in args.checkpoint:
+        model = gmodels.load_checkpoint(path)
+        key = model.variant.tag, os.path.splitext(os.path.basename(path))[0]
+        if key in checkpoints:
+            raise ValueError(f"--checkpoint {checkpoints[key][0]} and {path} would both write "
+                             f"eval_{'_'.join(key)}.json")
+        checkpoints[key] = path, model
     inputs = {"dataset": _digest_dataset(args.data)}
     table_rows = []
-    for ckpt_path in args.checkpoint:
-        model = gmodels.load_checkpoint(ckpt_path)
+    for (tag, name), (ckpt_path, model) in checkpoints.items():
         report = geval.evaluate_model(
             model, eval_sets, args.window_len, args.channel, labels=args.labels
         )
-        tag = model.variant.tag
-        name = os.path.splitext(os.path.basename(ckpt_path))[0]
         atomic_write_json(os.path.join(out, f"eval_{tag}_{name}.json"), dataclasses.asdict(report))
         inputs[f"checkpoint:{tag}:{name}"] = sha256_file(ckpt_path)
         table_rows.append((tag, model.variant.name, report))
@@ -347,11 +330,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--sets", type=_natural, default=40)
-    p.add_argument("--profile", choices=("force", "pressure"), default="force")
+    p.add_argument("--profile", choices=gdata.PROFILES, default="force")
     p.add_argument("--steps", type=INTEGER.parse, default=None)
     p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=None)
     p.add_argument("--failure-fraction", type=gdata.FAILURE_FRACTION.parse,
-                   default=None, help="share of failure sets (force profile; default 0.5)")
+                   default=None, help="share of failure sets (force profile; default "
+                   f"{gdata.PROFILES['force']['failure_fraction']})")
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
     p.set_defaults(func=cmd_gen_data)
@@ -359,8 +343,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("convert", help="CSV -> trace file")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=16.7)
-    p.add_argument("--outcome", choices=("success", "failure"), default="failure")
+    p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=gdata.PROFILES["force"]["freq_hz"])
+    p.add_argument("--outcome", choices=gdata.OUTCOMES, default="failure")
     p.add_argument("--direction", choices=gdata.DIRECTIONS, default="back")
     p.add_argument("--object", type=_natural, default=0)
     p.add_argument("--weight", type=_natural, default=0)
@@ -393,8 +377,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--variant", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--condition", choices=("direction", "outcome"), default="direction")
-    p.add_argument("--ratio", type=gdata.RATIO.parse, default=0.8)
+    p.add_argument("--condition", choices=gdata.CONDITIONS, default="direction")
+    p.add_argument("--ratio", type=gdata.RATIO.parse, default=gdata.TRAIN_RATIO)
     _add_train_knobs(p)
     p.set_defaults(func=cmd_cross_eval)
 

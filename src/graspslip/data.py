@@ -53,10 +53,13 @@ from graspslip.signal import FREQ_HZ, SensorTrace, readonly_float64
 TRACE_FORMAT = "graspslip-trace v1"
 OUTCOMES = ("success", "failure")
 DIRECTIONS = ("back", "right", "top")
+LABELS = ("detect", "truth")  # window_batches' label sources: drop detection, ground truth
+CONDITIONS = ("direction", "outcome")  # the fields a cross-condition matrix groups sets by
 
 FORCE_CHANNELS = 16
 PRESSURE_CHANNELS = 4
 CHANNELS = {"force": FORCE_CHANNELS, "pressure": PRESSURE_CHANNELS}
+KIND = one_of(*CHANNELS)
 PRESSURE_MAX = 65535.0
 # The trace writer formats values in [0, TOKEN_VALUES) from a token table.
 TOKEN_VALUES = 65536
@@ -73,9 +76,10 @@ DROP_SUSTAIN = 3
 LABEL_LEAD_STEPS = 20
 
 # The share of failure sets a synthetic dataset holds, and a split's train
-# share; gen-data's --failure-fraction and cross-eval's --ratio read them.
+# share and its default; gen-data's --failure-fraction and cross-eval's --ratio read them.
 FAILURE_FRACTION = Rule(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 RATIO = Rule(float, lambda v: 0 < v < 1, "in (0, 1)")
+TRAIN_RATIO = 0.8
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +112,7 @@ class Recording:
         if samples.ndim != 2:
             raise ValueError(f"expected an (n_steps, channels) matrix, got shape {samples.shape}")
         object.__setattr__(self, "samples", samples)
-        keys = HEADER_KEYS.get(self.kind, HEADER_KEYS["force"])  # an unknown kind fails "kind"
+        keys = HEADER_KEYS[KIND.check("kind", self.kind)]
         for key, spec in {**HEADER_KEYS["force"], **HEADER_KEYS["pressure"], **keys}.items():
             value = getattr(self, spec.attr)
             if key not in keys:  # a field of the other kind must hold its default
@@ -245,7 +249,7 @@ def window_batches(
     elif labels == "detect":
         lab = label_slip(trace, detect_drop(trace))
     else:
-        raise ValueError(f"labels must be detect|truth, got {labels!r}")
+        raise ValueError(f"labels must be {'|'.join(LABELS)}, got {labels!r}")
     if window_len < 1:
         raise ValueError("window_len must be >= 1")
     if len(trace) < window_len:
@@ -259,7 +263,7 @@ def window_batches(
 # -- splitting -------------------------------------------------------------
 
 
-def split(dataset, ratio: float = 0.8, seed: int = 0):
+def split(dataset, ratio: float = TRAIN_RATIO, seed: int = 0):
     """Seeded set-level split into (train, test), stratified by outcome.
 
     Windows of one grasp never straddle the split because whole recordings
@@ -292,13 +296,24 @@ def split(dataset, ratio: float = 0.8, seed: int = 0):
 
 # -- synthetic generators ---------------------------------------------------
 
+# Each profile's generator defaults, which gen-data's flags fall back to: set length,
+# rate (force: the hand's, convert_csv's too) and force's share of failure sets.
+# SET_LENGTH: a force set fits a drop after the latest slip onset drawn (240), and
+# a pressure run needs a non-empty drop draw in [n_steps // 2, n_steps - 10).
+PROFILES = {"force": {"n_steps": 400, "freq_hz": 16.7, "failure_fraction": 0.5},
+            "pressure": {"n_steps": 1600, "freq_hz": 71.0}}
+_FORCE, _PRESSURE = PROFILES["force"], PROFILES["pressure"]
+FORCE_MIN_STEPS = 242
+SET_LENGTH = {kind: Rule(int, lambda n, least=least: n >= least, f">= {least} for the {kind} profile")
+              for kind, least in [("force", FORCE_MIN_STEPS), ("pressure", 21)]}
+
 
 @dataclass(frozen=True)
 class SynthParams:
     """Shape of one synthetic grasp trace (force domain, mN)."""
 
-    freq_hz: float = 16.7
-    n_steps: int = 400
+    freq_hz: float = _FORCE["freq_hz"]
+    n_steps: int = _FORCE["n_steps"]
     grasp_force: float = 2000.0
     ramp_steps: int = 40
     slip_onset: int | None = 200
@@ -375,17 +390,10 @@ def synth_grasp(seed: int, params: SynthParams = SynthParams()) -> Recording:
     )
 
 
-# The latest slip onset is 240, and a drop step must still fit after it.
-FORCE_MIN_STEPS = 242
-
-
-def synth_force_dataset(
-    n_sets: int,
-    seed: int = 0,
-    failure_fraction: float = 0.5,
-    freq_hz: float = 16.7,
-    n_steps: int = 400,
-) -> list[Recording]:
+def synth_force_dataset(n_sets: int, seed: int = 0,
+                        failure_fraction: float = _FORCE["failure_fraction"],
+                        freq_hz: float = _FORCE["freq_hz"],
+                        n_steps: int = _FORCE["n_steps"]) -> list[Recording]:
     """A balanced batch of synthetic sets with per-set randomized shape.
 
     Failure sets draw slip_onset in [180, 240], a 3-5 Hz slip band, a
@@ -396,6 +404,7 @@ def synth_force_dataset(
     if n_sets < 1:
         raise ValueError("n_sets must be >= 1")
     FAILURE_FRACTION.check("failure_fraction", failure_fraction)
+    SET_LENGTH["force"].check("n_steps", n_steps)
     rng = rng_for(seed, "synth-dataset")
     n_failure = int(round(n_sets * failure_fraction))
     sets = []
@@ -420,12 +429,8 @@ PRESSURE_HOLD = 20000.0
 PRESSURE_NOISE_SD = 15.0
 
 
-def synth_pressure_run(
-    seed: int,
-    n_steps: int = 1600,
-    freq_hz: float = 71.0,
-    drop_step: int | None = None,
-) -> Recording:
+def synth_pressure_run(seed: int, n_steps: int = _PRESSURE["n_steps"],
+                       freq_hz: float = _PRESSURE["freq_hz"], drop_step: int | None = None) -> Recording:
     """Pressure-domain analogue of synth_grasp: rise, hold, optional drop."""
     rng = rng_for(seed, "synth-pressure")
     rise = min(80, n_steps // 4)
@@ -440,6 +445,24 @@ def synth_pressure_run(
     x += rng.normal(0.0, PRESSURE_NOISE_SD, size=x.shape)
     x = np.clip(np.rint(x), 0.0, PRESSURE_MAX)
     return Recording(_frozen(x).T, freq_hz, "pressure", initial=PRESSURE_INITIAL)
+
+
+def synth_pressure_dataset(n_sets: int, seed: int = 0, freq_hz: float = _PRESSURE["freq_hz"],
+                           n_steps: int = _PRESSURE["n_steps"]) -> list[Recording]:
+    """Alternately holding and dropping pressure runs: each odd-indexed run
+    drops at a seeded step in [n_steps // 2, n_steps - 10)."""
+    if n_sets < 1:
+        raise ValueError("n_sets must be >= 1")
+    SET_LENGTH["pressure"].check("n_steps", n_steps)
+    rng = rng_for(seed, "gen-pressure")
+    runs = []
+    for i in range(n_sets):
+        drop = int(rng.integers(n_steps // 2, n_steps - 10)) if i % 2 else None
+        runs.append(synth_pressure_run(int(rng.integers(0, 2**31)), n_steps, freq_hz, drop))
+    return runs
+
+
+GENERATORS = {"force": synth_force_dataset, "pressure": synth_pressure_dataset}  # gen-data --profile
 
 
 # -- trace file serialization ----------------------------------------------
@@ -506,7 +529,7 @@ class _Key(NamedTuple):
 # The reader takes these keys, in any order, and refuses any other.
 HEADER_KEYS = {
     kind: {
-        "kind": _Key("kind", one_of(*CHANNELS), "force"),
+        "kind": _Key("kind", KIND, "force"),
         "freq_hz": _Key("freq_hz", FREQ_HZ),
         "channels": _Key("n_channels", one_of(CHANNELS[kind])),
         **keys,
@@ -672,7 +695,7 @@ def save_force_dataset(sets, out_dir, kind: str = "force") -> str:
     An empty collection writes a manifest only (zero-set dataset).
     """
     sets = list(sets)
-    HEADER_KEYS["force"]["kind"].rule.check("kind", kind)
+    KIND.check("kind", kind)
     kinds = {kind, *(rec.kind for rec in sets)}
     if len(kinds) > 1:
         raise ValueError(f"a dataset holds one kind of recording, got {sorted(kinds)}")
@@ -750,16 +773,9 @@ def load_force_dataset(path) -> list[Recording]:
 # -- foreign format conversion -----------------------------------------------
 
 
-def convert_csv(
-    src,
-    dst,
-    freq_hz: float = 16.7,
-    outcome: str = "failure",
-    direction: str = "back",
-    object_id: int = 0,
-    weight: int = 0,
-    force_level: int = 0,
-) -> Recording:
+def convert_csv(src, dst, freq_hz: float = _FORCE["freq_hz"], outcome: str = "failure",
+                direction: str = "back", object_id: int = 0, weight: int = 0,
+                force_level: int = 0) -> Recording:
     """CSV (one row per step, 16 numeric columns, optional header row) ->
     trace file. Returns the set as written: samples rounded to integers."""
     with open(src, "r", encoding="utf-8", newline="") as fh:

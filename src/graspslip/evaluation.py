@@ -160,7 +160,7 @@ def cross_condition_matrix(
     variant,
     config: gmodels.TrainConfig,
     condition: str = "direction",
-    ratio: float = 0.8,
+    ratio: float = gdata.TRAIN_RATIO,
     labels: str = "detect",
     channel: int = 0,
 ) -> dict:
@@ -172,8 +172,8 @@ def cross_condition_matrix(
     TrainingDiverged propagates. Rows run through ``_map_fits``, so a
     script calling this at import time needs a ``__main__`` guard.
     """
-    if condition not in ("direction", "outcome"):
-        raise ValueError(f"condition must be direction|outcome, got {condition!r}")
+    if condition not in gdata.CONDITIONS:
+        raise ValueError(f"condition must be {'|'.join(gdata.CONDITIONS)}, got {condition!r}")
     groups: dict[str, list] = {}
     for s in sets:
         groups.setdefault(getattr(s, condition), []).append(s)
@@ -277,7 +277,7 @@ def run_experiment(
     variants=("A", "B", "C", "D"),
     seeds=(0,),
     config: gmodels.TrainConfig | None = None,
-    ratio: float = 0.8,
+    ratio: float = gdata.TRAIN_RATIO,
     labels: str = "detect",
     channel: int = 0,
 ) -> dict:

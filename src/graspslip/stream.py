@@ -2,7 +2,7 @@
 
 The replay loop maintains the causal STFT window and LSTM state
 incrementally, so each step costs O(window). A frame holds one sample
-from each of up to MAX_SENSORS (16) channels, and push_frame advances
+from each of up to FORCE_CHANNELS (16) channels, and push_frame advances
 all of them through one GraspModel.step, the call predict_batch makes
 per time step, so each channel gets the bits of offline inference of its
 trace. Timing is measured around push_frame only: every sensor's event
@@ -26,6 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
+from graspslip.data import FORCE_CHANNELS
 from graspslip.ioutil import atomic_write_text
 from graspslip.models import GraspModel
 from graspslip.signal import SensorTrace, normalize_array
@@ -39,7 +40,6 @@ PJ_MAX_MA = 200.0
 MJ_MAX_MA = 400.0
 
 SENSOR_BUDGET_MS = 4.0
-MAX_SENSORS = 16
 
 
 @dataclass(slots=True)
@@ -109,7 +109,7 @@ class StreamingPredictor:
 
 
 def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
-    """Run up to MAX_SENSORS traces of one rate and length through one
+    """Run up to FORCE_CHANNELS traces of one rate and length through one
     predictor, one frame at a time.
 
     Returns the merged log ordered by (step, channel). Each frame is one
@@ -125,8 +125,8 @@ def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
     for what, values in [("frequency", {t.freq_hz for t in traces}), ("length", set(map(len, traces)))]:
         if len(values) != 1:  # a frame holds one sample of every trace
             raise ValueError(f"{what} mismatch across traces: {sorted(values)}")
-    if len(traces) > MAX_SENSORS:
-        raise ValueError(f"{len(traces)} traces exceed the {MAX_SENSORS}-sensor frame")
+    if len(traces) > FORCE_CHANNELS:
+        raise ValueError(f"{len(traces)} traces exceed the {FORCE_CHANNELS}-sensor frame")
 
     predictor = StreamingPredictor(model, n_channels=len(traces))
     frames = np.stack([t.samples for t in traces], axis=1)
@@ -249,8 +249,8 @@ def write_event_log(events, path) -> None:
 
 
 def read_event_log(path) -> list[StepEvent]:
-    """A log's events. A value its writer never writes (a step or channel < 0, a label not 0/1,
-    latency_us < 0 or not finite, probability not NaN or in [0, 1]) names path:line."""
+    """A log's events. A value its writer never writes (a step or channel < 0, a label not 0/1 or 0 at a
+    NaN probability, latency_us < 0 or not finite, probability not NaN or in [0, 1]) names path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _LOG_HEADER:
@@ -268,7 +268,7 @@ def read_event_log(path) -> list[StepEvent]:
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
         ok = (step >= 0, channel >= 0, not (probability < 0 or probability > 1),
-              label in (0, 1), 0 <= latency_us < np.inf)
+              label == 1 or (label == 0 and not np.isnan(probability)), 0 <= latency_us < np.inf)
         if not all(ok):
             bad = ok.index(False)
             raise ValueError(f"{path}:{ln}: {_LOG_HEADER.split(',')[bad]} out of range, "

@@ -209,7 +209,8 @@ def test_gen_data_bad_values_exit_1_and_write_nothing(flags, message, tmp_path, 
 
 
 def test_gen_data_shortest_steps_per_profile(tmp_path):
-    for profile, (*_, steps) in cli.GEN_PROFILES.items():
+    for profile, steps in [("force", data.FORCE_MIN_STEPS), ("pressure", 21)]:
+        assert data.SET_LENGTH[profile].takes(steps) and not data.SET_LENGTH[profile].takes(steps - 1)
         out = tmp_path / profile
         # every force set a failure, so each draws its latest drop
         fraction = ["--failure-fraction", "1"] if profile == "force" else []
@@ -217,6 +218,39 @@ def test_gen_data_shortest_steps_per_profile(tmp_path):
                    *fraction, "--steps", str(steps)) == 0
         recs = [data.read_recording(f) for f in data.dataset_files(str(out))[1]]
         assert [r.n_steps for r in recs] == [steps] * 4
+
+
+@pytest.mark.parametrize("profile, steps, generate", [
+    ("force", 241, lambda n: data.synth_force_dataset(8, seed=5, n_steps=n)),
+    ("pressure", 20, lambda n: data.synth_pressure_dataset(2, n_steps=n)),
+], ids=["force", "pressure"])
+def test_generators_refuse_a_short_set_in_the_words_of_gen_data(tmp_path, capsys, profile, steps,
+                                                                 generate):
+    # seed 5 once failed deep in SynthParams with "require 0 < slip_onset < drop_step"
+    assert run("gen-data", "--out", str(tmp_path / "d"), "--profile", profile, "--sets", "2",
+               "--steps", str(steps)) == 1
+    with pytest.raises(ValueError, match=r"^n_steps must be ") as exc:
+        generate(steps)
+    words = str(exc.value).removeprefix("n_steps ")
+    assert capsys.readouterr().err.endswith(f"error: --steps {words}\n")
+
+
+# sha256 of the run files and manifest.json, concatenated, that gen-data wrote
+# for --profile pressure --sets 5 --steps 200 --seed 3 when the pressure draw
+# was still written out in the CLI.
+PRESSURE_RUNS_DIGEST = "d18fbb102b070feefabfadd783ca02f53b581e0c86cf5e66c31aee69ebd54976"
+
+
+def test_gen_data_pressure_writes_the_library_generators_bytes(tmp_path):
+    assert run("gen-data", "--out", str(tmp_path / "cli"), "--profile", "pressure",
+               "--sets", "5", "--steps", "200", "--seed", "3") == 0
+    data.save_force_dataset(data.synth_pressure_dataset(5, seed=3, n_steps=200),
+                            tmp_path / "lib", kind="pressure")
+    files = [f"run_{i:04d}.txt" for i in range(5)] + ["manifest.json"]
+    written = {side: b"".join((tmp_path / side / f).read_bytes() for f in files)
+               for side in ("cli", "lib")}
+    assert written["cli"] == written["lib"]
+    assert hashlib.sha256(written["cli"]).hexdigest() == PRESSURE_RUNS_DIGEST
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -544,6 +578,21 @@ def test_eval_multiple_checkpoints(tmp_path, dataset_dir, trained_dir):
     assert (out / "eval_B_b1.json").exists() and (out / "eval_B_b2.json").exists()
 
 
+def test_eval_refuses_checkpoints_whose_outputs_collide(tmp_path, dataset_dir, trained_dir, capsys):
+    # two checkpoint.gslp files of one variant used to write one eval_B_checkpoint.json
+    other = tmp_path / "other" / "checkpoint.gslp"
+    other.parent.mkdir()
+    other.write_bytes((trained_dir / "checkpoint.gslp").read_bytes())
+    out = tmp_path / "eval"
+    assert run(
+        "eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"), "--checkpoint", str(other),
+        "--data", str(dataset_dir), "--out", str(out), "--labels", "truth", "--dump-set", "0",
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"--checkpoint {trained_dir / 'checkpoint.gslp'} and {other} would both write" in err
+    assert list(out.iterdir()) == []  # only the --out directory itself is made
+
+
 def test_eval_dump_set_writes_plot_data(tmp_path, dataset_dir, trained_dir):
     out = tmp_path / "dump"
     assert run(
@@ -584,7 +633,7 @@ def test_eval_truth_on_bad_ground_truth_exits_1_and_writes_nothing(tmp_path, dat
     assert run("eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"), "--data", str(bad),
                "--out", str(out), "--labels", "truth") == 1
     assert "set_0000.txt: need 0 <= slip_onset < drop_step < n_steps" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert list(out.iterdir()) == []  # only the --out directory itself is made
 
 
 def test_eval_rejects_baseline_checkpoint(tmp_path, dataset_dir, capsys):
@@ -613,7 +662,7 @@ def test_checkpoint_with_an_added_header_key_exits_1_and_writes_nothing(
     assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
                "--out", str(out)) == 1
     assert "'freq_hz' is not a checkpoint header key" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert list(out.iterdir()) == []  # only the --out directory itself is made
 
 
 def test_eval_missing_checkpoint(tmp_path, dataset_dir, capsys):
@@ -651,7 +700,7 @@ def test_checkpoint_with_non_finite_value_exits_1_and_writes_nothing(
     assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
                "--out", str(out)) == 1
     assert f"array {name!r} holds {value} at index {index}" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert list(out.iterdir()) == []  # only the --out directory itself is made
 
 
 @pytest.mark.parametrize("command", ["eval", "simulate"])
@@ -670,7 +719,7 @@ def test_checkpoint_with_malformed_norm_stats_exits_1_and_writes_nothing(
     assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
                "--out", str(out)) == 1
     assert "checkpoint 'norm_stats' must be null or" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert list(out.iterdir()) == []  # only the --out directory itself is made
 
 
 def test_eval_deeply_nested_checkpoint_header_exits_1(tmp_path, dataset_dir, capsys):

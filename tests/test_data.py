@@ -78,6 +78,8 @@ def test_grasp_set_validates_outcome_and_direction():
 def test_recording_rejects_bad_kind_values_and_rate():
     with pytest.raises(ValueError, match="kind must be one of"):
         Recording(np.ones((10, 16)), 16.7, kind="torque")
+    with pytest.raises(ValueError, match=r"kind must be one of \('force', 'pressure'\), got \[\]"):
+        Recording(np.ones((5, 16)), 16.7, kind=[], outcome="success", direction="back")
     with pytest.raises(ValueError, match="empty input"):
         make_set(n_steps=0)
     bad = np.ones((10, 16))

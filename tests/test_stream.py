@@ -490,7 +490,7 @@ def test_event_log_rejects_bad_header(tmp_path):
     ("0,0,0.5,1,-1.0", "latency_us"), ("0,0,0.5,1,nan", "latency_us"),
     ("0,0,0.5,1,inf", "latency_us"),
     ("0,0,1.5,1,1.0", "probability"), ("0,0,-0.1,1,1.0", "probability"),
-    ("0,0,inf,1,1.0", "probability"),
+    ("0,0,inf,1,1.0", "probability"), ("0,0,nan,0,0.000", "label"),
 ])
 def test_event_log_refuses_a_value_the_writer_never_writes(tmp_path, row, field):
     # a label 7 used to read as unstable, and a nan latency gave latency_report a NaN p95
