@@ -46,8 +46,6 @@ _count = Rule(int, lambda v: v >= 1, ">= 1").parse
 _natural = Rule(int, lambda v: v >= 0, ">= 0").parse
 _positive = Rule(float, lambda v: v > 0, "> 0").parse
 _holdout = Rule(float, lambda v: 0 <= v < 1, "in [0, 1)").parse
-_channel = Rule(int, lambda v: 0 <= v < gdata.FORCE_CHANNELS,
-                f"in 0..{gdata.FORCE_CHANNELS - 1}").parse
 _channels = Rule(int, lambda v: 1 <= v <= gdata.FORCE_CHANNELS,
                  f"in 1..{gdata.FORCE_CHANNELS}").parse
 
@@ -103,9 +101,9 @@ def _add_setting(p: argparse.ArgumentParser, field: str, **kwargs) -> None:
 def _add_window_knobs(p: argparse.ArgumentParser) -> None:
     """How sets become labeled windows: length, label source, channel."""
     _add_setting(p, "window_len")
-    p.add_argument("--labels", choices=gdata.LABELS, default="detect",
-                   help="label source: drop detection or synthetic ground truth")
-    p.add_argument("--channel", type=_channel, default=0)
+    _add_setting(p, "labels", metavar="{" + ",".join(gdata.LABELS) + "}",
+                 help="label source: drop detection or synthetic ground truth")
+    _add_setting(p, "channel")
 
 
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
@@ -160,10 +158,7 @@ def cmd_train(args) -> int:
     sets = gdata.load_force_dataset(args.data)
     config = _train_config(args)
     train_sets, val_sets = _split(args, sets)
-    model, history = geval.fit_variant(
-        args.variant, train_sets, config,
-        val_sets=val_sets, labels=args.labels, channel=args.channel,
-    )
+    model, history = geval.fit_variant(args.variant, train_sets, config, val_sets=val_sets)
     ckpt_path = os.path.join(out, "checkpoint.gslp")
     gmodels.save_checkpoint(model, ckpt_path)
     lines = ["epoch,mean_loss,val_success"]
@@ -237,11 +232,8 @@ def cmd_cross_eval(args) -> int:
     out = _out_dir(args)
     sets = gdata.load_force_dataset(args.data)
     config = _train_config(args)
-    matrix = geval.cross_condition_matrix(
-        sets, args.variant, config,
-        condition=args.condition, ratio=args.ratio,
-        labels=args.labels, channel=args.channel,
-    )
+    matrix = geval.cross_condition_matrix(sets, args.variant, config,
+                                          condition=args.condition, ratio=args.ratio)
     atomic_write_json(os.path.join(out, "matrix.json"), matrix)
     names = matrix["rows"]
     cells = {row: [f"{v:.4f}" if isinstance(v, float) else str(v)

@@ -1,7 +1,7 @@
 """Dataset ingestion, labeling, windowing, splitting, and synthesis.
 
-A recording's per-step labels (``window_batches``) and its drop step
-(``drop_step``) are decided here and nowhere else.
+A recording's per-step labels (``step_labels``), its drop step (``drop_step``)
+and the rules of the three windowing settings are decided here and nowhere else.
 
 Trace file grammar (one grasp set per file, whitespace-separated):
 
@@ -48,12 +48,12 @@ import numpy as np
 from graspslip.ioutil import (
     FINITE, INTEGER, Rule, _repr, atomic_write_json, atomic_write_text, one_of, rng_for,
 )
-from graspslip.signal import FREQ_HZ, SensorTrace, readonly_float64
+from graspslip.signal import DEFAULT_WINDOW_LEN, FREQ_HZ, SensorTrace, readonly_float64
 
 TRACE_FORMAT = "graspslip-trace v1"
 OUTCOMES = ("success", "failure")
 DIRECTIONS = ("back", "right", "top")
-LABELS = ("detect", "truth")  # window_batches' label sources: drop detection, ground truth
+LABELS = ("detect", "truth")  # step_labels' label sources: drop detection, ground truth
 CONDITIONS = ("direction", "outcome")  # the fields a cross-condition matrix groups sets by
 
 FORCE_CHANNELS = 16
@@ -74,6 +74,12 @@ DROP_SUSTAIN = 3
 # Pre-drop labeling horizon: the window of steps before a detected drop
 # that is labeled unstable.
 LABEL_LEAD_STEPS = 20
+
+# The windowing settings' rules, which step_labels, window_batches, TrainConfig and its flags
+# apply: a window is longer than the STFT window, on one force channel, labeled from one source.
+WINDOW_LEN = Rule(int, lambda v: v > DEFAULT_WINDOW_LEN, f"> {DEFAULT_WINDOW_LEN} (the STFT window)")
+CHANNEL = Rule(int, lambda v: 0 <= v < FORCE_CHANNELS, f"in 0..{FORCE_CHANNELS - 1}")
+LABEL_SOURCE = one_of(*LABELS)
 
 # The share of failure sets a synthetic dataset holds, and a split's train
 # share and its default; gen-data's --failure-fraction and cross-eval's --ratio read them.
@@ -225,38 +231,38 @@ def drop_step(rec: Recording, channel: int = 0) -> int | None:
 # -- windowing ------------------------------------------------------------
 
 
-def window_batches(
-    rec: Recording,
-    window_len: int = 160,
-    channel: int = 0,
-    labels: str = "detect",
-) -> list[LabeledWindow]:
-    """Non-overlapping LabeledWindows over one channel of a Recording.
+def step_labels(rec: Recording, channel: int, labels: str) -> np.ndarray:
+    """Per-step stable=True labels of one channel of a Recording.
+
+    labels="detect" runs detect_drop + the 20-step pre-drop rule on the
+    channel itself; labels="truth" takes the recording's slip_onset
+    (synthetic sets only) and marks [slip_onset, end) of a failure set.
+    """
+    trace = rec.channel(CHANNEL.check("channel", channel))
+    if LABEL_SOURCE.check("labels", labels) == "detect":
+        return label_slip(trace, detect_drop(trace))
+    if rec.outcome != "failure":
+        return np.ones(len(trace), dtype=bool)
+    if rec.slip_onset is None:
+        raise ValueError("truth labels need slip_onset (synthetic sets only)")
+    return np.arange(len(trace)) < rec.slip_onset
+
+
+def window_batches(rec: Recording, window_len: int, channel: int = 0,
+                   labels: str = "detect") -> list[LabeledWindow]:
+    """Non-overlapping LabeledWindows of one channel and its ``step_labels``.
 
     The trailing remainder is dropped. Each window's samples are a view of
-    the recording's read-only matrix. labels="detect" runs detect_drop +
-    the 20-step pre-drop rule on the channel itself; labels="truth" takes
-    the recording's slip_onset (synthetic sets only) and marks
-    [slip_onset, end) of a failure set.
+    the recording's read-only matrix.
     """
-    trace = rec.channel(channel)
-    if labels == "truth":
-        lab = np.ones(len(trace), dtype=bool)
-        if rec.outcome == "failure":
-            if rec.slip_onset is None:
-                raise ValueError("truth labels need slip_onset (synthetic sets only)")
-            lab[rec.slip_onset:] = False
-    elif labels == "detect":
-        lab = label_slip(trace, detect_drop(trace))
-    else:
-        raise ValueError(f"labels must be {'|'.join(LABELS)}, got {labels!r}")
-    if window_len < 1:
-        raise ValueError("window_len must be >= 1")
-    if len(trace) < window_len:
-        raise ValueError(f"trace shorter than window: {len(trace)} < {window_len}")
+    WINDOW_LEN.check("window_len", window_len)
+    lab = step_labels(rec, channel, labels)
+    x = rec.samples[:, channel]
+    if len(x) < window_len:
+        raise ValueError(f"trace shorter than window: {len(x)} < {window_len}")
     return [
-        LabeledWindow(trace.samples[start : start + window_len], lab[start : start + window_len])
-        for start in range(0, len(trace) - window_len + 1, window_len)
+        LabeledWindow(x[start : start + window_len], lab[start : start + window_len])
+        for start in range(0, len(x) - window_len + 1, window_len)
     ]
 
 

@@ -103,14 +103,11 @@ class EvalReport:
             raise ValueError("confusion counts inconsistent with n_steps")
 
 
-def evaluate_model(
-    model,
-    sets,
-    window_len: int = 160,
-    channel: int = 0,
-    labels: str = "detect",
-) -> EvalReport:
-    """Per-step evaluation of a zoo model over one channel of each set.
+def evaluate_model(model, sets, window_len: int = gmodels.TrainConfig.window_len,
+                   channel: int = gmodels.TrainConfig.channel,
+                   labels: str = gmodels.TrainConfig.labels) -> EvalReport:
+    """Per-step evaluation of a zoo model over one channel of each set; the
+    windowing defaults are ``TrainConfig``'s.
 
     Every set's windows are stacked into one (windows, window_len) array,
     featurized once and predicted in one predict_batch call. Success rate
@@ -161,8 +158,6 @@ def cross_condition_matrix(
     config: gmodels.TrainConfig,
     condition: str = "direction",
     ratio: float = gdata.TRAIN_RATIO,
-    labels: str = "detect",
-    channel: int = 0,
 ) -> dict:
     """Train per row condition, evaluate on every column's held-out part.
 
@@ -188,7 +183,7 @@ def cross_condition_matrix(
             splits[name] = (groups[name], [])
 
     results = _map_fits([
-        (variant, splits[row][0], [splits[col][1] for col in names], config, labels, channel)
+        (variant, splits[row][0], [splits[col][1] for col in names], config)
         for row in names
     ])
     cells = {}
@@ -211,15 +206,13 @@ def fit_variant(
     train_sets,
     config: gmodels.TrainConfig,
     val_sets=None,
-    labels: str = "detect",
-    channel: int = 0,
 ):
-    """Stats from the train split, windows from one channel, then train."""
+    """Stats from the train split, windows as ``config`` cuts them, then train."""
     variant = variant if isinstance(variant, gmodels.ModelVariant) else gmodels.get_variant(variant)
 
     def windows_of(sets):
-        return [w for g in sets for w in gdata.window_batches(g, config.window_len, channel,
-                                                              labels=labels)]
+        return [w for g in sets
+                for w in gdata.window_batches(g, config.window_len, config.channel, config.labels)]
 
     windows = windows_of(train_sets)
     if not windows:
@@ -235,10 +228,10 @@ def _fit_and_score(task):
     """Fit one variant on a train split and score it on each held-out split
     (None for an empty one): ``(epochs_run, reports)``, or the ValueError or
     RuntimeError that stopped the fit or a score."""
-    variant, train_sets, test_splits, config, labels, channel = task
+    variant, train_sets, test_splits, config = task
     try:
-        model, history = fit_variant(variant, train_sets, config, labels=labels, channel=channel)
-        reports = [evaluate_model(model, sets, config.window_len, channel, labels=labels)
+        model, history = fit_variant(variant, train_sets, config)
+        reports = [evaluate_model(model, sets, config.window_len, config.channel, config.labels)
                    if sets else None for sets in test_splits]
         return len(history), reports
     except (ValueError, RuntimeError) as exc:
@@ -278,8 +271,6 @@ def run_experiment(
     seeds=(0,),
     config: gmodels.TrainConfig | None = None,
     ratio: float = gdata.TRAIN_RATIO,
-    labels: str = "detect",
-    channel: int = 0,
 ) -> dict:
     """Variant x seed sweep on a shared split; per-seed rows plus means.
 
@@ -297,7 +288,7 @@ def run_experiment(
     for seed in seeds:
         train_sets, test_sets = gdata.split(sets, ratio, seed=seed)
         for tag in variant_tags:
-            tasks.append((tag, train_sets, [test_sets], replace(config, seed=seed), labels, channel))
+            tasks.append((tag, train_sets, [test_sets], replace(config, seed=seed)))
     rows = []
     for task, result in zip(tasks, _map_fits(tasks)):
         row = {"variant": task[0], "seed": task[3].seed}
@@ -326,18 +317,20 @@ def run_experiment(
         "split": "shared-per-seed",
         "ratio": ratio,
         "seeds": list(seeds),
-        "labels": labels,
-        "channel": channel,
+        "labels": config.labels,
+        "channel": config.channel,
         "rows": rows,
         "aggregate": aggregates,
     }
 
 
-def write_prediction_dump(model, grasp, path, channel: int = 0, labels: str = "detect") -> None:
+def write_prediction_dump(model, grasp, path, channel: int = gmodels.TrainConfig.channel,
+                          labels: str = gmodels.TrainConfig.labels) -> None:
     """Per-step plot data of the whole set, scored as one stream by ``predict_samples``."""
-    (window,) = gdata.window_batches(grasp, grasp.n_steps, channel, labels=labels)
-    pred = model.predict_samples(window.samples)
+    stable = gdata.step_labels(grasp, channel, labels)
+    samples = grasp.samples[:, channel]
+    pred = model.predict_samples(samples)
     rows = ["step,force_mn,label_unstable,p_unstable,predicted_unstable"]
     rows += [f"{t},{x:g},{int(y)},{p:.9f},{int(f)}" for t, (x, y, p, f) in enumerate(
-        zip(window.samples, window.unstable, pred.p_unstable, pred.unstable))]
+        zip(samples, ~stable, pred.p_unstable, pred.unstable))]
     atomic_write_text(path, "\n".join(rows) + "\n")

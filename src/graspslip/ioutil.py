@@ -120,8 +120,8 @@ def sha256_file(path: str | Path) -> str:
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
-    """Independent, reproducible stream for one purpose under a run seed."""
-    return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(label.encode("utf-8"))])
+    """Independent, reproducible stream for one purpose under a run seed (any int >= 0)."""
+    return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
 
 
 def openblas_core_name() -> str | None:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from graspslip import data as gdata
 from graspslip import nn
 from graspslip.ioutil import Rule, atomic_write_bytes, one_of, sha256_bytes
 from graspslip.nn import AdamState, FcHead, LstmParams, TrainingDiverged
@@ -95,20 +96,19 @@ class Setting(NamedTuple):
 
     rule: Rule
     flag: str
-    kind = property(lambda self: self.rule.kind)
-    want = property(lambda self: self.rule.want)
 
 
 # Each TrainConfig field's rule, in field order. Past 1, a threshold flags no step unstable.
 TRAIN_SETTINGS = {
-    "window_len": Setting(Rule(int, lambda v: v > DEFAULT_WINDOW_LEN,
-                               f"> {DEFAULT_WINDOW_LEN} (the STFT window)"), "--window-len"),
+    "window_len": Setting(gdata.WINDOW_LEN, "--window-len"),
     "lstm_units": Setting(Rule(int, lambda v: v >= 1, ">= 1"), "--units"),
     "lr": Setting(Rule(float, lambda v: v > 0, "> 0"), "--lr"),
     "epochs": Setting(Rule(int, lambda v: v >= 0, ">= 0"), "--epochs"),
     "seed": Setting(Rule(int, lambda v: v >= 0, ">= 0"), "--seed"),
     "clip_norm": Setting(Rule(float, lambda v: v > 0, "> 0"), "--clip-norm"),
     "threshold": Setting(Rule(float, lambda v: 0 < v < 1, "in (0, 1)"), "--threshold"),
+    "channel": Setting(gdata.CHANNEL, "--channel"),
+    "labels": Setting(gdata.LABEL_SOURCE, "--labels"),
 }
 
 
@@ -120,8 +120,8 @@ def check_setting(field: str, value):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training-loop knobs, each checked by its ``TRAIN_SETTINGS`` rule.
-    One optimizer step consumes one window."""
+    """Training-loop and windowing knobs, each checked by its ``TRAIN_SETTINGS``
+    rule. One optimizer step consumes one window of one channel."""
 
     window_len: int = 160
     lstm_units: int = 128
@@ -130,6 +130,8 @@ class TrainConfig:
     seed: int = 0
     clip_norm: float = 5.0
     threshold: float = 0.5
+    channel: int = 0
+    labels: str = "detect"
 
     def __post_init__(self):
         for field in TRAIN_SETTINGS:

@@ -21,8 +21,8 @@ def synth_split(synth_sets):
 def trained_c(synth_split):
     """A variant-C model good enough to exercise metrics and streaming."""
     train_sets, _ = synth_split
-    config = models.TrainConfig(epochs=12, lstm_units=32, seed=0)
-    model, history = evaluation.fit_variant("C", train_sets, config, labels="truth")
+    config = models.TrainConfig(epochs=12, lstm_units=32, seed=0, labels="truth")
+    model, history = evaluation.fit_variant("C", train_sets, config)
     return model
 
 

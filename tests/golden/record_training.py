@@ -24,7 +24,7 @@ import numpy as np
 from graspslip import data, evaluation, models
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CONFIG = models.TrainConfig(window_len=40, lstm_units=6, epochs=3, seed=3)
+CONFIG = models.TrainConfig(window_len=40, lstm_units=6, epochs=3, seed=3, labels="truth")
 # Variants fitted with validation windows, so the best-epoch restore runs.
 VALIDATED = ("C",)
 
@@ -51,7 +51,7 @@ def fit(tag: str) -> dict:
     """The seeded fit of variant ``tag``, as ``training.json`` records it."""
     train_sets, val_sets, heldout = training_sets()
     model, history = evaluation.fit_variant(
-        tag, train_sets, CONFIG, val_sets=val_sets if tag in VALIDATED else None, labels="truth")
+        tag, train_sets, CONFIG, val_sets=val_sets if tag in VALIDATED else None)
     windows = [w for g in heldout for w in data.window_batches(g, CONFIG.window_len, labels="truth")]
     heldout_p = model.predict_batch(model.featurize(np.stack([w.samples for w in windows]))).p_unstable
     return {

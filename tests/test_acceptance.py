@@ -112,9 +112,9 @@ def test_criterion_04_synthetic_end_to_end():
     The two fits run through run_experiment, in parallel where CPUs allow."""
     t0 = timed()
     sets = data.synth_force_dataset(200, seed=42)
-    config = models.TrainConfig(epochs=8, lstm_units=128, seed=0)
+    config = models.TrainConfig(epochs=8, lstm_units=128, seed=0, labels="truth")
     result = evaluation.run_experiment(
-        sets, variants=("C", "A"), seeds=(0,), config=config, ratio=0.8, labels="truth"
+        sets, variants=("C", "A"), seeds=(0,), config=config, ratio=0.8
     )
     for row in result["rows"]:
         assert row["ok"], f"variant {row['variant']}: {row.get('error')}"

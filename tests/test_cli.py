@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from graspslip import cli, data, ioutil, models
+from graspslip import cli, data, evaluation, ioutil, models
 from graspslip.stream import read_event_log
 
 
@@ -450,7 +450,7 @@ def test_train_flag_takes_a_text_exactly_when_train_config_takes_its_value(
         field, text, tmp_path, dataset_dir, capsys):
     setting = models.TRAIN_SETTINGS[field]
     try:
-        value = setting.kind(text)
+        value = setting.rule.kind(text)
     except ValueError:
         value = text
     try:
@@ -469,6 +469,40 @@ def test_train_flag_takes_a_text_exactly_when_train_config_takes_its_value(
         assert run(*fit, "--out", str(out), setting.flag, text) == 1
         assert f"argument {setting.flag}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("length", [0, 1, 20, 21, 160])
+def test_one_window_length_rule_in_library_and_flags(length, tmp_path, dataset_dir, trained_dir,
+                                                     capsys):
+    # window_batches and evaluate_model took lengths 1-20, which TrainConfig
+    # and --window-len refuse; all four now take or refuse a length alike.
+    sets = data.load_force_dataset(dataset_dir)
+    checkpoint = str(trained_dir / "checkpoint.gslp")
+    model = models.load_checkpoint(checkpoint)
+    try:
+        models.TrainConfig(window_len=length)
+    except ValueError as exc:
+        words = str(exc)
+    else:
+        words = None
+    assert (words is None) == (length > 20)
+    for use in (lambda: data.window_batches(sets[0], length),
+                lambda: evaluation.evaluate_model(model, sets, length)):
+        if words is None:
+            use()
+        else:
+            with pytest.raises(ValueError) as exc:
+                use()
+            assert str(exc.value) == words
+    for argv in (["train", "--data", str(dataset_dir), "--variant", "A"],
+                 ["eval", "--checkpoint", checkpoint, "--data", str(dataset_dir)]):
+        argv += ["--window-len", str(length)]
+        if words is None:
+            assert cli.build_parser().parse_args(argv).window_len == length
+        else:
+            assert run(*argv, "--out", str(tmp_path / "o")) == 1
+            flag_words = words.removeprefix("window_len ").replace(f"got {length}", f"got '{length}'")
+            assert f"argument --window-len: {flag_words}" in capsys.readouterr().err
 
 
 def test_run_manifest_config_keeps_each_flag_name_and_value(tmp_path, dataset_dir, trained_dir,

@@ -23,6 +23,7 @@ from graspslip.data import (
     read_recording,
     save_force_dataset,
     split,
+    step_labels,
     synth_force_dataset,
     synth_grasp,
     synth_pressure_run,
@@ -351,10 +352,20 @@ def test_window_remainder_dropped():
     np.testing.assert_array_equal(wins[1].samples, np.arange(160.0, 320.0))
 
 
+def test_seeds_2_32_apart_draw_apart():
+    # The seed was masked to 32 bits, so seed 2**32 drew seed 0's sets and
+    # seed 5 + 2**32 made seed 5's split.
+    a, b = synth_force_dataset(3, seed=0), synth_force_dataset(3, seed=2**32)
+    assert not any(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
+    sets = synth_force_dataset(10, seed=1)
+    assert split(sets, 0.8, seed=5) != split(sets, 0.8, seed=5 + 2**32)
+
+
 def test_window_too_short():
     with pytest.raises(ValueError, match="trace shorter than window: 100 < 160"):
         window_batches(make_set(100), 160)
-    with pytest.raises(ValueError, match="window_len must be >= 1"):
+    with pytest.raises(ValueError, match=re.escape(
+            "window_len must be a 64-bit integer > 20 (the STFT window), got 0")):
         window_batches(make_set(100), 0)
 
 
@@ -404,18 +415,29 @@ def test_window_batches_truth_mode():
     flat = np.concatenate([w.labels for w in wins])
     assert flat[:onset].all()
     assert not flat[onset:].any()
-    assert all(w.labels.all() for w in window_batches(make_set(), labels="truth"))
+    assert all(w.labels.all() for w in window_batches(make_set(), 160, labels="truth"))
+
+
+@pytest.mark.parametrize("labels", data.LABELS)
+def test_step_labels_are_the_windows_labels_over_the_windowed_span(labels):
+    # 400 steps: two 160-step windows, and 80 steps that step_labels labels alone
+    grasp = synth_force_dataset(2, seed=11, failure_fraction=1.0)[0]
+    got = step_labels(grasp, 3, labels)
+    assert got.shape == (400,) and not got[-1]
+    wins = window_batches(grasp, 160, channel=3, labels=labels)
+    np.testing.assert_array_equal(got[:320], np.concatenate([w.labels for w in wins]))
 
 
 def test_window_batches_truth_needs_onset():
     grasp = make_set(outcome="failure")  # no slip_onset
     with pytest.raises(ValueError, match="truth labels need slip_onset"):
-        window_batches(grasp, labels="truth")
+        window_batches(grasp, 160, labels="truth")
 
 
 def test_window_batches_rejects_bad_mode():
-    with pytest.raises(ValueError, match="labels must be detect|truth"):
-        window_batches(make_set(), labels="guess")
+    with pytest.raises(ValueError, match=re.escape(
+            "labels must be one of ('detect', 'truth'), got 'guess'")):
+        window_batches(make_set(), 160, labels="guess")
 
 
 def test_drop_step_prefers_recorded_truth_else_detects_on_the_channel():

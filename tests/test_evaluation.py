@@ -296,9 +296,9 @@ def test_cross_matrix_divergence_propagates_from_workers(monkeypatch):
     sets = with_directions(data.synth_force_dataset(8, seed=36), ["back", "top"])
     # lr=1e308 is finite, so the config constructs; the first Adam steps
     # push the weights near the float64 limit and the loss turns NaN
-    config = models.TrainConfig(epochs=1, lstm_units=8, lr=1e308)
+    config = models.TrainConfig(epochs=1, lstm_units=8, lr=1e308, labels="truth")
     with pytest.raises(nn.TrainingDiverged, match="diverged"):
-        cross_condition_matrix(sets, "B", config, labels="truth")
+        cross_condition_matrix(sets, "B", config)
 
 
 def test_cross_matrix_rejects_bad_condition():
@@ -316,8 +316,7 @@ def experiment_result():
         sets,
         variants=("A", "B"),
         seeds=(0, 1),
-        config=models.TrainConfig(epochs=2, lstm_units=8),
-        labels="truth",
+        config=models.TrainConfig(epochs=2, lstm_units=8, labels="truth"),
     )
 
 
@@ -348,8 +347,7 @@ def test_run_experiment_deterministic(experiment_result):
         sets,
         variants=("A", "B"),
         seeds=(0, 1),
-        config=models.TrainConfig(epochs=2, lstm_units=8),
-        labels="truth",
+        config=models.TrainConfig(epochs=2, lstm_units=8, labels="truth"),
     )
     assert again == experiment_result
 
@@ -357,7 +355,7 @@ def test_run_experiment_deterministic(experiment_result):
 def test_run_experiment_records_failures():
     sets = data.synth_force_dataset(6, seed=35, failure_fraction=0.0)
     result = run_experiment(
-        sets, variants=("A",), seeds=(0,), config=SMALL_CONFIG, labels="truth"
+        sets, variants=("A",), seeds=(0,), config=dataclasses.replace(SMALL_CONFIG, labels="truth")
     )
     row = result["rows"][0]
     assert row["ok"] is False
@@ -368,15 +366,14 @@ def test_run_experiment_records_failures():
 
 def two_fits(driver, sets, config):
     if driver == "run_experiment":
-        return run_experiment(sets, variants=("A", "B"), seeds=(0,), config=config,
-                              labels="truth")
-    return cross_condition_matrix(sets, "B", config, labels="truth")
+        return run_experiment(sets, variants=("A", "B"), seeds=(0,), config=config)
+    return cross_condition_matrix(sets, "B", config)
 
 
 @pytest.mark.parametrize("driver", ["run_experiment", "cross_condition_matrix"])
 def test_pooled_fits_match_in_process_fits(driver, monkeypatch):
     sets = with_directions(data.synth_force_dataset(8, seed=36), ["back", "top"])
-    config = models.TrainConfig(epochs=1, lstm_units=8)
+    config = models.TrainConfig(epochs=1, lstm_units=8, labels="truth")
     pools = []
     real_pool = evaluation.worker_pool
 
@@ -436,6 +433,23 @@ def test_write_prediction_dump(trained_c, synth_split, tmp_path):
     for line in lines[1:]:
         _, _, _, p, f = line.split(",")
         assert (float(p) >= trained_c.threshold) == (f == "1")
+
+
+@pytest.mark.parametrize("labels", data.LABELS)
+def test_prediction_dump_bytes_are_those_of_one_whole_set_window(labels, tmp_path):
+    """The dump of channel 3 of a 300-step set, not a multiple of 160 steps,
+    row for row as it was written from the whole set cut as one window."""
+    grasp = data.synth_force_dataset(1, seed=1, failure_fraction=1.0, n_steps=300)[0]
+    model = models.GraspModel.build("C", models.TrainConfig(lstm_units=8), seed=3)
+    model.stats = compute_norm_stats([grasp.channel(3)])
+    write_prediction_dump(model, grasp, tmp_path / "dump.csv", 3, labels)
+    (window,) = data.window_batches(grasp, grasp.n_steps, 3, labels)
+    pred = model.predict_samples(window.samples)
+    rows = ["step,force_mn,label_unstable,p_unstable,predicted_unstable"]
+    rows += [f"{t},{x:g},{int(y)},{p:.9f},{int(f)}" for t, (x, y, p, f) in enumerate(
+        zip(window.samples, window.unstable, pred.p_unstable, pred.unstable))]
+    assert (tmp_path / "dump.csv").read_text() == "\n".join(rows) + "\n"
+    assert "1" in {row.split(",")[2] for row in rows[161:]}  # unstable past the first window
 
 
 @pytest.mark.parametrize("labels", ["truth", "detect"])

@@ -234,20 +234,21 @@ def flags(**strategies):
 def setting_edges(setting):
     """Each bound written in a TrainConfig setting's words and the nearest
     value of its kind on either side, as flag texts."""
-    bounds = [float(b) for b in re.findall(r"-?\d+(?:\.\d+)?", setting.want)]
-    if setting.kind is int:
+    bounds = [float(b) for b in re.findall(r"-?\d+(?:\.\d+)?", setting.rule.want)]
+    if setting.rule.kind is int:
         return [str(int(b) + d) for b in bounds for d in (-1, 0, 1)]
     return [repr(x) for b in bounds
             for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
 
 
-# Every TrainConfig setting's flag, its size capped as above.
-SIZE_CAPS = {"epochs": 2, "lstm_units": 8, "window_len": 300}
-TRAIN_KNOBS = dict(
-    **{s.flag[2:].replace("-", "_"): numbers(hi=SIZE_CAPS.get(f, 8))
-       | st.sampled_from(setting_edges(s)) for f, s in models.TRAIN_SETTINGS.items()},
-    labels=st.sampled_from(["detect", "truth"]), channel=numbers(hi=16),
-)
+# Every TrainConfig setting's flag, its size capped as above: a number or
+# an edge of its rule, or for the label source a name its rule takes.
+SIZE_CAPS = {"epochs": 2, "lstm_units": 8, "window_len": 300, "channel": 16}
+TRAIN_KNOBS = {
+    s.flag[2:].replace("-", "_"): st.sampled_from(data.LABELS) if s.rule.kind is str
+    else numbers(hi=SIZE_CAPS.get(f, 8)) | st.sampled_from(setting_edges(s))
+    for f, s in models.TRAIN_SETTINGS.items()
+}
 
 ARGV = {
     "gen-data": flags(
@@ -261,8 +262,7 @@ ARGV = {
     "train": flags(holdout=numbers(), **TRAIN_KNOBS),
     "eval": flags(
         holdout=numbers(), seed=numbers(), window_len=numbers(hi=300),
-        labels=st.sampled_from(["detect", "truth"]), channel=numbers(hi=16),
-        dump_set=numbers()),
+        labels=TRAIN_KNOBS["labels"], channel=TRAIN_KNOBS["channel"], dump_set=numbers()),
     "cross-eval": flags(
         ratio=numbers(), condition=st.sampled_from(["direction", "outcome"]), **TRAIN_KNOBS),
     "simulate": flags(

@@ -363,7 +363,8 @@ from graspslip.ioutil import openblas_core_name
 from tests.golden import record
 
 sets = data.synth_force_dataset(6, seed=7)
-samples = np.stack([w.samples for g in sets for w in data.window_batches(g, 16)])[:130]
+samples = np.stack([g.samples[start : start + 16, 0] for g in sets
+                    for start in range(0, g.n_steps - 15, 16)])[:130]
 differ = []
 for hidden in (8, 128):
     for k, tag in enumerate("ABCD"):
@@ -634,8 +635,8 @@ def test_early_stop_stops_after_patience_epochs_without_improvement():
     # lr=1e-12 leaves validation success flat after epoch 0, so training
     # stops EARLY_STOP_PATIENCE epochs later, well before the 30 allowed.
     train_sets, val_sets = data.split(data.synth_force_dataset(10, seed=1), 0.6)
-    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=30, lr=1e-12, seed=0)
-    _, history = fit_variant("C", train_sets, cfg, val_sets=val_sets, labels="truth")
+    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=30, lr=1e-12, seed=0, labels="truth")
+    _, history = fit_variant("C", train_sets, cfg, val_sets=val_sets)
     assert len(history) == 1 + models.EARLY_STOP_PATIENCE == 11
 
 
