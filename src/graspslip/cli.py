@@ -34,20 +34,16 @@ from graspslip import models as gmodels
 from graspslip import nn
 from graspslip import stream as gstream
 from graspslip.ioutil import (
-    INTEGER, Rule, atomic_write_json, atomic_write_text, blas_record, sha256_bytes, sha256_file,
+    COUNT, INTEGER, NATURAL, POSITIVE, Rule, atomic_write_json, atomic_write_text, blas_record,
+    sha256_bytes, sha256_file,
 )
 from graspslip.signal import FREQ_HZ, NormStats
 
 GRAD_TOLERANCE = 1e-4
 
 
-# argparse types of the numeric flags that set no TrainConfig field, each from its Rule.
-_count = Rule(int, lambda v: v >= 1, ">= 1").parse
-_natural = Rule(int, lambda v: v >= 0, ">= 0").parse
-_positive = Rule(float, lambda v: v > 0, "> 0").parse
+# The held-out share: 0 holds nothing out, and some set must train.
 _holdout = Rule(float, lambda v: 0 <= v < 1, "in [0, 1)").parse
-_channels = Rule(int, lambda v: 1 <= v <= gdata.FORCE_CHANNELS,
-                 f"in 1..{gdata.FORCE_CHANNELS}").parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,8 +316,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="synthesize a dataset directory")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--sets", type=_natural, default=40)
+    p.add_argument("--seed", type=NATURAL.parse, default=0)
+    p.add_argument("--sets", type=NATURAL.parse, default=40)
     p.add_argument("--profile", choices=gdata.PROFILES, default="force")
     p.add_argument("--steps", type=INTEGER.parse, default=None)
     p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=None)
@@ -338,9 +334,9 @@ def build_parser() -> _Parser:
     p.add_argument("--freq-hz", type=FREQ_HZ.parse, default=gdata.PROFILES["force"]["freq_hz"])
     p.add_argument("--outcome", choices=gdata.OUTCOMES, default="failure")
     p.add_argument("--direction", choices=gdata.DIRECTIONS, default="back")
-    p.add_argument("--object", type=_natural, default=0)
-    p.add_argument("--weight", type=_natural, default=0)
-    p.add_argument("--force-level", type=_natural, default=0)
+    p.add_argument("--object", type=NATURAL.parse, default=0)
+    p.add_argument("--weight", type=NATURAL.parse, default=0)
+    p.add_argument("--force-level", type=NATURAL.parse, default=0)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train", help="fit one variant, write a checkpoint")
@@ -379,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset dir (with --set) or one trace file")
     p.add_argument("--set", type=INTEGER.parse, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--channels", type=_channels, default=1)
+    p.add_argument("--channels", type=gdata.SENSORS.parse, default=1)
     p.add_argument("--strict-latency", action="store_true",
                    help="exit 2 when p95 latency misses the 4 ms budget")
     p.add_argument("--no-timing", action="store_true",
@@ -389,11 +385,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("grad-check", help="verify gradients by finite differences")
     p.add_argument("--variants", default="ABCD",
                    help="variant tags to check, e.g. AC")
-    p.add_argument("--hidden", type=_count, default=4)
-    p.add_argument("--steps", type=_count, default=12)
-    p.add_argument("--instances", type=_count, default=3)
-    p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--tolerance", type=_positive, default=GRAD_TOLERANCE)
+    p.add_argument("--hidden", type=COUNT.parse, default=4)
+    p.add_argument("--steps", type=COUNT.parse, default=12)
+    p.add_argument("--instances", type=COUNT.parse, default=3)
+    p.add_argument("--seed", type=NATURAL.parse, default=0)
+    p.add_argument("--tolerance", type=POSITIVE.parse, default=GRAD_TOLERANCE)
     p.set_defaults(func=cmd_grad_check)
 
     return parser

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from graspslip.ioutil import (
-    FINITE, INTEGER, Rule, _repr, atomic_write_json, atomic_write_text, one_of, rng_for,
+    COUNT, FINITE, INTEGER, Rule, _repr, atomic_write_json, atomic_write_text, one_of, rng_for,
 )
 from graspslip.signal import DEFAULT_WINDOW_LEN, FREQ_HZ, SensorTrace, readonly_float64
 
@@ -57,6 +57,8 @@ LABELS = ("detect", "truth")  # step_labels' label sources: drop detection, grou
 CONDITIONS = ("direction", "outcome")  # the fields a cross-condition matrix groups sets by
 
 FORCE_CHANNELS = 16
+# How many sensors one frame reads: at least one, at most the hand's FORCE_CHANNELS.
+SENSORS = Rule(int, lambda v: 1 <= v <= FORCE_CHANNELS, f"in 1..{FORCE_CHANNELS}")
 PRESSURE_CHANNELS = 4
 CHANNELS = {"force": FORCE_CHANNELS, "pressure": PRESSURE_CHANNELS}
 KIND = one_of(*CHANNELS)
@@ -75,10 +77,13 @@ DROP_SUSTAIN = 3
 # that is labeled unstable.
 LABEL_LEAD_STEPS = 20
 
+# A channel index into each kind's channel count, which Recording.channel checks.
+CHANNEL_INDEX = {n: Rule(int, lambda v, n=n: 0 <= v < n, f"in 0..{n - 1}") for n in CHANNELS.values()}
+
 # The windowing settings' rules, which step_labels, window_batches, TrainConfig and its flags
 # apply: a window is longer than the STFT window, on one force channel, labeled from one source.
 WINDOW_LEN = Rule(int, lambda v: v > DEFAULT_WINDOW_LEN, f"> {DEFAULT_WINDOW_LEN} (the STFT window)")
-CHANNEL = Rule(int, lambda v: 0 <= v < FORCE_CHANNELS, f"in 0..{FORCE_CHANNELS - 1}")
+CHANNEL = CHANNEL_INDEX[FORCE_CHANNELS]
 LABEL_SOURCE = one_of(*LABELS)
 
 # The share of failure sets a synthetic dataset holds, and a split's train
@@ -150,8 +155,7 @@ class Recording:
 
     def channel(self, idx: int) -> SensorTrace:
         """Channel ``idx`` as a SensorTrace over a view of the sample matrix."""
-        if not 0 <= idx < self.n_channels:
-            raise ValueError(f"channel {idx} out of range (0..{self.n_channels - 1})")
+        CHANNEL_INDEX[self.n_channels].check("channel", idx)
         return SensorTrace(self.samples[:, idx], self.freq_hz, idx)
 
     def as_matrix(self) -> np.ndarray:
@@ -407,8 +411,7 @@ def synth_force_dataset(n_sets: int, seed: int = 0,
     some drops land beyond the windowed span and instability must be
     read from the vibration, not just the collapse to zero).
     """
-    if n_sets < 1:
-        raise ValueError("n_sets must be >= 1")
+    COUNT.check("n_sets", n_sets)
     FAILURE_FRACTION.check("failure_fraction", failure_fraction)
     SET_LENGTH["force"].check("n_steps", n_steps)
     rng = rng_for(seed, "synth-dataset")
@@ -457,8 +460,7 @@ def synth_pressure_dataset(n_sets: int, seed: int = 0, freq_hz: float = _PRESSUR
                            n_steps: int = _PRESSURE["n_steps"]) -> list[Recording]:
     """Alternately holding and dropping pressure runs: each odd-indexed run
     drops at a seeded step in [n_steps // 2, n_steps - 10)."""
-    if n_sets < 1:
-        raise ValueError("n_sets must be >= 1")
+    COUNT.check("n_sets", n_sets)
     SET_LENGTH["pressure"].check("n_steps", n_steps)
     rng = rng_for(seed, "gen-pressure")
     runs = []

@@ -79,6 +79,10 @@ def one_of(*values) -> Rule:
 
 INTEGER = Rule(int)
 FINITE = Rule(float)
+# A natural number (a seed), a count (a size) and a positive number (a rate, a step size).
+NATURAL = Rule(int, lambda v: v >= 0, ">= 0")
+COUNT = Rule(int, lambda v: v >= 1, ">= 1")
+POSITIVE = Rule(float, lambda v: v > 0, "> 0")
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -120,8 +124,8 @@ def sha256_file(path: str | Path) -> str:
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
-    """Independent, reproducible stream for one purpose under a run seed (any int >= 0)."""
-    return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
+    """Independent, reproducible stream for one purpose under a run seed (a ``NATURAL``)."""
+    return np.random.default_rng([NATURAL.check("seed", seed), zlib.crc32(label.encode("utf-8"))])
 
 
 def openblas_core_name() -> str | None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from graspslip import data as gdata
 from graspslip import nn
-from graspslip.ioutil import Rule, atomic_write_bytes, one_of, sha256_bytes
+from graspslip.ioutil import COUNT, NATURAL, POSITIVE, Rule, atomic_write_bytes, one_of, sha256_bytes
 from graspslip.nn import AdamState, FcHead, LstmParams, TrainingDiverged
 from graspslip.signal import (
     DEFAULT_BAND_COUNT,
@@ -101,11 +101,11 @@ class Setting(NamedTuple):
 # Each TrainConfig field's rule, in field order. Past 1, a threshold flags no step unstable.
 TRAIN_SETTINGS = {
     "window_len": Setting(gdata.WINDOW_LEN, "--window-len"),
-    "lstm_units": Setting(Rule(int, lambda v: v >= 1, ">= 1"), "--units"),
-    "lr": Setting(Rule(float, lambda v: v > 0, "> 0"), "--lr"),
-    "epochs": Setting(Rule(int, lambda v: v >= 0, ">= 0"), "--epochs"),
-    "seed": Setting(Rule(int, lambda v: v >= 0, ">= 0"), "--seed"),
-    "clip_norm": Setting(Rule(float, lambda v: v > 0, "> 0"), "--clip-norm"),
+    "lstm_units": Setting(COUNT, "--units"),
+    "lr": Setting(POSITIVE, "--lr"),
+    "epochs": Setting(NATURAL, "--epochs"),
+    "seed": Setting(NATURAL, "--seed"),
+    "clip_norm": Setting(POSITIVE, "--clip-norm"),
     "threshold": Setting(Rule(float, lambda v: 0 < v < 1, "in (0, 1)"), "--threshold"),
     "channel": Setting(gdata.CHANNEL, "--channel"),
     "labels": Setting(gdata.LABEL_SOURCE, "--labels"),
@@ -191,7 +191,7 @@ class GraspModel:
     @classmethod
     def build(cls, variant: ModelVariant | str, config: TrainConfig, seed: int | None = None) -> "GraspModel":
         variant = variant if isinstance(variant, ModelVariant) else get_variant(variant)
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = np.random.default_rng(config.seed if seed is None else check_setting("seed", seed))
         lstms = [LstmParams.init(dim, config.lstm_units, rng) for dim in variant.stream_dims]
         head = FcHead.init(config.lstm_units * variant.n_streams, rng)
         return cls(variant=variant, lstms=lstms, head=head, threshold=config.threshold)

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graspslip.ioutil import FINITE, Rule
+from graspslip.ioutil import FINITE, POSITIVE
 
 DEFAULT_WINDOW_LEN = 20
 DEFAULT_BAND_COUNT = 10
 # A trace's sample rate, as the trace header, the CLI and SensorTrace check it.
-FREQ_HZ = Rule(float, lambda f: f > 0, "> 0")
+FREQ_HZ = POSITIVE
 
 
 def readonly_float64(a) -> np.ndarray:

@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from graspslip.data import FORCE_CHANNELS
+from graspslip.data import SENSORS
 from graspslip.ioutil import atomic_write_text
 from graspslip.models import GraspModel
 from graspslip.signal import SensorTrace, normalize_array
@@ -56,10 +56,10 @@ class StepEvent:
 class StreamingPredictor:
     """Frame-at-a-time inference with the model's own feature pipeline.
 
-    Keeps, for each of ``n_channels`` sensors, a window_len ring of
-    normalized samples for the band magnitudes, and the model's
-    lstm_columns() for all channels; push_frame() advances them by one
-    time step through the model's step(), as predict_batch does.
+    Keeps, for each of ``n_channels`` sensors, a ring of the last
+    ``model.stft_window`` normalized samples for the band magnitudes, and
+    the model's lstm_columns() for all channels; push_frame() advances them
+    by one time step through the model's step(), as predict_batch does.
 
     A non-finite sample (NaN or +-inf) is flagged unstable, the fail-safe
     answer, with a NaN probability, and leaves nothing behind in the ring
@@ -70,10 +70,8 @@ class StreamingPredictor:
     def __init__(self, model: GraspModel, n_channels: int = 1):
         if model.stats is None:
             raise ValueError("missing normalization stats; train or load a checkpoint first")
-        if n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
         self.model = model
-        self.n_channels = n_channels
+        self.n_channels = SENSORS.check("n_channels", n_channels)
         self.reset()
 
     def reset(self) -> None:
@@ -110,7 +108,8 @@ class StreamingPredictor:
 
 def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
     """Run up to FORCE_CHANNELS traces of one rate and length through one
-    predictor, one frame at a time.
+    predictor, one frame at a time; the predictor refuses more as its
+    ``n_channels``.
 
     Returns the merged log ordered by (step, channel). Each frame is one
     batched push_frame call, and every sensor's event is charged that
@@ -125,8 +124,6 @@ def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
     for what, values in [("frequency", {t.freq_hz for t in traces}), ("length", set(map(len, traces)))]:
         if len(values) != 1:  # a frame holds one sample of every trace
             raise ValueError(f"{what} mismatch across traces: {sorted(values)}")
-    if len(traces) > FORCE_CHANNELS:
-        raise ValueError(f"{len(traces)} traces exceed the {FORCE_CHANNELS}-sensor frame")
 
     predictor = StreamingPredictor(model, n_channels=len(traces))
     frames = np.stack([t.samples for t in traces], axis=1)

@@ -197,8 +197,18 @@ def test_recording_copies_a_matrix_the_caller_can_still_write():
 def test_recording_channel_index_out_of_range():
     rec = make_set(n_steps=20)
     for idx in (16, -1):
-        with pytest.raises(ValueError, match=r"channel .* out of range \(0\.\.15\)"):
+        with pytest.raises(ValueError, match=rf"channel must be a 64-bit integer in 0\.\.15, got {idx}"):
             rec.channel(idx)
+
+
+@pytest.mark.parametrize("idx", [1.0, True, np.float64(2.0), "3", None])
+def test_recording_channel_takes_only_an_integer_index(idx):
+    # numpy indexes with True as a new axis and refuses 1.0 with an IndexError
+    # that names no argument; only an integer index is a channel.
+    for rec, last in [(make_set(n_steps=20), 15), (pressure_run(), 3)]:
+        with pytest.raises(ValueError, match=rf"channel must be a 64-bit integer in 0\.\.{last}, got "):
+            rec.channel(idx)
+    assert make_set(n_steps=20).channel(np.int64(3)).channel_id == 3
 
 
 def test_pressure_recording_checks_channels_initial_and_range():
@@ -568,7 +578,7 @@ def test_synth_dataset_balance_and_ranges():
         onset, drop = s.slip_onset, s.drop_step
         assert 180 <= onset <= 240
         assert 50 <= drop - onset <= 90
-    with pytest.raises(ValueError, match="n_sets must be >= 1"):
+    with pytest.raises(ValueError, match="n_sets must be a 64-bit integer >= 1, got 0"):
         synth_force_dataset(0)
 
 

@@ -17,14 +17,15 @@ import json
 import math
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graspslip import cli, data, models, stream
-from graspslip.signal import compute_norm_stats
+from graspslip import cli, data, ioutil, models, stream
+from graspslip.signal import SensorTrace, compute_norm_stats
 
 FUZZ = settings(
     derandomize=True, max_examples=100, deadline=None,
@@ -163,6 +164,64 @@ def test_checkpoint_header_edge_values_raise_only_value_error(valid, scratch, na
             owner, key = slots[idx]
             owner[key] = value
             read(name, scratch, checkpoint_bytes(header, body))
+
+
+# -- library arguments -------------------------------------------------------
+#
+# Each library entry point that takes a seed, a set count or a sensor count:
+# the argument's name, its rule, and a CLI flag that prints that rule's words
+# (with a text it refuses). gen-data's --sets also takes 0, an empty dataset,
+# so a generator's n_sets prints the words of the count flags.
+SEED = ("seed", ioutil.NATURAL, ("gen-data", "--seed", "-1"))
+SETS = ("n_sets", ioutil.COUNT, ("grad-check", "--instances", "0"))
+SENSORS = ("n_channels", data.SENSORS, ("simulate", "--channels", "17"))
+ARGUMENT_VALUES = [*EDGE_VALUES, 2**63, 1.5, 2.5, 1, 16, 17]  # EDGE_VALUES holds -1
+ENTRY_POINTS = {
+    "rng_for": (SEED, lambda v, lib: ioutil.rng_for(v, "probe")),
+    "split": (SEED, lambda v, lib: data.split(lib.sets, seed=v)),
+    "synth_grasp": (SEED, lambda v, lib: data.synth_grasp(v, data.SynthParams(n_steps=300))),
+    "synth_force_dataset.seed": (SEED, lambda v, lib: data.synth_force_dataset(2, seed=v)),
+    "synth_force_dataset.n_sets": (SETS, lambda v, lib: data.synth_force_dataset(v)),
+    "synth_pressure_run": (SEED, lambda v, lib: data.synth_pressure_run(v, n_steps=40)),
+    "synth_pressure_dataset.seed": (SEED, lambda v, lib: data.synth_pressure_dataset(2, v)),
+    "synth_pressure_dataset.n_sets": (SETS, lambda v, lib: data.synth_pressure_dataset(v)),
+    "GraspModel.build": (SEED, lambda v, lib: models.GraspModel.build("C", lib.config, seed=v)),
+    "StreamingPredictor": (SENSORS, lambda v, lib: stream.StreamingPredictor(lib.model, v)),
+    "replay": (SENSORS, lambda v, lib: stream.replay([lib.trace] * v, lib.model, timing=False)),
+}
+
+
+def flag_words(command: str, flag: str, text: str) -> str:
+    """What ``flag`` of ``command`` prints of its rule when given ``text``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main([command, flag, text]) == 1
+    return re.search(rf"argument {flag}: (must be .*), got ", err.getvalue()).group(1)
+
+
+@pytest.fixture(scope="module")
+def lib():
+    """Two small force sets, one 30-step trace, and a tiny C model with stats."""
+    sets = data.synth_force_dataset(2, seed=0, n_steps=data.FORCE_MIN_STEPS)
+    config = models.TrainConfig(lstm_units=2)
+    model = models.GraspModel.build("C", config)
+    model.stats = compute_norm_stats([sets[0].channel(0)])
+    trace = SensorTrace(sets[0].samples[:30, 0], sets[0].freq_hz)
+    return types.SimpleNamespace(sets=sets, config=config, model=model, trace=trace)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_library_arguments_raise_value_error_in_their_flags_words(lib, entry):
+    (name, rule, flag), call = ENTRY_POINTS[entry]
+    words = flag_words(*flag)
+    assert words == f"must be {rule.words}"
+    # replay takes its sensor count as a number of traces.
+    for value in [16, 17] if entry == "replay" else ARGUMENT_VALUES:
+        if rule.takes(value) or (entry == "GraspModel.build" and value is None):  # its default
+            call(value, lib)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{name} {words}, got ")):
+                call(value, lib)
 
 
 @pytest.mark.parametrize("name", CHECKPOINTS)
