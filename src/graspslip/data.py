@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from graspslip.ioutil import (
-    COUNT, FINITE, INTEGER, Rule, _repr, atomic_write_json, atomic_write_text, one_of, rng_for,
+    COUNT, FINITE, INTEGER, NATURAL, Rule, _repr, atomic_write_json, atomic_write_text, one_of, rng_for,
 )
 from graspslip.signal import DEFAULT_WINDOW_LEN, FREQ_HZ, SensorTrace, readonly_float64
 
@@ -156,7 +156,7 @@ class Recording:
     def channel(self, idx: int) -> SensorTrace:
         """Channel ``idx`` as a SensorTrace over a view of the sample matrix."""
         CHANNEL_INDEX[self.n_channels].check("channel", idx)
-        return SensorTrace(self.samples[:, idx], self.freq_hz, idx)
+        return SensorTrace(self.samples[:, idx], self.freq_hz)
 
     def as_matrix(self) -> np.ndarray:
         """The stored (n_steps, channels) sample matrix; read-only."""
@@ -318,9 +318,20 @@ SET_LENGTH = {kind: Rule(int, lambda n, least=least: n >= least, f">= {least} fo
               for kind, least in [("force", FORCE_MIN_STEPS), ("pressure", 21)]}
 
 
+# Each SynthParams field's rule, in field order: a size is a step count (slip_onset
+# and drop_step are None on a success set), a level a finite number.
+_STEP = Rule(object, lambda v: v is None or NATURAL.takes(v), "None or a 64-bit integer >= 0")
+SYNTH_RULES = {
+    "freq_hz": FREQ_HZ, "n_steps": COUNT, "grasp_force": FINITE, "ramp_steps": NATURAL,
+    "slip_onset": _STEP, "slip_band_hz": FINITE, "slip_amplitude": FINITE, "drop_step": _STEP,
+    "decay_steps": NATURAL, "noise_sd": Rule(float, lambda v: v >= 0, ">= 0"),
+}
+
+
 @dataclass(frozen=True)
 class SynthParams:
-    """Shape of one synthetic grasp trace (force domain, mN)."""
+    """Shape of one synthetic grasp trace (force domain, mN), each field
+    checked by its ``SYNTH_RULES`` rule."""
 
     freq_hz: float = _FORCE["freq_hz"]
     n_steps: int = _FORCE["n_steps"]
@@ -334,6 +345,8 @@ class SynthParams:
     noise_sd: float = 8.0
 
     def __post_init__(self):
+        for field, rule in SYNTH_RULES.items():
+            rule.check(field, getattr(self, field))
         if self.slip_onset is not None:
             if self.drop_step is None:
                 raise ValueError("slip_onset given without drop_step")
@@ -345,8 +358,6 @@ class SynthParams:
             self.ramp_steps < self.drop_step < self.n_steps
         ):
             raise ValueError("require ramp_steps < drop_step < n_steps")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
 
 
 def _synth_channels(params: SynthParams, gains: np.ndarray, rng) -> np.ndarray:
@@ -440,7 +451,10 @@ PRESSURE_NOISE_SD = 15.0
 
 def synth_pressure_run(seed: int, n_steps: int = _PRESSURE["n_steps"],
                        freq_hz: float = _PRESSURE["freq_hz"], drop_step: int | None = None) -> Recording:
-    """Pressure-domain analogue of synth_grasp: rise, hold, optional drop."""
+    """Pressure-domain analogue of synth_grasp: rise, hold, optional drop;
+    ``n_steps`` and ``drop_step`` take their ``SYNTH_RULES`` rules."""
+    for field, value in [("n_steps", n_steps), ("drop_step", drop_step)]:
+        SYNTH_RULES[field].check(field, value)
     rng = rng_for(seed, "synth-pressure")
     rise = min(80, n_steps // 4)
     if drop_step is not None and not (rise < drop_step < n_steps):

@@ -552,17 +552,45 @@ def save_checkpoint(model: GraspModel, path) -> None:
                               for name, _ in _manifest(model.variant, model.hidden_dim)])
 
 
+# Each feature column's largest value: a normalized sample lies in [0, 1] (normalize_array's
+# clamp), so a band magnitude |X_k| is at most a window's sum, the STFT window's length.
+FEATURE_MAX = np.array([float(DEFAULT_WINDOW_LEN)] * len(BANDS) + [1.0] * len(FORCE))
+
+
+def alarm_bound(model: GraspModel) -> float:
+    """An upper bound on the unstable-minus-stable logit over every input the
+    model can see: features in [0, FEATURE_MAX] and |h| < 1. The output gate
+    reads x and h but not c, so its largest value on that box bounds
+    |h_j| = o_j |tanh(c_j)|, and the head turns those bounds into the logit's."""
+    o_max = []
+    with np.errstate(over="ignore"):  # an overflow saturates a gate or the bound
+        for cols, p in zip(model.variant.streams, model.lstms):
+            d, k_o = p.input_dim, p.k[:, 2 * p.hidden_dim : 3 * p.hidden_dim]  # o's [W_x; W_h; b]
+            a = (FEATURE_MAX[cols.start : cols.stop] @ np.maximum(k_o[:d], 0.0)
+                 + np.abs(k_o[d:-1]).sum(axis=0) + k_o[-1])
+            o_max.append(1.0 / (1.0 + np.exp(-a)))
+        (w, b), o, u = (model.head.w, model.head.b), np.concatenate(o_max), CLASS_UNSTABLE
+        return float(np.abs(w[u] * o - w[1 - u] * o).sum() + b[u] - b[1 - u])
+
+
 def load_checkpoint(path) -> GraspModel:
-    """The model a checkpoint holds, whose header read_blob has checked."""
+    """The model a checkpoint holds, whose header read_blob has checked. One
+    whose ``alarm_bound`` is below logit(threshold) can flag no step unstable
+    and is refused; one that can never read "stable" is fail-safe and loads."""
     header, arrays = read_blob(path)
     variant, stats = get_variant(header["variant"]), header["norm_stats"]
     lstms = [LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
                                     for w in "wb" for g in nn.GATE_NAMES})
              for idx in range(variant.n_streams)]
-    return GraspModel(
+    model = GraspModel(
         variant=variant,
         lstms=lstms,
         head=FcHead(w=arrays["fc.w"], b=arrays["fc.b"]),
         stats=None if stats is None else NormStats(float(stats["min"]), float(stats["max"])),
         threshold=header["threshold"],
     )
+    bound, floor = alarm_bound(model), math.log(model.threshold / (1.0 - model.threshold))
+    if bound < floor:
+        raise CheckpointError(f"the model can never raise an alarm: its unstable-minus-stable "
+                              f"logit is at most {bound:.6g}, below logit(threshold) {floor:.6g}")
+    return model

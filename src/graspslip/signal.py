@@ -37,14 +37,13 @@ def readonly_float64(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SensorTrace:
-    """One channel's time-ordered readings plus its sample rate and channel id.
+    """One channel's time-ordered readings plus its sample rate.
 
     Force traces are in mN, pressure traces in raw 16-bit counts.
     """
 
     samples: np.ndarray
     freq_hz: float
-    channel_id: int = 0
 
     def __post_init__(self):
         samples = readonly_float64(self.samples)

@@ -15,7 +15,9 @@ being the channel count of the log. The replay models no physics, it
 validates decisions and latency.
 
 Event log format (CSV): step,channel,probability,label,latency_us with
-label 1 = unstable. Controller trajectory: step,pj_ma,mj_ma.
+label 1 = unstable and channel the trace's position in the frame; the log
+is an output only, plain CSV that any CSV reader takes. Controller
+trajectory: step,pj_ma,mj_ma.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class StepEvent:
 class StreamingPredictor:
     """Frame-at-a-time inference with the model's own feature pipeline.
 
-    Keeps, for each of ``n_channels`` sensors, a ring of the last
+    Channel c is position c of every frame. Keeps, for each of
+    ``n_channels`` sensors, a ring of the last
     ``model.stft_window`` normalized samples for the band magnitudes, and
     the model's lstm_columns() for all channels; push_frame() advances them
     by one time step through the model's step(), as predict_batch does.
@@ -111,7 +114,8 @@ def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
     predictor, one frame at a time; the predictor refuses more as its
     ``n_channels``.
 
-    Returns the merged log ordered by (step, channel). Each frame is one
+    Returns the merged log ordered by (step, channel), channel c being
+    ``traces[c]``, as it is in the predictor's frame. Each frame is one
     batched push_frame call, and every sensor's event is charged that
     call's whole wall time. latency_report counts budget overruns, never
     fatal. timing=False zeroes latencies for byte-reproducible logs.
@@ -127,11 +131,7 @@ def replay(traces, model: GraspModel, timing: bool = True) -> list[StepEvent]:
 
     predictor = StreamingPredictor(model, n_channels=len(traces))
     frames = np.stack([t.samples for t in traces], axis=1)
-    # Use the traces' own channel ids only when they are distinct.
-    if len({t.channel_id for t in traces}) == len(traces):
-        channels = [t.channel_id for t in traces]
-    else:
-        channels = list(range(len(traces)))
+    channels = range(len(traces))
     events: list[StepEvent] = []
     for step, frame in enumerate(frames):
         t0 = time.perf_counter_ns()
@@ -243,35 +243,6 @@ def write_event_log(events, path) -> None:
             f"{int(e.unstable)},{e.latency_us:.3f}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_event_log(path) -> list[StepEvent]:
-    """A log's events. A value its writer never writes (a step or channel < 0, a label not 0/1 or 0 at a
-    NaN probability, latency_us < 0 or not finite, probability not NaN or in [0, 1]) names path:line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _LOG_HEADER:
-        raise ValueError(f"{path}:1: not an event log (missing header)")
-    events = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(cells)}")
-        try:
-            step, channel, label = int(cells[0]), int(cells[1]), int(cells[3])
-            probability, latency_us = float(cells[2]), float(cells[4])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
-        ok = (step >= 0, channel >= 0, not (probability < 0 or probability > 1),
-              label == 1 or (label == 0 and not np.isnan(probability)), 0 <= latency_us < np.inf)
-        if not all(ok):
-            bad = ok.index(False)
-            raise ValueError(f"{path}:{ln}: {_LOG_HEADER.split(',')[bad]} out of range, "
-                             f"got {cells[bad]!r}")
-        events.append(StepEvent(step, channel, probability, label == 1, latency_us))
-    return events
 
 
 def write_trajectory(state: GripState, path) -> None:

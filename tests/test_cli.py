@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from graspslip import cli, data, evaluation, ioutil, models
-from graspslip.stream import read_event_log
 
 
 def run(*argv):
@@ -738,6 +738,27 @@ def test_checkpoint_with_non_finite_value_exits_1_and_writes_nothing(
 
 
 @pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("edit", ["output gates off", "unstable bias"])
+def test_checkpoint_that_can_never_raise_an_alarm_exits_1_and_writes_nothing(
+        tmp_path, dataset_dir, trained_dir, capsys, command, edit):
+    # Finite values whose digest checks out; eval used to report an ahead-drop
+    # rate of 0 on the first with exit 0, as if the model had only missed.
+    header, arrays = models.read_blob(trained_dir / "checkpoint.gslp")
+    if edit == "output gates off":
+        arrays["lstm0.b_o"][...] = -1e300
+        arrays["fc.b"][1] = arrays["fc.b"][0] - 1.0
+    else:
+        arrays["fc.b"][1] = -1e300
+    ckpt = tmp_path / "silent.gslp"
+    models.write_blob(ckpt, header, sorted(arrays.items()))
+    out = tmp_path / "o"
+    assert run(command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+               "--out", str(out)) == 1
+    assert "the model can never raise an alarm" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # only the --out directory itself is made
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
 @pytest.mark.parametrize("stats", [
     {"min": "0", "max": "4000"}, {"min": False, "max": True},
     {"min": 0.0, "max": 4000.0, "mean": 1000.0},
@@ -914,10 +935,11 @@ def test_simulate_outputs(tmp_path, dataset_dir, trained_dir, capsys):
         "--out", str(out), "--no-timing",
     )
     assert code == 0
-    events = read_event_log(out / "events.csv")
+    with open(out / "events.csv", newline="") as fh:
+        events = list(csv.DictReader(fh))
     sets = data.load_force_dataset(dataset_dir)
     assert len(events) == 2 * sets[0].n_steps
-    assert {e.channel for e in events} == {0, 1}
+    assert {e["channel"] for e in events} == {"0", "1"}
     traj = (out / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "step,pj_ma,mj_ma"
     latency = json.loads((out / "latency.json").read_text())

@@ -34,12 +34,8 @@ from graspslip.signal import SensorTrace, band_magnitudes, normalize_array, comp
 from tests import oracles
 
 
-def force_trace(samples, channel_id=0):
-    return SensorTrace(
-        samples=np.asarray(samples, dtype=float),
-        freq_hz=16.7,
-        channel_id=channel_id,
-    )
+def force_trace(samples):
+    return SensorTrace(samples=np.asarray(samples, dtype=float), freq_hz=16.7)
 
 
 def make_set(n_steps=400, outcome="success", samples=None, **kw):
@@ -180,7 +176,7 @@ def test_recording_channels_are_read_only_views_of_one_matrix(make):
         ch = rec.channel(i)
         assert np.shares_memory(ch.samples, matrix)
         np.testing.assert_array_equal(ch.samples, matrix[:, i])
-        assert ch.channel_id == i and ch.freq_hz == rec.freq_hz
+        assert ch.freq_hz == rec.freq_hz
         with pytest.raises(ValueError, match="read-only"):
             ch.samples[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -208,7 +204,8 @@ def test_recording_channel_takes_only_an_integer_index(idx):
     for rec, last in [(make_set(n_steps=20), 15), (pressure_run(), 3)]:
         with pytest.raises(ValueError, match=rf"channel must be a 64-bit integer in 0\.\.{last}, got "):
             rec.channel(idx)
-    assert make_set(n_steps=20).channel(np.int64(3)).channel_id == 3
+    rec = make_set(n_steps=20)
+    np.testing.assert_array_equal(rec.channel(np.int64(3)).samples, rec.as_matrix()[:, 3])
 
 
 def test_pressure_recording_checks_channels_initial_and_range():
@@ -567,8 +564,35 @@ def test_synth_params_validation():
         SynthParams(slip_band_hz=7.0)
     with pytest.raises(ValueError, match="ramp_steps < drop_step"):
         SynthParams(slip_onset=10, drop_step=30, ramp_steps=40)
-    with pytest.raises(ValueError, match="noise_sd"):
+    with pytest.raises(ValueError, match=r"noise_sd must be a finite number >= 0, got -1\.0"):
         SynthParams(noise_sd=-1.0)
+
+
+@pytest.mark.parametrize("field, value, words", [
+    # a NaN noise level once built a set with no noise at all
+    ("noise_sd", float("nan"), "a finite number >= 0"),
+    ("n_steps", 2.5, "a 64-bit integer >= 1"), ("n_steps", -5, "a 64-bit integer >= 1"),
+    ("ramp_steps", -1, "a 64-bit integer >= 0"), ("decay_steps", 1.5, "a 64-bit integer >= 0"),
+    ("slip_onset", 200.0, "None or a 64-bit integer >= 0"),
+    ("drop_step", True, "None or a 64-bit integer >= 0"),
+    ("freq_hz", 0.0, "a finite number > 0"), ("grasp_force", float("inf"), "a finite number"),
+    ("slip_amplitude", "0.1", "a finite number"), ("slip_band_hz", float("nan"), "a finite number"),
+])
+def test_synth_params_fields_take_their_rules(field, value, words):
+    kw = {"slip_onset": None, "drop_step": None} if field == "n_steps" else {}
+    with pytest.raises(ValueError, match=rf"{field} must be {re.escape(words)}, got "):
+        synth_grasp(0, SynthParams(**{**kw, field: value}))
+
+
+@pytest.mark.parametrize("kw, words", [
+    ({"n_steps": 2.5}, "n_steps must be a 64-bit integer >= 1, got 2.5"),
+    ({"n_steps": -5}, "n_steps must be a 64-bit integer >= 1, got -5"),
+    ({"n_steps": 50, "drop_step": 30.5}, "drop_step must be None or a 64-bit integer >= 0, got 30.5"),
+])
+def test_synth_pressure_run_checks_its_sizes(kw, words):
+    # these raised TypeError, or numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=re.escape(words)):
+        synth_pressure_run(0, **kw)
 
 
 def test_synth_dataset_balance_and_ranges():
@@ -606,15 +630,16 @@ def synth_digest(sets) -> str:
     """sha256 over each set's sample bytes and every field the generator sets.
 
     The digests were recorded when each channel also carried the constant
-    provenance map {"source": "force"}, and when the ground truth rode in a
-    dict with the generator's seed and a synthetic flag; both are hashed as
-    they were then, the seed taken back from the set id (synth-NNNNNN)."""
+    provenance map {"source": "force"} and its index as a channel id, and when
+    the ground truth rode in a dict with the generator's seed and a synthetic
+    flag; all are hashed as they were then, the seed taken back from the set
+    id (synth-NNNNNN)."""
     h = hashlib.sha256()
     for g in sets:
         h.update(g.as_matrix().tobytes())
         h.update(json.dumps(
             [g.outcome, g.object_id, g.direction, g.weight, g.force_level, g.set_id,
-             g.freq_hz, [g.channel(i).channel_id for i in range(16)],
+             g.freq_hz, list(range(16)),
              [{"source": "force"}] * 16, {
                  "seed": int(g.set_id.removeprefix("synth-")), "synthetic": True,
                  **({} if g.slip_onset is None

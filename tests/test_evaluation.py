@@ -167,6 +167,31 @@ def test_evaluate_model_detect_mode_uses_detected_drop(trained_c, synth_split):
     assert report.n_failure_sets > 0
 
 
+class FlagsFromStep:
+    """Stub model whose features are the samples, here each step's own index,
+    and which flags every step from ``first`` on."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def featurize(self, samples):
+        return np.asarray(samples)
+
+    def predict_batch(self, steps):
+        return models.Prediction(np.zeros(steps.shape), steps >= self.first)
+
+
+@pytest.mark.parametrize("first, ahead", [(199, 1.0), (200, 0.0), (201, 0.0)])
+def test_evaluate_model_ahead_is_strictly_before_the_drop(first, ahead):
+    # a first flag exactly at the drop step is not ahead of it, so an
+    # evaluate_model that compared first flags with drop + 1 fails here
+    steps = np.repeat(np.arange(320.0)[:, None], data.FORCE_CHANNELS, axis=1)
+    grasp = data.Recording(steps, 16.7, outcome="failure", direction="back",
+                           slip_onset=180, drop_step=200)
+    report = evaluate_model(FlagsFromStep(first), [grasp], labels="truth")
+    assert report.n_failure_sets == 1 and report.ahead_drop_rate == ahead
+
+
 def per_window_report(model, sets, window_len, labels):
     """evaluate_model's report built with loops from one predict() per window,
     and each counted failure set's first unstable step."""

@@ -1,6 +1,6 @@
 """Fuzzing of the file parsers and of the command line.
 
-Whatever a trace file, event log or checkpoint contains, reading it must
+Whatever a trace file or checkpoint contains, reading it must
 either succeed or raise ValueError (CheckpointError is one), which the
 CLI turns into exit code 1; nothing else may escape. Checkpoints go
 through load_checkpoint, so read_blob and the header checks behind it
@@ -88,9 +88,6 @@ def valid(tmp_path_factory):
         1, data.SynthParams(n_steps=16, ramp_steps=4, slip_onset=8, drop_step=12))
     data.write_recording(grasp, root / "set.txt")
     data.write_recording(data.synth_pressure_run(2, n_steps=12), root / "pressure.txt")
-    events = [stream.StepEvent(step, ch, 0.25 * ch, ch % 2 == 1, 12.5)
-              for step in range(3) for ch in range(3)]
-    stream.write_event_log(events, root / "events.csv")
     model = models.GraspModel.build("D", models.TrainConfig(window_len=40, lstm_units=2))
     model.stats = compute_norm_stats([grasp.channel(0)])
     models.save_checkpoint(model, root / "model.gslp")
@@ -105,7 +102,6 @@ def scratch(tmp_path_factory):
 READERS = {
     "set.txt": data.read_recording,
     "pressure.txt": data.read_recording,
-    "events.csv": stream.read_event_log,
     "model.gslp": models.load_checkpoint,
 }
 

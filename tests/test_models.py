@@ -820,6 +820,95 @@ def test_read_blob_refuses_a_header_key_not_in_its_table(tmp_path):
             models.read_blob(path)
 
 
+# -- the alarm bound ----------------------------------------------------------------
+
+
+def silence(m, edit):
+    """Apply a named finite edit that leaves a model unable to flag any step."""
+    if edit == "output gates off":  # p_unstable = sigmoid(-1) = 0.269 at every step
+        for p in m.lstms:
+            nn.gate_views(p.k)["b_o"][...] = -1e300
+        m.head.b[1] = m.head.b[0] - 1.0
+    else:
+        m.head.b[1] = -1e300
+    return m
+
+
+def test_golden_checkpoints_clear_the_alarm_bound():
+    # margin = alarm_bound - logit(threshold); all four are trained to alarm
+    margins = {}
+    for tag in "ABCD":
+        m = load_checkpoint(GOLDEN_C.with_name(f"{tag}.gslp"))
+        margins[tag] = models.alarm_bound(m) - np.log(m.threshold / (1 - m.threshold))
+    assert margins == pytest.approx({"A": 3.208, "B": 3.182, "C": 3.654, "D": 7.348}, abs=1e-3)
+
+
+@pytest.mark.parametrize("edit, bound", [("output gates off", "-1"), ("unstable bias", "-1e+300")])
+def test_checkpoint_that_can_never_raise_an_alarm_is_refused(tmp_path, edit, bound):
+    # the first edit used to load, and eval reported an ahead-drop rate of 0 on it
+    path = tmp_path / "silent.gslp"
+    save_checkpoint(silence(load_checkpoint(GOLDEN_C), edit), path)
+    with pytest.raises(models.CheckpointError, match=re.escape(
+            f"can never raise an alarm: its unstable-minus-stable logit is at most {bound}, "
+            "below logit(threshold) 0")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_that_always_alarms_loads(tmp_path):
+    # the bound is one-sided: never reading "stable" is the fail-safe side
+    m = load_checkpoint(GOLDEN_C)
+    for p in m.lstms:
+        nn.gate_views(p.k)["b_o"][...] = -1e300
+    m.head.b[...] = [-1e300, 1e300]
+    path = tmp_path / "loud.gslp"
+    save_checkpoint(m, path)
+    assert load_checkpoint(path).predict_samples(np.full(30, 1000.0)).unstable.all()
+
+
+def largest_logit(m, rows):
+    """The largest unstable-minus-stable logit of ``m`` over (steps, B, 11)
+    feature rows, each stream stepped on its columns of them."""
+    columns, seen = m.lstm_columns(rows.shape[1]), -np.inf
+    with np.errstate(over="ignore"):
+        for row in rows:
+            h = np.concatenate([col.step(row[:, s.start : s.stop].T)[:, : len(row)]
+                                for col, s in zip(columns, m.variant.streams)])
+            logits = m.head.w @ h + m.head.b[:, None]
+            seen = max(seen, float((logits[1] - logits[0]).max()))
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_no_logit_in_the_input_box_exceeds_the_alarm_bound(seed):
+    # random small models, fed features anywhere in [0, FEATURE_MAX], half
+    # the columns at the box's corners, over enough steps for h to wander
+    rng = np.random.default_rng(seed)
+    m = GraspModel.build("ABCD"[seed % 4], TrainConfig(lstm_units=int(rng.integers(1, 5))))
+    scale = rng.uniform(0.5, 4.0)
+    for arr in m.stored_arrays().values():
+        arr[...] = rng.uniform(-scale, scale, size=arr.shape)
+    rows = rng.uniform(0.0, 1.0, size=(40, 16, models.FEATURE_MAX.size))
+    rows[:, ::2] = rows[:, ::2] > 0.5
+    assert largest_logit(m, rows * models.FEATURE_MAX) <= models.alarm_bound(m)
+
+
+def test_alarm_bound_is_reached_by_a_saturated_cell():
+    # one unit whose c grows by 1 a step and whose output gate, fed x = 1, is
+    # driven up through h toward sigmoid(4 + 10 - 5): the bound is met to 1e-6, so
+    # a bound that dropped the x or the h term would fall below the logit seen
+    m = GraspModel.build("A", TrainConfig(lstm_units=1))
+    for arr in m.stored_arrays().values():
+        arr[...] = 0.0
+    gates = nn.gate_views(m.lstms[0].k)
+    for g in "ifg":
+        gates[f"b_{g}"][...] = 30.0
+    gates["w_o"][...], gates["b_o"][...] = [[4.0, 10.0]], -5.0
+    m.head.w[1] = 1.0
+    bound = models.alarm_bound(m)
+    assert bound == pytest.approx(1 / (1 + np.exp(-9.0)), abs=1e-15)
+    assert 0 <= bound - largest_logit(m, np.ones((40, 1, 11))) < 1e-6
+
+
 @pytest.mark.parametrize("change", ["drop", "extra", "reshape"])
 def test_checkpoint_rejects_wrong_array_set(tmp_path, change):
     path, header, arrays = saved_blob(tmp_path)
