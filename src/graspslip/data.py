@@ -190,17 +190,25 @@ class LabeledWindow:
 # -- drop detection and labeling ----------------------------------------
 
 
+def _one_channel(samples) -> np.ndarray:
+    """``samples`` as a float64 array, which must be 1-D: one channel's readings."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {x.shape}")
+    return x
+
+
 def detect_drop(
-    trace,
+    samples,
     eps_drop: float = EPS_DROP_MN,
     arm_level: float = ARM_MN,
 ) -> int | None:
-    """First step at/after lift where the signal stays below eps_drop.
+    """First step at/after lift where the 1-D ``samples`` stay below eps_drop.
 
     The scan arms at the first sample >= arm_level so that the empty-hand
     lead-in does not read as an instant drop; an unarmed trace has none.
     """
-    x = trace.samples if isinstance(trace, SensorTrace) else np.asarray(trace, dtype=np.float64)
+    x = _one_channel(samples)
     armed = np.nonzero(x >= arm_level)[0]
     if armed.size == 0:
         return None
@@ -211,17 +219,16 @@ def detect_drop(
     return int(armed[0] + starts[0]) if starts.size else None
 
 
-def label_slip(trace, drop_step: int | None) -> np.ndarray:
-    """Per-step stable=True labels: unstable from drop_step - 20 onward.
+def label_slip(samples, drop_step: int | None) -> np.ndarray:
+    """Per-step stable=True labels of 1-D ``samples``: unstable from drop_step - 20 onward.
 
     With no drop every step is stable. The unstable start clamps at 0.
     """
-    n = len(trace) if isinstance(trace, SensorTrace) else len(np.asarray(trace))
-    labels = np.ones(n, dtype=bool)
-    if drop_step is None:
+    labels = np.ones(len(_one_channel(samples)), dtype=bool)
+    if _STEP.check("drop_step", drop_step) is None:
         return labels
-    if not (0 <= drop_step < n):
-        raise ValueError(f"drop_step out of range: {drop_step} not in [0, {n})")
+    if not (0 <= drop_step < labels.size):
+        raise ValueError(f"drop_step out of range: {drop_step} not in [0, {labels.size})")
     labels[max(0, drop_step - LABEL_LEAD_STEPS):] = False
     return labels
 
@@ -229,7 +236,7 @@ def label_slip(trace, drop_step: int | None) -> np.ndarray:
 def drop_step(rec: Recording, channel: int = 0) -> int | None:
     """The step a recording's grasp drops at: the generator's ground truth
     when it recorded one, else ``detect_drop`` on ``channel``."""
-    return detect_drop(rec.channel(channel)) if rec.drop_step is None else rec.drop_step
+    return detect_drop(rec.channel(channel).samples) if rec.drop_step is None else rec.drop_step
 
 
 # -- windowing ------------------------------------------------------------
@@ -242,14 +249,14 @@ def step_labels(rec: Recording, channel: int, labels: str) -> np.ndarray:
     channel itself; labels="truth" takes the recording's slip_onset
     (synthetic sets only) and marks [slip_onset, end) of a failure set.
     """
-    trace = rec.channel(CHANNEL.check("channel", channel))
+    x = rec.channel(CHANNEL.check("channel", channel)).samples
     if LABEL_SOURCE.check("labels", labels) == "detect":
-        return label_slip(trace, detect_drop(trace))
+        return label_slip(x, detect_drop(x))
     if rec.outcome != "failure":
-        return np.ones(len(trace), dtype=bool)
+        return np.ones(len(x), dtype=bool)
     if rec.slip_onset is None:
         raise ValueError("truth labels need slip_onset (synthetic sets only)")
-    return np.arange(len(trace)) < rec.slip_onset
+    return np.arange(len(x)) < rec.slip_onset
 
 
 def window_batches(rec: Recording, window_len: int, channel: int = 0,

@@ -202,13 +202,12 @@ def cross_condition_matrix(
 
 
 def fit_variant(
-    variant,
+    variant: str,
     train_sets,
     config: gmodels.TrainConfig,
     val_sets=None,
 ):
     """Stats from the train split, windows as ``config`` cuts them, then train."""
-    variant = variant if isinstance(variant, gmodels.ModelVariant) else gmodels.get_variant(variant)
 
     def windows_of(sets):
         return [w for g in sets

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import secrets
 import zlib
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -89,7 +89,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # Not tempfile.mkstemp, whose 0o600 os.replace keeps: a file created 0o666 under O_EXCL
+    # gets the umask from the kernel, as open() does, with no os.umask call racing threads.
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -112,12 +112,6 @@ TRAIN_SETTINGS = {
 }
 
 
-def check_setting(field: str, value):
-    """``value`` if its ``TRAIN_SETTINGS`` rule takes it; else a ValueError
-    naming the field, the rule and the value."""
-    return TRAIN_SETTINGS[field].rule.check(field, value)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training-loop and windowing knobs, each checked by its ``TRAIN_SETTINGS``
@@ -134,8 +128,8 @@ class TrainConfig:
     labels: str = "detect"
 
     def __post_init__(self):
-        for field in TRAIN_SETTINGS:
-            check_setting(field, getattr(self, field))
+        for field, setting in TRAIN_SETTINGS.items():
+            setting.rule.check(field, getattr(self, field))
 
 
 @dataclass
@@ -184,14 +178,15 @@ class GraspModel:
         self.lstms = lstms
         self.head = head
         self.stats = stats
-        self.threshold = float(check_setting("threshold", threshold))
+        self.threshold = float(TRAIN_SETTINGS["threshold"].rule.check("threshold", threshold))
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def build(cls, variant: ModelVariant | str, config: TrainConfig, seed: int | None = None) -> "GraspModel":
-        variant = variant if isinstance(variant, ModelVariant) else get_variant(variant)
-        rng = np.random.default_rng(config.seed if seed is None else check_setting("seed", seed))
+    def build(cls, variant: str, config: TrainConfig, seed: int | None = None) -> "GraspModel":
+        """A new model of variant tag or name ``variant``, drawn from ``seed`` or ``config.seed``."""
+        variant = get_variant(variant)
+        rng = np.random.default_rng(config.seed if seed is None else NATURAL.check("seed", seed))
         lstms = [LstmParams.init(dim, config.lstm_units, rng) for dim in variant.stream_dims]
         head = FcHead.init(config.lstm_units * variant.n_streams, rng)
         return cls(variant=variant, lstms=lstms, head=head, threshold=config.threshold)

@@ -94,10 +94,10 @@ def band_magnitudes(windows: np.ndarray, band_count: int) -> np.ndarray:
 
 
 def compute_norm_stats(arrays) -> NormStats:
-    """Pooled min/max over any iterable of traces or arrays."""
+    """Pooled min/max over any iterable of arrays of any shape."""
     mins, maxs = [], []
     for a in arrays:
-        v = a.samples if isinstance(a, SensorTrace) else np.asarray(a, dtype=np.float64)
+        v = np.asarray(a, dtype=np.float64)
         mins.append(float(v.min()))
         maxs.append(float(v.max()))
     if not mins:

@@ -184,13 +184,6 @@ def grip_controller(events) -> GripState:
     return state
 
 
-def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""
-    n = sorted_values.size
-    rank = max(1, int(np.ceil(pct / 100.0 * n)))
-    return float(sorted_values[rank - 1])
-
-
 def latency_report(events) -> dict:
     """p50/p95/max per-sensor latency, frame totals, overruns and a verdict.
 
@@ -199,34 +192,30 @@ def latency_report(events) -> dict:
     events = list(events)
     if not events:
         raise ValueError("no events")
-    lat_ms = np.sort(np.array([e.latency_us for e in events]) / 1e3)
+    lat_ms = np.array([e.latency_us for e in events]) / 1e3
 
     frames: dict[int, float] = {}
     channels = set()
     for e in events:
         frames[e.step] = frames.get(e.step, 0.0) + e.latency_us / 1e3
         channels.add(e.channel)
-    frame_ms = np.sort(np.array(list(frames.values())))
     n_sensors = len(channels)
 
-    p95 = _nearest_rank(lat_ms, 95.0)
+    def spread(ms: np.ndarray) -> dict:
+        # numpy's inverted_cdf is the nearest rank: the ceil(p/100 * n)-th smallest value
+        p50, p95 = np.percentile(ms, [50.0, 95.0], method="inverted_cdf")
+        return {"p50": float(p50), "p95": float(p95), "max": float(ms.max())}
+
+    per_sensor = spread(lat_ms)
     return {
         "n_events": len(events),
         "n_sensors": n_sensors,
-        "per_sensor_ms": {
-            "p50": _nearest_rank(lat_ms, 50.0),
-            "p95": p95,
-            "max": float(lat_ms[-1]),
-        },
-        "per_frame_ms": {
-            "p50": _nearest_rank(frame_ms, 50.0),
-            "p95": _nearest_rank(frame_ms, 95.0),
-            "max": float(frame_ms[-1]),
-        },
+        "per_sensor_ms": per_sensor,
+        "per_frame_ms": spread(np.array(list(frames.values()))),
         "budget_ms": SENSOR_BUDGET_MS,
         "frame_budget_ms": n_sensors * SENSOR_BUDGET_MS,
         "n_over_budget": sum(1 for e in events if e.latency_us > SENSOR_BUDGET_MS * 1e3),
-        "pass": bool(p95 < SENSOR_BUDGET_MS),
+        "pass": bool(per_sensor["p95"] < SENSOR_BUDGET_MS),
     }
 
 

@@ -151,9 +151,9 @@ def test_gen_data_pressure_profile(pressure_dir):
     # odd-indexed runs drop back to the zero-position count; even ones hold
     run1 = data.read_recording(pressure_dir / "run_0001.txt")
     level = run0.initial[0] + 200.0
-    assert data.detect_drop(run0.channel(0), eps_drop=level, arm_level=level + 200.0) is None
+    assert data.detect_drop(run0.channel(0).samples, eps_drop=level, arm_level=level + 200.0) is None
     level = run1.initial[0] + 200.0
-    assert data.detect_drop(run1.channel(0), eps_drop=level, arm_level=level + 200.0) is not None
+    assert data.detect_drop(run1.channel(0).samples, eps_drop=level, arm_level=level + 200.0) is not None
 
 
 def test_gen_data_pressure_honours_and_records_freq_hz(tmp_path, pressure_dir):

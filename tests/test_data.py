@@ -30,12 +30,8 @@ from graspslip.data import (
     window_batches,
     write_recording,
 )
-from graspslip.signal import SensorTrace, band_magnitudes, normalize_array, compute_norm_stats
+from graspslip.signal import band_magnitudes, normalize_array, compute_norm_stats
 from tests import oracles
-
-
-def force_trace(samples):
-    return SensorTrace(samples=np.asarray(samples, dtype=float), freq_hz=16.7)
 
 
 def make_set(n_steps=400, outcome="success", samples=None, **kw):
@@ -257,9 +253,26 @@ def test_detect_drop_never_armed():
     assert detect_drop(np.zeros(50)) is None
 
 
-def test_detect_drop_accepts_trace_objects():
-    t = force_trace(np.concatenate([np.full(30, 1000.0), np.zeros(8)]))
-    assert detect_drop(t) == 30
+@pytest.mark.parametrize("shape", [(38, 2), (400, 16), (), (1, 38)], ids=str)
+def test_detect_drop_and_label_slip_refuse_all_but_one_channel(shape):
+    # read as its 76 flattened samples, a (38, 2) matrix would drop at step 60, past its 38 steps
+    x = np.zeros(shape)
+    if x.ndim == 2:
+        x[:30] = 1000.0
+    want = re.escape(f"samples must be 1-D, got shape {shape}")
+    with pytest.raises(ValueError, match=want):
+        detect_drop(x)
+    with pytest.raises(ValueError, match=want):
+        label_slip(x, 30)
+
+
+def test_detect_drop_and_label_slip_name_a_recordings_matrix():
+    rec = synth_grasp(3)
+    want = re.escape(f"got shape ({rec.n_steps}, 16)")
+    with pytest.raises(ValueError, match=want):
+        detect_drop(rec.samples)
+    with pytest.raises(ValueError, match=want):
+        label_slip(rec.samples, 30)
 
 
 @given(st.integers(min_value=5, max_value=60), st.integers(min_value=10, max_value=50))
@@ -316,6 +329,14 @@ def test_label_slip_no_drop_all_stable():
 def test_label_slip_range_check():
     with pytest.raises(ValueError, match="drop_step out of range"):
         label_slip(np.zeros(50), drop_step=50)
+
+
+@pytest.mark.parametrize("drop", [True, False, 30.5, np.float64(30.0), "30", -1])
+def test_label_slip_checks_drop_step_by_its_rule(drop):
+    # True must not read as step 1 and mark every step unstable, nor 30.5 escape as a TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"drop_step must be None or a 64-bit integer >= 0, got {drop!r}")):
+        label_slip(np.zeros(50), drop)
 
 
 # -- LabeledWindow ---------------------------------------------------------------
@@ -408,8 +429,8 @@ def test_window_batches_detect_mode():
     grasp = sets[0]
     wins = window_batches(grasp, window_len=160, channel=0, labels="detect")
     assert len(wins) == grasp.n_steps // 160
-    drop = detect_drop(grasp.channel(0))
-    expected = label_slip(grasp.channel(0), drop)
+    drop = detect_drop(grasp.channel(0).samples)
+    expected = label_slip(grasp.channel(0).samples, drop)
     got = np.concatenate([w.labels for w in wins])
     np.testing.assert_array_equal(got, expected[: len(got)])
 
@@ -527,7 +548,7 @@ def test_synth_success_set_holds():
     assert g.outcome == "success"
     assert g.slip_onset is None and g.drop_step is None
     for ch in range(16):
-        assert detect_drop(g.channel(ch)) is None
+        assert detect_drop(g.channel(ch).samples) is None
 
 
 def test_synth_failure_set_drops_where_declared():
@@ -536,7 +557,7 @@ def test_synth_failure_set_drops_where_declared():
     assert g.outcome == "failure"
     assert g.slip_onset == 200 and g.drop_step == 260
     for ch in range(16):
-        d = detect_drop(g.channel(ch))
+        d = detect_drop(g.channel(ch).samples)
         assert d is not None
         assert 260 <= d <= 260 + p.decay_steps + 1
 
@@ -696,7 +717,7 @@ def pressure_drop(rec, ch):
     """detect_drop with pressure thresholds: armed 400 counts above the
     channel's zero-position count, dropped at 200 above it."""
     level = rec.initial[ch] + 200.0
-    return detect_drop(rec.channel(ch), eps_drop=level, arm_level=level + 200.0)
+    return detect_drop(rec.channel(ch).samples, eps_drop=level, arm_level=level + 200.0)
 
 
 def test_synth_pressure_run_shape_and_detection():

@@ -127,6 +127,25 @@ def test_atomic_write_json_refuses_non_finite_before_writing(tmp_path, value):
     assert os.listdir(tmp_path) == []  # neither the target nor a .tmp file
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    """A trace file, a checkpoint and a JSON artifact get 0o666 less the umask,
+    as open(path, "w") gives a new file."""
+    grasp = data.synth_force_dataset(1, seed=0)[0]
+    model = models.GraspModel.build("A", models.TrainConfig(lstm_units=2))
+    model.stats = compute_norm_stats([grasp.samples])
+    old = os.umask(umask)
+    try:
+        data.save_force_dataset([grasp], tmp_path / "data")
+        models.save_checkpoint(model, tmp_path / "A.gslp")
+        ioutil.atomic_write_json(tmp_path / "eval.json", {"success_rate": 1.0})
+    finally:
+        os.umask(old)
+    modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert modes == dict.fromkeys(["data/set_0000.txt", "data/manifest.json", "A.gslp", "eval.json"], mode)
+
+
 # -- model evaluation --------------------------------------------------------------
 
 
@@ -466,7 +485,7 @@ def test_prediction_dump_bytes_are_those_of_one_whole_set_window(labels, tmp_pat
     row for row as it was written from the whole set cut as one window."""
     grasp = data.synth_force_dataset(1, seed=1, failure_fraction=1.0, n_steps=300)[0]
     model = models.GraspModel.build("C", models.TrainConfig(lstm_units=8), seed=3)
-    model.stats = compute_norm_stats([grasp.channel(3)])
+    model.stats = compute_norm_stats([grasp.channel(3).samples])
     write_prediction_dump(model, grasp, tmp_path / "dump.csv", 3, labels)
     (window,) = data.window_batches(grasp, grasp.n_steps, 3, labels)
     pred = model.predict_samples(window.samples)
@@ -485,7 +504,7 @@ def test_prediction_dump_scores_the_whole_set_as_one_stream(k, tag, labels, tmp_
     predict and its labels are the windowed labels."""
     grasp = data.synth_force_dataset(1, seed=21 + k, failure_fraction=1.0)[0]
     model = models.GraspModel.build(tag, models.TrainConfig(lstm_units=128), seed=20 + k)
-    model.stats = compute_norm_stats([grasp.channel(0)])
+    model.stats = compute_norm_stats([grasp.channel(0).samples])
     x = grasp.channel(0).samples
     whole = model.predict_samples(x)
     model.threshold = float(np.median(whole.p_unstable))  # both flags occur

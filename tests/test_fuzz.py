@@ -89,7 +89,7 @@ def valid(tmp_path_factory):
     data.write_recording(grasp, root / "set.txt")
     data.write_recording(data.synth_pressure_run(2, n_steps=12), root / "pressure.txt")
     model = models.GraspModel.build("D", models.TrainConfig(window_len=40, lstm_units=2))
-    model.stats = compute_norm_stats([grasp.channel(0)])
+    model.stats = compute_norm_stats([grasp.channel(0).samples])
     models.save_checkpoint(model, root / "model.gslp")
     return {path.name: path.read_bytes() for path in root.iterdir()}
 
@@ -201,7 +201,7 @@ def lib():
     sets = data.synth_force_dataset(2, seed=0, n_steps=data.FORCE_MIN_STEPS)
     config = models.TrainConfig(lstm_units=2)
     model = models.GraspModel.build("C", config)
-    model.stats = compute_norm_stats([sets[0].channel(0)])
+    model.stats = compute_norm_stats([sets[0].channel(0).samples])
     trace = SensorTrace(sets[0].samples[:30, 0], sets[0].freq_hz)
     return types.SimpleNamespace(sets=sets, config=config, model=model, trace=trace)
 

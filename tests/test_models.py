@@ -132,7 +132,7 @@ def test_every_train_config_field_has_one_setting_that_takes_its_default():
     fields = dataclasses.fields(TrainConfig)
     assert list(models.TRAIN_SETTINGS) == [f.name for f in fields]
     for f in fields:
-        assert models.check_setting(f.name, f.default) == f.default
+        assert models.TRAIN_SETTINGS[f.name].rule.check(f.name, f.default) == f.default
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, 1.0, -0.2, 1.5])

@@ -176,7 +176,8 @@ def test_normalize_clamps_outside_training_range():
 
 
 def test_compute_norm_stats_pools_inputs():
-    stats = compute_norm_stats([np.array([3.0, 7.0]), trace([1.0, 5.0])])
+    # arrays of any shape: a window, a stack of windows, a list
+    stats = compute_norm_stats([np.array([3.0, 7.0]), np.array([[2.0, 4.0], [1.0, 5.0]]), [6]])
     assert stats.min_value == 1.0
     assert stats.max_value == 7.0
 

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspslip import data, models, stream
 from graspslip.signal import NormStats, SensorTrace
@@ -432,6 +434,32 @@ def test_latency_report_percentiles_take_the_ceiling_rank():
     for part in ("per_sensor_ms", "per_frame_ms"):  # one sensor: a frame is one event
         assert report[part]["p95"] == 30 / 1e3
         assert report[part]["p50"] == 16 / 1e3
+
+
+@given(lat=st.lists(st.sampled_from([0.0, 1.0, 2.5, 4000.0]) | st.floats(0.0, 1e5),
+                   min_size=1, max_size=300),
+       width=st.integers(1, 16))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_latency_report_percentiles_are_the_nearest_rank(lat, width):
+    """Ties included, each p50 and p95 is the oracle's ceil(p/100 * n)-th smallest value."""
+    assert_nearest_rank_percentiles(fake_events(lat, [(i // width, i % width) for i in range(len(lat))]))
+
+
+def test_latency_report_of_a_timed_replay_is_the_nearest_rank(trained_c, synth_split):
+    _, test_sets = synth_split
+    assert_nearest_rank_percentiles(
+        replay([test_sets[0].channel(c) for c in range(3)], trained_c, timing=True))
+
+
+def assert_nearest_rank_percentiles(events):
+    report = latency_report(events)
+    frames = {}  # summed in log order, as latency_report sums them
+    for e in events:
+        frames[e.step] = frames.get(e.step, 0.0) + e.latency_us / 1e3
+    for p in (50, 95):
+        assert report["per_sensor_ms"][f"p{p}"] == oracles.nearest_rank(
+            [e.latency_us / 1e3 for e in events], p)
+        assert report["per_frame_ms"][f"p{p}"] == oracles.nearest_rank(list(frames.values()), p)
 
 
 def test_latency_report_verdict_boundary():
