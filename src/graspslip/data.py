@@ -34,8 +34,10 @@ Python float() reads them; parsing is strict and errors carry file and line.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import warnings
@@ -632,28 +634,21 @@ def _parse_header(path, lines):
 
 
 def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
-    # numpy's C text reader splits lines as str.split() does. A body with
-    # no '-' (so '-0' stays -0.0) goes to its int64 parser first: it takes
-    # only ASCII integers below 2**63, each cast to float64 as float() reads
-    # its text. Its DeprecationWarning is an error here, as numpy from 1.23
-    # on may truncate 1.5 or nan to an integer with only that warning. The
-    # float64 parser reads as float() does but rejects 1_000 and non-ASCII
-    # digits, and both warn on a body with no data: those bodies take the
-    # per-line pass, as do bodies with a value the writer cannot write (int64
+    # numpy's C text reader splits lines as str.split() does. Its int64 parser
+    # takes a non-empty body with no '-' (so '-0' stays -0.0), of ASCII integers
+    # below 2**63, each cast to float64 as float() reads its text. Its
+    # DeprecationWarning is an error here, as numpy from 1.23 on may truncate
+    # 1.5 or nan to an integer with only that warning. Every other body takes the
+    # per-line pass, as does one with a value the writer cannot write (int64
     # reads 2**63 - 512 and up, which float64 holds as 2**63).
     body = lines[body_start:]
-    if any(map(str.strip, body)):
-        for dtype in (np.float64,) if "-" in "".join(body) else (np.int64, np.float64):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    rows = np.loadtxt(body, dtype=dtype, comments=None, ndmin=2)
-            except (ValueError, DeprecationWarning):
-                continue
-            rows = rows.astype(np.float64, copy=False)
+    if "-" not in (text := "".join(body)) and text.strip():
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, DeprecationWarning):
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2).astype(np.float64)
             if rows.shape[0] and rows.shape[1] == n_channels and not _unwritable(rows).any():
                 return rows
-    # A bad or empty body: the per-line pass names its first bad line.
+    # The per-line pass reads as float() does and names a bad body's first bad line.
     rows = []
     for ln, raw in enumerate(body, start=body_start + 1):
         stripped = raw.strip()
@@ -693,10 +688,21 @@ def _field(path, header: dict, key: str, spec: _Key):
     raise ValueError(f"{path}:{ln}: {key} must be {spec.rule.words}, got {text!r}")
 
 
+def _read_text(path) -> str:
+    """A file's text, which must be UTF-8: a byte that is not raises ValueError
+    naming the file and the byte's line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
 def read_recording(path) -> Recording:
     """Read one trace file of either kind; errors name the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     header, body_start = _parse_header(path, lines)
     kind = _field(path, header, "kind", HEADER_KEYS["force"]["kind"])
     keys = HEADER_KEYS[kind]
@@ -771,11 +777,11 @@ def dataset_files(path) -> tuple[str | None, list[str]]:
         if not names:
             raise ValueError(f"{path}: empty input")
         return None, [os.path.join(path, name) for name in names]
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{manifest_path}: JSON nested too deep") from None
+    text = _read_text(manifest_path)
+    try:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, or nested too deep
+        raise ValueError(f"{manifest_path}: {exc}") from None
     names = manifest.get("files") if isinstance(manifest, dict) else None
     if not (isinstance(names, list) and all(
         isinstance(n, str) and n not in ("", ".", "..") and os.path.basename(n) == n
@@ -807,8 +813,12 @@ def convert_csv(src, dst, freq_hz: float = _FORCE["freq_hz"], outcome: str = "fa
                 force_level: int = 0) -> Recording:
     """CSV (one row per step, 16 numeric columns, optional header row) ->
     trace file. Returns the set as written: samples rounded to integers."""
-    with open(src, "r", encoding="utf-8", newline="") as fh:
-        lines = [" ".join(row) for row in csv.reader(fh)]
+    # csv takes its lines as a file opened with newline="" splits them.
+    reader = csv.reader(io.StringIO(_read_text(src), newline=""))
+    try:
+        lines = [" ".join(row) for row in reader]
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise ValueError(f"{src}:{reader.line_num}: {exc}") from None
     try:
         np.array(lines[0].split() if lines else [], dtype=np.float64)
     except ValueError:

@@ -207,7 +207,8 @@ def fit_variant(
     config: gmodels.TrainConfig,
     val_sets=None,
 ):
-    """Stats from the train split, windows as ``config`` cuts them, then train."""
+    """Stats from the train split, windows as ``config`` cuts them, then train;
+    ``val_sets`` other than None, an empty list too, give train's validation windows."""
 
     def windows_of(sets):
         return [w for g in sets
@@ -218,7 +219,7 @@ def fit_variant(
         raise ValueError("empty input: no training sets")
     model = gmodels.GraspModel.build(variant, config)
     model.stats = compute_norm_stats([w.samples for w in windows])
-    val_windows = windows_of(val_sets) if val_sets else None
+    val_windows = None if val_sets is None else windows_of(val_sets)
     history = gmodels.train(model, windows, config, val_windows=val_windows)
     return model, history
 

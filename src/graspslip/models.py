@@ -357,31 +357,26 @@ def train(
 ) -> list[EpochRecord]:
     """Seeded-shuffled window iteration, one clipped Adam step per window.
 
-    Windows must carry ``samples`` and stable-flag ``labels``:
+    Windows must carry ``samples`` and stable-flag ``labels`` of one length:
     ``data.window_batches`` cuts them from a Recording, and callers may
-    build ``data.LabeledWindow``s of their own. Features are derived once
-    up front from the model's frozen stats. When validation windows are
+    build ``data.LabeledWindow``s of their own. Each window set is featurized
+    once, as one stack, from the model's frozen stats. When validation windows are
     given, training stops after EARLY_STOP_PATIENCE epochs without a
     success-rate improvement and the best parameters are restored.
     Every update, the restore included, writes into the model's own
     arrays, so views from param_dict() stay live.
     """
-    windows = list(windows)
-    if not windows:
-        raise ValueError("no training windows")
-    feats = [model.featurize(w.samples) for w in windows]
-    ys = [(~np.asarray(w.labels, dtype=bool)).astype(np.int64) for w in windows]
-    counts = np.bincount(np.concatenate(ys), minlength=2)
-    if counts.min() == 0:
-        raise ValueError("training windows must contain both classes")
+    def stacked(windows, name: str) -> tuple[list[np.ndarray], np.ndarray]:
+        """One featurize call's features of the (windows, steps) stack, and its unstable flags."""
+        if not (windows := list(windows)):
+            raise ValueError(f"no {name} windows")
+        return (model.featurize(np.stack([w.samples for w in windows])),
+                ~np.stack([w.labels for w in windows]).astype(bool))
 
-    val_feats = val_unstable = None
-    if val_windows is not None:
-        val_windows = list(val_windows)
-        if not val_windows:
-            raise ValueError("no validation windows")
-        val_feats = model.featurize(np.stack([w.samples for w in val_windows]))
-        val_unstable = ~np.stack([w.labels for w in val_windows]).astype(bool)
+    feats, unstable = stacked(windows, "training")
+    if unstable.all() or not unstable.any():
+        raise ValueError("training windows must contain both classes")
+    val_feats, val_unstable = (None, None) if val_windows is None else stacked(val_windows, "validation")
 
     params = model.stored_arrays()
     opt = AdamState(lr=config.lr)
@@ -392,10 +387,10 @@ def train(
     stale = 0
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(windows))
-        losses = np.empty(len(windows))
+        order = rng.permutation(len(unstable))
+        losses = np.empty(len(unstable))
         for step, wi in enumerate(order):
-            loss, grads = model.loss_and_grads(feats[wi], ys[wi])
+            loss, grads = model.loss_and_grads([s[wi] for s in feats], unstable[wi])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"diverged: non-finite loss at epoch {epoch}, step {step}"
@@ -571,8 +566,12 @@ def alarm_bound(model: GraspModel) -> float:
 def load_checkpoint(path) -> GraspModel:
     """The model a checkpoint holds, whose header read_blob has checked. One
     whose ``alarm_bound`` is below logit(threshold) can flag no step unstable
-    and is refused; one that can never read "stable" is fail-safe and loads."""
-    header, arrays = read_blob(path)
+    and is refused; one that can never read "stable" is fail-safe and loads.
+    Every CheckpointError names the file."""
+    try:
+        header, arrays = read_blob(path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     variant, stats = get_variant(header["variant"]), header["norm_stats"]
     lstms = [LstmParams.from_gates({f"{w}_{g}": arrays[f"lstm{idx}.{w}_{g}"]
                                     for w in "wb" for g in nn.GATE_NAMES})
@@ -586,6 +585,6 @@ def load_checkpoint(path) -> GraspModel:
     )
     bound, floor = alarm_bound(model), math.log(model.threshold / (1.0 - model.threshold))
     if bound < floor:
-        raise CheckpointError(f"the model can never raise an alarm: its unstable-minus-stable "
+        raise CheckpointError(f"{path}: the model can never raise an alarm: its unstable-minus-stable "
                               f"logit is at most {bound:.6g}, below logit(threshold) {floor:.6g}")
     return model

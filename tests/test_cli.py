@@ -300,6 +300,22 @@ def test_convert_freq_hz_out_of_range_exits_1_and_writes_nothing(freq, tmp_path,
     assert not dst.exists()
 
 
+CSV_ROW = ",".join(["5"] * 16).encode() + b"\n"
+
+
+@pytest.mark.parametrize("body, named", [
+    (CSV_ROW * 2 + b"1\xff" + b",5" * 15 + b"\n", ":3: 'utf-8' codec can't decode byte 0xff"),
+    (CSV_ROW + b"5," * 15 + b"1" * 140_000 + b"\n", ":2: field larger than field limit"),
+], ids=["not-utf8", "field-past-the-csv-limit"])
+def test_convert_unreadable_csv_exits_1_naming_file_and_line(body, named, tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    src.write_bytes(body)
+    dst = tmp_path / "trace.txt"
+    assert run("convert", "--src", str(src), "--dst", str(dst)) == 1
+    assert f"{src}{named}" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_convert_missing_source(tmp_path, capsys):
     assert run("convert", "--src", str(tmp_path / "none.csv"), "--dst", str(tmp_path / "o.txt")) == 1
     assert "error:" in capsys.readouterr().err
@@ -699,6 +715,19 @@ def test_checkpoint_with_an_added_header_key_exits_1_and_writes_nothing(
     assert list(out.iterdir()) == []  # only the --out directory itself is made
 
 
+def test_eval_corrupt_checkpoint_exits_1_naming_it(tmp_path, dataset_dir, capsys):
+    # The second of two checkpoints: the error must say which file is corrupt.
+    golden = os.path.join(os.path.dirname(__file__), "golden", "C.gslp")
+    bad = tmp_path / "bad.gslp"
+    with open(golden, "rb") as fh:
+        bad.write_bytes(fh.read() + b"\0")
+    out = tmp_path / "o"
+    assert run("eval", "--checkpoint", golden, "--checkpoint", str(bad),
+               "--data", str(dataset_dir), "--out", str(out)) == 1
+    assert f"{bad}: digest mismatch: checkpoint corrupted" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_eval_missing_checkpoint(tmp_path, dataset_dir, capsys):
     assert run(
         "eval", "--checkpoint", str(tmp_path / "none.gslp"),
@@ -793,9 +822,9 @@ def test_eval_deeply_nested_checkpoint_header_exits_1(tmp_path, dataset_dir, cap
 @pytest.mark.parametrize("manifest", [
     "{}", '{"files": 5}', '{"files": [3]}', '{"files": ["../set_0000.txt"]}',
     '{"files": ["sub/set_0000.txt"]}', '{"files": [""]}', "[]", "[" * 200_000,
-    '{"files": ["set_0000.txt", "set_0000.txt"]}',
+    '{"files": ["set_0000.txt", "set_0000.txt"]}', '{"files": [',
 ], ids=["no-files", "files-int", "name-int", "parent-dir", "subdir", "empty-name",
-        "not-object", "nested", "listed-twice"])
+        "not-object", "nested", "listed-twice", "truncated"])
 def test_eval_hostile_dataset_manifest_exits_1(tmp_path, dataset_dir, trained_dir,
                                                 manifest, capsys):
     ds = tmp_path / "ds"
@@ -807,6 +836,22 @@ def test_eval_hostile_dataset_manifest_exits_1(tmp_path, dataset_dir, trained_di
         "--data", str(ds), "--out", str(tmp_path / "o"),
     ) == 1
     assert "manifest.json" in capsys.readouterr().err
+
+
+def test_eval_non_utf8_trace_exits_1_naming_file_and_line(tmp_path, dataset_dir, trained_dir,
+                                                          capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    lines = (dataset_dir / "set_0000.txt").read_bytes().split(b"\n")
+    ln = lines.index(b"data") + 2
+    lines[ln - 1] = b"\xff" + lines[ln - 1]
+    (ds / "set_0000.txt").write_bytes(b"\n".join(lines))
+    out = tmp_path / "o"
+    assert run("eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
+               "--data", str(ds), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{ds / 'set_0000.txt'}:{ln}: 'utf-8' codec can't decode byte 0xff" in err
+    assert list(out.iterdir()) == []
 
 
 def test_eval_nonfinite_freq_dataset_exits_1(tmp_path, dataset_dir, trained_dir, capsys):

@@ -599,6 +599,46 @@ def test_train_rejects_empty_validation_before_any_update():
         np.testing.assert_array_equal(v, before[k])
 
 
+def test_fit_variant_refuses_an_empty_validation_list_as_train_does():
+    # Only None means "no validation"; an empty list used to train without any.
+    train_sets = data.synth_force_dataset(2, seed=1)
+    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=1, seed=0, labels="truth")
+    with pytest.raises(ValueError, match="no validation windows"):
+        fit_variant("B", train_sets, cfg, val_sets=[])
+
+
+def test_train_featurizes_each_window_set_once_as_a_stack(monkeypatch):
+    calls = []
+    featurize = GraspModel.featurize
+
+    def counted(self, samples):
+        calls.append(np.shape(samples))
+        return featurize(self, samples)
+
+    monkeypatch.setattr(GraspModel, "featurize", counted)
+    windows, val = toy_windows(n=6), toy_windows(n=4, seed=4)
+    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=2)
+    model = GraspModel.build("D", cfg)
+    model.stats = compute_norm_stats([w.samples for w in windows])
+    train(model, windows, cfg)
+    assert calls == [(6, 60)]
+    calls.clear()
+    train(model, windows, cfg, val_windows=val)
+    assert calls == [(6, 60), (4, 60)]
+
+
+def test_train_refuses_windows_of_unequal_length_before_any_update():
+    windows = [*toy_windows(n=3), *toy_windows(n=2, steps=61)]
+    cfg = TrainConfig(window_len=60, lstm_units=4, epochs=2)
+    model = GraspModel.build("B", cfg)
+    model.stats = compute_norm_stats([w.samples for w in windows])
+    before = model.copy_params()
+    with pytest.raises(ValueError, match="same shape"):
+        train(model, windows, cfg)
+    for k, v in model.param_dict().items():
+        np.testing.assert_array_equal(v, before[k])
+
+
 def test_early_stop_restores_best_params():
     windows = toy_windows(n=20, seed=3)
     val = toy_windows(n=8, seed=4)

@@ -1,10 +1,10 @@
 """Differential tests of the trace-file body reader and writer.
 
 ``data._parse_rows`` reads a whole body with numpy's C text reader
-(``np.loadtxt``), first as int64 cast to float64 when the body holds
-no '-', then as float64, and runs a per-line pass when the reader
-rejects the body: to name the first bad line, and to parse tokens that
-only ``float()`` accepts. ``data._trace_lines`` formats a matrix whose
+(``np.loadtxt``) as int64 cast to float64 when the body holds no '-',
+and runs a per-line ``float()`` pass on every other body and on one
+the reader rejects: to name the first bad line, and to parse tokens
+that int64 does not take. ``data._trace_lines`` formats a matrix whose
 rounded values all lie in [0, 65536) by gathering each value's token
 from a table and stripping its NUL padding, and any other matrix with
 one ``%``. The oracles
@@ -188,6 +188,22 @@ def test_parse_rows_is_exact_under_numpys_int_via_float_fallback(monkeypatch):
         assert loadtxt_with_fallback(lines[:1], dtype=np.int64).tolist() == [1, 2]
         got = data._parse_rows("f.txt", lines, 0, 2)
     assert got.tobytes() == parse_rows_oracle("f.txt", lines, 0, 2).tobytes()
+
+
+@pytest.mark.parametrize("lines", [
+    ["-1 2 -3", "4 -5 6"],
+    ["1.5 2.25 3", "0.1 1e3 7."],
+    ["-0 0 1", "2 -0 3"],
+], ids=["negative-integers", "decimals", "minus-zero"])
+def test_parse_rows_reads_bodies_numpys_int64_parser_refuses_as_float_does(lines, monkeypatch):
+    # Bodies with '-' or a decimal take the per-line pass: np.loadtxt returns no rows for them.
+    real_loadtxt, returned = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: returned.append(real_loadtxt(*a, **k)))
+    got = data._parse_rows("f.txt", lines, 0, 3)
+    want = np.array([[float(c) for c in line.split()] for line in lines])
+    assert returned == [] and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got).tolist() == [[c.startswith("-") for c in line.split()] for line in lines]
 
 
 @pytest.mark.parametrize("lines", [
