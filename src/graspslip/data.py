@@ -635,14 +635,16 @@ def _parse_header(path, lines):
 
 def _parse_rows(path, lines, body_start: int, n_channels: int) -> np.ndarray:
     # numpy's C text reader splits lines as str.split() does. Its int64 parser
-    # takes a non-empty body with no '-' (so '-0' stays -0.0), of ASCII integers
-    # below 2**63, each cast to float64 as float() reads its text. Its
-    # DeprecationWarning is an error here, as numpy from 1.23 on may truncate
+    # takes a non-empty ASCII body with no '-0' (so '-0' stays -0.0) of integers
+    # in [-2**63, 2**63), each cast to float64 as float() reads its text. Past
+    # ASCII, numpy 2.4.6 read '\U00020000' as 131024 and crashed on '\U00085650'.
+    # Its DeprecationWarning is an error here, as numpy from 1.23 on may truncate
     # 1.5 or nan to an integer with only that warning. Every other body takes the
     # per-line pass, as does one with a value the writer cannot write (int64
     # reads 2**63 - 512 and up, which float64 holds as 2**63).
     body = lines[body_start:]
-    if "-" not in (text := "".join(body)) and text.strip():
+    text = "".join(body)  # '-' first: a one-character search is 100x faster than '-0'
+    if text.isascii() and ("-" not in text or "-0" not in text) and text.strip():
         with warnings.catch_warnings(), contextlib.suppress(ValueError, DeprecationWarning):
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2).astype(np.float64)
@@ -696,7 +698,8 @@ def _read_text(path) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # Numbered as str.splitlines() splits lines; the bytes before exc.start decode.
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 

@@ -838,14 +838,16 @@ def test_eval_hostile_dataset_manifest_exits_1(tmp_path, dataset_dir, trained_di
     assert "manifest.json" in capsys.readouterr().err
 
 
-def test_eval_non_utf8_trace_exits_1_naming_file_and_line(tmp_path, dataset_dir, trained_dir,
-                                                          capsys):
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "cr-lf"])
+def test_eval_non_utf8_trace_exits_1_naming_file_and_line(newline, tmp_path, dataset_dir,
+                                                          trained_dir, capsys):
+    # The line is numbered as the reader splits lines, whatever their ending.
     ds = tmp_path / "ds"
     ds.mkdir()
     lines = (dataset_dir / "set_0000.txt").read_bytes().split(b"\n")
     ln = lines.index(b"data") + 2
     lines[ln - 1] = b"\xff" + lines[ln - 1]
-    (ds / "set_0000.txt").write_bytes(b"\n".join(lines))
+    (ds / "set_0000.txt").write_bytes(newline.join(lines))
     out = tmp_path / "o"
     assert run("eval", "--checkpoint", str(trained_dir / "checkpoint.gslp"),
                "--data", str(ds), "--out", str(out)) == 1

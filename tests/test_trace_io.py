@@ -1,10 +1,10 @@
 """Differential tests of the trace-file body reader and writer.
 
 ``data._parse_rows`` reads a whole body with numpy's C text reader
-(``np.loadtxt``) as int64 cast to float64 when the body holds no '-',
-and runs a per-line ``float()`` pass on every other body and on one
-the reader rejects: to name the first bad line, and to parse tokens
-that int64 does not take. ``data._trace_lines`` formats a matrix whose
+(``np.loadtxt``) as int64 cast to float64 when the body is ASCII and
+holds no '-0', and runs a per-line ``float()`` pass on every other
+body and on one the reader rejects: to name the first bad line, and to
+parse tokens that int64 does not take. ``data._trace_lines`` formats a matrix whose
 rounded values all lie in [0, 65536) by gathering each value's token
 from a table and stripping its NUL padding, and any other matrix with
 one ``%``. The oracles
@@ -96,14 +96,15 @@ BAD = st.one_of(
     st.text(max_size=4),
 )
 TOKENS = st.one_of(NUMBERS, NUMBERS, NUMBERS, BAD)
-# Tokens numpy's int64 parser reads, or rejects only past 2**63 - 1; '-0'
-# must still read as -0.0.
-UNSIGNED = st.one_of(
+# Tokens numpy's int64 parser reads, or rejects only outside [-2**63, 2**63);
+# '-0' must still read as -0.0.
+INTEGERS = st.one_of(
     st.integers(0, 70000).map(str),
-    st.integers(0, 70000).map(str),
+    st.integers(-70000, 70000).map(str),
     st.builds(lambda sign, zeros, n: f"{sign}{zeros}{n}",
-              st.sampled_from(["", "+"]), st.text("0", max_size=3), st.integers(0, 2**64)),
-    st.sampled_from([str(2**53 + 1), str(2**63 - 1), str(2**63), "+0", "00", "-0"]),
+              st.sampled_from(["", "+", "-"]), st.text("0", max_size=3), st.integers(0, 2**64)),
+    st.sampled_from([str(2**53 + 1), str(2**63 - 1), str(2**63), str(-(2**63)),
+                     str(-(2**63) - 1), "+0", "00", "-0", "-00"]),
 )
 # Python whitespace; the last three are also line breaks to str.splitlines().
 SPACE = st.sampled_from([" "] * 12 + ["  ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1f",
@@ -147,10 +148,10 @@ def test_parse_rows_matches_per_token_float(body):
 
 
 @DIFF
-@given(body=bodies(UNSIGNED))
+@given(body=bodies(INTEGERS))
 def test_parse_rows_matches_per_token_float_on_integer_bodies(body):
     # Bodies the int64 pass reads, and bodies it must hand on: a '-0',
-    # a value past 2**63 - 1, a ragged row.
+    # a value outside [-2**63, 2**63), a ragged row.
     lines, body_start, n_channels = body
     got, got_err = outcome(data._parse_rows, "f.txt", lines, body_start, n_channels)
     want, want_err = outcome(parse_rows_oracle, "f.txt", lines, body_start, n_channels)
@@ -190,20 +191,39 @@ def test_parse_rows_is_exact_under_numpys_int_via_float_fallback(monkeypatch):
     assert got.tobytes() == parse_rows_oracle("f.txt", lines, 0, 2).tobytes()
 
 
-@pytest.mark.parametrize("lines", [
-    ["-1 2 -3", "4 -5 6"],
-    ["1.5 2.25 3", "0.1 1e3 7."],
-    ["-0 0 1", "2 -0 3"],
+@pytest.mark.parametrize("lines, int64_reads", [
+    (["-1 2 -3", "4 -5 6"], True),
+    (["1.5 2.25 3", "0.1 1e3 7."], False),
+    (["-0 0 1", "2 -0 3"], False),
 ], ids=["negative-integers", "decimals", "minus-zero"])
-def test_parse_rows_reads_bodies_numpys_int64_parser_refuses_as_float_does(lines, monkeypatch):
-    # Bodies with '-' or a decimal take the per-line pass: np.loadtxt returns no rows for them.
+def test_parse_rows_reads_signed_and_decimal_bodies_as_float_does(lines, int64_reads, monkeypatch):
+    # The int64 pass reads negative integers, as the writer's '%d' branch
+    # writes them; decimals and '-0' take the per-line pass, for which
+    # np.loadtxt returns no rows.
     real_loadtxt, returned = np.loadtxt, []
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: returned.append(real_loadtxt(*a, **k)))
+
+    def loadtxt(*args, **kwargs):
+        returned.append(rows := real_loadtxt(*args, **kwargs))
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
     got = data._parse_rows("f.txt", lines, 0, 3)
     want = np.array([[float(c) for c in line.split()] for line in lines])
-    assert returned == [] and got.dtype == np.float64
+    assert len(returned) == int64_reads and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got).tolist() == [[c.startswith("-") for c in line.split()] for line in lines]
+
+
+@pytest.mark.parametrize("lines, ln", [
+    (["\U00020000 1"], 1),
+    (["1 2", "3 4\U00020000"], 2),
+    (["\U00085650 1", "", "2 3"], 1),
+], ids=["misread", "misread-at-end", "crash"])
+def test_parse_rows_refuses_characters_numpys_int64_parser_mishandles(lines, ln):
+    # numpy 2.4.6's int64 parser read '\U00020000' as 131024 and, in a trace
+    # file, crashed the process on a body like the last; float() refuses both.
+    with pytest.raises(ValueError, match=f"f.txt:{ln}: non-numeric value"):
+        data._parse_rows("f.txt", lines, 0, 2)
 
 
 @pytest.mark.parametrize("lines", [
